@@ -41,21 +41,14 @@ class EmbeddingParams:
 
 @dataclass(frozen=True)
 class PhaseTrajectory:
-    """Embedded points (count, m); point i ends at sample i + (m-1)*tau."""
+    """Embedded points (..., count, m); point i ends at sample i + (m-1)*tau.
+
+    Leading axes, if any, are those of the embedded series batch.
+    """
 
     points: np.ndarray
     params: EmbeddingParams
     source_len: int
-
-
-@dataclass(frozen=True)
-class PatchConfig:
-    p: int
-    m: int
-
-    @property
-    def d(self) -> int:
-        return self.m * self.p
 
 
 def default_bins(length: int) -> int:
@@ -114,9 +107,9 @@ def mutual_information_delay(series, max_tau: int, bins: int | None = None) -> i
 
 
 def _embed_forward(series: np.ndarray, m: int, tau: int) -> np.ndarray:
-    n = series.size - (m - 1) * tau
-    view = np.lib.stride_tricks.sliding_window_view(series, (m - 1) * tau + 1)
-    return view[:n, ::tau]
+    n = series.shape[-1] - (m - 1) * tau
+    view = np.lib.stride_tricks.sliding_window_view(series, (m - 1) * tau + 1, axis=-1)
+    return view[..., :n, ::tau]
 
 
 def fnn_profile(
@@ -164,16 +157,20 @@ def false_nearest_neighbors(
 
 
 def delay_embed(series, params: EmbeddingParams) -> PhaseTrajectory:
-    """Delay embedding per u_i = (z_{i-(m-1)tau}, ..., z_{i-tau}, z_i)."""
+    """Delay embedding per u_i = (z_{i-(m-1)tau}, ..., z_{i-tau}, z_i).
+
+    Time runs along the last axis; a (..., n) batch of equal-length series
+    embeds every series at once into (..., count, m) points.
+    """
     series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ValueError("expected a 1-D scalar series")
-    if series.size < params.span:
+    if series.ndim < 1:
+        raise ValueError("expected a scalar series or a batch of them")
+    if series.shape[-1] < params.span:
         raise TooShortError(
             f"need at least {params.span} samples for m={params.m}, tau={params.tau}"
         )
     pts = _embed_forward(series, params.m, params.tau).copy()
-    return PhaseTrajectory(points=pts, params=params, source_len=series.size)
+    return PhaseTrajectory(points=pts, params=params, source_len=series.shape[-1])
 
 
 def patch(traj: PhaseTrajectory | np.ndarray, p: int) -> np.ndarray:
@@ -181,15 +178,16 @@ def patch(traj: PhaseTrajectory | np.ndarray, p: int) -> np.ndarray:
 
     The leading remainder (len mod p) is dropped so the most recent points are
     always kept.  Flattening is time-major: the first m entries of a patch
-    vector are its oldest point.
+    vector are its oldest point.  Points of shape (..., n, m) give patches of
+    shape (..., n // p, p*m).
     """
     if p < 1:
         raise ValueError("patch length must be >= 1")
     pts = traj.points if isinstance(traj, PhaseTrajectory) else np.asarray(traj, dtype=float)
-    n, m = pts.shape
+    *lead, n, m = pts.shape
     count = n // p
-    kept = pts[n - count * p :]
-    return kept.reshape(count, p * m)
+    kept = pts[..., n - count * p :, :]
+    return kept.reshape(*lead, count, p * m)
 
 
 def select_embedding(

@@ -43,3 +43,7 @@ class OddLengthError(AttraosError):
 
 class WindowTooShortError(AttraosError):
     pass
+
+
+class ModelFormatError(AttraosError):
+    """A saved model document is not a well-formed attraos model."""

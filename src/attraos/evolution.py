@@ -250,22 +250,13 @@ def apply_direct_evolution(x: np.ndarray, model: DirectEvolutionModel) -> np.nda
     pts = x[None, :] if single else x
     d2 = ((pts[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
-    out = np.einsum("tij,tj->ti", model.operators[labels], pts)
+    # one matmul per cluster: gathering operators[labels] would copy an
+    # (rows, F, F) array
+    out = np.empty_like(pts)
+    for c, op in enumerate(model.operators):
+        mask = labels == c
+        out[mask] = pts[mask] @ op.T
     return out[0] if single else out
-
-
-def attractor_separation(partition: AttractorPartition) -> np.ndarray:
-    """Per-cluster margin: min_{j != i} (c_i . c_i - c_i . c_j)."""
-    c = partition.centroids
-    gram = c @ c.T
-    k = c.shape[0]
-    if k == 1:
-        return np.array([np.inf])
-    out = np.empty(k)
-    for i in range(k):
-        others = np.delete(gram[i], i)
-        out[i] = gram[i, i] - others.max()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +284,6 @@ def hopfield_update(query: np.ndarray, config: HopfieldConfig) -> np.ndarray:
     p = np.exp(logits)
     p /= p.sum()
     return config.patterns.T @ p
-
-
-def hopfield_retrieve(query: np.ndarray, config: HopfieldConfig, tol: float = 1e-8):
-    """Iterate the update rule to a fixed point; returns (xi, iterations)."""
-    xi = np.asarray(query, dtype=float)
-    for it in range(1, config.max_iters + 1):
-        nxt = hopfield_update(xi, config)
-        if np.linalg.norm(nxt - xi) < tol:
-            return nxt, it
-        xi = nxt
-    return xi, config.max_iters
 
 
 def hopfield_energy(xi: np.ndarray, config: HopfieldConfig) -> float:

@@ -1,12 +1,13 @@
 """End-to-end attractor-aware forecaster.
 
-Per channel and per context window the pipeline is: instance-normalize,
-delay-embed, patch, run the discretized polynomial-projection recurrence over
-the patch sequence, split the state sequence into a multi-scale pyramid,
-advance every scale one step with the configured evolution strategy,
-reconstruct the finest scale from the evolved pyramid, collapse the polynomial
-axis by evaluating each window expansion at its right endpoint, and map the
-flattened features to the next ``horizon`` samples with a ridge-fit readout.
+Per channel, for a batch of context windows at once, the pipeline is:
+instance-normalize, delay-embed, patch, run the discretized
+polynomial-projection recurrence over the patch sequence, split the state
+sequence into a multi-scale pyramid, advance every scale one step with the
+configured evolution strategy, reconstruct the finest scale from the evolved
+pyramid, collapse the polynomial axis by evaluating each window expansion at
+its right endpoint, and map the flattened features to the next ``horizon``
+samples with a ridge-fit readout.
 
 Every learned map is a closed-form ridge regression; there is no iterative
 training.  Evolution operators are fit on consecutive-window pairs (windows
@@ -16,14 +17,19 @@ shifted by one patch), so "evolve" means "advance the window by one patch".
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import evolution as evo
 from .embedding import EmbeddingParams, delay_embed, patch, select_embedding
-from .errors import ShapeMismatchError, TooShortError, WindowTooShortError
+from .errors import (
+    ModelFormatError,
+    NonFiniteError,
+    ShapeMismatchError,
+    TooShortError,
+    WindowTooShortError,
+)
 from .legendre import (
     DiscretizedSsm,
     SsmParams,
@@ -33,7 +39,7 @@ from .legendre import (
     ssm_params_to_json,
 )
 from .scan import ScanInput, sequential_scan
-from .seeding import derive_seed, worker_count
+from .seeding import derive_seed
 from .wavelet import Pyramid, WaveletFilters, build_filters, decompose, reconstruct
 
 STRATEGIES = ("frequency", "direct", "hopfield")
@@ -149,10 +155,13 @@ class FittedForecaster:
     def n_channels(self) -> int:
         return len(self.channels)
 
-    def represent(self, window: np.ndarray):
-        """Pipeline front half for one normalized-window: returns
-        (scale sequences, mean, std) of a single channel window."""
-        return _represent(np.asarray(window, dtype=float), self)
+    def represent(self, windows: np.ndarray):
+        """Pipeline front half for a batch of single-channel windows.
+
+        ``windows`` is (batch, window); a 1-D window is a batch of one.
+        Returns (scale sequences, each (batch, L_s, D, N), means, stds).
+        """
+        return _represent(np.atleast_2d(np.asarray(windows, dtype=float)), self)
 
 
 def _as_2d(series) -> np.ndarray:
@@ -164,31 +173,39 @@ def _as_2d(series) -> np.ndarray:
     return arr
 
 
-def _normalize(window: np.ndarray):
-    mu = float(window.mean())
-    sd = float(window.std())
-    if sd == 0.0:
-        sd = 1.0
-    return (window - mu) / sd, mu, sd
+def _finite_2d(series, what: str) -> np.ndarray:
+    arr = _as_2d(series)
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"{what} contains NaN or inf")
+    return arr
+
+
+def _normalize(windows: np.ndarray):
+    """Per-window instance normalization of a (batch, window) array."""
+    mu = windows.mean(axis=1)
+    sd = windows.std(axis=1)
+    sd[sd == 0.0] = 1.0
+    return (windows - mu[:, None]) / sd[:, None], mu, sd
 
 
 def _scan_states(patches: np.ndarray, model) -> np.ndarray:
-    """Run the discretized recurrence over the patch sequence.
+    """Run the discretized recurrence over each window's patch sequence.
 
-    Each patch row drives D independent order-N states; the result is
-    (L, D, N).
+    Each patch row drives D independent order-N states: (batch, L, D)
+    patches give time-major (L, batch, D, N) states, the layout the scan and
+    wavelet stages run along.
     """
-    length = patches.shape[0]
-    bu = patches[:, :, None] * model.disc.b_bar  # (L, D, N)
-    a_seq = np.broadcast_to(model.disc.a_bar, (length,) + model.disc.a_bar.shape)
+    bu = np.swapaxes(patches, 0, 1)[..., None] * model.disc.b_bar  # (L, B, D, N)
+    a_seq = np.broadcast_to(model.disc.a_bar, (bu.shape[0],) + model.disc.a_bar.shape)
     return sequential_scan(
         ScanInput(a_seq=a_seq, bu_seq=bu, matrix=not model.ssm.is_diagonal)
     )
 
 
-def _represent(window: np.ndarray, model):
-    """Normalize, embed, patch, scan, decompose one channel window."""
-    zn, mu, sd = _normalize(window)
+def _represent(windows: np.ndarray, model):
+    """Normalize, embed, patch, scan, decompose a (batch, window) array of
+    one channel's windows."""
+    zn, mu, sd = _normalize(windows)
     traj = delay_embed(zn, model.embedding)
     patches = patch(traj, model.config.patch_len)
     states = _scan_states(patches, model)
@@ -199,7 +216,7 @@ def _represent(window: np.ndarray, model):
         head = np.repeat(states[:1], sh.pad, axis=0)
         states = np.concatenate([head, states], axis=0)
     pyr = decompose(states, model.filters, sh.eff_levels)
-    scales = list(pyr.details) + [pyr.coarse]
+    scales = [np.swapaxes(s, 0, 1) for s in list(pyr.details) + [pyr.coarse]]
     return scales, mu, sd
 
 
@@ -219,12 +236,14 @@ def _valid_positions(length: int, cell: int, pad: int) -> np.ndarray:
 
 
 def _evolve_scales(scales, evolvers, strategy):
+    """Advance every (batch, L_s, D, N) scale sequence by one step."""
     out = []
     for seq, ev in zip(scales, evolvers):
         if strategy == "frequency":
-            out.append(evo.apply_spectral_evolution(seq, ev))
+            time_major = evo.apply_spectral_evolution(np.swapaxes(seq, 0, 1), ev)
+            out.append(np.swapaxes(time_major, 0, 1))
         else:
-            flat = seq.reshape(seq.shape[0], -1)
+            flat = seq.reshape(-1, seq.shape[2] * seq.shape[3])
             if strategy == "direct":
                 nxt = evo.apply_direct_evolution(flat, ev)
             else:
@@ -234,51 +253,44 @@ def _evolve_scales(scales, evolvers, strategy):
 
 
 def _finalize_features(evolved_scales, model) -> np.ndarray:
+    """Reconstruct, evaluate at the window endpoint and flatten: one
+    (L' * D) feature row per window."""
     sh = model.shapes
-    pyr = Pyramid(
-        details=list(evolved_scales[:-1]), coarse=evolved_scales[-1], levels=sh.eff_levels
-    )
+    time_major = [np.swapaxes(s, 0, 1) for s in evolved_scales]
+    pyr = Pyramid(details=time_major[:-1], coarse=time_major[-1], levels=sh.eff_levels)
     states = reconstruct(pyr, model.filters)
     states = states[sh.pad :]
     endpoint = np.sqrt(2.0 * np.arange(sh.order) + 1.0)
-    feats = states @ endpoint  # (L', D)
-    return feats.reshape(-1)
+    feats = states @ endpoint  # (L', B, D)
+    return np.swapaxes(feats, 0, 1).reshape(feats.shape[1], -1)
 
 
 def _fit_channel(z: np.ndarray, starts: np.ndarray, model_stub, config: ForecasterConfig,
                  channel_index: int) -> ChannelModel:
     sh = model_stub.shapes
     w, h = config.window, config.horizon
-    reps = []
-    stats = []
-    for s in starts:
-        scales, mu, sd = _represent(z[s : s + w], model_stub)
-        reps.append(scales)
-        stats.append((mu, sd))
+    reps, mu, sd = _represent(z[starts[:, None] + np.arange(w)], model_stub)
 
     cell_sizes = _scale_cell_sizes(sh)
     evolvers = []
-    n_scales = len(reps[0])
-    for si in range(n_scales):
-        seqs = [r[si] for r in reps]
-        length = seqs[0].shape[0]
+    for si, seqs in enumerate(reps):
+        length = seqs.shape[1]
         if config.evolution_strategy == "frequency":
             m_modes = min(config.m_modes, length // 2 + 1)
-            # one spectrum per window; consecutive windows form the pairs
-            spectra = [np.moveaxis(evo.fft_modes(s, m_modes), 1, 0) for s in seqs]
-            a_spec = np.concatenate(spectra[:-1], axis=0)
-            b_spec = np.concatenate(spectra[1:], axis=0)
+            # one spectrum per window and state row; consecutive windows
+            # form the pairs
+            spectra = evo.fft_modes(np.swapaxes(seqs, 0, 1), m_modes)  # (M, B, D, N)
+            spectra = spectra.transpose(1, 2, 0, 3)  # (B, D, M, N)
+            a_spec = spectra[:-1].reshape((-1,) + spectra.shape[2:])
+            b_spec = spectra[1:].reshape((-1,) + spectra.shape[2:])
             evolvers.append(
                 evo.fit_spectral_operators(a_spec, b_spec, length, config.ridge_lambda)
             )
         else:
             valid = _valid_positions(length, cell_sizes[si], sh.pad)
-            src = np.concatenate(
-                [r[si][valid].reshape(valid.size, -1) for r in reps[:-1]], axis=0
-            )
-            dst = np.concatenate(
-                [r[si][valid].reshape(valid.size, -1) for r in reps[1:]], axis=0
-            )
+            rows = seqs[:, valid]  # (B, V, D, N); flattened window-major below
+            src = rows[:-1].reshape(-1, sh.d * sh.order)
+            dst = rows[1:].reshape(-1, sh.d * sh.order)
             seed = derive_seed(config.seed, 16 * channel_index + si + 2)
             if config.evolution_strategy == "direct":
                 k = min(config.n_clusters, src.shape[0])
@@ -293,13 +305,9 @@ def _fit_channel(z: np.ndarray, starts: np.ndarray, model_stub, config: Forecast
                     )
                 )
 
-    feats = np.empty((len(starts), sh.feat_len))
-    targets = np.empty((len(starts), h))
-    for wdx, s in enumerate(starts):
-        evolved = _evolve_scales(reps[wdx], evolvers, config.evolution_strategy)
-        feats[wdx] = _finalize_features(evolved, model_stub)
-        mu, sd = stats[wdx]
-        targets[wdx] = (z[s + w : s + w + h] - mu) / sd
+    evolved = _evolve_scales(reps, evolvers, config.evolution_strategy)
+    feats = _finalize_features(evolved, model_stub)
+    targets = (z[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
     readout = evo.ridge_fit(feats, targets, config.ridge_lambda).T  # (feat, horizon)
     return ChannelModel(
         evolvers=evolvers,
@@ -315,13 +323,15 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     Training windows start every ``patch_len`` samples so consecutive windows
     are exactly one recurrence step apart (that is what the evolution
     operators model); at most ``max_train_windows`` of the most recent ones
-    are kept.  With ``embedding=None`` the delay/dimension are selected from
+    are kept, and each channel runs all of them through the pipeline as one
+    batch.  With ``embedding=None`` the delay/dimension are selected from
     the data, capped so one context window always holds at least two patches;
     a constant series then raises DegenerateSeriesError, while a manually
     supplied embedding turns a constant series into an exact constant
-    forecast (zero features, the window mean is returned).
+    forecast (zero features, the window mean is returned).  A series with
+    NaN or inf raises NonFiniteError.
     """
-    arr = _as_2d(series)
+    arr = _finite_2d(series, "series")
     n, n_channels = arr.shape
     w, h = config.window, config.horizon
     if n < w + h + config.patch_len:
@@ -354,26 +364,20 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     if all_starts.size < 2:
         raise TooShortError("need at least two training windows")
     starts = all_starts[-config.max_train_windows :]
-
-    def job(c):
-        return _fit_channel(arr[:, c], starts, stub, config, c)
-
-    workers = min(worker_count(), n_channels)
-    if workers > 1 and n_channels > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            channels = list(pool.map(job, range(n_channels)))
-    else:
-        channels = [job(c) for c in range(n_channels)]
+    channels = [_fit_channel(arr[:, c], starts, stub, config, c) for c in range(n_channels)]
     return replace(stub, channels=channels)
 
 
 def predict(model: FittedForecaster, context, truth=None) -> ForecastResult:
     """Deterministic forward pass on the trailing window of the context.
 
-    When ``truth`` (horizon x channels) is given, per-channel MSE/MAE are
-    attached to the result.
+    All channels' trailing windows share one pass through the front half of
+    the pipeline.  When ``truth`` (horizon x channels) is given, per-channel
+    MSE/MAE are attached to the result.  NaN or inf in the context or the
+    truth raises NonFiniteError.
     """
-    arr = _as_2d(context)
+    arr = _finite_2d(context, "context")
+    truth_arr = None if truth is None else _finite_2d(truth, "truth")
     w = model.config.window
     if arr.shape[0] < w:
         raise WindowTooShortError(f"context needs at least {w} samples")
@@ -381,18 +385,21 @@ def predict(model: FittedForecaster, context, truth=None) -> ForecastResult:
         raise ShapeMismatchError(
             f"model has {model.n_channels} channels, context has {arr.shape[1]}"
         )
-    h = model.config.horizon
-    out = np.empty((h, model.n_channels))
-    for c in range(model.n_channels):
-        window = arr[-w:, c]
-        scales, mu, sd = _represent(window, model)
-        ch = model.channels[c]
-        evolved = _evolve_scales(scales, ch.evolvers, model.config.evolution_strategy)
-        feats = _finalize_features(evolved, model)
-        out[:, c] = mu + sd * (feats @ ch.readout)
-    if truth is None:
+    # one contiguous row per channel, laid out like the fit-time windows
+    scales, mu, sd = _represent(np.ascontiguousarray(arr[-w:].T), model)
+    strategy = model.config.evolution_strategy
+    per_channel = [
+        _evolve_scales([s[c : c + 1] for s in scales], ch.evolvers, strategy)
+        for c, ch in enumerate(model.channels)
+    ]
+    feats = _finalize_features([np.concatenate(e) for e in zip(*per_channel)], model)
+    out = np.stack(
+        [mu[c] + sd[c] * (feats[c] @ ch.readout) for c, ch in enumerate(model.channels)],
+        axis=1,
+    )
+    if truth_arr is None:
         return ForecastResult(predictions=out)
-    metrics = evaluate(out, truth)
+    metrics = evaluate(out, truth_arr)
     return ForecastResult(
         predictions=out,
         mse_per_channel=metrics["mse_per_channel"],
@@ -443,9 +450,9 @@ def rollout(
         alpha = model.config.teacher_alpha
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    ctx = _as_2d(context).copy()
+    ctx = _finite_2d(context, "context").copy()
     h = model.config.horizon
-    truth_arr = None if truth is None else _as_2d(truth)
+    truth_arr = None if truth is None else _finite_2d(truth, "truth")
     preds = []
     produced = 0
     while produced < horizon_total:
@@ -551,13 +558,22 @@ def model_to_json(model: FittedForecaster) -> str:
             for ch in model.channels
         ],
     }
-    return json.dumps(doc)
+    return json.dumps(doc, allow_nan=False)
 
 
 def model_from_json(text: str) -> FittedForecaster:
+    """Rebuild a model from its JSON document; a document that is not a
+    version-1 model raises ModelFormatError."""
     doc = json.loads(text)
-    if doc.get("v") != 1:
-        raise ValueError("unsupported model document version")
+    if not isinstance(doc, dict) or doc.get("v") != 1:
+        raise ModelFormatError("not a version-1 model document")
+    try:
+        return _model_from_doc(doc)
+    except (KeyError, TypeError) as exc:
+        raise ModelFormatError(f"malformed model document: {exc!r}") from exc
+
+
+def _model_from_doc(doc: dict) -> FittedForecaster:
     embedding = EmbeddingParams(m=int(doc["embedding"]["m"]), tau=int(doc["embedding"]["tau"]))
     config = ForecasterConfig(embedding=embedding, **doc["config"])
     ssm = ssm_params_from_json(json.dumps(doc["ssm"]))

@@ -21,9 +21,6 @@ from .errors import ShapeMismatchError
 
 VARIANTS = ("legt_full", "legs_diag", "diag_neg1")
 
-DELTA_MIN = 1e-4
-DELTA_MAX = 10.0
-
 
 def legendre_eval(n: int, x) -> np.ndarray:
     """Canonical P_n(x) via the three-term recurrence (P_n(1) = 1)."""
@@ -258,46 +255,6 @@ def _zoh_input_factor(a: np.ndarray, delta: float) -> np.ndarray:
     nz = a != 0
     out[nz] = np.expm1(delta * a[nz]) / a[nz]
     return out
-
-
-def softplus_clamp(raw) -> np.ndarray:
-    """softplus then clamp to [1e-4, 10]; turns raw reals into usable steps."""
-    raw = np.asarray(raw, dtype=float)
-    return np.clip(np.logaddexp(0.0, raw), DELTA_MIN, DELTA_MAX)
-
-
-def discretize_sequence(
-    params: SsmParams,
-    deltas,
-    b_seq=None,
-    raw_delta: bool = False,
-):
-    """Per-step discretization for selective-scan style inputs.
-
-    ``deltas`` has shape (L,) or (L, D); ``b_seq`` optionally supplies a
-    per-step input map (L, N).  Returns (a_bar_seq, b_bar_seq) with a trailing
-    state axis of size N, ready to combine with per-step drive values.
-    Requires a diagonal transition.
-    """
-    if not params.is_diagonal:
-        raise ShapeMismatchError("per-step discretization needs a diagonal transition")
-    deltas = np.asarray(deltas, dtype=float)
-    if raw_delta:
-        deltas = softplus_clamp(deltas)
-    if np.any(deltas <= 0):
-        raise ValueError("per-step deltas must be positive")
-    a_bar = np.exp(deltas[..., None] * params.a)
-    if b_seq is None:
-        b_bar = deltas[..., None] * params.b
-    else:
-        b_seq = np.asarray(b_seq, dtype=float)
-        if b_seq.shape != (deltas.shape[0], params.n):
-            raise ShapeMismatchError("b_seq must have shape (L, N)")
-        if deltas.ndim == 1:
-            b_bar = deltas[:, None] * b_seq
-        else:
-            b_bar = deltas[..., None] * b_seq[:, None, :]
-    return a_bar, b_bar
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,13 @@
-"""Linear-recurrence evaluation: sequential, Blelloch tree, and gated tree.
+"""Linear-recurrence evaluation: sequential and Blelloch tree.
 
-All three compute x_k = a_k * x_{k-1} + bu_k.  The tree scans run the binary
+Both compute x_k = a_k * x_{k-1} + bu_k.  The tree scan runs the binary
 operator
 
     (a_i, b_i) . (a_j, b_j) = (a_j * a_i, a_j * b_i + b_j)
 
 over a fixed up-sweep/down-sweep schedule on an identity-padded power-of-two
-grid.  That schedule is normative for the gated variant: the gate h multiplies
-the composed input part exactly once per composition, at the write position,
-so results depend on the composition order and any reimplementation must
-replay the same (src, dst) pairs.  The down sweep includes the leading
-identity composition (identity at virtual position -1 into position 0), which
-is a no-op for the plain scan but applies the gate of the first position in
-the gated one.
+grid.  The down sweep starts with the identity composition (identity at
+virtual position -1 into position 0), which is a no-op.
 """
 
 from __future__ import annotations
@@ -128,20 +123,14 @@ def tree_schedule(l_padded: int) -> list[tuple[int, int]]:
 
 
 def _level_plan(l_padded: int):
-    """tree_schedule grouped by level for vectorized execution."""
+    """tree_schedule grouped by level as (dst, half) for vectorized
+    execution, without the no-op identity composition."""
     levels = l_padded.bit_length() - 1
     plan = []
     for d in range(levels):
-        step = 1 << (d + 1)
-        half = 1 << d
-        dst = np.arange(step - 1, l_padded, step)
-        plan.append(("up", dst, half))
-    plan.append(("identity", np.array([0]), 0))
+        plan.append((np.arange((2 << d) - 1, l_padded, 2 << d), 1 << d))
     for d in range(levels - 2, -1, -1):
-        step = 1 << (d + 1)
-        half = 1 << d
-        dst = np.arange(step + half - 1, l_padded, step)
-        plan.append(("down", dst, half))
+        plan.append((np.arange((3 << d) - 1, l_padded, 2 << d), 1 << d))
     return plan
 
 
@@ -162,7 +151,7 @@ def _pad_left(inp: ScanInput, l_padded: int):
     )
 
 
-def _compose_at(a, b, dst, half, matrix: bool, gate=None):
+def _compose_at(a, b, dst, half, matrix: bool):
     src = dst - half
     if matrix:
         a_new = np.einsum("lij,ljk->lik", a[dst], a[src])
@@ -170,8 +159,6 @@ def _compose_at(a, b, dst, half, matrix: bool, gate=None):
     else:
         a_new = a[dst] * a[src]
         b_new = a[dst] * b[src] + b[dst]
-    if gate is not None:
-        b_new = gate[dst] * b_new
     a[dst] = a_new
     b[dst] = b_new
 
@@ -188,9 +175,7 @@ def blelloch_scan(inp: ScanInput) -> np.ndarray:
         return inp.bu_seq.copy()
     lp = _padded_length(inp.length)
     a, b, pad = _pad_left(inp, lp)
-    for kind, dst, half in _level_plan(lp):
-        if kind == "identity":
-            continue  # no-op without a gate
+    for dst, half in _level_plan(lp):
         keep = dst[(dst - half) >= pad]
         if keep.size:
             _compose_at(a, b, keep, half, inp.matrix)
@@ -204,59 +189,6 @@ def scan_composition_count(length: int) -> int:
     lp = _padded_length(length)
     pad = lp - length
     count = 0
-    for kind, dst, half in _level_plan(lp):
-        if kind == "identity":
-            continue
+    for dst, half in _level_plan(lp):
         count += int(np.sum((dst - half) >= pad))
     return count
-
-
-def scale_of(i: int, l_total: int) -> int:
-    """Projection-scale label of position i among l_total outputs.
-
-    0 at the origin; odd positions sit one level above their predecessor;
-    even powers of two carry log2(i); other even positions stay at 1.
-    """
-    if not 0 <= i < l_total:
-        raise ValueError("position out of range")
-    if i == 0:
-        return 0
-    if i % 2 == 1:
-        return scale_of(i - 1, l_total) + 1
-    if i & (i - 1) == 0:
-        return int(i).bit_length() - 1
-    return 1
-
-
-def hierarchical_scan(inp: ScanInput, h_seq=None):
-    """Gated tree scan: the per-position gate folds the coarse-space
-    projection into the composition itself.
-
-    ``h_seq`` is (L, ...) broadcastable against the input parts; missing gates
-    default to ones (plain scan).  Every schedule pair is executed, including
-    identity-source ones, with the gate applied once at the write position.
-    Returns (states, scales) where scales[i] = scale_of(i, L).
-    """
-    if inp.length == 0:
-        return inp.bu_seq.copy(), np.zeros(0, dtype=int)
-    lp = _padded_length(inp.length)
-    a, b, pad = _pad_left(inp, lp)
-    if h_seq is None:
-        gate = np.ones_like(b)
-    else:
-        h_seq = np.asarray(h_seq, dtype=float)
-        if h_seq.shape[0] != inp.length:
-            raise ShapeMismatchError("h_seq length must match the input length")
-        try:
-            gate = np.ones_like(b)
-            gate[pad:] = h_seq
-        except ValueError as exc:
-            raise ShapeMismatchError(str(exc)) from exc
-    for kind, dst, half in _level_plan(lp):
-        if kind == "identity":
-            # identity . q = (a, gate * b): source is the virtual prefix
-            b[0] = gate[0] * b[0]
-            continue
-        _compose_at(a, b, dst, half, inp.matrix, gate=gate)
-    scales = np.array([scale_of(i, inp.length) for i in range(inp.length)], dtype=int)
-    return b[pad:], scales

@@ -1,11 +1,9 @@
-"""Deterministic seed derivation and worker-count control.
+"""Deterministic seed derivation.
 
 A single 64-bit master seed is expanded into per-component streams with a
 splitmix64 step applied to ``master + (index+1) * GOLDEN``.  The derivation is
 pure integer arithmetic, so it is identical across platforms.
 """
-
-import os
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -24,15 +22,3 @@ def derive_seed(master: int, component: int) -> int:
     if component < 0:
         raise ValueError("component index must be >= 0")
     return splitmix64((master + component * _GOLDEN) & _MASK)
-
-
-def worker_count() -> int:
-    """Worker cap from ATTRAOS_THREADS, defaulting to the CPU count."""
-    raw = os.environ.get("ATTRAOS_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)

@@ -178,6 +178,18 @@ class TestFitPredictEval:
         from_cli = read_csv(pred_path)
         assert np.array_equal(in_process, from_cli)
 
+    def test_malformed_model_exits_3_without_traceback(self, lorenz_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"v": 1}')
+        code, _, err = run(
+            capsys,
+            "predict", "--model", str(model_path), "--input", str(lorenz_csv),
+            "--out", str(tmp_path / "pred.csv"),
+        )
+        assert code == 3
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_eval_missing_file_exits_3(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "eval", "--pred", str(tmp_path / "a.csv"), "--truth", str(tmp_path / "b.csv")

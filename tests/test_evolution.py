@@ -239,23 +239,18 @@ class TestDirectEvolution:
         assert np.array_equal(model.operators[1], np.eye(2))
         assert np.array_equal(model.operators[2], np.eye(2))
 
-
-class TestAttractorSeparation:
-    def test_orthonormal_centroids(self):
-        part = evo.AttractorPartition(labels=np.arange(3), centroids=np.eye(3), k=3)
-        assert np.allclose(evo.attractor_separation(part), 1.0)
-
-    def test_duplicate_centroids(self):
-        c = np.ones((2, 4))
-        part = evo.AttractorPartition(labels=np.arange(2), centroids=c, k=2)
-        assert np.allclose(evo.attractor_separation(part), 0.0)
-
-    def test_hand_computed_margin(self):
-        c = np.array([[1.0, 0.0], [0.5, 0.5]])
-        part = evo.AttractorPartition(labels=np.arange(2), centroids=c, k=2)
-        sep = evo.attractor_separation(part)
-        assert sep[0] == pytest.approx(1.0 - 0.5)
-        assert sep[1] == pytest.approx(0.5 - 0.5)
+    def test_apply_matches_per_row_operator_gather(self, rng):
+        # four clusters near the data and one so far away that no row picks it
+        centroids = np.concatenate([rng.standard_normal((4, 6)), np.full((1, 6), 1e6)])
+        model = evo.DirectEvolutionModel(
+            centroids=centroids, operators=rng.standard_normal((5, 6, 6)), ridge_lambda=1e-3
+        )
+        pts = rng.standard_normal((200, 6))
+        labels = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
+        assert np.all(np.bincount(labels, minlength=5)[:4] > 0) and not np.any(labels == 4)
+        gathered = np.einsum("tij,tj->ti", model.operators[labels], pts)
+        assert np.allclose(evo.apply_direct_evolution(pts, model), gathered, rtol=1e-12, atol=1e-12)
+        assert np.allclose(evo.apply_direct_evolution(pts[7], model), gathered[7], rtol=1e-12, atol=1e-12)
 
 
 class TestHopfield:
@@ -279,9 +274,9 @@ class TestHopfield:
         pats = np.stack([p, -p])
         beta = 10.0 / float(p @ p)
         cfg = evo.HopfieldConfig(patterns=pats, beta=beta)
-        xi, iters = evo.hopfield_retrieve(pats[1], cfg, tol=1e-10)
-        assert iters <= 5
+        xi = evo.hopfield_update(pats[1], cfg)
         assert np.abs(xi - pats[1]).max() <= 1e-6
+        assert np.abs(evo.hopfield_update(xi, cfg) - xi).max() <= 1e-10
 
     def test_energy_monotone_along_iterates(self, rng):
         pats = rng.standard_normal((7, 5))
@@ -305,10 +300,13 @@ class TestHopfield:
         for s in np.linspace(0.2, 1.0, 5):
             pats = np.stack([(1 - s) * base + s * frame[:, i] for i in range(p)])
             pats /= np.linalg.norm(pats, axis=1, keepdims=True)
-            part = evo.AttractorPartition(labels=np.arange(p), centroids=pats, k=p)
-            seps.append(evo.attractor_separation(part).min())
+            gram = pats @ pats.T
+            # smallest margin c_i . c_i - c_i . c_j over pattern pairs i != j
+            seps.append(np.min(np.diag(gram)[:, None] - gram + np.diag(np.full(p, np.inf))))
             cfg = evo.HopfieldConfig(patterns=pats, beta=40.0)
-            xi, _ = evo.hopfield_retrieve(pats[0] + noise, cfg)
+            xi = pats[0] + noise
+            for _ in range(cfg.max_iters):
+                xi = evo.hopfield_update(xi, cfg)
             errors.append(np.linalg.norm(xi - pats[0]))
         assert np.all(np.diff(seps) > 0)  # the ladder is really monotone
         assert np.all(np.diff(errors) <= 1e-9)  # retrieval error non-increasing

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from attraos import forecaster as fc
 from attraos.embedding import EmbeddingParams
 from attraos.errors import (
     DegenerateSeriesError,
+    ModelFormatError,
+    NonFiniteError,
     ShapeMismatchError,
     TooShortError,
     WindowTooShortError,
@@ -134,8 +138,40 @@ class TestPredict:
         ch = model.channels[0]
         evolved = fc._evolve_scales(scales, ch.evolvers, cfg.evolution_strategy)
         feats = fc._finalize_features(evolved, model)
-        manual = mu + sd * (feats @ ch.readout)
+        manual = mu[0] + sd[0] * (feats[0] @ ch.readout)
         assert np.array_equal(fc.predict(model, window).predictions[:, 0], manual)
+
+    def test_predict_reproduces_fit_time_design_rows(self, lorenz63_x, monkeypatch):
+        # the feature row predict builds for training window i is row i of
+        # the design matrix the readout was fit on, bit for bit
+        x = np.stack([lorenz63_x[:3000], np.cos(0.03 * np.arange(3000))], axis=1)
+        cfg = small_config(window=96, max_train_windows=40)
+        designs = []
+        ridge_fit = fc.evo.ridge_fit
+
+        def recording_ridge_fit(a, b, lam):
+            if np.isrealobj(a):  # the readout fit; spectral operators are complex
+                designs.append(a.copy())
+            return ridge_fit(a, b, lam)
+
+        monkeypatch.setattr(fc.evo, "ridge_fit", recording_ridge_fit)
+        model = fc.fit(cfg, x)
+        monkeypatch.undo()
+        assert len(designs) == 2 and designs[0].shape[0] == 40
+
+        rows = []
+        finalize = fc._finalize_features
+
+        def recording_finalize(evolved, m):
+            rows.append(finalize(evolved, m))
+            return rows[-1]
+
+        monkeypatch.setattr(fc, "_finalize_features", recording_finalize)
+        starts = np.arange(0, x.shape[0] - 96 - 4 + 1, cfg.patch_len)[-40:]
+        for i in (0, 17, 39):
+            fc.predict(model, x[starts[i] : starts[i] + 96])
+            for c in range(2):
+                assert np.array_equal(rows[-1][c], designs[c][i])
 
 
 class TestChannelIndependence:
@@ -175,10 +211,10 @@ class TestShapesContract:
 
     def test_representation_tensor_shape(self, lorenz_model):
         model, _, val = lorenz_model
-        scales, mu, sd = model.represent(val[:96])
+        scales, mu, sd = model.represent(np.stack([val[:96], val[10:106]]))
         sh = model.shapes
-        assert [s.shape[0] for s in scales] == list(sh.scale_lens)
-        assert all(s.shape[1:] == (sh.d, sh.order) for s in scales)
+        assert [s.shape for s in scales] == [(2, n, sh.d, sh.order) for n in sh.scale_lens]
+        assert mu.shape == sd.shape == (2,)
 
 
 class TestEvaluate:
@@ -272,15 +308,11 @@ class TestSaveLoad:
         model = fc.fit(cfg, x)
         w, h = cfg.window, cfg.horizon
         starts = np.arange(0, x.size - w - h + 1, cfg.patch_len)[-32:]
-        feats, targets = [], []
-        for s in starts:
-            scales, mu, sd = model.represent(x[s : s + w])
-            ch = model.channels[0]
-            evolved = fc._evolve_scales(scales, ch.evolvers, cfg.evolution_strategy)
-            feats.append(fc._finalize_features(evolved, model))
-            targets.append((x[s + w : s + w + h] - mu) / sd)
-        feats = np.stack(feats)
-        targets = np.stack(targets)
+        scales, mu, sd = model.represent(x[starts[:, None] + np.arange(w)])
+        ch = model.channels[0]
+        evolved = fc._evolve_scales(scales, ch.evolvers, cfg.evolution_strategy)
+        feats = fc._finalize_features(evolved, model)
+        targets = (x[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
         readout = model.channels[0].readout
 
         def objective(r):
@@ -292,16 +324,74 @@ class TestSaveLoad:
             assert objective(readout + rng.uniform(-1e-3, 1e-3, readout.shape)) >= base
 
 
-def test_worker_cap_does_not_change_results(lorenz63_x, monkeypatch):
+@pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
+def test_refits_are_bit_identical(lorenz63_x, strategy):
     x = lorenz63_x[:4000]
     data = np.stack([x, np.cos(0.03 * np.arange(4000))], axis=1)
-    cfg = small_config(window=96, max_train_windows=24)
-    monkeypatch.setenv("ATTRAOS_THREADS", "1")
-    serial = fc.fit(cfg, data)
-    monkeypatch.setenv("ATTRAOS_THREADS", "4")
-    threaded = fc.fit(cfg, data)
-    for a, b in zip(serial.channels, threaded.channels):
+    cfg = small_config(window=96, max_train_windows=24, evolution_strategy=strategy)
+    first = fc.fit(cfg, data)
+    second = fc.fit(cfg, data)
+    for a, b in zip(first.channels, second.channels):
         assert np.array_equal(a.readout, b.readout)
+    assert np.array_equal(
+        fc.predict(first, data[-96:]).predictions, fc.predict(second, data[-96:]).predictions
+    )
+
+
+class TestNonFiniteInput:
+    @pytest.fixture(scope="class")
+    def model_and_data(self, lorenz63_x):
+        x = lorenz63_x[:2000]
+        return fc.fit(small_config(window=96, max_train_windows=16), x), x
+
+    @staticmethod
+    def with_nan(arr, at=5):
+        out = np.array(arr, dtype=float)
+        out[at] = np.nan
+        return out
+
+    def test_fit_rejects_nan_series(self, model_and_data):
+        _, x = model_and_data
+        with pytest.raises(NonFiniteError):
+            fc.fit(small_config(window=96, max_train_windows=16), self.with_nan(x))
+
+    def test_predict_rejects_nan_context(self, model_and_data):
+        model, x = model_and_data
+        with pytest.raises(NonFiniteError):
+            fc.predict(model, self.with_nan(x[:96]))
+
+    def test_predict_rejects_inf_truth(self, model_and_data):
+        model, x = model_and_data
+        truth = x[96:100].copy()
+        truth[0] = np.inf
+        with pytest.raises(NonFiniteError):
+            fc.predict(model, x[:96], truth=truth)
+
+    def test_rollout_rejects_nan_context(self, model_and_data):
+        model, x = model_and_data
+        with pytest.raises(NonFiniteError):
+            fc.rollout(model, self.with_nan(x[:96]), 8)
+
+    def test_rollout_rejects_nan_truth(self, model_and_data):
+        model, x = model_and_data
+        with pytest.raises(NonFiniteError):
+            fc.rollout(model, x[:96], 8, truth=self.with_nan(x[96:104], at=0), alpha=0.5)
+
+
+class TestModelDocument:
+    @pytest.mark.parametrize(
+        "text", ['{"v": 1}', "[1, 2]", '{"v": 2}'], ids=["no-body", "not-object", "version-2"]
+    )
+    def test_malformed_document_raises_typed_error(self, text):
+        with pytest.raises(ModelFormatError):
+            fc.model_from_json(text)
+
+    def test_non_finite_model_is_not_written_as_bare_nan(self, lorenz_model):
+        model = lorenz_model[0]
+        ch = model.channels[0]
+        broken = replace(model, channels=[replace(ch, readout=ch.readout * np.nan)])
+        with pytest.raises(ValueError):
+            fc.model_to_json(broken)
 
 
 class TestStrategies:

@@ -241,26 +241,6 @@ class TestDiscretize:
             d = lg.discretize(p)
             assert np.all(np.abs(d.a_bar) < 1.0)
 
-    def test_per_step_sequence_path(self):
-        p = lg.make_ssm_params("diag_neg1", 3, 0.5)
-        deltas = np.array([0.1, 0.2, 0.4])
-        a_bar, b_bar = lg.discretize_sequence(p, deltas)
-        assert np.allclose(a_bar, np.exp(-deltas)[:, None] * np.ones(3))
-        assert np.allclose(b_bar, deltas[:, None] * p.b)
-
-    def test_raw_delta_softplus_clamp(self):
-        p = lg.make_ssm_params("diag_neg1", 2, 0.5)
-        a_bar, _ = lg.discretize_sequence(p, np.array([-100.0, 100.0]), raw_delta=True)
-        # softplus(-100) clamps to 1e-4, softplus(100) clamps to 10
-        assert a_bar[0, 0] == pytest.approx(math.exp(-1e-4))
-        assert a_bar[1, 0] == pytest.approx(math.exp(-10.0))
-
-    def test_per_step_b_sequence(self):
-        p = lg.make_ssm_params("diag_neg1", 2, 0.5)
-        b_seq = np.array([[1.0, 2.0], [3.0, 4.0]])
-        _, b_bar = lg.discretize_sequence(p, np.array([0.5, 0.25]), b_seq=b_seq)
-        assert np.allclose(b_bar, [[0.5, 1.0], [0.75, 1.0]])
-
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 8), delta=st.floats(1e-3, 2.0))

@@ -7,8 +7,8 @@ from attraos import scan
 from attraos.errors import ShapeMismatchError
 
 
-def replay_schedule(a_seq, bu_seq, h_seq=None):
-    """Independent gated-scan oracle: execute tree_schedule pair by pair.
+def replay_schedule(a_seq, bu_seq):
+    """Independent tree-scan oracle: execute tree_schedule pair by pair.
 
     Pads to a power of two on the left with identity elements exactly like
     the library, but composes one (src, dst) pair at a time with plain numpy.
@@ -20,20 +20,13 @@ def replay_schedule(a_seq, bu_seq, h_seq=None):
     pad = lp - length
     a = np.concatenate([np.ones((pad,) + a_seq.shape[1:]), a_seq], axis=0)
     b = np.concatenate([np.zeros((pad,) + bu_seq.shape[1:]), bu_seq], axis=0)
-    if h_seq is None:
-        gate = np.ones_like(b)
-    else:
-        gate = np.ones_like(b)
-        gate[pad:] = h_seq
     for src, dst in scan.tree_schedule(lp):
         if src < 0:
             a_src = np.ones_like(a[dst])
             b_src = np.zeros_like(b[dst])
         else:
             a_src, b_src = a[src], b[src]
-        a_new = a[dst] * a_src
-        b_new = gate[dst] * (a[dst] * b_src + b[dst])
-        a[dst], b[dst] = a_new, b_new
+        a[dst], b[dst] = a[dst] * a_src, a[dst] * b_src + b[dst]
     return b[pad:]
 
 
@@ -139,6 +132,15 @@ class TestBlellochScan:
         tree = scan.blelloch_scan(inp)
         assert np.allclose(tree, seq, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(l=st.integers(1, 33), seed=st.integers(0, 2**31))
+    def test_matches_schedule_replay_oracle(self, l, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0, 1, (l, 2))
+        bu = rng.standard_normal((l, 2))
+        states = scan.blelloch_scan(scan.ScanInput(a_seq=a, bu_seq=bu))
+        assert np.array_equal(states, replay_schedule(a, bu))  # same schedule => bit-identical
+
     def test_matches_sequential_matrix_mode(self, rng):
         l, n = 11, 3
         a = rng.uniform(-0.5, 0.5, (l, n, n))
@@ -159,86 +161,7 @@ class TestBlellochScan:
             assert scan.scan_composition_count(l) <= 2 * l
 
 
-class TestScaleOf:
-    def test_paper_cases(self):
-        assert scan.scale_of(0, 8) == 0
-        assert scan.scale_of(4, 8) == 2
-        assert scan.scale_of(6, 8) == 1
-        assert scan.scale_of(1, 8) == 1
-        assert scan.scale_of(5, 8) == 3
-
-    def test_powers_of_two(self):
-        for k in range(1, 6):
-            assert scan.scale_of(2**k, 2**k + 1) == k
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            scan.scale_of(5, 5)
-
-
-class TestHierarchicalScan:
-    def test_unit_gates_match_plain_scan(self, rng):
-        for l in (1, 4, 8, 13):
-            inp = scan.ScanInput(
-                a_seq=rng.uniform(0, 1, (l, 3)), bu_seq=rng.standard_normal((l, 3))
-            )
-            states, scales = scan.hierarchical_scan(inp, np.ones((l, 3)))
-            assert np.array_equal(states, scan.blelloch_scan(inp))
-            assert scales.tolist() == [scan.scale_of(i, l) for i in range(l)]
-
-    def test_zero_gates_annihilate(self, rng):
-        inp = scan.ScanInput(
-            a_seq=rng.uniform(0, 1, (8, 3)), bu_seq=rng.standard_normal((8, 3))
-        )
-        states, _ = scan.hierarchical_scan(inp, np.zeros((8, 3)))
-        assert np.all(states == 0.0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(l=st.integers(1, 33), seed=st.integers(0, 2**31))
-    def test_matches_schedule_replay_oracle(self, l, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(0, 1, (l, 2))
-        bu = rng.standard_normal((l, 2))
-        h = rng.uniform(0.5, 1.5, (l, 2))
-        states, _ = scan.hierarchical_scan(scan.ScanInput(a_seq=a, bu_seq=bu), h)
-        oracle = replay_schedule(a, bu, h)
-        assert np.array_equal(states, oracle)  # same schedule => bit-identical
-
-    def test_gate_shape_mismatch(self, rng):
-        inp = scan.ScanInput(a_seq=np.ones((4, 2)), bu_seq=np.ones((4, 2)))
-        with pytest.raises(ShapeMismatchError):
-            scan.hierarchical_scan(inp, np.ones((3, 2)))
-
-    def test_default_gates_are_ones(self, rng):
-        inp = scan.ScanInput(
-            a_seq=rng.uniform(0, 1, (8, 2)), bu_seq=rng.standard_normal((8, 2))
-        )
-        with_default, _ = scan.hierarchical_scan(inp)
-        with_ones, _ = scan.hierarchical_scan(inp, np.ones((8, 2)))
-        assert np.array_equal(with_default, with_ones)
-
-
 def test_tree_schedule_matches_paper_l4():
     # up sweep: (1,2),(3,4),(2,4) in 1-indexed terms; down sweep: r0*c1, (2,3)
     pairs = scan.tree_schedule(4)
     assert pairs == [(0, 1), (2, 3), (1, 3), (-1, 0), (1, 2)]
-
-
-def test_selective_per_step_inputs_drive_the_scan(rng):
-    # externally supplied step sizes flow through discretization into both
-    # scan paths identically
-    from attraos.legendre import discretize_sequence, make_ssm_params
-
-    params = make_ssm_params("diag_neg1", 4, 0.5)
-    deltas = rng.uniform(0.05, 0.8, 12)
-    a_bar, b_bar = discretize_sequence(params, deltas)
-    drive = rng.standard_normal((12, 3))  # 3 channels of scalar drive
-    bu = drive[:, :, None] * b_bar[:, None, :]
-    inp = scan.ScanInput(a_seq=a_bar[:, None, :], bu_seq=bu)
-    seq = scan.sequential_scan(inp)
-    tree = scan.blelloch_scan(inp)
-    assert seq.shape == (12, 3, 4)
-    assert np.allclose(tree, seq, atol=1e-12)
-    # raw (pre-softplus) inputs land in the clamped step range
-    a_raw, _ = discretize_sequence(params, rng.standard_normal(12), raw_delta=True)
-    assert np.all(a_raw < 1.0) and np.all(a_raw >= np.exp(-10.0))
