@@ -73,12 +73,21 @@ def lorenz63_rhs(state: np.ndarray, params: Lorenz63Params) -> np.ndarray:
     )
 
 
-def lorenz96_rhs(state: np.ndarray, params: Lorenz96Params) -> np.ndarray:
+def _ring_neighbours(dim: int):
+    """Indices of x_{i+1}, x_{i-2} and x_{i-1} on a ring of dim sites."""
+    i = np.arange(dim)
+    return (i + 1) % dim, (i - 2) % dim, (i - 1) % dim
+
+
+def _lorenz96_field(state: np.ndarray, forcing_f: float, neighbours) -> np.ndarray:
     # cyclic coupling: dx_i/dt = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F
-    xp1 = np.roll(state, -1)
-    xm2 = np.roll(state, 2)
-    xm1 = np.roll(state, 1)
-    return (xp1 - xm2) * xm1 - state + params.forcing_f
+    ip1, im2, im1 = neighbours
+    return (state[ip1] - state[im2]) * state[im1] - state + forcing_f
+
+
+def lorenz96_rhs(state: np.ndarray, params: Lorenz96Params) -> np.ndarray:
+    state = np.asarray(state, dtype=float)
+    return _lorenz96_field(state, params.forcing_f, _ring_neighbours(state.shape[0]))
 
 
 def _rk4(rhs, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
@@ -121,7 +130,12 @@ def simulate_lorenz96(
         raise DimensionMismatchError(
             f"initial state has shape {x0.shape}, expected ({params.dim},)"
         )
-    return Trajectory(states=_rk4(lambda s: lorenz96_rhs(s, params), x0, dt, steps), dt=dt)
+    # the neighbour indices are built once, not on each of the 4 calls per step
+    neighbours = _ring_neighbours(params.dim)
+    return Trajectory(
+        states=_rk4(lambda s: _lorenz96_field(s, params.forcing_f, neighbours), x0, dt, steps),
+        dt=dt,
+    )
 
 
 def observe(traj: Trajectory, omap: ObservationMap) -> np.ndarray:

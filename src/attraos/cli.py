@@ -27,18 +27,18 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path, data: np.ndarray, header: list, times=None) -> None:
     data = np.atleast_2d(np.asarray(data, dtype=float))
+    if times is not None:
+        data = np.column_stack([np.asarray(times, dtype=float), data])
+    # one "%.17g" template per row writes what format(x, ".17g") writes per cell
+    line = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i, row in enumerate(data):
-            cells = [_fmt(times[i])] if times is not None else []
-            cells.extend(_fmt(v) for v in row)
-            fh.write(",".join(cells) + "\n")
+        # rows become Python floats one block at a time, which bounds the
+        # temporary list
+        for start in range(0, data.shape[0], 1024):
+            fh.writelines(line % tuple(row) for row in data[start : start + 1024].tolist())
 
 
 def read_csv(path) -> np.ndarray:

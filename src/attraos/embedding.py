@@ -202,15 +202,22 @@ def select_embedding(
 
     Multivariate input (2-D, columns are channels) is handled channel
     independently; the unified parameters are the maximum m and the median tau
-    across channels.  ``repeats > 1`` re-runs the selection on that many
-    overlapping segments (60% of the series each) and reports the modal m and
-    median tau, damping the method's numerical sensitivity.
+    across the channels that are not constant (a constant channel has no
+    dynamics to embed; only an all-constant input raises
+    DegenerateSeriesError).  ``repeats > 1`` re-runs the selection on that
+    many overlapping segments (60% of the series each) and reports the modal
+    m and median tau, damping the method's numerical sensitivity.
     """
     arr = np.asarray(series, dtype=float)
     if arr.ndim == 2:
+        varying = [
+            c for c in range(arr.shape[1]) if arr.shape[0] == 0 or np.ptp(arr[:, c]) != 0.0
+        ]
+        if not varying:
+            raise DegenerateSeriesError("every channel is constant")
         per = [
             select_embedding(arr[:, c], max_tau, max_m, threshold, bins, repeats)
-            for c in range(arr.shape[1])
+            for c in varying
         ]
         m = max(p.m for p in per)
         tau = int(np.median([p.tau for p in per]))

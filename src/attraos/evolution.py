@@ -63,12 +63,27 @@ def ridge_fit(a: np.ndarray, b: np.ndarray, ridge_lambda: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralEvolutionModel:
-    """Per-mode complex operators W_i (m_modes, N, N) over length-L sequences."""
+    """Per-mode complex operators W_i (m_modes, N, N) over length-L sequences.
+
+    ``matrix`` is the same map as one real (L*N, L*N) matrix acting on a
+    sequence flattened position-major; it is derived at construction from
+    ``apply_spectral_evolution``, which stays the reference, and is not
+    serialized.
+    """
 
     mode_ops: np.ndarray
     m_modes: int
     seq_len: int
     ridge_lambda: float
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.mode_ops.shape[-1]
+        size = self.seq_len * n
+        # impulse k sits at position k // n, state k % n
+        impulses = np.eye(size).reshape(size, self.seq_len, n).swapaxes(0, 1)
+        resp = apply_spectral_evolution(impulses, self)  # (L, impulse, N)
+        object.__setattr__(self, "matrix", resp.transpose(0, 2, 1).reshape(size, size))
 
 
 def fit_spectral_operators(
@@ -155,7 +170,7 @@ def kmeans_partition(
     labels = np.zeros(n, dtype=int)
     inertia = []
     for _ in range(max_iters):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(points, centroids)
         new_labels = d2.argmin(axis=1)
         inertia.append(float(d2[np.arange(n), new_labels].sum()))
         moved = np.any(new_labels != labels) or len(inertia) == 1
@@ -174,6 +189,16 @@ def kmeans_partition(
     return AttractorPartition(
         labels=labels, centroids=centroids, k=k, inertia_history=np.asarray(inertia)
     )
+
+
+def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances, filled one centroid at a time so no
+    (n, k, F) temporary is made; each entry sums its row like the
+    broadcast formula does, so the values are the same."""
+    d2 = np.empty((points.shape[0], centroids.shape[0]))
+    for c, centroid in enumerate(centroids):
+        d2[:, c] = ((points - centroid) ** 2).sum(axis=1)
+    return d2
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
@@ -248,8 +273,7 @@ def apply_direct_evolution(x: np.ndarray, model: DirectEvolutionModel) -> np.nda
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    d2 = ((pts[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
+    labels = _sq_dists(pts, model.centroids).argmin(axis=1)
     # one matmul per cluster: gathering operators[labels] would copy an
     # (rows, F, F) array
     out = np.empty_like(pts)

@@ -9,6 +9,19 @@ pyramid, collapse the polynomial axis by evaluating each window expansion at
 its right endpoint, and map the flattened features to the next ``horizon``
 samples with a ridge-fit readout.
 
+Every stage after patching up to the evolution, and from reconstruction to
+the endpoint, acts identically and linearly on each of the D = m * p patch
+coordinates, as does ``frequency`` evolution.  These stages therefore run as
+small per-coordinate matrices applied to each window's (steps, D) array: a
+front operator (recurrence, left padding, decompose), a frequency-evolution
+matrix per scale (on ``SpectralEvolutionModel``) and a back operator
+(reconstruct, drop padding, endpoint).  They are derived at fit and at load
+by pushing identity inputs through the reference primitives
+(``sequential_scan``, ``decompose``, ``apply_spectral_evolution``,
+``reconstruct``) and are never serialized.  Each window gets its own
+identically shaped matrix product, so a window's features do not depend on
+the batch it is computed in.
+
 Every learned map is a closed-form ridge regression; there is no iterative
 training.  Evolution operators are fit on consecutive-window pairs (windows
 shifted by one patch), so "evolve" means "advance the window by one patch".
@@ -17,7 +30,7 @@ shifted by one patch), so "evolve" means "advance the window by one patch".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -150,6 +163,9 @@ class FittedForecaster:
     filters: WaveletFilters
     shapes: ShapeInfo
     channels: list
+    # per-coordinate stage operators derived from the fields above
+    front: np.ndarray = field(repr=False, compare=False)  # (S, L)
+    back: np.ndarray = field(repr=False, compare=False)  # (L', S)
 
     @property
     def n_channels(self) -> int:
@@ -159,7 +175,8 @@ class FittedForecaster:
         """Pipeline front half for a batch of single-channel windows.
 
         ``windows`` is (batch, window); a 1-D window is a batch of one.
-        Returns (scale sequences, each (batch, L_s, D, N), means, stds).
+        Returns (scale sequences, each (batch, L_s, D, N), means, stds); the
+        scale sequences are views of one (batch, S, D) operator output.
         """
         return _represent(np.atleast_2d(np.asarray(windows, dtype=float)), self)
 
@@ -188,36 +205,67 @@ def _normalize(windows: np.ndarray):
     return (windows - mu[:, None]) / sd[:, None], mu, sd
 
 
-def _scan_states(patches: np.ndarray, model) -> np.ndarray:
-    """Run the discretized recurrence over each window's patch sequence.
+def _front_operator(ssm: SsmParams, disc: DiscretizedSsm, filters: WaveletFilters,
+                    sh: ShapeInfo) -> np.ndarray:
+    """(S, L) matrix from one coordinate's patch sequence to its stacked
+    scale sequences: recurrence, left padding, decompose.
 
-    Each patch row drives D independent order-N states: (batch, L, D)
-    patches give time-major (L, batch, D, N) states, the layout the scan and
-    wavelet stages run along.
+    Column j is the response to a unit value at patch j, computed by running
+    the identity through the primitives as L independent coordinates.  Scale
+    s fills ``scale_lens[s] * order`` rows of the stack, position-major.
     """
-    bu = np.swapaxes(patches, 0, 1)[..., None] * model.disc.b_bar  # (L, B, D, N)
-    a_seq = np.broadcast_to(model.disc.a_bar, (bu.shape[0],) + model.disc.a_bar.shape)
-    return sequential_scan(
-        ScanInput(a_seq=a_seq, bu_seq=bu, matrix=not model.ssm.is_diagonal)
-    )
-
-
-def _represent(windows: np.ndarray, model):
-    """Normalize, embed, patch, scan, decompose a (batch, window) array of
-    one channel's windows."""
-    zn, mu, sd = _normalize(windows)
-    traj = delay_embed(zn, model.embedding)
-    patches = patch(traj, model.config.patch_len)
-    states = _scan_states(patches, model)
-    sh = model.shapes
+    length = sh.n_patches
+    bu = np.eye(length)[..., None] * disc.b_bar  # (step, impulse, N)
+    a_seq = np.broadcast_to(disc.a_bar, (length,) + disc.a_bar.shape)
+    states = sequential_scan(ScanInput(a_seq=a_seq, bu_seq=bu, matrix=not ssm.is_diagonal))
     if sh.pad:
         # wavelet stage needs a power-of-two step count; repeat the earliest
         # state on the left so the most recent data stays aligned
         head = np.repeat(states[:1], sh.pad, axis=0)
         states = np.concatenate([head, states], axis=0)
-    pyr = decompose(states, model.filters, sh.eff_levels)
-    scales = [np.swapaxes(s, 0, 1) for s in list(pyr.details) + [pyr.coarse]]
-    return scales, mu, sd
+    pyr = decompose(states, filters, sh.eff_levels)
+    return np.concatenate(
+        [s.transpose(0, 2, 1).reshape(-1, length) for s in list(pyr.details) + [pyr.coarse]]
+    )
+
+
+def _back_operator(filters: WaveletFilters, sh: ShapeInfo) -> np.ndarray:
+    """(L', S) matrix from stacked evolved scales to the endpoint value of
+    each kept position: reconstruct, drop padding, evaluate at the right end.
+
+    Column k is the response to a unit value at stack row k.
+    """
+    sizes = [n * sh.order for n in sh.scale_lens]
+    total = sum(sizes)
+    blocks = np.split(np.eye(total), np.cumsum(sizes)[:-1], axis=1)
+    seqs = [b.reshape(total, n, sh.order).swapaxes(0, 1) for b, n in zip(blocks, sh.scale_lens)]
+    pyr = Pyramid(details=seqs[:-1], coarse=seqs[-1], levels=sh.eff_levels)
+    states = reconstruct(pyr, filters)[sh.pad :]
+    return states @ np.sqrt(2.0 * np.arange(sh.order) + 1.0)
+
+
+def _columns(seq: np.ndarray) -> np.ndarray:
+    """(B, L_s, D, N) scale -> (B, L_s * N, D): one column per coordinate."""
+    b, length, d, n = seq.shape
+    return np.swapaxes(seq, 2, 3).reshape(b, length * n, d)
+
+
+def _scale_view(cols: np.ndarray, length: int) -> np.ndarray:
+    """Inverse of _columns, as a view."""
+    b, rows, d = cols.shape
+    return np.swapaxes(cols.reshape(b, length, rows // length, d), 2, 3)
+
+
+def _represent(windows: np.ndarray, model):
+    """Normalize, embed, patch, then apply the front operator to a (batch,
+    window) array of one channel's windows."""
+    zn, mu, sd = _normalize(windows)
+    patches = patch(delay_embed(zn, model.embedding), model.config.patch_len)  # (B, L, D)
+    stack = model.front @ patches  # (B, S, D)
+    sh = model.shapes
+    bounds = np.cumsum([n * sh.order for n in sh.scale_lens])[:-1]
+    parts = np.split(stack, bounds, axis=1)
+    return [_scale_view(c, n) for c, n in zip(parts, sh.scale_lens)], mu, sd
 
 
 def _scale_cell_sizes(shapes: ShapeInfo):
@@ -240,8 +288,7 @@ def _evolve_scales(scales, evolvers, strategy):
     out = []
     for seq, ev in zip(scales, evolvers):
         if strategy == "frequency":
-            time_major = evo.apply_spectral_evolution(np.swapaxes(seq, 0, 1), ev)
-            out.append(np.swapaxes(time_major, 0, 1))
+            out.append(_scale_view(ev.matrix @ _columns(seq), seq.shape[1]))
         else:
             flat = seq.reshape(-1, seq.shape[2] * seq.shape[3])
             if strategy == "direct":
@@ -253,16 +300,12 @@ def _evolve_scales(scales, evolvers, strategy):
 
 
 def _finalize_features(evolved_scales, model) -> np.ndarray:
-    """Reconstruct, evaluate at the window endpoint and flatten: one
-    (L' * D) feature row per window."""
-    sh = model.shapes
-    time_major = [np.swapaxes(s, 0, 1) for s in evolved_scales]
-    pyr = Pyramid(details=time_major[:-1], coarse=time_major[-1], levels=sh.eff_levels)
-    states = reconstruct(pyr, model.filters)
-    states = states[sh.pad :]
-    endpoint = np.sqrt(2.0 * np.arange(sh.order) + 1.0)
-    feats = states @ endpoint  # (L', B, D)
-    return np.swapaxes(feats, 0, 1).reshape(feats.shape[1], -1)
+    """Apply the back operator and flatten: one (L' * D) feature row per
+    window."""
+    stack = np.concatenate([_columns(s) for s in evolved_scales], axis=1)  # (B, S, D)
+    # the broadcast matmul makes one product per window, so a row does not
+    # depend on its batch (a whole-batch tensordot changes the last bits)
+    return (model.back @ stack).reshape(stack.shape[0], -1)
 
 
 def _fit_channel(z: np.ndarray, starts: np.ndarray, model_stub, config: ForecasterConfig,
@@ -358,6 +401,8 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
         filters=filters,
         shapes=shapes,
         channels=[],
+        front=_front_operator(ssm, disc, filters, shapes),
+        back=_back_operator(filters, shapes),
     )
 
     all_starts = np.arange(0, n - w - h + 1, config.patch_len)
@@ -582,6 +627,7 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
         b_bar=np.asarray(doc["disc"]["b_bar"], dtype=float),
     )
     shapes = pipeline_shapes(config, embedding)
+    filters = build_filters(config.poly_order)
     channels = [
         ChannelModel(
             evolvers=[_evolver_from_doc(e) for e in ch["evolvers"]],
@@ -596,9 +642,11 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
         embedding=embedding,
         ssm=ssm,
         disc=disc,
-        filters=build_filters(config.poly_order),
+        filters=filters,
         shapes=shapes,
         channels=channels,
+        front=_front_operator(ssm, disc, filters, shapes),
+        back=_back_operator(filters, shapes),
     )
 
 

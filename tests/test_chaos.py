@@ -97,6 +97,18 @@ class TestLorenz96:
             expect = (x[(i + 1) % 5] - x[(i - 2) % 5]) * x[(i - 1) % 5] - x[i]
             assert rhs[i] == pytest.approx(expect)
 
+    def test_trajectory_matches_roll_formula(self):
+        # the right-hand side as three np.roll calls, the gather's reference
+        def roll_rhs(state):
+            return (np.roll(state, -1) - np.roll(state, 2)) * np.roll(state, 1) - state + 8.0
+
+        p = chaos.Lorenz96Params(forcing_f=8.0, dim=40)
+        x0 = chaos.default_lorenz96_x0(p)
+        traj = chaos.simulate_lorenz96(p, x0, 0.01, 2000)
+        assert np.array_equal(traj.states, rk4_reference(roll_rhs, x0, 0.01, 2000))
+        state = traj.states[-1]
+        assert np.array_equal(chaos.lorenz96_rhs(state, p), roll_rhs(state))
+
 
 class TestObserve:
     def test_identity_map(self):

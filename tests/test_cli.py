@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attraos import forecaster as fc
-from attraos.cli import main, read_csv
+from attraos.cli import main, read_csv, write_csv
 
 
 def run(capsys, *argv):
@@ -75,6 +75,30 @@ class TestSimulate:
         # values survive text round trip bit-exactly (17 significant digits)
         rendered = format(data[17, 0], ".17g")
         assert float(rendered) == data[17, 0]
+
+
+def per_cell_csv(data, header, times=None) -> bytes:
+    """CSV text formatted one cell at a time, the reference for write_csv."""
+    lines = [",".join(header)]
+    for i, row in enumerate(np.atleast_2d(data)):
+        cells = [format(float(times[i]), ".17g")] if times is not None else []
+        cells.extend(format(float(v), ".17g") for v in row)
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("with_times", [False, True], ids=["values", "with-t"])
+def test_write_csv_bytes_match_per_cell_formatting(tmp_path, with_times):
+    rng = np.random.default_rng(8)
+    data = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+    data[0] = [-0.0, 1e-300, 1e300]
+    data[1] = [0.1, np.inf, -np.inf]
+    data[2] = [np.nan, 5e-324, -1.7976931348623157e308]
+    times = 0.01 * np.arange(40) if with_times else None
+    header = (["t"] if with_times else []) + ["a", "b", "c"]
+    path = tmp_path / "out.csv"
+    write_csv(path, data, header, times=times)
+    assert path.read_bytes() == per_cell_csv(data, header, times)
 
 
 class TestEmbed:

@@ -198,6 +198,14 @@ class TestSelectEmbedding:
         with pytest.raises(DegenerateSeriesError):
             emb.select_embedding(np.zeros(1000))
 
+    def test_constant_channels_left_out_of_unification(self, lorenz63_x):
+        x = lorenz63_x[:6000]
+        mixed = np.stack([np.full(x.size, 3.0), x, np.zeros(x.size)], axis=1)
+        single = emb.select_embedding(x, max_tau=40, max_m=6)
+        assert emb.select_embedding(mixed, max_tau=40, max_m=6) == single
+        with pytest.raises(DegenerateSeriesError):
+            emb.select_embedding(np.full((1000, 2), 3.0))
+
     def test_channel_independent_embedding(self, lorenz63_x):
         x = lorenz63_x[:6000]
         two = np.stack([x, x], axis=1)

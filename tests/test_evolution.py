@@ -200,6 +200,27 @@ class TestKmeans:
                 assert np.allclose(part.centroids[c], members.mean(axis=0), atol=1e-12)
 
 
+def broadcast_sq_dists(points, centroids):
+    """The (n, k, F) broadcast distance formula, kept as the reference."""
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+@pytest.mark.parametrize("n,f,k", [(300, 3, 5), (512, 96, 8), (64, 1, 4)])
+def test_distances_match_broadcast_formula(n, f, k, monkeypatch):
+    rng = np.random.default_rng(n + f + k)
+    pts = rng.standard_normal((n, f)) + 4.0 * rng.integers(0, k, (n, 1))
+    assert np.array_equal(evo._sq_dists(pts, pts[:k]), broadcast_sq_dists(pts, pts[:k]))
+    part = evo.kmeans_partition(pts, k, seed=3)
+    model = evo.fit_direct_operators(pts, part, 1e-3, targets=0.5 * pts)
+    applied = evo.apply_direct_evolution(pts, model)
+    monkeypatch.setattr(evo, "_sq_dists", broadcast_sq_dists)
+    ref = evo.kmeans_partition(pts, k, seed=3)
+    assert np.array_equal(part.labels, ref.labels)
+    assert np.array_equal(part.centroids, ref.centroids)
+    assert np.array_equal(part.inertia_history, ref.inertia_history)
+    assert np.array_equal(applied, evo.apply_direct_evolution(pts, model))
+
+
 class TestDirectEvolution:
     def test_contraction_recovered(self, rng):
         # transitions sampled across state space from x_{t+1} = 0.5 x_t

@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attraos import forecaster as fc
-from attraos.embedding import EmbeddingParams
+from attraos.embedding import EmbeddingParams, delay_embed, patch
 from attraos.errors import (
     DegenerateSeriesError,
     ModelFormatError,
@@ -13,6 +15,8 @@ from attraos.errors import (
     TooShortError,
     WindowTooShortError,
 )
+from attraos.scan import ScanInput, sequential_scan
+from attraos.wavelet import Pyramid, decompose, reconstruct
 
 
 def small_config(**kw):
@@ -53,6 +57,18 @@ class TestFit:
     def test_constant_series_auto_embedding_degenerate(self):
         with pytest.raises(DegenerateSeriesError):
             fc.fit(fc.ForecasterConfig(window=64, horizon=4), np.full(500, 2.0))
+
+    def test_constant_channel_auto_embedding(self, lorenz63_x):
+        # a constant channel is left out of the (m, tau) selection and is
+        # forecast exactly
+        x = lorenz63_x[:4000]
+        cfg = fc.ForecasterConfig(window=96, horizon=16)
+        data = np.stack([x, np.full(x.size, -7.25)], axis=1)
+        model = fc.fit(cfg, data)
+        assert model.embedding == fc.fit(cfg, x).embedding
+        pred = fc.predict(model, data[-96:]).predictions
+        assert np.array_equal(pred[:, 1], np.full(16, -7.25))
+        assert np.all(np.isfinite(pred[:, 0]))
 
     def test_constant_series_manual_embedding_constant_forecast(self):
         z = np.full(400, 5.0)
@@ -172,6 +188,113 @@ class TestPredict:
             fc.predict(model, x[starts[i] : starts[i] + 96])
             for c in range(2):
                 assert np.array_equal(rows[-1][c], designs[c][i])
+
+    def test_predict_runs_on_stage_operators(self, lorenz_model, monkeypatch):
+        # the primitives only build the operators; serving never calls them
+        model, _, val = lorenz_model
+        expect = fc.predict(model, val[:96]).predictions
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("primitive called while serving")
+
+        for name in ("sequential_scan", "decompose", "reconstruct"):
+            monkeypatch.setattr(fc, name, forbidden)
+        for name in ("fft_modes", "ifft_modes", "apply_spectral_evolution"):
+            monkeypatch.setattr(fc.evo, name, forbidden)
+        assert np.array_equal(fc.predict(model, val[:96]).predictions, expect)
+        assert np.array_equal(fc.rollout(model, val[:96], 32)[:16], expect)
+
+
+def reference_scales(patches, model):
+    """The staged front half on (B, L, D) patches: recurrence, left padding,
+    decompose; returns (B, L_s, D, N) scales."""
+    bu = np.swapaxes(patches, 0, 1)[..., None] * model.disc.b_bar
+    a_seq = np.broadcast_to(model.disc.a_bar, (bu.shape[0],) + model.disc.a_bar.shape)
+    states = sequential_scan(ScanInput(a_seq=a_seq, bu_seq=bu, matrix=not model.ssm.is_diagonal))
+    sh = model.shapes
+    if sh.pad:
+        states = np.concatenate([np.repeat(states[:1], sh.pad, axis=0), states], axis=0)
+    pyr = decompose(states, model.filters, sh.eff_levels)
+    return [np.swapaxes(s, 0, 1) for s in list(pyr.details) + [pyr.coarse]]
+
+
+def reference_features(scales, model):
+    """The staged back half: reconstruct, drop padding, endpoint, flatten."""
+    sh = model.shapes
+    time_major = [np.swapaxes(s, 0, 1) for s in scales]
+    pyr = Pyramid(details=time_major[:-1], coarse=time_major[-1], levels=sh.eff_levels)
+    states = reconstruct(pyr, model.filters)[sh.pad :]
+    feats = states @ np.sqrt(2.0 * np.arange(sh.order) + 1.0)  # (L', B, D)
+    return np.swapaxes(feats, 0, 1).reshape(feats.shape[1], -1)
+
+
+def assert_close(got, ref, rtol=1e-12):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+class TestStageOperators:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        variant=st.sampled_from(["legt_full", "legs_diag", "diag_neg1"]),
+        n_patches=st.integers(1, 9),
+        levels=st.integers(0, 4),  # clipped to the deepest pyramid the padding allows
+        order=st.integers(1, 6),
+        batch=st.integers(1, 5),
+        seed=st.integers(0, 2**31),
+    )
+    @example(variant="legt_full", n_patches=5, levels=3, order=3, batch=2, seed=0)
+    def test_operators_match_primitives(self, variant, n_patches, levels, order, batch, seed):
+        rng = np.random.default_rng(seed)
+        emb, p = EmbeddingParams(2, 3), 3
+        window = n_patches * p + (emb.m - 1) * emb.tau
+        cfg = fc.ForecasterConfig(
+            window=window, horizon=2, embedding=emb, patch_len=p, poly_order=order,
+            ssm_variant=variant, levels=levels, m_modes=3, max_train_windows=8,
+        )
+        series = np.cumsum(rng.standard_normal(window + 40))
+        model = fc.fit(cfg, series)
+        sh = model.shapes
+        assert sh.eff_levels == min(levels, sh.padded.bit_length() - 1)
+
+        windows = rng.standard_normal((batch, window))
+        scales, mu, sd = model.represent(windows)
+        zn = (windows - mu[:, None]) / sd[:, None]
+        ref = reference_scales(patch(delay_embed(zn, emb), p), model)
+        for got, want in zip(scales, ref, strict=True):
+            assert_close(got, want)
+
+        # frequency evolution: one matrix per scale against the spectral path
+        ch = model.channels[0]
+        evolved = fc._evolve_scales(scales, ch.evolvers, "frequency")
+        for got, seq, ev in zip(evolved, scales, ch.evolvers, strict=True):
+            want = np.swapaxes(fc.evo.apply_spectral_evolution(np.swapaxes(seq, 0, 1), ev), 0, 1)
+            assert_close(got, want)
+
+        rand = [rng.standard_normal((batch, n, sh.d, sh.order)) for n in sh.scale_lens]
+        assert_close(fc._finalize_features(rand, model), reference_features(rand, model))
+
+    @settings(max_examples=20, deadline=None)
+    @given(batch=st.integers(1, 40), pick=st.integers(0, 39), seed=st.integers(0, 2**31))
+    def test_window_alone_equals_window_in_batch(self, lorenz_model, batch, pick, seed):
+        model, _, val = lorenz_model
+        rng = np.random.default_rng(seed)
+        starts = rng.integers(0, val.size - 96, batch)
+        windows = val[starts[:, None] + np.arange(96)]
+        i = pick % batch
+        ch = model.channels[0]
+        strategy = model.config.evolution_strategy
+
+        def rows(w):
+            scales, _, _ = model.represent(w)
+            evolved = fc._evolve_scales(scales, ch.evolvers, strategy)
+            return scales, fc._finalize_features(evolved, model)
+
+        batch_scales, batch_rows = rows(windows)
+        alone_scales, alone_rows = rows(windows[i])
+        for b, a in zip(batch_scales, alone_scales, strict=True):
+            assert np.array_equal(b[i], a[0])
+        assert np.array_equal(batch_rows[i], alone_rows[0])
 
 
 class TestChannelIndependence:
