@@ -9,7 +9,6 @@ All operators are fit in closed form by ridge regression.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +66,7 @@ class SpectralEvolutionModel:
 
     ``matrix`` is the same map as one real (L*N, L*N) matrix acting on a
     sequence flattened position-major; it is derived at construction from
-    ``apply_spectral_evolution``, which stays the reference, and is not
-    serialized.
+    ``apply_spectral_evolution``, which stays the reference.
     """
 
     mode_ops: np.ndarray
@@ -118,29 +116,6 @@ def apply_spectral_evolution(x: np.ndarray, model: SpectralEvolutionModel) -> np
     spec = fft_modes(x, model.m_modes)
     out = np.einsum("mij,m...j->m...i", model.mode_ops, spec)
     return ifft_modes(out, model.seq_len)
-
-
-def spectral_model_to_json(model: SpectralEvolutionModel) -> str:
-    doc = {
-        "m_modes": model.m_modes,
-        "seq_len": model.seq_len,
-        "ridge_lambda": model.ridge_lambda,
-        "mode_ops": [[op.real.tolist(), op.imag.tolist()] for op in model.mode_ops],
-    }
-    return json.dumps(doc)
-
-
-def spectral_model_from_json(text: str) -> SpectralEvolutionModel:
-    doc = json.loads(text)
-    ops = np.stack(
-        [np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float) for re, im in doc["mode_ops"]]
-    )
-    return SpectralEvolutionModel(
-        mode_ops=ops,
-        m_modes=int(doc["m_modes"]),
-        seq_len=int(doc["seq_len"]),
-        ridge_lambda=float(doc["ridge_lambda"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,57 +205,46 @@ def fit_direct_operators(
     reps: np.ndarray,
     partition: AttractorPartition,
     ridge_lambda: float = 1e-3,
-    targets: np.ndarray | None = None,
+    *,
+    targets: np.ndarray,
 ) -> DirectEvolutionModel:
     """Per-cluster map from each point to its successor.
 
-    ``reps`` is the (T, F) trajectory; transitions (x_t, x_{t+1}) belong to the
-    cluster of x_t.  Explicit ``targets`` (same shape as reps) replace the
-    shifted successors.  Clusters with no transitions fall back to identity.
+    ``reps`` holds (T, F) source points and ``targets`` their successors;
+    the pair (reps[t], targets[t]) belongs to the cluster ``partition.labels[t]``.
+    Clusters with no pairs fall back to identity.
     """
     reps = np.asarray(reps, dtype=float)
     if reps.ndim != 2 or reps.shape[0] == 0:
         raise EmptyInputError("need a non-empty (time, features) array")
-    if targets is None:
-        sources, outs = reps[:-1], reps[1:]
-        if partition.labels.shape[0] == reps.shape[0]:
-            labels = partition.labels[:-1]
-        elif partition.labels.shape[0] == reps.shape[0] - 1:
-            labels = partition.labels
-        else:
-            raise ShapeMismatchError("partition labels do not align with reps")
-    else:
-        targets = np.asarray(targets, dtype=float)
-        if targets.shape != reps.shape:
-            raise ShapeMismatchError("targets must match reps in shape")
-        sources, outs = reps, targets
-        labels = partition.labels
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != reps.shape:
+        raise ShapeMismatchError("targets must match reps in shape")
     f = reps.shape[1]
     ops = np.empty((partition.k, f, f))
     for c in range(partition.k):
-        mask = labels == c
+        mask = partition.labels == c
         if not np.any(mask):
             ops[c] = np.eye(f)
         else:
-            ops[c] = ridge_fit(sources[mask], outs[mask], ridge_lambda)
+            ops[c] = ridge_fit(reps[mask], targets[mask], ridge_lambda)
     return DirectEvolutionModel(
         centroids=partition.centroids, operators=ops, ridge_lambda=ridge_lambda
     )
 
 
 def apply_direct_evolution(x: np.ndarray, model: DirectEvolutionModel) -> np.ndarray:
-    """Advance each row by its nearest-centroid cluster operator."""
+    """Advance each row of a (rows, F) array by its nearest-centroid cluster
+    operator."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    labels = _sq_dists(pts, model.centroids).argmin(axis=1)
+    labels = _sq_dists(x, model.centroids).argmin(axis=1)
     # one matmul per cluster: gathering operators[labels] would copy an
     # (rows, F, F) array
-    out = np.empty_like(pts)
+    out = np.empty_like(x)
     for c, op in enumerate(model.operators):
         mask = labels == c
-        out[mask] = pts[mask] @ op.T
-    return out[0] if single else out
+        out[mask] = x[mask] @ op.T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,36 +299,31 @@ def fit_hopfield_evolution(
     k: int,
     beta: float,
     seed: int = 0,
-    targets: np.ndarray | None = None,
+    *,
+    targets: np.ndarray,
 ) -> HopfieldEvolutionModel:
-    """Cluster the trajectory; store (centroid, mean successor) pairs."""
+    """Cluster the source points ``reps``; store (centroid, mean of the
+    matching ``targets``) pairs."""
     reps = np.asarray(reps, dtype=float)
-    if targets is None:
-        sources, outs = reps[:-1], reps[1:]
-    else:
-        targets = np.asarray(targets, dtype=float)
-        if targets.shape != reps.shape:
-            raise ShapeMismatchError("targets must match reps in shape")
-        sources, outs = reps, targets
-    if sources.shape[0] == 0:
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != reps.shape:
+        raise ShapeMismatchError("targets must match reps in shape")
+    if reps.shape[0] == 0:
         raise EmptyInputError("need at least one transition")
-    k = min(k, sources.shape[0])
-    part = kmeans_partition(sources, k, seed=seed)
+    k = min(k, reps.shape[0])
+    part = kmeans_partition(reps, k, seed=seed)
     values = np.empty_like(part.centroids)
     for c in range(k):
         mask = part.labels == c
-        values[c] = outs[mask].mean(axis=0) if np.any(mask) else part.centroids[c]
+        values[c] = targets[mask].mean(axis=0) if np.any(mask) else part.centroids[c]
     return HopfieldEvolutionModel(keys=part.centroids, values=values, beta=beta)
 
 
 def apply_hopfield_evolution(x: np.ndarray, model: HopfieldEvolutionModel) -> np.ndarray:
-    """x' = V^T softmax(beta K x) per row."""
+    """x' = V^T softmax(beta K x) per row of a (rows, F) array."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    logits = model.beta * (pts @ model.keys.T)
+    logits = model.beta * (x @ model.keys.T)
     logits -= logits.max(axis=1, keepdims=True)
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
-    out = w @ model.values
-    return out[0] if single else out
+    return w @ model.values

@@ -15,12 +15,18 @@ coordinates, as does ``frequency`` evolution.  These stages therefore run as
 small per-coordinate matrices applied to each window's (steps, D) array: a
 front operator (recurrence, left padding, decompose), a frequency-evolution
 matrix per scale (on ``SpectralEvolutionModel``) and a back operator
-(reconstruct, drop padding, endpoint).  They are derived at fit and at load
-by pushing identity inputs through the reference primitives
-(``sequential_scan``, ``decompose``, ``apply_spectral_evolution``,
-``reconstruct``) and are never serialized.  Each window gets its own
+(reconstruct, drop padding, endpoint).  They are derived by pushing identity
+inputs through the reference primitives (``sequential_scan``, ``decompose``,
+``apply_spectral_evolution``, ``reconstruct``).  Each window gets its own
 identically shaped matrix product, so a window's features do not depend on
 the batch it is computed in.
+
+A fitted model is its config, its embedding and its per-channel maps
+(evolvers and readout).  The recurrence, the wavelet filters, the shapes and
+the stage operators are closed-form functions of the first two, so
+``FittedForecaster`` derives them when it is constructed, after a fit and
+after a load alike.  The model document (``model_to_json``) stores only what
+was fit; this module is the only one that reads or writes it.
 
 Every learned map is a closed-form ridge regression; there is no iterative
 training.  Evolution operators are fit on consecutive-window pairs (windows
@@ -30,7 +36,7 @@ shifted by one patch), so "evolve" means "advance the window by one patch".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,14 +49,7 @@ from .errors import (
     TooShortError,
     WindowTooShortError,
 )
-from .legendre import (
-    DiscretizedSsm,
-    SsmParams,
-    discretize,
-    make_ssm_params,
-    ssm_params_from_json,
-    ssm_params_to_json,
-)
+from .legendre import DiscretizedSsm, SsmParams, discretize, make_ssm_params
 from .scan import ScanInput, sequential_scan
 from .seeding import derive_seed
 from .wavelet import Pyramid, WaveletFilters, build_filters, decompose, reconstruct
@@ -156,16 +155,41 @@ class ForecastResult:
 
 @dataclass(frozen=True)
 class FittedForecaster:
+    """A fitted model: config, embedding and one ``ChannelModel`` per channel.
+
+    The remaining fields are derived from ``config`` and ``embedding`` at
+    construction and are neither compared nor serialized: the continuous and
+    Euler-discretized recurrence (``ssm``, ``disc``), the wavelet ``filters``,
+    the pipeline ``shapes``, and the per-coordinate stage operators ``front``
+    (S, L) and ``back`` (L', S).
+    """
+
     config: ForecasterConfig
     embedding: EmbeddingParams
-    ssm: SsmParams
-    disc: DiscretizedSsm
-    filters: WaveletFilters
-    shapes: ShapeInfo
     channels: list
-    # per-coordinate stage operators derived from the fields above
-    front: np.ndarray = field(repr=False, compare=False)  # (S, L)
-    back: np.ndarray = field(repr=False, compare=False)  # (L', S)
+    ssm: SsmParams = field(init=False, repr=False, compare=False)
+    disc: DiscretizedSsm = field(init=False, repr=False, compare=False)
+    filters: WaveletFilters = field(init=False, repr=False, compare=False)
+    shapes: ShapeInfo = field(init=False, repr=False, compare=False)
+    front: np.ndarray = field(init=False, repr=False, compare=False)
+    back: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cfg = self.config
+        shapes = pipeline_shapes(cfg, self.embedding)
+        ssm = make_ssm_params(cfg.ssm_variant, cfg.poly_order, 1.0 / cfg.theta)
+        disc = discretize(ssm, b_method="euler")
+        filters = build_filters(cfg.poly_order)
+        derived = {
+            "ssm": ssm,
+            "disc": disc,
+            "filters": filters,
+            "shapes": shapes,
+            "front": _front_operator(ssm, disc, filters, shapes),
+            "back": _back_operator(filters, shapes),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_channels(self) -> int:
@@ -308,11 +332,11 @@ def _finalize_features(evolved_scales, model) -> np.ndarray:
     return (model.back @ stack).reshape(stack.shape[0], -1)
 
 
-def _fit_channel(z: np.ndarray, starts: np.ndarray, model_stub, config: ForecasterConfig,
+def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
                  channel_index: int) -> ChannelModel:
-    sh = model_stub.shapes
+    config, sh = model.config, model.shapes
     w, h = config.window, config.horizon
-    reps, mu, sd = _represent(z[starts[:, None] + np.arange(w)], model_stub)
+    reps, mu, sd = _represent(z[starts[:, None] + np.arange(w)], model)
 
     cell_sizes = _scale_cell_sizes(sh)
     evolvers = []
@@ -349,7 +373,7 @@ def _fit_channel(z: np.ndarray, starts: np.ndarray, model_stub, config: Forecast
                 )
 
     evolved = _evolve_scales(reps, evolvers, config.evolution_strategy)
-    feats = _finalize_features(evolved, model_stub)
+    feats = _finalize_features(evolved, model)
     targets = (z[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
     readout = evo.ridge_fit(feats, targets, config.ridge_lambda).T  # (feat, horizon)
     return ChannelModel(
@@ -388,29 +412,15 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
             max_tau=max(1, min(cap_tau, n // 4 - 1)),
             max_m=AUTO_MAX_M,
         )
-    shapes = pipeline_shapes(config, embedding)
-
-    ssm = make_ssm_params(config.ssm_variant, config.poly_order, 1.0 / config.theta)
-    disc = discretize(ssm, b_method="euler")
-    filters = build_filters(config.poly_order)
-    stub = FittedForecaster(
-        config=config,
-        embedding=embedding,
-        ssm=ssm,
-        disc=disc,
-        filters=filters,
-        shapes=shapes,
-        channels=[],
-        front=_front_operator(ssm, disc, filters, shapes),
-        back=_back_operator(filters, shapes),
-    )
+    model = FittedForecaster(config, embedding, channels=[])
 
     all_starts = np.arange(0, n - w - h + 1, config.patch_len)
     if all_starts.size < 2:
         raise TooShortError("need at least two training windows")
     starts = all_starts[-config.max_train_windows :]
-    channels = [_fit_channel(arr[:, c], starts, stub, config, c) for c in range(n_channels)]
-    return replace(stub, channels=channels)
+    # the channels are fit on the model's own operators, then added to it
+    model.channels.extend(_fit_channel(arr[:, c], starts, model, c) for c in range(n_channels))
+    return model
 
 
 def predict(model: FittedForecaster, context, truth=None) -> ForecastResult:
@@ -532,20 +542,28 @@ def global_mean_forecast(train_series, horizon: int) -> np.ndarray:
 
 def _evolver_doc(ev) -> dict:
     if isinstance(ev, evo.SpectralEvolutionModel):
-        return {"kind": "frequency", "doc": json.loads(evo.spectral_model_to_json(ev))}
+        return {
+            "kind": "frequency",
+            "doc": {
+                "m_modes": ev.m_modes,
+                "seq_len": ev.seq_len,
+                "ridge_lambda": float(ev.ridge_lambda),
+                "mode_ops": [[op.real.tolist(), op.imag.tolist()] for op in ev.mode_ops],
+            },
+        }
     if isinstance(ev, evo.DirectEvolutionModel):
         return {
             "kind": "direct",
             "centroids": ev.centroids.tolist(),
             "operators": ev.operators.tolist(),
-            "ridge_lambda": ev.ridge_lambda,
+            "ridge_lambda": float(ev.ridge_lambda),
         }
     if isinstance(ev, evo.HopfieldEvolutionModel):
         return {
             "kind": "hopfield",
             "keys": ev.keys.tolist(),
             "values": ev.values.tolist(),
-            "beta": ev.beta,
+            "beta": float(ev.beta),
         }
     raise TypeError(f"unknown evolver type {type(ev)!r}")
 
@@ -553,7 +571,17 @@ def _evolver_doc(ev) -> dict:
 def _evolver_from_doc(doc: dict):
     kind = doc["kind"]
     if kind == "frequency":
-        return evo.spectral_model_from_json(json.dumps(doc["doc"]))
+        spec = doc["doc"]
+        re_im = np.asarray(spec["mode_ops"], dtype=float)  # (modes, 2, N, N)
+        # filling both parts keeps every signed zero; re + 1j * im would not
+        ops = np.empty(re_im[:, 0].shape, dtype=complex)
+        ops.real, ops.imag = re_im[:, 0], re_im[:, 1]
+        return evo.SpectralEvolutionModel(
+            mode_ops=ops,
+            m_modes=int(spec["m_modes"]),
+            seq_len=int(spec["seq_len"]),
+            ridge_lambda=float(spec["ridge_lambda"]),
+        )
     if kind == "direct":
         return evo.DirectEvolutionModel(
             centroids=np.asarray(doc["centroids"], dtype=float),
@@ -591,8 +619,6 @@ def model_to_json(model: FittedForecaster) -> str:
             "seed": cfg.seed,
         },
         "embedding": {"m": model.embedding.m, "tau": model.embedding.tau},
-        "ssm": json.loads(ssm_params_to_json(model.ssm)),
-        "disc": {"a_bar": model.disc.a_bar.tolist(), "b_bar": model.disc.b_bar.tolist()},
         "channels": [
             {
                 "evolvers": [_evolver_doc(ev) for ev in ch.evolvers],
@@ -608,7 +634,10 @@ def model_to_json(model: FittedForecaster) -> str:
 
 def model_from_json(text: str) -> FittedForecaster:
     """Rebuild a model from its JSON document; a document that is not a
-    version-1 model raises ModelFormatError."""
+    version-1 model raises ModelFormatError.
+
+    The ``ssm`` and ``disc`` entries that older documents carry are ignored:
+    the model derives them from its config."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("v") != 1:
         raise ModelFormatError("not a version-1 model document")
@@ -621,13 +650,6 @@ def model_from_json(text: str) -> FittedForecaster:
 def _model_from_doc(doc: dict) -> FittedForecaster:
     embedding = EmbeddingParams(m=int(doc["embedding"]["m"]), tau=int(doc["embedding"]["tau"]))
     config = ForecasterConfig(embedding=embedding, **doc["config"])
-    ssm = ssm_params_from_json(json.dumps(doc["ssm"]))
-    disc = DiscretizedSsm(
-        a_bar=np.asarray(doc["disc"]["a_bar"], dtype=float),
-        b_bar=np.asarray(doc["disc"]["b_bar"], dtype=float),
-    )
-    shapes = pipeline_shapes(config, embedding)
-    filters = build_filters(config.poly_order)
     channels = [
         ChannelModel(
             evolvers=[_evolver_from_doc(e) for e in ch["evolvers"]],
@@ -637,17 +659,7 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
         )
         for ch in doc["channels"]
     ]
-    return FittedForecaster(
-        config=config,
-        embedding=embedding,
-        ssm=ssm,
-        disc=disc,
-        filters=filters,
-        shapes=shapes,
-        channels=channels,
-        front=_front_operator(ssm, disc, filters, shapes),
-        back=_back_operator(filters, shapes),
-    )
+    return FittedForecaster(config, embedding, channels)
 
 
 def save_model(model: FittedForecaster, path) -> None:

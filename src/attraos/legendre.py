@@ -10,7 +10,6 @@ transition, forward Euler (or exact hold, for error studies) for the input map.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -255,32 +254,3 @@ def _zoh_input_factor(a: np.ndarray, delta: float) -> np.ndarray:
     nz = a != 0
     out[nz] = np.expm1(delta * a[nz]) / a[nz]
     return out
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-
-
-def ssm_params_to_json(params: SsmParams) -> str:
-    doc = {
-        "variant": params.variant,
-        "n": params.n,
-        "delta": params.delta,
-        "a": params.a.tolist(),
-        "b": params.b.tolist(),
-    }
-    return json.dumps(doc)
-
-
-def ssm_params_from_json(text: str) -> SsmParams:
-    doc = json.loads(text)
-    variant = doc["variant"]
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    n = int(doc["n"])
-    delta = float(doc["delta"])
-    if "a" in doc and doc["a"] is not None:
-        a = np.asarray(doc["a"], dtype=float)
-        b = np.asarray(doc["b"], dtype=float)
-        return SsmParams(a=a, b=b, delta=delta, n=n, variant=variant)
-    return make_ssm_params(variant, n, delta)

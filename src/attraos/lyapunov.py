@@ -17,6 +17,8 @@ from scipy.spatial import cKDTree
 from .embedding import EmbeddingParams, delay_embed
 from .errors import DegenerateSeriesError, TooShortError
 
+_QUERY_BLOCK = 2048  # reference points per neighbour query
+
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
@@ -84,23 +86,23 @@ def estimate_mle(
 
 
 def _nearest_outside_window(tree, base, idx, theiler):
-    """Nearest neighbor index with |i - j| > theiler (-1 when none exists)."""
+    """Nearest neighbor index with |i - j| > theiler (-1 when none exists).
+
+    The window |i - j| <= theiler holds at most 2 * theiler + 1 points, so
+    the 2 * theiler + 4 nearest neighbours always include a partner unless
+    that count is capped at the number of points.  The points are queried in
+    blocks so the (points, k) neighbour arrays stay bounded.
+    """
     n = base.shape[0]
-    partner = np.full(n, -1, dtype=int)
-    unresolved = idx
     k = min(n, 2 * theiler + 4)
-    while unresolved.size:
-        dist, nbrs = tree.query(base[unresolved], k=k)
-        if k == 1:
-            dist, nbrs = dist[:, None], nbrs[:, None]
-        ok = np.abs(nbrs - unresolved[:, None]) > theiler
+    partner = np.full(n, -1, dtype=int)
+    for lo in range(0, idx.size, _QUERY_BLOCK):
+        block = idx[lo : lo + _QUERY_BLOCK]
+        _, nbrs = tree.query(base[block], k=k)
+        ok = np.abs(nbrs - block[:, None]) > theiler
         has = ok.any(axis=1)
         first = ok.argmax(axis=1)
-        partner[unresolved[has]] = nbrs[has, first[has]]
-        unresolved = unresolved[~has]
-        if k >= n:
-            break
-        k = min(n, 4 * k)
+        partner[block[has]] = nbrs[has, first[has]]
     return partner
 
 

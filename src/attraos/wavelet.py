@@ -10,7 +10,6 @@ Gauss quadrature; the detail filters complete those rows to an orthogonal
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,22 +147,3 @@ def reconstruct(pyramid: Pyramid, filters: WaveletFilters) -> np.ndarray:
     for detail in reversed(pyramid.details):
         x = down_project(x, detail, filters)
     return x
-
-
-def filters_to_json(filters: WaveletFilters) -> str:
-    doc = {
-        name: getattr(filters, name).tolist()
-        for name in ("h1", "h2", "g1", "g2", "h1d", "h2d", "g1d", "g2d")
-    }
-    doc["n"] = filters.order
-    return json.dumps(doc)
-
-
-def filters_from_json(text: str) -> WaveletFilters:
-    doc = json.loads(text)
-    return WaveletFilters(
-        **{
-            name: np.asarray(doc[name], dtype=float)
-            for name in ("h1", "h2", "g1", "g2", "h1d", "h2d", "g1d", "g2d")
-        }
-    )

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +426,17 @@ class TestSaveLoad:
         b = fc.predict(loaded, x[:96]).predictions
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
+    @pytest.mark.parametrize("scalars", [{}, {"ridge_lambda": 1, "hopfield_beta": 4}],
+                             ids=["float", "int-scalars"])
+    def test_resave_is_byte_identical(self, lorenz63_x, strategy, scalars):
+        # the frequency operators hold signed zeros that the load must keep,
+        # and an evolver's scalars load as floats whatever the config held
+        cfg = small_config(window=96, evolution_strategy=strategy, max_train_windows=32,
+                           **scalars)
+        text = fc.model_to_json(fc.fit(cfg, lorenz63_x[:5000]))
+        assert fc.model_to_json(fc.model_from_json(text)) == text
+
     def test_readout_perturbation_does_not_improve_objective(self, lorenz63_x):
         # ridge optimality probe on the assembled design matrix
         x = lorenz63_x[:5000]
@@ -515,6 +528,34 @@ class TestModelDocument:
         broken = replace(model, channels=[replace(ch, readout=ch.readout * np.nan)])
         with pytest.raises(ValueError):
             fc.model_to_json(broken)
+
+
+LEGACY = Path(__file__).parent / "data" / "legacy_v1_frequency_legt_full"
+
+
+class TestLegacyDocument:
+    """A ``frequency`` / ``legt_full`` model document written by attraos at
+    commit 34c421a, which still stored the derived ``ssm`` and ``disc``
+    entries, with three contexts and the predictions that version made."""
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        return LEGACY.with_suffix(".json").read_text(encoding="utf-8")
+
+    def test_loads_with_bit_identical_predictions(self, text):
+        model = fc.model_from_json(text)
+        doc = json.loads(text)
+        assert np.array_equal(model.ssm.a, doc["ssm"]["a"])
+        assert np.array_equal(model.disc.a_bar, doc["disc"]["a_bar"])
+        assert np.array_equal(model.disc.b_bar, doc["disc"]["b_bar"])
+        io = json.loads(Path(f"{LEGACY}_io.json").read_text(encoding="utf-8"))
+        for context, expect in zip(io["contexts"], io["predictions"], strict=True):
+            assert np.array_equal(fc.predict(model, context).predictions[:, 0], expect)
+
+    def test_resave_drops_only_ssm_and_disc(self, text):
+        doc = json.loads(text)
+        del doc["ssm"], doc["disc"]
+        assert fc.model_to_json(fc.model_from_json(text)) == json.dumps(doc)
 
 
 class TestStrategies:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from attraos import legendre as lg
@@ -241,12 +239,3 @@ class TestDiscretize:
             d = lg.discretize(p)
             assert np.all(np.abs(d.a_bar) < 1.0)
 
-
-@settings(max_examples=25, deadline=None)
-@given(n=st.integers(1, 8), delta=st.floats(1e-3, 2.0))
-def test_json_roundtrip_preserves_params(n, delta):
-    for variant in lg.VARIANTS:
-        p = lg.make_ssm_params(variant, n, delta)
-        q = lg.ssm_params_from_json(lg.ssm_params_to_json(p))
-        assert q.variant == p.variant and q.n == p.n and q.delta == p.delta
-        assert np.array_equal(q.a, p.a) and np.array_equal(q.b, p.b)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from attraos import chaos
 from attraos.embedding import EmbeddingParams
 from attraos.errors import DegenerateSeriesError, TooShortError
-from attraos.lyapunov import estimate_mle, mle_table
+from attraos.lyapunov import _nearest_outside_window, estimate_mle, mle_table
 
 
 def lorenz63_jacobian(s, p):
@@ -131,3 +132,41 @@ def test_positive_mle_on_lorenz96(lorenz96_3d):
         lorenz96_3d[:20000, 0], EmbeddingParams(5, 12), horizon=300, fit_range=(50, 200)
     )
     assert est.mle > 0
+
+
+def one_shot_nearest_outside_window(tree, base, idx, theiler):
+    """Reference: all points in one query, k growing until every point has
+    a partner or k reaches the point count."""
+    n = base.shape[0]
+    partner = np.full(n, -1, dtype=int)
+    unresolved = idx
+    k = min(n, 2 * theiler + 4)
+    while unresolved.size:
+        _, nbrs = tree.query(base[unresolved], k=k)
+        ok = np.abs(nbrs - unresolved[:, None]) > theiler
+        has = ok.any(axis=1)
+        first = ok.argmax(axis=1)
+        partner[unresolved[has]] = nbrs[has, first[has]]
+        unresolved = unresolved[~has]
+        if k >= n:
+            break
+        k = min(n, 4 * k)
+    return partner
+
+
+@pytest.mark.parametrize(
+    "n,theiler",
+    [(5000, 48), (2060, 1030)],
+    ids=["many-blocks", "k-capped-at-n"],
+)
+def test_blocked_partners_match_one_shot_query(lorenz63_x, n, theiler):
+    base = np.stack([lorenz63_x[:n], lorenz63_x[16 : n + 16], lorenz63_x[32 : n + 32]], axis=1)
+    tree = cKDTree(base)
+    idx = np.arange(n)
+    expect = one_shot_nearest_outside_window(tree, base, idx, theiler)
+    got = _nearest_outside_window(tree, base, idx, theiler)
+    assert np.array_equal(got, expect)
+    found = expect >= 0
+    assert np.all(np.abs(expect[found] - idx[found]) > theiler)
+    # with k capped at n the points nearest the middle have no partner
+    assert np.any(~found) == (2 * theiler + 4 > n)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,10 +165,3 @@ class TestPyramid:
         with pytest.raises(ValueError):
             wv.decompose(rng.standard_normal((8, 2)), f, 4)
 
-
-def test_filters_json_roundtrip():
-    f = wv.build_filters(3)
-    doc = json.loads(wv.filters_to_json(f))
-    assert doc["n"] == 3
-    g = wv.filters_from_json(wv.filters_to_json(f))
-    assert np.array_equal(g.h1, f.h1) and np.array_equal(g.g2, f.g2)
