@@ -21,12 +21,18 @@ inputs through the reference primitives (``sequential_scan``, ``decompose``,
 identically shaped matrix product, so a window's features do not depend on
 the batch it is computed in.
 
+Between the two operators a window is one (S, D) array, the stack: the whole
+pyramid, each scale a fixed block of rows (``ShapeInfo.scale_rows``).
+Evolution writes each scale's next step into the same rows of a new stack;
+``direct`` and ``hopfield``, which are nonlinear in a position's (D, N)
+state, see the block as a (positions, D, N) view.
+
 A fitted model is its config, its embedding and its per-channel maps
-(evolvers and readout).  The recurrence, the wavelet filters, the shapes and
-the stage operators are closed-form functions of the first two, so
-``FittedForecaster`` derives them when it is constructed, after a fit and
-after a load alike.  The model document (``model_to_json``) stores only what
-was fit; this module is the only one that reads or writes it.
+(evolvers and readout).  The shapes and the stage operators are closed-form
+functions of the first two, so ``FittedForecaster`` derives them when it is
+constructed, after a fit and after a load alike.  The model document
+(``model_to_json``) stores only what was fit; this module is the only one
+that reads or writes it.
 
 Every learned map is a closed-form ridge regression; there is no iterative
 training.  Evolution operators are fit on consecutive-window pairs (windows
@@ -36,7 +42,8 @@ shifted by one patch), so "evolve" means "advance the window by one patch".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,9 +104,14 @@ class ForecasterConfig:
 
 @dataclass(frozen=True)
 class ShapeInfo:
-    """Static pipeline shapes for a given config + embedding."""
+    """Static pipeline shapes for a given config + embedding.
 
-    n_points: int
+    ``scale_rows[s]`` is the slice of the (S, D) stack that holds scale s
+    (finest detail first, coarse last): ``scale_lens[s] * order`` rows,
+    position-major.  A position of scale s spans ``padded // scale_lens[s]``
+    patches.
+    """
+
     n_patches: int
     padded: int
     pad: int
@@ -107,7 +119,7 @@ class ShapeInfo:
     order: int
     eff_levels: int
     scale_lens: tuple
-    feat_len: int
+    scale_rows: tuple
 
 
 def pipeline_shapes(config: ForecasterConfig, embedding: EmbeddingParams) -> ShapeInfo:
@@ -124,24 +136,23 @@ def pipeline_shapes(config: ForecasterConfig, embedding: EmbeddingParams) -> Sha
     eff_levels = min(config.levels, padded.bit_length() - 1)
     scale_lens = tuple(padded // 2 ** (i + 1) for i in range(eff_levels))
     scale_lens = scale_lens + (padded // 2**eff_levels,)
-    d = embedding.m * config.patch_len
+    edges = tuple(accumulate((n * config.poly_order for n in scale_lens), initial=0))
     return ShapeInfo(
-        n_points=n_points,
         n_patches=n_patches,
         padded=padded,
         pad=padded - n_patches,
-        d=d,
+        d=embedding.m * config.patch_len,
         order=config.poly_order,
         eff_levels=eff_levels,
         scale_lens=scale_lens,
-        feat_len=n_patches * d,
+        scale_rows=tuple(map(slice, edges[:-1], edges[1:])),
     )
 
 
 @dataclass(frozen=True)
 class ChannelModel:
     evolvers: list
-    readout: np.ndarray  # (feat_len, horizon)
+    readout: np.ndarray  # (n_patches * d, horizon)
     train_mean: float
     train_std: float
 
@@ -158,18 +169,15 @@ class FittedForecaster:
     """A fitted model: config, embedding and one ``ChannelModel`` per channel.
 
     The remaining fields are derived from ``config`` and ``embedding`` at
-    construction and are neither compared nor serialized: the continuous and
-    Euler-discretized recurrence (``ssm``, ``disc``), the wavelet ``filters``,
-    the pipeline ``shapes``, and the per-coordinate stage operators ``front``
-    (S, L) and ``back`` (L', S).
+    construction and are neither compared nor serialized: the pipeline
+    ``shapes`` and the per-coordinate stage operators ``front`` (S, L) and
+    ``back`` (L', S), built from the Euler-discretized recurrence and the
+    wavelet filters.
     """
 
     config: ForecasterConfig
     embedding: EmbeddingParams
     channels: list
-    ssm: SsmParams = field(init=False, repr=False, compare=False)
-    disc: DiscretizedSsm = field(init=False, repr=False, compare=False)
-    filters: WaveletFilters = field(init=False, repr=False, compare=False)
     shapes: ShapeInfo = field(init=False, repr=False, compare=False)
     front: np.ndarray = field(init=False, repr=False, compare=False)
     back: np.ndarray = field(init=False, repr=False, compare=False)
@@ -178,31 +186,15 @@ class FittedForecaster:
         cfg = self.config
         shapes = pipeline_shapes(cfg, self.embedding)
         ssm = make_ssm_params(cfg.ssm_variant, cfg.poly_order, 1.0 / cfg.theta)
-        disc = discretize(ssm, b_method="euler")
         filters = build_filters(cfg.poly_order)
-        derived = {
-            "ssm": ssm,
-            "disc": disc,
-            "filters": filters,
-            "shapes": shapes,
-            "front": _front_operator(ssm, disc, filters, shapes),
-            "back": _back_operator(filters, shapes),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        front = _front_operator(ssm, discretize(ssm, b_method="euler"), filters, shapes)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "front", front)
+        object.__setattr__(self, "back", _back_operator(filters, shapes))
 
     @property
     def n_channels(self) -> int:
         return len(self.channels)
-
-    def represent(self, windows: np.ndarray):
-        """Pipeline front half for a batch of single-channel windows.
-
-        ``windows`` is (batch, window); a 1-D window is a batch of one.
-        Returns (scale sequences, each (batch, L_s, D, N), means, stds); the
-        scale sequences are views of one (batch, S, D) operator output.
-        """
-        return _represent(np.atleast_2d(np.asarray(windows, dtype=float)), self)
 
 
 def _as_2d(series) -> np.ndarray:
@@ -236,7 +228,7 @@ def _front_operator(ssm: SsmParams, disc: DiscretizedSsm, filters: WaveletFilter
 
     Column j is the response to a unit value at patch j, computed by running
     the identity through the primitives as L independent coordinates.  Scale
-    s fills ``scale_lens[s] * order`` rows of the stack, position-major.
+    s fills the rows ``scale_rows[s]`` of the stack.
     """
     length = sh.n_patches
     bu = np.eye(length)[..., None] * disc.b_bar  # (step, impulse, N)
@@ -259,43 +251,31 @@ def _back_operator(filters: WaveletFilters, sh: ShapeInfo) -> np.ndarray:
 
     Column k is the response to a unit value at stack row k.
     """
-    sizes = [n * sh.order for n in sh.scale_lens]
-    total = sum(sizes)
-    blocks = np.split(np.eye(total), np.cumsum(sizes)[:-1], axis=1)
-    seqs = [b.reshape(total, n, sh.order).swapaxes(0, 1) for b, n in zip(blocks, sh.scale_lens)]
+    total = sh.scale_rows[-1].stop
+    eye = np.eye(total)
+    seqs = [
+        eye[:, rows].reshape(total, n, sh.order).swapaxes(0, 1)
+        for n, rows in zip(sh.scale_lens, sh.scale_rows)
+    ]
     pyr = Pyramid(details=seqs[:-1], coarse=seqs[-1], levels=sh.eff_levels)
     states = reconstruct(pyr, filters)[sh.pad :]
     return states @ np.sqrt(2.0 * np.arange(sh.order) + 1.0)
 
 
-def _columns(seq: np.ndarray) -> np.ndarray:
-    """(B, L_s, D, N) scale -> (B, L_s * N, D): one column per coordinate."""
-    b, length, d, n = seq.shape
-    return np.swapaxes(seq, 2, 3).reshape(b, length * n, d)
-
-
-def _scale_view(cols: np.ndarray, length: int) -> np.ndarray:
-    """Inverse of _columns, as a view."""
-    b, rows, d = cols.shape
-    return np.swapaxes(cols.reshape(b, length, rows // length, d), 2, 3)
+def _positions(rows: np.ndarray, order: int) -> np.ndarray:
+    """One scale's (B, L_s * N, D) stack rows as a (B, L_s, D, N) view: one
+    (D, N) state per window position, as direct and hopfield evolution see it."""
+    b, _, d = rows.shape
+    return np.swapaxes(rows.reshape(b, -1, order, d), 2, 3)
 
 
 def _represent(windows: np.ndarray, model):
     """Normalize, embed, patch, then apply the front operator to a (batch,
-    window) array of one channel's windows."""
+    window) array of one channel's windows; returns the (batch, S, D) stack
+    and the per-window means and stds."""
     zn, mu, sd = _normalize(windows)
     patches = patch(delay_embed(zn, model.embedding), model.config.patch_len)  # (B, L, D)
-    stack = model.front @ patches  # (B, S, D)
-    sh = model.shapes
-    bounds = np.cumsum([n * sh.order for n in sh.scale_lens])[:-1]
-    parts = np.split(stack, bounds, axis=1)
-    return [_scale_view(c, n) for c, n in zip(parts, sh.scale_lens)], mu, sd
-
-
-def _scale_cell_sizes(shapes: ShapeInfo):
-    sizes = [2 ** (i + 1) for i in range(shapes.eff_levels)]
-    sizes.append(2**shapes.eff_levels)
-    return sizes
+    return model.front @ patches, mu, sd
 
 
 def _valid_positions(length: int, cell: int, pad: int) -> np.ndarray:
@@ -307,41 +287,37 @@ def _valid_positions(length: int, cell: int, pad: int) -> np.ndarray:
     return np.arange(start, length)
 
 
-def _evolve_scales(scales, evolvers, strategy):
-    """Advance every (batch, L_s, D, N) scale sequence by one step."""
-    out = []
-    for seq, ev in zip(scales, evolvers):
+def _features(stack: np.ndarray, evolvers, model) -> np.ndarray:
+    """Advance every scale of a (B, S, D) stack by one step, then apply the
+    back operator: one (L' * D) feature row per window."""
+    sh = model.shapes
+    strategy = model.config.evolution_strategy
+    evolved = np.empty_like(stack)
+    for rows, ev in zip(sh.scale_rows, evolvers):
         if strategy == "frequency":
-            out.append(_scale_view(ev.matrix @ _columns(seq), seq.shape[1]))
+            evolved[:, rows] = ev.matrix @ stack[:, rows]
         else:
-            flat = seq.reshape(-1, seq.shape[2] * seq.shape[3])
+            seqs = _positions(stack[:, rows], sh.order)
+            flat = seqs.reshape(-1, sh.d * sh.order)
             if strategy == "direct":
                 nxt = evo.apply_direct_evolution(flat, ev)
             else:
                 nxt = evo.apply_hopfield_evolution(flat, ev)
-            out.append(nxt.reshape(seq.shape))
-    return out
-
-
-def _finalize_features(evolved_scales, model) -> np.ndarray:
-    """Apply the back operator and flatten: one (L' * D) feature row per
-    window."""
-    stack = np.concatenate([_columns(s) for s in evolved_scales], axis=1)  # (B, S, D)
+            _positions(evolved[:, rows], sh.order)[...] = nxt.reshape(seqs.shape)
     # the broadcast matmul makes one product per window, so a row does not
     # depend on its batch (a whole-batch tensordot changes the last bits)
-    return (model.back @ stack).reshape(stack.shape[0], -1)
+    return (model.back @ evolved).reshape(stack.shape[0], -1)
 
 
 def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
                  channel_index: int) -> ChannelModel:
     config, sh = model.config, model.shapes
     w, h = config.window, config.horizon
-    reps, mu, sd = _represent(z[starts[:, None] + np.arange(w)], model)
+    stack, mu, sd = _represent(z[starts[:, None] + np.arange(w)], model)
 
-    cell_sizes = _scale_cell_sizes(sh)
     evolvers = []
-    for si, seqs in enumerate(reps):
-        length = seqs.shape[1]
+    for si, (length, rows) in enumerate(zip(sh.scale_lens, sh.scale_rows)):
+        seqs = _positions(stack[:, rows], sh.order)
         if config.evolution_strategy == "frequency":
             m_modes = min(config.m_modes, length // 2 + 1)
             # one spectrum per window and state row; consecutive windows
@@ -354,10 +330,10 @@ def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
                 evo.fit_spectral_operators(a_spec, b_spec, length, config.ridge_lambda)
             )
         else:
-            valid = _valid_positions(length, cell_sizes[si], sh.pad)
-            rows = seqs[:, valid]  # (B, V, D, N); flattened window-major below
-            src = rows[:-1].reshape(-1, sh.d * sh.order)
-            dst = rows[1:].reshape(-1, sh.d * sh.order)
+            valid = seqs[:, _valid_positions(length, sh.padded // length, sh.pad)]
+            # (B, V, D, N), flattened window-major
+            src = valid[:-1].reshape(-1, sh.d * sh.order)
+            dst = valid[1:].reshape(-1, sh.d * sh.order)
             seed = derive_seed(config.seed, 16 * channel_index + si + 2)
             if config.evolution_strategy == "direct":
                 k = min(config.n_clusters, src.shape[0])
@@ -372,8 +348,7 @@ def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
                     )
                 )
 
-    evolved = _evolve_scales(reps, evolvers, config.evolution_strategy)
-    feats = _finalize_features(evolved, model)
+    feats = _features(stack, evolvers, model)
     targets = (z[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
     readout = evo.ridge_fit(feats, targets, config.ridge_lambda).T  # (feat, horizon)
     return ChannelModel(
@@ -396,8 +371,11 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     a constant series then raises DegenerateSeriesError, while a manually
     supplied embedding turns a constant series into an exact constant
     forecast (zero features, the window mean is returned).  A series with
-    NaN or inf raises NonFiniteError.
+    NaN or inf raises NonFiniteError, and ``max_train_windows < 2`` raises
+    ValueError (one window makes no evolution pair).
     """
+    if config.max_train_windows < 2:
+        raise ValueError("max_train_windows must be >= 2")
     arr = _finite_2d(series, "series")
     n, n_channels = arr.shape
     w, h = config.window, config.horizon
@@ -441,15 +419,12 @@ def predict(model: FittedForecaster, context, truth=None) -> ForecastResult:
             f"model has {model.n_channels} channels, context has {arr.shape[1]}"
         )
     # one contiguous row per channel, laid out like the fit-time windows
-    scales, mu, sd = _represent(np.ascontiguousarray(arr[-w:].T), model)
-    strategy = model.config.evolution_strategy
-    per_channel = [
-        _evolve_scales([s[c : c + 1] for s in scales], ch.evolvers, strategy)
-        for c, ch in enumerate(model.channels)
-    ]
-    feats = _finalize_features([np.concatenate(e) for e in zip(*per_channel)], model)
+    stack, mu, sd = _represent(np.ascontiguousarray(arr[-w:].T), model)
     out = np.stack(
-        [mu[c] + sd[c] * (feats[c] @ ch.readout) for c, ch in enumerate(model.channels)],
+        [
+            mu[c] + sd[c] * (_features(stack[c : c + 1], ch.evolvers, model)[0] @ ch.readout)
+            for c, ch in enumerate(model.channels)
+        ],
         axis=1,
     )
     if truth_arr is None:
@@ -601,23 +576,8 @@ def model_to_json(model: FittedForecaster) -> str:
     cfg = model.config
     doc = {
         "v": 1,
-        "config": {
-            "window": cfg.window,
-            "horizon": cfg.horizon,
-            "patch_len": cfg.patch_len,
-            "poly_order": cfg.poly_order,
-            "ssm_variant": cfg.ssm_variant,
-            "theta": cfg.theta,
-            "levels": cfg.levels,
-            "m_modes": cfg.m_modes,
-            "ridge_lambda": cfg.ridge_lambda,
-            "evolution_strategy": cfg.evolution_strategy,
-            "teacher_alpha": cfg.teacher_alpha,
-            "n_clusters": cfg.n_clusters,
-            "hopfield_beta": cfg.hopfield_beta,
-            "max_train_windows": cfg.max_train_windows,
-            "seed": cfg.seed,
-        },
+        # the embedding the model was fit with is stored on its own below
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "embedding"},
         "embedding": {"m": model.embedding.m, "tau": model.embedding.tau},
         "channels": [
             {
@@ -638,12 +598,12 @@ def model_from_json(text: str) -> FittedForecaster:
 
     The ``ssm`` and ``disc`` entries that older documents carry are ignored:
     the model derives them from its config."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("v") != 1:
-        raise ModelFormatError("not a version-1 model document")
     try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.get("v") != 1:
+            raise ModelFormatError("not a version-1 model document")
         return _model_from_doc(doc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
 
 

@@ -17,8 +17,9 @@ from attraos.errors import (
     TooShortError,
     WindowTooShortError,
 )
+from attraos.legendre import discretize, make_ssm_params
 from attraos.scan import ScanInput, sequential_scan
-from attraos.wavelet import Pyramid, decompose, reconstruct
+from attraos.wavelet import Pyramid, build_filters, decompose, reconstruct
 
 
 def small_config(**kw):
@@ -95,6 +96,13 @@ class TestFit:
         with pytest.raises(TooShortError):
             fc.fit(small_config(), np.sin(np.arange(66.0)))
 
+    @pytest.mark.parametrize("max_train_windows", [0, -5, 1])
+    def test_fewer_than_two_train_windows_rejected(self, max_train_windows):
+        # 0 would keep every window, -5 drop the oldest and 1 leave no pair
+        cfg = small_config(max_train_windows=max_train_windows)
+        with pytest.raises(ValueError, match="max_train_windows"):
+            fc.fit(cfg, np.sin(0.1 * np.arange(600)))
+
     def test_infeasible_window_embedding(self):
         cfg = small_config(embedding=EmbeddingParams(8, 16))  # span 113 > window
         with pytest.raises(TooShortError):
@@ -152,10 +160,9 @@ class TestPredict:
         cfg = model.config
         s = train.size - cfg.window - cfg.horizon  # a training window start
         window = train[s : s + cfg.window]
-        scales, mu, sd = model.represent(window)
+        stack, mu, sd = fc._represent(window[None], model)
         ch = model.channels[0]
-        evolved = fc._evolve_scales(scales, ch.evolvers, cfg.evolution_strategy)
-        feats = fc._finalize_features(evolved, model)
+        feats = fc._features(stack, ch.evolvers, model)
         manual = mu[0] + sd[0] * (feats[0] @ ch.readout)
         assert np.array_equal(fc.predict(model, window).predictions[:, 0], manual)
 
@@ -178,18 +185,19 @@ class TestPredict:
         assert len(designs) == 2 and designs[0].shape[0] == 40
 
         rows = []
-        finalize = fc._finalize_features
+        features = fc._features
 
-        def recording_finalize(evolved, m):
-            rows.append(finalize(evolved, m))
+        def recording_features(stack, evolvers, m):
+            rows.append(features(stack, evolvers, m))
             return rows[-1]
 
-        monkeypatch.setattr(fc, "_finalize_features", recording_finalize)
+        monkeypatch.setattr(fc, "_features", recording_features)
         starts = np.arange(0, x.shape[0] - 96 - 4 + 1, cfg.patch_len)[-40:]
         for i in (0, 17, 39):
             fc.predict(model, x[starts[i] : starts[i] + 96])
+            # predict builds one single-window row per channel, in order
             for c in range(2):
-                assert np.array_equal(rows[-1][c], designs[c][i])
+                assert np.array_equal(rows[c - 2][0], designs[c][i])
 
     def test_predict_runs_on_stage_operators(self, lorenz_model, monkeypatch):
         # the primitives only build the operators; serving never calls them
@@ -207,16 +215,24 @@ class TestPredict:
         assert np.array_equal(fc.rollout(model, val[:96], 32)[:16], expect)
 
 
+def staged_primitives(cfg):
+    """The continuous recurrence, its Euler discretization and the wavelet
+    filters a config determines, built as the model builds them."""
+    ssm = make_ssm_params(cfg.ssm_variant, cfg.poly_order, 1.0 / cfg.theta)
+    return ssm, discretize(ssm, b_method="euler"), build_filters(cfg.poly_order)
+
+
 def reference_scales(patches, model):
     """The staged front half on (B, L, D) patches: recurrence, left padding,
     decompose; returns (B, L_s, D, N) scales."""
-    bu = np.swapaxes(patches, 0, 1)[..., None] * model.disc.b_bar
-    a_seq = np.broadcast_to(model.disc.a_bar, (bu.shape[0],) + model.disc.a_bar.shape)
-    states = sequential_scan(ScanInput(a_seq=a_seq, bu_seq=bu, matrix=not model.ssm.is_diagonal))
+    ssm, disc, filters = staged_primitives(model.config)
+    bu = np.swapaxes(patches, 0, 1)[..., None] * disc.b_bar
+    a_seq = np.broadcast_to(disc.a_bar, (bu.shape[0],) + disc.a_bar.shape)
+    states = sequential_scan(ScanInput(a_seq=a_seq, bu_seq=bu, matrix=not ssm.is_diagonal))
     sh = model.shapes
     if sh.pad:
         states = np.concatenate([np.repeat(states[:1], sh.pad, axis=0), states], axis=0)
-    pyr = decompose(states, model.filters, sh.eff_levels)
+    pyr = decompose(states, filters, sh.eff_levels)
     return [np.swapaxes(s, 0, 1) for s in list(pyr.details) + [pyr.coarse]]
 
 
@@ -225,7 +241,7 @@ def reference_features(scales, model):
     sh = model.shapes
     time_major = [np.swapaxes(s, 0, 1) for s in scales]
     pyr = Pyramid(details=time_major[:-1], coarse=time_major[-1], levels=sh.eff_levels)
-    states = reconstruct(pyr, model.filters)[sh.pad :]
+    states = reconstruct(pyr, staged_primitives(model.config)[2])[sh.pad :]
     feats = states @ np.sqrt(2.0 * np.arange(sh.order) + 1.0)  # (L', B, D)
     return np.swapaxes(feats, 0, 1).reshape(feats.shape[1], -1)
 
@@ -259,22 +275,27 @@ class TestStageOperators:
         sh = model.shapes
         assert sh.eff_levels == min(levels, sh.padded.bit_length() - 1)
 
+        def scales(stack):
+            return [fc._positions(stack[:, rows], sh.order) for rows in sh.scale_rows]
+
         windows = rng.standard_normal((batch, window))
-        scales, mu, sd = model.represent(windows)
+        stack, mu, sd = fc._represent(windows, model)
         zn = (windows - mu[:, None]) / sd[:, None]
         ref = reference_scales(patch(delay_embed(zn, emb), p), model)
-        for got, want in zip(scales, ref, strict=True):
+        for got, want in zip(scales(stack), ref, strict=True):
             assert_close(got, want)
 
         # frequency evolution: one matrix per scale against the spectral path
         ch = model.channels[0]
-        evolved = fc._evolve_scales(scales, ch.evolvers, "frequency")
-        for got, seq, ev in zip(evolved, scales, ch.evolvers, strict=True):
+        evolved = []
+        for rows, seq, ev in zip(sh.scale_rows, scales(stack), ch.evolvers, strict=True):
             want = np.swapaxes(fc.evo.apply_spectral_evolution(np.swapaxes(seq, 0, 1), ev), 0, 1)
-            assert_close(got, want)
+            assert_close(fc._positions(ev.matrix @ stack[:, rows], sh.order), want)
+            evolved.append(want)
+        assert_close(fc._features(stack, ch.evolvers, model), reference_features(evolved, model))
 
-        rand = [rng.standard_normal((batch, n, sh.d, sh.order)) for n in sh.scale_lens]
-        assert_close(fc._finalize_features(rand, model), reference_features(rand, model))
+        rand = rng.standard_normal(stack.shape)
+        assert_close((model.back @ rand).reshape(batch, -1), reference_features(scales(rand), model))
 
     @settings(max_examples=20, deadline=None)
     @given(batch=st.integers(1, 40), pick=st.integers(0, 39), seed=st.integers(0, 2**31))
@@ -285,17 +306,14 @@ class TestStageOperators:
         windows = val[starts[:, None] + np.arange(96)]
         i = pick % batch
         ch = model.channels[0]
-        strategy = model.config.evolution_strategy
 
         def rows(w):
-            scales, _, _ = model.represent(w)
-            evolved = fc._evolve_scales(scales, ch.evolvers, strategy)
-            return scales, fc._finalize_features(evolved, model)
+            stack, _, _ = fc._represent(w, model)
+            return stack, fc._features(stack, ch.evolvers, model)
 
-        batch_scales, batch_rows = rows(windows)
-        alone_scales, alone_rows = rows(windows[i])
-        for b, a in zip(batch_scales, alone_scales, strict=True):
-            assert np.array_equal(b[i], a[0])
+        batch_stack, batch_rows = rows(windows)
+        alone_stack, alone_rows = rows(windows[i : i + 1])
+        assert np.array_equal(batch_stack[i], alone_stack[0])
         assert np.array_equal(batch_rows[i], alone_rows[0])
 
 
@@ -327,18 +345,23 @@ class TestShapesContract:
         )
         sh = fc.pipeline_shapes(cfg, cfg.embedding)
         n_pts = window - (m - 1) * tau
-        assert sh.n_points == n_pts
         assert sh.n_patches == n_pts // p
         assert sh.d == m * p
-        assert sh.feat_len == sh.n_patches * sh.d
         assert sh.padded >= sh.n_patches and sh.padded < 2 * max(sh.n_patches, 1)
         assert len(sh.scale_lens) == sh.eff_levels + 1
 
     def test_representation_tensor_shape(self, lorenz_model):
         model, _, val = lorenz_model
-        scales, mu, sd = model.represent(np.stack([val[:96], val[10:106]]))
+        stack, mu, sd = fc._represent(np.stack([val[:96], val[10:106]]), model)
         sh = model.shapes
-        assert [s.shape for s in scales] == [(2, n, sh.d, sh.order) for n in sh.scale_lens]
+        assert stack.shape == (2, model.front.shape[0], sh.d)
+        # the scale slices tile the stack's rows in order, L_s * N rows each
+        edges = [0] + [rows.stop for rows in sh.scale_rows]
+        assert [(rows.start, rows.stop) for rows in sh.scale_rows] == list(zip(edges, edges[1:]))
+        assert edges[-1] == stack.shape[1]
+        assert [fc._positions(stack[:, rows], sh.order).shape for rows in sh.scale_rows] == [
+            (2, n, sh.d, sh.order) for n in sh.scale_lens
+        ]
         assert mu.shape == sd.shape == (2,)
 
 
@@ -444,10 +467,8 @@ class TestSaveLoad:
         model = fc.fit(cfg, x)
         w, h = cfg.window, cfg.horizon
         starts = np.arange(0, x.size - w - h + 1, cfg.patch_len)[-32:]
-        scales, mu, sd = model.represent(x[starts[:, None] + np.arange(w)])
-        ch = model.channels[0]
-        evolved = fc._evolve_scales(scales, ch.evolvers, cfg.evolution_strategy)
-        feats = fc._finalize_features(evolved, model)
+        stack, mu, sd = fc._represent(x[starts[:, None] + np.arange(w)], model)
+        feats = fc._features(stack, model.channels[0].evolvers, model)
         targets = (x[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
         readout = model.channels[0].readout
 
@@ -516,7 +537,16 @@ class TestNonFiniteInput:
 
 class TestModelDocument:
     @pytest.mark.parametrize(
-        "text", ['{"v": 1}', "[1, 2]", '{"v": 2}'], ids=["no-body", "not-object", "version-2"]
+        "text",
+        [
+            '{"v": 1}',
+            "[1, 2]",
+            '{"v": 2}',
+            "{not json",
+            '{"v": 1, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
+            ' "channels": []}',
+        ],
+        ids=["no-body", "not-object", "version-2", "not-json", "horizon-0"],
     )
     def test_malformed_document_raises_typed_error(self, text):
         with pytest.raises(ModelFormatError):
@@ -545,9 +575,10 @@ class TestLegacyDocument:
     def test_loads_with_bit_identical_predictions(self, text):
         model = fc.model_from_json(text)
         doc = json.loads(text)
-        assert np.array_equal(model.ssm.a, doc["ssm"]["a"])
-        assert np.array_equal(model.disc.a_bar, doc["disc"]["a_bar"])
-        assert np.array_equal(model.disc.b_bar, doc["disc"]["b_bar"])
+        ssm, disc, _ = staged_primitives(model.config)
+        assert np.array_equal(ssm.a, doc["ssm"]["a"])
+        assert np.array_equal(disc.a_bar, doc["disc"]["a_bar"])
+        assert np.array_equal(disc.b_bar, doc["disc"]["b_bar"])
         io = json.loads(Path(f"{LEGACY}_io.json").read_text(encoding="utf-8"))
         for context, expect in zip(io["contexts"], io["predictions"], strict=True):
             assert np.array_equal(fc.predict(model, context).predictions[:, 0], expect)
