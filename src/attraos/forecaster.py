@@ -27,12 +27,21 @@ Evolution writes each scale's next step into the same rows of a new stack;
 ``direct`` and ``hopfield``, which are nonlinear in a position's (D, N)
 state, see the block as a (positions, D, N) view.
 
+With ``frequency`` evolution every stage after instance normalization is
+linear, from the delay embedding to the readout, so each channel's pipeline
+collapses to one (window, horizon) serving map, derived by pushing the
+identity window through the stages.  ``predict`` then normalizes each
+channel's window and applies its map, all channels in one batched product;
+normalization stays outside the map, so a constant channel still forecasts
+its mean exactly.  ``fit`` and ``direct``/``hopfield`` serving run the stages
+(``_staged_forecast``), which stay the reference for the maps.
+
 A fitted model is its config, its embedding and its per-channel maps
-(evolvers and readout).  The shapes and the stage operators are closed-form
-functions of the first two, so ``FittedForecaster`` derives them when it is
-constructed, after a fit and after a load alike.  The model document
-(``model_to_json``) stores only what was fit; this module is the only one
-that reads or writes it.
+(evolvers and readout).  The shapes, the stage operators and the serving
+maps are closed-form functions of those, so ``FittedForecaster`` derives
+them when it is constructed, after a fit and after a load alike.  The model
+document (``model_to_json``) stores only what was fit; this module is the
+only one that reads or writes it.
 
 Every learned map is a closed-form ridge regression; there is no iterative
 training.  Evolution operators are fit on consecutive-window pairs (windows
@@ -50,6 +59,7 @@ import numpy as np
 from . import evolution as evo
 from .embedding import EmbeddingParams, delay_embed, patch, select_embedding
 from .errors import (
+    EmptyInputError,
     ModelFormatError,
     NonFiniteError,
     ShapeMismatchError,
@@ -168,11 +178,13 @@ class ForecastResult:
 class FittedForecaster:
     """A fitted model: config, embedding and one ``ChannelModel`` per channel.
 
-    The remaining fields are derived from ``config`` and ``embedding`` at
-    construction and are neither compared nor serialized: the pipeline
-    ``shapes`` and the per-coordinate stage operators ``front`` (S, L) and
-    ``back`` (L', S), built from the Euler-discretized recurrence and the
-    wavelet filters.
+    The remaining fields are derived at construction and are neither
+    compared nor serialized: the pipeline ``shapes`` and the per-coordinate
+    stage operators ``front`` (S, L) and ``back`` (L', S), built from the
+    Euler-discretized recurrence and the wavelet filters, and for
+    ``frequency`` models the ``serving`` maps (C, window, horizon), one per
+    channel, from a normalized window to its normalized forecast (``None``
+    for ``direct`` and ``hopfield``).
     """
 
     config: ForecasterConfig
@@ -181,6 +193,7 @@ class FittedForecaster:
     shapes: ShapeInfo = field(init=False, repr=False, compare=False)
     front: np.ndarray = field(init=False, repr=False, compare=False)
     back: np.ndarray = field(init=False, repr=False, compare=False)
+    serving: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cfg = self.config
@@ -191,6 +204,10 @@ class FittedForecaster:
         object.__setattr__(self, "shapes", shapes)
         object.__setattr__(self, "front", front)
         object.__setattr__(self, "back", _back_operator(filters, shapes))
+        serving = None
+        if cfg.evolution_strategy == "frequency":
+            serving = _serving_maps(self)
+        object.__setattr__(self, "serving", serving)
 
     @property
     def n_channels(self) -> int:
@@ -201,8 +218,8 @@ def _as_2d(series) -> np.ndarray:
     arr = np.asarray(series, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError("series must be 1-D or (samples, channels)")
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ShapeMismatchError("series must be 1-D or (samples, channels >= 1)")
     return arr
 
 
@@ -214,9 +231,14 @@ def _finite_2d(series, what: str) -> np.ndarray:
 
 
 def _normalize(windows: np.ndarray):
-    """Per-window instance normalization of a (batch, window) array."""
+    """Per-window instance normalization of a (batch, window) array.
+
+    A window whose mean or spread overflows the float range raises
+    NonFiniteError (an overflowing mean makes the std non-finite too)."""
     mu = windows.mean(axis=1)
     sd = windows.std(axis=1)
+    if not np.all(np.isfinite(sd)):
+        raise NonFiniteError("a window's spread overflows the float range")
     sd[sd == 0.0] = 1.0
     return (windows - mu[:, None]) / sd[:, None], mu, sd
 
@@ -269,13 +291,19 @@ def _positions(rows: np.ndarray, order: int) -> np.ndarray:
     return np.swapaxes(rows.reshape(b, -1, order, d), 2, 3)
 
 
-def _represent(windows: np.ndarray, model):
-    """Normalize, embed, patch, then apply the front operator to a (batch,
-    window) array of one channel's windows; returns the (batch, S, D) stack
-    and the per-window means and stds."""
-    zn, mu, sd = _normalize(windows)
+def _stack(zn: np.ndarray, model) -> np.ndarray:
+    """Embed, patch, then apply the front operator to a (batch, window)
+    array; returns the (batch, S, D) stack."""
     patches = patch(delay_embed(zn, model.embedding), model.config.patch_len)  # (B, L, D)
-    return model.front @ patches, mu, sd
+    return model.front @ patches
+
+
+def _represent(windows: np.ndarray, model):
+    """Normalize a (batch, window) array of one channel's windows and take
+    its stack; returns the (batch, S, D) stack and the per-window means and
+    stds."""
+    zn, mu, sd = _normalize(windows)
+    return _stack(zn, model), mu, sd
 
 
 def _valid_positions(length: int, cell: int, pad: int) -> np.ndarray:
@@ -307,6 +335,20 @@ def _features(stack: np.ndarray, evolvers, model) -> np.ndarray:
     # the broadcast matmul makes one product per window, so a row does not
     # depend on its batch (a whole-batch tensordot changes the last bits)
     return (model.back @ evolved).reshape(stack.shape[0], -1)
+
+
+def _serving_maps(model) -> np.ndarray:
+    """(C, window, horizon) maps of a ``frequency`` model, one per channel.
+
+    With ``frequency`` evolution every stage after instance normalization is
+    linear, so a channel's whole pipeline is one matrix: row i is the
+    normalized forecast of a unit sample at window position i, pushed through
+    the same stages as the staged path (``_stack``, ``_features``, readout).
+    """
+    cfg = model.config
+    stack = _stack(np.eye(cfg.window), model)
+    maps = [_features(stack, ch.evolvers, model) @ ch.readout for ch in model.channels]
+    return np.array(maps).reshape(len(maps), cfg.window, cfg.horizon)
 
 
 def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
@@ -351,12 +393,13 @@ def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
     feats = _features(stack, evolvers, model)
     targets = (z[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
     readout = evo.ridge_fit(feats, targets, config.ridge_lambda).T  # (feat, horizon)
-    return ChannelModel(
-        evolvers=evolvers,
-        readout=readout,
-        train_mean=float(z.mean()),
-        train_std=float(z.std()),
-    )
+    stats = (float(z.mean()), float(z.std()))
+    # horizon values far beyond their window's spread, or a series whose sum
+    # overflows, leave finite inputs with a non-finite fit
+    if not (np.all(np.isfinite(readout)) and np.all(np.isfinite(stats))):
+        raise NonFiniteError("the fit overflows the float range at this series' scale")
+    return ChannelModel(evolvers=evolvers, readout=readout, train_mean=stats[0],
+                        train_std=stats[1])
 
 
 def fit(config: ForecasterConfig, series) -> FittedForecaster:
@@ -371,7 +414,8 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     a constant series then raises DegenerateSeriesError, while a manually
     supplied embedding turns a constant series into an exact constant
     forecast (zero features, the window mean is returned).  A series with
-    NaN or inf raises NonFiniteError, and ``max_train_windows < 2`` raises
+    NaN or inf, or finite values whose window spread or fit overflows the
+    float range, raises NonFiniteError, and ``max_train_windows < 2`` raises
     ValueError (one window makes no evolution pair).
     """
     if config.max_train_windows < 2:
@@ -390,27 +434,48 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
             max_tau=max(1, min(cap_tau, n // 4 - 1)),
             max_m=AUTO_MAX_M,
         )
-    model = FittedForecaster(config, embedding, channels=[])
+    # the channels are fit on the stage operators of a channel-less model;
+    # the returned model is built from them, so its serving maps see them
+    operators = FittedForecaster(config, embedding, channels=[])
 
     all_starts = np.arange(0, n - w - h + 1, config.patch_len)
     if all_starts.size < 2:
         raise TooShortError("need at least two training windows")
     starts = all_starts[-config.max_train_windows :]
-    # the channels are fit on the model's own operators, then added to it
-    model.channels.extend(_fit_channel(arr[:, c], starts, model, c) for c in range(n_channels))
-    return model
+    channels = [_fit_channel(arr[:, c], starts, operators, c) for c in range(n_channels)]
+    return FittedForecaster(config, embedding, channels)
+
+
+def _staged_forecast(model: FittedForecaster, windows: np.ndarray) -> np.ndarray:
+    """(horizon, channels) forecast of a (channels, window) array, one
+    channel's trailing window per row, run stage by stage: normalize, stack,
+    evolve and back operator (``_features``), readout.
+
+    This is the path ``fit`` builds its design rows with; ``direct`` and
+    ``hopfield`` models serve through it, and it is the reference for the
+    ``frequency`` serving maps.
+    """
+    stack, mu, sd = _represent(windows, model)
+    return np.stack(
+        [
+            mu[c] + sd[c] * (_features(stack[c : c + 1], ch.evolvers, model)[0] @ ch.readout)
+            for c, ch in enumerate(model.channels)
+        ],
+        axis=1,
+    )
 
 
 def predict(model: FittedForecaster, context, truth=None) -> ForecastResult:
     """Deterministic forward pass on the trailing window of the context.
 
-    All channels' trailing windows share one pass through the front half of
-    the pipeline.  When ``truth`` (horizon x channels) is given, per-channel
-    MSE/MAE are attached to the result.  NaN or inf in the context or the
-    truth raises NonFiniteError.
+    A ``frequency`` model normalizes each channel's window and applies that
+    channel's serving map, all channels in one batched product; ``direct``
+    and ``hopfield`` models run the stages (``_staged_forecast``).  When
+    ``truth`` (horizon x channels) is given, per-channel MSE/MAE are attached
+    to the result.  NaN or inf in the context or the truth, and a forecast
+    that overflows the float range, raise NonFiniteError.
     """
     arr = _finite_2d(context, "context")
-    truth_arr = None if truth is None else _finite_2d(truth, "truth")
     w = model.config.window
     if arr.shape[0] < w:
         raise WindowTooShortError(f"context needs at least {w} samples")
@@ -419,17 +484,17 @@ def predict(model: FittedForecaster, context, truth=None) -> ForecastResult:
             f"model has {model.n_channels} channels, context has {arr.shape[1]}"
         )
     # one contiguous row per channel, laid out like the fit-time windows
-    stack, mu, sd = _represent(np.ascontiguousarray(arr[-w:].T), model)
-    out = np.stack(
-        [
-            mu[c] + sd[c] * (_features(stack[c : c + 1], ch.evolvers, model)[0] @ ch.readout)
-            for c, ch in enumerate(model.channels)
-        ],
-        axis=1,
-    )
-    if truth_arr is None:
+    windows = np.ascontiguousarray(arr[-w:].T)
+    if model.serving is None:
+        out = _staged_forecast(model, windows)
+    else:
+        zn, mu, sd = _normalize(windows)
+        out = (mu[:, None] + sd[:, None] * (zn[:, None, :] @ model.serving)[:, 0]).T
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("the forecast overflows the float range")
+    if truth is None:
         return ForecastResult(predictions=out)
-    metrics = evaluate(out, truth_arr)
+    metrics = evaluate(out, truth)
     return ForecastResult(
         predictions=out,
         mse_per_channel=metrics["mse_per_channel"],
@@ -438,14 +503,23 @@ def predict(model: FittedForecaster, context, truth=None) -> ForecastResult:
 
 
 def evaluate(predictions, truth) -> dict:
-    """MSE / MAE averaged over horizon and channels (plus per-channel views)."""
-    p = _as_2d(predictions)
-    t = _as_2d(truth)
+    """MSE / MAE averaged over horizon and channels (plus per-channel views).
+
+    NaN or inf in either array, or errors whose squares overflow the float
+    range, raise NonFiniteError; empty arrays raise EmptyInputError.
+    """
+    p = _finite_2d(predictions, "predictions")
+    t = _finite_2d(truth, "truth")
     if p.shape != t.shape:
         raise ShapeMismatchError(f"predictions {p.shape} vs truth {t.shape}")
+    if p.size == 0:
+        raise EmptyInputError("nothing to evaluate")
     err = p - t
+    mse = float(np.mean(err**2))
+    if not np.isfinite(mse):
+        raise NonFiniteError("prediction errors overflow the float range")
     return {
-        "mse": float(np.mean(err**2)),
+        "mse": mse,
         "mae": float(np.mean(np.abs(err))),
         "mse_per_channel": np.mean(err**2, axis=0),
         "mae_per_channel": np.mean(np.abs(err), axis=0),
@@ -543,11 +617,21 @@ def _evolver_doc(ev) -> dict:
     raise TypeError(f"unknown evolver type {type(ev)!r}")
 
 
+def _doc_floats(value, what: str) -> np.ndarray:
+    """A document number or nested list of numbers as a float array; NaN or
+    inf in it (a ``NaN``/``Infinity`` token, or a literal beyond the float
+    range) raises ModelFormatError."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"non-finite {what} in model document")
+    return arr
+
+
 def _evolver_from_doc(doc: dict):
     kind = doc["kind"]
     if kind == "frequency":
         spec = doc["doc"]
-        re_im = np.asarray(spec["mode_ops"], dtype=float)  # (modes, 2, N, N)
+        re_im = _doc_floats(spec["mode_ops"], "mode_ops")  # (modes, 2, N, N)
         # filling both parts keeps every signed zero; re + 1j * im would not
         ops = np.empty(re_im[:, 0].shape, dtype=complex)
         ops.real, ops.imag = re_im[:, 0], re_im[:, 1]
@@ -555,19 +639,19 @@ def _evolver_from_doc(doc: dict):
             mode_ops=ops,
             m_modes=int(spec["m_modes"]),
             seq_len=int(spec["seq_len"]),
-            ridge_lambda=float(spec["ridge_lambda"]),
+            ridge_lambda=float(_doc_floats(spec["ridge_lambda"], "ridge_lambda")),
         )
     if kind == "direct":
         return evo.DirectEvolutionModel(
-            centroids=np.asarray(doc["centroids"], dtype=float),
-            operators=np.asarray(doc["operators"], dtype=float),
-            ridge_lambda=float(doc["ridge_lambda"]),
+            centroids=_doc_floats(doc["centroids"], "centroids"),
+            operators=_doc_floats(doc["operators"], "operators"),
+            ridge_lambda=float(_doc_floats(doc["ridge_lambda"], "ridge_lambda")),
         )
     if kind == "hopfield":
         return evo.HopfieldEvolutionModel(
-            keys=np.asarray(doc["keys"], dtype=float),
-            values=np.asarray(doc["values"], dtype=float),
-            beta=float(doc["beta"]),
+            keys=_doc_floats(doc["keys"], "keys"),
+            values=_doc_floats(doc["values"], "values"),
+            beta=float(_doc_floats(doc["beta"], "beta")),
         )
     raise ValueError(f"unknown evolver kind {kind!r}")
 
@@ -594,7 +678,8 @@ def model_to_json(model: FittedForecaster) -> str:
 
 def model_from_json(text: str) -> FittedForecaster:
     """Rebuild a model from its JSON document; a document that is not a
-    version-1 model raises ModelFormatError.
+    version-1 model raises ModelFormatError, as does any number in it that
+    is not finite (``NaN``, ``Infinity`` or a literal beyond the float range).
 
     The ``ssm`` and ``disc`` entries that older documents carry are ignored:
     the model derives them from its config."""
@@ -603,19 +688,22 @@ def model_from_json(text: str) -> FittedForecaster:
         if not isinstance(doc, dict) or doc.get("v") != 1:
             raise ModelFormatError("not a version-1 model document")
         return _model_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; an infinite value or an integer beyond
+    # the float range where an integer or float is read raises OverflowError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
 
 
 def _model_from_doc(doc: dict) -> FittedForecaster:
     embedding = EmbeddingParams(m=int(doc["embedding"]["m"]), tau=int(doc["embedding"]["tau"]))
     config = ForecasterConfig(embedding=embedding, **doc["config"])
+    _doc_floats([v for v in vars(config).values() if isinstance(v, float)], "config value")
     channels = [
         ChannelModel(
             evolvers=[_evolver_from_doc(e) for e in ch["evolvers"]],
-            readout=np.asarray(ch["readout"], dtype=float),
-            train_mean=float(ch["train_mean"]),
-            train_std=float(ch["train_std"]),
+            readout=_doc_floats(ch["readout"], "readout"),
+            train_mean=float(_doc_floats(ch["train_mean"], "train_mean")),
+            train_std=float(_doc_floats(ch["train_std"], "train_std")),
         )
         for ch in doc["channels"]
     ]

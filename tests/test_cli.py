@@ -214,6 +214,19 @@ class TestFitPredictEval:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad_side", ["pred", "truth"])
+    def test_eval_non_finite_values_exit_3_without_traceback(self, tmp_path, capsys, bad_side):
+        paths = {side: tmp_path / f"{side}.csv" for side in ("pred", "truth")}
+        for side, path in paths.items():
+            values = np.array([[1.0], [np.nan if side == bad_side else 2.0]])
+            write_csv(path, values, ["v0"])
+        code, out, err = run(
+            capsys, "eval", "--pred", str(paths["pred"]), "--truth", str(paths["truth"])
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_eval_missing_file_exits_3(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "eval", "--pred", str(tmp_path / "a.csv"), "--truth", str(tmp_path / "b.csv")

@@ -11,6 +11,7 @@ from attraos import forecaster as fc
 from attraos.embedding import EmbeddingParams, delay_embed, patch
 from attraos.errors import (
     DegenerateSeriesError,
+    EmptyInputError,
     ModelFormatError,
     NonFiniteError,
     ShapeMismatchError,
@@ -155,7 +156,7 @@ class TestPredict:
         assert res.mae_per_channel[0] == expect["mae_per_channel"][0]
 
     def test_training_window_reproduces_fit_time_path_bitwise(self, lorenz_model):
-        # predict re-runs exactly the code path used while fitting
+        # the staged reference re-runs exactly the code path used while fitting
         model, train, _ = lorenz_model
         cfg = model.config
         s = train.size - cfg.window - cfg.horizon  # a training window start
@@ -164,18 +165,23 @@ class TestPredict:
         ch = model.channels[0]
         feats = fc._features(stack, ch.evolvers, model)
         manual = mu[0] + sd[0] * (feats[0] @ ch.readout)
-        assert np.array_equal(fc.predict(model, window).predictions[:, 0], manual)
+        assert np.array_equal(fc._staged_forecast(model, window[None])[:, 0], manual)
 
-    def test_predict_reproduces_fit_time_design_rows(self, lorenz63_x, monkeypatch):
-        # the feature row predict builds for training window i is row i of
-        # the design matrix the readout was fit on, bit for bit
+    @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
+    def test_predict_reproduces_fit_time_design_rows(self, lorenz63_x, monkeypatch, strategy):
+        # the feature row the staged path builds for training window i is row
+        # i of the design matrix the readout was fit on; frequency models
+        # serve through their serving maps, so the staged reference is run
+        # directly, while direct and hopfield models serve through it
         x = np.stack([lorenz63_x[:3000], np.cos(0.03 * np.arange(3000))], axis=1)
-        cfg = small_config(window=96, max_train_windows=40)
+        cfg = small_config(window=96, max_train_windows=40, evolution_strategy=strategy)
         designs = []
         ridge_fit = fc.evo.ridge_fit
 
         def recording_ridge_fit(a, b, lam):
-            if np.isrealobj(a):  # the readout fit; spectral operators are complex
+            # the readout fit: spectral operators are complex and direct
+            # cluster operators map onto their own feature space
+            if np.isrealobj(a) and b.shape[1] == cfg.horizon:
                 designs.append(a.copy())
             return ridge_fit(a, b, lam)
 
@@ -194,20 +200,31 @@ class TestPredict:
         monkeypatch.setattr(fc, "_features", recording_features)
         starts = np.arange(0, x.shape[0] - 96 - 4 + 1, cfg.patch_len)[-40:]
         for i in (0, 17, 39):
-            fc.predict(model, x[starts[i] : starts[i] + 96])
-            # predict builds one single-window row per channel, in order
+            window = x[starts[i] : starts[i] + 96]
+            if strategy == "frequency":
+                fc._staged_forecast(model, np.ascontiguousarray(window.T))
+            else:
+                fc.predict(model, window)
+            # one single-window row per channel, in order
             for c in range(2):
-                assert np.array_equal(rows[c - 2][0], designs[c][i])
+                if strategy == "frequency":
+                    assert np.array_equal(rows[c - 2][0], designs[c][i])
+                else:
+                    # the fit evolves all windows' positions in one BLAS
+                    # product, whose row sums differ in the last bits from a
+                    # single window's (measured: 7.6e-14 direct, 9.3e-15 hopfield)
+                    assert_close(rows[c - 2][0], designs[c][i], rtol=1e-12)
 
     def test_predict_runs_on_stage_operators(self, lorenz_model, monkeypatch):
-        # the primitives only build the operators; serving never calls them
+        # the primitives and the stages only build the operators and the
+        # serving maps; a frequency model never calls them while serving
         model, _, val = lorenz_model
         expect = fc.predict(model, val[:96]).predictions
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("primitive called while serving")
+            raise AssertionError("primitive or stage called while serving")
 
-        for name in ("sequential_scan", "decompose", "reconstruct"):
+        for name in ("sequential_scan", "decompose", "reconstruct", "_represent", "_features"):
             monkeypatch.setattr(fc, name, forbidden)
         for name in ("fft_modes", "ifft_modes", "apply_spectral_evolution"):
             monkeypatch.setattr(fc.evo, name, forbidden)
@@ -317,6 +334,59 @@ class TestStageOperators:
         assert np.array_equal(batch_rows[i], alone_rows[0])
 
 
+def staged_reference(model, context):
+    """The staged forecast of a context's trailing window."""
+    window = fc._as_2d(context)[-model.config.window :]
+    return fc._staged_forecast(model, np.ascontiguousarray(window.T))
+
+
+class TestServingMaps:
+    """A ``frequency`` model serves through one (window, horizon) map per
+    channel; it must agree with the staged reference to 1e-10 of the largest
+    forecast value (the maps sum in another order)."""
+
+    @pytest.mark.parametrize(
+        "overrides,n_channels",
+        [
+            (dict(ssm_variant="diag_neg1"), 1),
+            (dict(ssm_variant="legt_full"), 2),
+            (dict(ssm_variant="legs_diag"), 3),
+            # 5 patches pad to 8 on a 3-level pyramid
+            (dict(window=28, horizon=2, embedding=EmbeddingParams(3, 4), poly_order=3,
+                  levels=3, m_modes=2), 2),
+        ],
+        ids=["diag_neg1-1ch", "legt_full-2ch", "legs_diag-3ch", "padded-2ch"],
+    )
+    def test_serving_matches_staged_reference(self, lorenz63_x, overrides, n_channels):
+        t = np.arange(3000)
+        data = np.stack(
+            [lorenz63_x[:3000], np.cos(0.03 * t), lorenz63_x[5000:8000]], axis=1
+        )[:, :n_channels]
+        cfg = small_config(window=96, max_train_windows=32, ridge_lambda=1e-3)
+        model = fc.fit(replace(cfg, **overrides), data[:2500])
+        assert model.serving.shape == (n_channels, model.config.window, model.config.horizon)
+        for s in range(2500, 2900, 37):
+            context = data[s : s + model.config.window]
+            assert_close(fc.predict(model, context).predictions,
+                         staged_reference(model, context), rtol=1e-10)
+
+    def test_lorenz_model_matches_staged_reference(self, lorenz_model):
+        model, _, val = lorenz_model
+        for s in range(0, val.size - 96, 97):
+            context = val[s : s + 96]
+            assert_close(fc.predict(model, context).predictions,
+                         staged_reference(model, context), rtol=1e-10)
+
+    @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+    def test_nonlinear_strategies_serve_through_the_stages(self, lorenz63_x, strategy):
+        cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
+        model = fc.fit(cfg, lorenz63_x[:2000])
+        assert model.serving is None
+        context = lorenz63_x[2000:2096]
+        assert np.array_equal(fc.predict(model, context).predictions,
+                              staged_reference(model, context))
+
+
 class TestChannelIndependence:
     def test_per_channel_models_match_scalar_fits(self, lorenz63_x):
         x = lorenz63_x[:4000]
@@ -385,6 +455,23 @@ class TestEvaluate:
     def test_shape_guard(self):
         with pytest.raises(ShapeMismatchError):
             fc.evaluate(np.zeros((3, 1)), np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["predictions", "truth"])
+    def test_non_finite_input_raises(self, bad, side):
+        t = np.zeros((5, 2))
+        p = t.copy()
+        (p if side == "predictions" else t)[2, 1] = bad
+        with pytest.raises(NonFiniteError, match=side):
+            fc.evaluate(p, t)
+
+    def test_overflowing_errors_raise(self):
+        with pytest.raises(NonFiniteError):
+            fc.evaluate(np.full(4, 1e200), np.full(4, -1e200))
+
+    def test_empty_input_raises(self):
+        with pytest.raises(EmptyInputError):
+            fc.evaluate(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class TestTeacherForcing:
@@ -534,6 +621,30 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteError):
             fc.rollout(model, x[:96], 8, truth=self.with_nan(x[96:104], at=0), alpha=0.5)
 
+    @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
+    def test_overflowing_scale_raises(self, lorenz63_x, strategy):
+        # finite values whose window spread overflows the float range
+        x = lorenz63_x[:2000]
+        cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
+        with pytest.raises(NonFiniteError):
+            fc.fit(cfg, 1e200 * x)
+        model = fc.fit(cfg, x)
+        with pytest.raises(NonFiniteError):
+            fc.predict(model, 1e200 * x[:96])
+        with pytest.raises(NonFiniteError):
+            fc.rollout(model, 1e200 * x[:96], 8)
+
+    @pytest.mark.parametrize("scale,tail", [(1e-153, 1e153), (1.0, 1e160)],
+                             ids=["readout", "train-std"])
+    def test_horizon_beyond_window_scale_raises(self, lorenz63_x, scale, tail):
+        # the last values appear in no window, only in horizons: far beyond
+        # the windows' spread they overflow the readout fit, and beyond 1e154
+        # the series' std
+        x = scale * lorenz63_x[:2000]
+        x[-2:] = tail
+        with pytest.raises(NonFiniteError):
+            fc.fit(small_config(window=96, max_train_windows=16), x)
+
 
 class TestModelDocument:
     @pytest.mark.parametrize(
@@ -545,12 +656,45 @@ class TestModelDocument:
             "{not json",
             '{"v": 1, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
             ' "channels": []}',
+            '{"v": 1, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "channels": []}',
         ],
-        ids=["no-body", "not-object", "version-2", "not-json", "horizon-0"],
+        ids=["no-body", "not-object", "version-2", "not-json", "horizon-0", "config-not-object"],
     )
     def test_malformed_document_raises_typed_error(self, text):
         with pytest.raises(ModelFormatError):
             fc.model_from_json(text)
+
+    @pytest.mark.parametrize(
+        "where", ["evolver-array", "evolver-scalar", "readout", "train_mean", "config"]
+    )
+    @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
+    def test_non_finite_number_raises(self, lorenz63_x, strategy, where):
+        cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
+        doc = json.loads(fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000])))
+        ch = doc["channels"][0]
+        ev = ch["evolvers"][0]
+        body = ev["doc"] if strategy == "frequency" else ev
+        array_key = {"frequency": "mode_ops", "direct": "operators", "hopfield": "keys"}[strategy]
+        scalar_key = "beta" if strategy == "hopfield" else "ridge_lambda"
+        marker = "@non-finite@"
+        if where == "evolver-array":
+            row = body[array_key]
+            while isinstance(row[0], list):
+                row = row[0]
+            row[0] = marker
+        elif where == "evolver-scalar":
+            body[scalar_key] = marker
+        elif where == "readout":
+            ch["readout"][3][1] = marker
+        elif where == "train_mean":
+            ch["train_mean"] = marker
+        else:
+            doc["config"]["theta"] = marker
+        text = json.dumps(doc)
+        assert fc.model_from_json(text.replace(f'"{marker}"', "0.5")) is not None
+        for token in ("NaN", "Infinity", "-Infinity", "1e999"):
+            with pytest.raises(ModelFormatError):
+                fc.model_from_json(text.replace(f'"{marker}"', token))
 
     def test_non_finite_model_is_not_written_as_bare_nan(self, lorenz_model):
         model = lorenz_model[0]
@@ -581,7 +725,9 @@ class TestLegacyDocument:
         assert np.array_equal(disc.b_bar, doc["disc"]["b_bar"])
         io = json.loads(Path(f"{LEGACY}_io.json").read_text(encoding="utf-8"))
         for context, expect in zip(io["contexts"], io["predictions"], strict=True):
-            assert np.array_equal(fc.predict(model, context).predictions[:, 0], expect)
+            staged = fc._staged_forecast(model, np.asarray(context)[None])
+            assert np.array_equal(staged[:, 0], expect)
+            assert_close(fc.predict(model, context).predictions, staged, rtol=1e-10)
 
     def test_resave_drops_only_ssm_and_disc(self, text):
         doc = json.loads(text)
