@@ -2,7 +2,7 @@
 polynomial-projection state memory, and attractor-aware local forecasting."""
 
 from . import chaos, embedding, evolution, forecaster, legendre, lyapunov, scan, wavelet
-from .embedding import EmbeddingParams, PhaseTrajectory, delay_embed, patch, select_embedding
+from .embedding import EmbeddingParams, delay_embed, patch, select_embedding
 from .errors import AttraosError
 from .forecaster import ForecasterConfig, FittedForecaster, evaluate, fit, predict, rollout
 
@@ -11,7 +11,6 @@ __all__ = [
     "EmbeddingParams",
     "FittedForecaster",
     "ForecasterConfig",
-    "PhaseTrajectory",
     "chaos",
     "delay_embed",
     "embedding",

@@ -45,7 +45,6 @@ class ObservationMap:
     """Linear observation weights (obs_dim x state_dim)."""
 
     weights: np.ndarray
-    seed: int = 0
 
     @classmethod
     def random(cls, obs_dim: int, state_dim: int, seed: int) -> "ObservationMap":
@@ -55,11 +54,7 @@ class ObservationMap:
             )
         rng = np.random.default_rng(seed)
         w = rng.uniform(-1.0, 1.0, size=(obs_dim, state_dim))
-        return cls(weights=w, seed=seed)
-
-    @classmethod
-    def identity(cls, dim: int) -> "ObservationMap":
-        return cls(weights=np.eye(dim), seed=0)
+        return cls(weights=w)
 
 
 def lorenz63_rhs(state: np.ndarray, params: Lorenz63Params) -> np.ndarray:
@@ -83,11 +78,6 @@ def _lorenz96_field(state: np.ndarray, forcing_f: float, neighbours) -> np.ndarr
     # cyclic coupling: dx_i/dt = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F
     ip1, im2, im1 = neighbours
     return (state[ip1] - state[im2]) * state[im1] - state + forcing_f
-
-
-def lorenz96_rhs(state: np.ndarray, params: Lorenz96Params) -> np.ndarray:
-    state = np.asarray(state, dtype=float)
-    return _lorenz96_field(state, params.forcing_f, _ring_neighbours(state.shape[0]))
 
 
 def _rk4(rhs, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
@@ -154,8 +144,8 @@ def drop_transient(traj: Trajectory, n: int) -> Trajectory:
     return Trajectory(states=traj.states[n:], dt=traj.dt)
 
 
-def default_lorenz96_x0(params: Lorenz96Params, perturbation: float = 0.01) -> np.ndarray:
-    """Constant-F state with a small symmetry-breaking kick on component 0."""
+def default_lorenz96_x0(params: Lorenz96Params) -> np.ndarray:
+    """Constant-F state with a symmetry-breaking kick of 0.01 on component 0."""
     x0 = np.full(params.dim, params.forcing_f, dtype=float)
-    x0[0] += perturbation
+    x0[0] += 0.01
     return x0

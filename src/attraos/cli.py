@@ -101,7 +101,7 @@ def cmd_embed(args) -> int:
                                   repeats=args.repeats)
     cols = []
     for c in range(data.shape[1]):
-        cols.append(delay_embed(data[:, c], params).points)
+        cols.append(delay_embed(data[:, c], params))
     points = np.concatenate(cols, axis=1)
     header = [f"c{c}_d{d}" for c in range(data.shape[1]) for d in range(params.m)]
     write_csv(args.out_traj, points, header)

@@ -4,7 +4,7 @@ Coordinate-delay embedding (oldest coordinate first) with data-driven
 parameter selection: the delay is the first strict local minimum of the
 histogram-estimated mutual information between the series and its lagged
 copy, and the dimension is the smallest one whose false-nearest-neighbor
-fraction drops below threshold.  The FNN test is the two-part criterion:
+fraction drops below 1%.  The FNN test is the two-part criterion:
 a neighbor is false when the extra coordinate blows up relative to its
 current distance (ratio tolerance 10) or relative to the attractor size
 (loneliness tolerance 2); the second part keeps pure noise from looking
@@ -22,6 +22,7 @@ from .errors import DegenerateSeriesError, TooShortError
 
 FNN_RATIO_TOL = 10.0
 FNN_SIZE_TOL = 2.0
+FNN_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -39,18 +40,6 @@ class EmbeddingParams:
         return (self.m - 1) * self.tau + 1
 
 
-@dataclass(frozen=True)
-class PhaseTrajectory:
-    """Embedded points (..., count, m); point i ends at sample i + (m-1)*tau.
-
-    Leading axes, if any, are those of the embedded series batch.
-    """
-
-    points: np.ndarray
-    params: EmbeddingParams
-    source_len: int
-
-
 def default_bins(length: int) -> int:
     return int(np.clip(int(np.sqrt(length / 5)), 8, 64))
 
@@ -64,15 +53,15 @@ def _check_series(series: np.ndarray) -> np.ndarray:
     return series
 
 
-def mi_profile(series, max_tau: int, bins: int | None = None) -> np.ndarray:
-    """I(tau) in nats for tau = 0..max_tau, equal-width histogram estimator."""
+def mi_profile(series, max_tau: int) -> np.ndarray:
+    """I(tau) in nats for tau = 0..max_tau, equal-width histogram estimator
+    with ``default_bins(len(series))`` bins."""
     series = _check_series(series)
     if max_tau < 1:
         raise ValueError("max_tau must be >= 1")
     if series.size < 4 * max_tau:
         raise TooShortError(f"need at least {4 * max_tau} samples for max_tau={max_tau}")
-    if bins is None:
-        bins = default_bins(series.size)
+    bins = default_bins(series.size)
     edges = np.linspace(series.min(), series.max(), bins + 1)
     out = np.empty(max_tau + 1)
     for tau in range(max_tau + 1):
@@ -89,13 +78,13 @@ def mi_profile(series, max_tau: int, bins: int | None = None) -> np.ndarray:
     return out
 
 
-def mutual_information_delay(series, max_tau: int, bins: int | None = None) -> int:
+def mutual_information_delay(series, max_tau: int) -> int:
     """First strict local minimum of I(tau); argmin over [1, max_tau] if none.
 
     Histogram MI curves carry bin-level jitter, so a minimum only counts when
     it undercuts every value in a +-max(2, max_tau//12) neighborhood.
     """
-    profile = mi_profile(series, max_tau, bins)
+    profile = mi_profile(series, max_tau)
     w = max(2, max_tau // 12)
     for tau in range(1, max_tau):
         lo = max(0, tau - w)
@@ -112,13 +101,7 @@ def _embed_forward(series: np.ndarray, m: int, tau: int) -> np.ndarray:
     return view[..., :n, ::tau]
 
 
-def fnn_profile(
-    series,
-    tau: int,
-    max_m: int,
-    ratio_tol: float = FNN_RATIO_TOL,
-    size_tol: float = FNN_SIZE_TOL,
-) -> np.ndarray:
+def fnn_profile(series, tau: int, max_m: int) -> np.ndarray:
     """False-neighbor fraction for m = 1..max_m (1.0 where too short to test)."""
     series = _check_series(series)
     if tau < 1 or max_m < 1:
@@ -140,27 +123,27 @@ def fnn_profile(
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d > 0, extra / np.where(d > 0, d, 1.0), np.inf)
         ratio[(d == 0) & (extra == 0)] = 0.0
-        lonely = np.sqrt(d**2 + extra**2) / sigma > size_tol
-        fracs[m - 1] = float(np.mean((ratio > ratio_tol) | lonely))
+        lonely = np.sqrt(d**2 + extra**2) / sigma > FNN_SIZE_TOL
+        fracs[m - 1] = float(np.mean((ratio > FNN_RATIO_TOL) | lonely))
     return fracs
 
 
-def false_nearest_neighbors(
-    series, tau: int, max_m: int, threshold: float = 0.01
-) -> int:
-    """Smallest m <= max_m whose FNN fraction is below threshold, else max_m."""
+def false_nearest_neighbors(series, tau: int, max_m: int) -> int:
+    """Smallest m <= max_m whose FNN fraction is below FNN_THRESHOLD, else max_m."""
     fracs = fnn_profile(series, tau, max_m)
-    below = np.nonzero(fracs < threshold)[0]
+    below = np.nonzero(fracs < FNN_THRESHOLD)[0]
     if below.size:
         return int(below[0] + 1)
     return max_m
 
 
-def delay_embed(series, params: EmbeddingParams) -> PhaseTrajectory:
+def delay_embed(series, params: EmbeddingParams) -> np.ndarray:
     """Delay embedding per u_i = (z_{i-(m-1)tau}, ..., z_{i-tau}, z_i).
 
-    Time runs along the last axis; a (..., n) batch of equal-length series
-    embeds every series at once into (..., count, m) points.
+    Returns the (count, m) array of points, count = n - (m-1)*tau; point i
+    ends at sample i + (m-1)*tau.  Time runs along the last axis; a (..., n)
+    batch of equal-length series embeds every series at once into
+    (..., count, m) points.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim < 1:
@@ -169,11 +152,10 @@ def delay_embed(series, params: EmbeddingParams) -> PhaseTrajectory:
         raise TooShortError(
             f"need at least {params.span} samples for m={params.m}, tau={params.tau}"
         )
-    pts = _embed_forward(series, params.m, params.tau).copy()
-    return PhaseTrajectory(points=pts, params=params, source_len=series.shape[-1])
+    return _embed_forward(series, params.m, params.tau).copy()
 
 
-def patch(traj: PhaseTrajectory | np.ndarray, p: int) -> np.ndarray:
+def patch(points, p: int) -> np.ndarray:
     """Group p consecutive points and flatten each group to a D = m*p vector.
 
     The leading remainder (len mod p) is dropped so the most recent points are
@@ -183,7 +165,7 @@ def patch(traj: PhaseTrajectory | np.ndarray, p: int) -> np.ndarray:
     """
     if p < 1:
         raise ValueError("patch length must be >= 1")
-    pts = traj.points if isinstance(traj, PhaseTrajectory) else np.asarray(traj, dtype=float)
+    pts = np.asarray(points, dtype=float)
     *lead, n, m = pts.shape
     count = n // p
     kept = pts[..., n - count * p :, :]
@@ -194,8 +176,6 @@ def select_embedding(
     series,
     max_tau: int | None = None,
     max_m: int = 10,
-    threshold: float = 0.01,
-    bins: int | None = None,
     repeats: int = 1,
 ) -> EmbeddingParams:
     """Delay from the MI minimum, then dimension from FNN.
@@ -216,7 +196,7 @@ def select_embedding(
         if not varying:
             raise DegenerateSeriesError("every channel is constant")
         per = [
-            select_embedding(arr[:, c], max_tau, max_m, threshold, bins, repeats)
+            select_embedding(arr[:, c], max_tau, max_m, repeats)
             for c in varying
         ]
         m = max(p.m for p in per)
@@ -226,7 +206,7 @@ def select_embedding(
         seg_len = max(8, int(0.6 * arr.size))
         starts = np.linspace(0, arr.size - seg_len, repeats).astype(int)
         picks = [
-            select_embedding(arr[s : s + seg_len], max_tau, max_m, threshold, bins)
+            select_embedding(arr[s : s + seg_len], max_tau, max_m)
             for s in starts
         ]
         ms = [p.m for p in picks]
@@ -235,6 +215,6 @@ def select_embedding(
         return EmbeddingParams(m=m, tau=max(1, tau))
     if max_tau is None:
         max_tau = int(np.clip(arr.size // 10, 10, 100))
-    tau = mutual_information_delay(arr, max_tau, bins)
-    m = false_nearest_neighbors(arr, tau, max_m, threshold)
+    tau = mutual_information_delay(arr, max_tau)
+    m = false_nearest_neighbors(arr, tau, max_m)
     return EmbeddingParams(m=m, tau=tau)

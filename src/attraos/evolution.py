@@ -130,10 +130,9 @@ class AttractorPartition:
     inertia_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def kmeans_partition(
-    points: np.ndarray, k: int, seed: int = 0, max_iters: int = 100
-) -> AttractorPartition:
-    """Lloyd's algorithm with k-means++ seeding (deterministic per seed)."""
+def kmeans_partition(points: np.ndarray, k: int, seed: int = 0) -> AttractorPartition:
+    """Lloyd's algorithm with k-means++ seeding (deterministic per seed), at
+    most 100 iterations."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise EmptyInputError("need a non-empty (points, features) array")
@@ -144,7 +143,7 @@ def kmeans_partition(
     centroids = _kmeanspp_init(points, k, rng)
     labels = np.zeros(n, dtype=int)
     inertia = []
-    for _ in range(max_iters):
+    for _ in range(100):
         d2 = _sq_dists(points, centroids)
         new_labels = d2.argmin(axis=1)
         inertia.append(float(d2[np.arange(n), new_labels].sum()))
@@ -255,7 +254,6 @@ def apply_direct_evolution(x: np.ndarray, model: DirectEvolutionModel) -> np.nda
 class HopfieldConfig:
     patterns: np.ndarray  # (P, d), rows are stored patterns
     beta: float
-    max_iters: int = 50
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -296,27 +294,29 @@ class HopfieldEvolutionModel:
 
 def fit_hopfield_evolution(
     reps: np.ndarray,
-    k: int,
+    partition: AttractorPartition,
     beta: float,
-    seed: int = 0,
     *,
     targets: np.ndarray,
 ) -> HopfieldEvolutionModel:
-    """Cluster the source points ``reps``; store (centroid, mean of the
-    matching ``targets``) pairs."""
+    """Store one (centroid, mean successor) pair per cluster.
+
+    ``reps`` holds (T, F) source points and ``targets`` their successors;
+    the pair (reps[t], targets[t]) belongs to the cluster
+    ``partition.labels[t]``.  A cluster with no pairs maps its centroid to
+    itself.
+    """
     reps = np.asarray(reps, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if targets.shape != reps.shape:
         raise ShapeMismatchError("targets must match reps in shape")
     if reps.shape[0] == 0:
         raise EmptyInputError("need at least one transition")
-    k = min(k, reps.shape[0])
-    part = kmeans_partition(reps, k, seed=seed)
-    values = np.empty_like(part.centroids)
-    for c in range(k):
-        mask = part.labels == c
-        values[c] = targets[mask].mean(axis=0) if np.any(mask) else part.centroids[c]
-    return HopfieldEvolutionModel(keys=part.centroids, values=values, beta=beta)
+    values = np.empty_like(partition.centroids)
+    for c in range(partition.k):
+        mask = partition.labels == c
+        values[c] = targets[mask].mean(axis=0) if np.any(mask) else partition.centroids[c]
+    return HopfieldEvolutionModel(keys=partition.centroids, values=values, beta=beta)
 
 
 def apply_hopfield_evolution(x: np.ndarray, model: HopfieldEvolutionModel) -> np.ndarray:

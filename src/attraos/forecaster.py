@@ -18,8 +18,11 @@ matrix per scale (on ``SpectralEvolutionModel``) and a back operator
 (reconstruct, drop padding, endpoint).  They are derived by pushing identity
 inputs through the reference primitives (``sequential_scan``, ``decompose``,
 ``apply_spectral_evolution``, ``reconstruct``).  Each window gets its own
-identically shaped matrix product, so a window's features do not depend on
-the batch it is computed in.
+identically shaped matrix product, so under ``frequency`` evolution a
+window's features do not depend on the batch it is computed in.  ``direct``
+and ``hopfield`` evolve all windows' positions as one product, so there a
+window's features may differ in the last bits between a batch and a window
+alone (measured up to 7.6e-14 relative).
 
 Between the two operators a window is one (S, D) array, the stack: the whole
 pyramid, each scale a fixed block of rows (``ShapeInfo.scale_rows``).
@@ -170,8 +173,6 @@ class ChannelModel:
 @dataclass(frozen=True)
 class ForecastResult:
     predictions: np.ndarray  # (horizon, channels)
-    mse_per_channel: np.ndarray | None = None
-    mae_per_channel: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,7 @@ def _back_operator(filters: WaveletFilters, sh: ShapeInfo) -> np.ndarray:
         eye[:, rows].reshape(total, n, sh.order).swapaxes(0, 1)
         for n, rows in zip(sh.scale_lens, sh.scale_rows)
     ]
-    pyr = Pyramid(details=seqs[:-1], coarse=seqs[-1], levels=sh.eff_levels)
+    pyr = Pyramid(details=seqs[:-1], coarse=seqs[-1])
     states = reconstruct(pyr, filters)[sh.pad :]
     return states @ np.sqrt(2.0 * np.arange(sh.order) + 1.0)
 
@@ -377,17 +378,14 @@ def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
             src = valid[:-1].reshape(-1, sh.d * sh.order)
             dst = valid[1:].reshape(-1, sh.d * sh.order)
             seed = derive_seed(config.seed, 16 * channel_index + si + 2)
+            part = evo.kmeans_partition(src, min(config.n_clusters, src.shape[0]), seed=seed)
             if config.evolution_strategy == "direct":
-                k = min(config.n_clusters, src.shape[0])
-                part = evo.kmeans_partition(src, k, seed=seed)
                 evolvers.append(
                     evo.fit_direct_operators(src, part, config.ridge_lambda, targets=dst)
                 )
             else:
                 evolvers.append(
-                    evo.fit_hopfield_evolution(
-                        src, config.n_clusters, config.hopfield_beta, seed=seed, targets=dst
-                    )
+                    evo.fit_hopfield_evolution(src, part, config.hopfield_beta, targets=dst)
                 )
 
     feats = _features(stack, evolvers, model)
@@ -465,15 +463,14 @@ def _staged_forecast(model: FittedForecaster, windows: np.ndarray) -> np.ndarray
     )
 
 
-def predict(model: FittedForecaster, context, truth=None) -> ForecastResult:
+def predict(model: FittedForecaster, context) -> ForecastResult:
     """Deterministic forward pass on the trailing window of the context.
 
     A ``frequency`` model normalizes each channel's window and applies that
     channel's serving map, all channels in one batched product; ``direct``
-    and ``hopfield`` models run the stages (``_staged_forecast``).  When
-    ``truth`` (horizon x channels) is given, per-channel MSE/MAE are attached
-    to the result.  NaN or inf in the context or the truth, and a forecast
-    that overflows the float range, raise NonFiniteError.
+    and ``hopfield`` models run the stages (``_staged_forecast``).  NaN or
+    inf in the context, and a forecast that overflows the float range, raise
+    NonFiniteError.  ``evaluate`` scores a forecast against the truth.
     """
     arr = _finite_2d(context, "context")
     w = model.config.window
@@ -492,14 +489,7 @@ def predict(model: FittedForecaster, context, truth=None) -> ForecastResult:
         out = (mu[:, None] + sd[:, None] * (zn[:, None, :] @ model.serving)[:, 0]).T
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("the forecast overflows the float range")
-    if truth is None:
-        return ForecastResult(predictions=out)
-    metrics = evaluate(out, truth)
-    return ForecastResult(
-        predictions=out,
-        mse_per_channel=metrics["mse_per_channel"],
-        mae_per_channel=metrics["mae_per_channel"],
-    )
+    return ForecastResult(predictions=out)
 
 
 def evaluate(predictions, truth) -> dict:
@@ -549,7 +539,10 @@ def rollout(
     When ``truth`` is given, each predicted segment is blended with the true
     continuation before being appended to the context (the returned forecast
     itself stays unblended).  alpha defaults to the config's teacher_alpha.
+    ``horizon_total < 1`` raises ValueError.
     """
+    if horizon_total < 1:
+        raise ValueError("horizon_total must be >= 1")
     if alpha is None:
         alpha = model.config.teacher_alpha
     if not 0.0 <= alpha <= 1.0:
@@ -617,43 +610,56 @@ def _evolver_doc(ev) -> dict:
     raise TypeError(f"unknown evolver type {type(ev)!r}")
 
 
-def _doc_floats(value, what: str) -> np.ndarray:
+def _doc_floats(value, what: str, shape: tuple | None = None) -> np.ndarray:
     """A document number or nested list of numbers as a float array; NaN or
     inf in it (a ``NaN``/``Infinity`` token, or a literal beyond the float
-    range) raises ModelFormatError."""
+    range), or a shape other than ``shape`` when one is given, raises
+    ModelFormatError."""
     arr = np.asarray(value, dtype=float)
+    if shape is not None and arr.shape != shape:
+        raise ModelFormatError(f"{what} has shape {arr.shape}, the model needs {shape}")
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"non-finite {what} in model document")
     return arr
 
 
-def _evolver_from_doc(doc: dict):
+def _evolver_from_doc(doc: dict, length: int, strategy: str, sh: ShapeInfo):
+    """The evolver of a scale with ``length`` positions; its kind and array
+    shapes must be those the model's config implies."""
     kind = doc["kind"]
+    if kind != strategy:
+        raise ModelFormatError(f"{kind!r} evolver in a {strategy!r} model")
+    n, width = sh.order, sh.d * sh.order  # width: a position's (D, N) state
     if kind == "frequency":
         spec = doc["doc"]
-        re_im = _doc_floats(spec["mode_ops"], "mode_ops")  # (modes, 2, N, N)
+        m_modes, seq_len = int(spec["m_modes"]), int(spec["seq_len"])
+        if seq_len != length or m_modes > length // 2 + 1:
+            raise ModelFormatError(
+                f"{m_modes} modes of length {seq_len} at a scale of length {length}"
+            )
+        re_im = _doc_floats(spec["mode_ops"], "mode_ops", (m_modes, 2, n, n))
         # filling both parts keeps every signed zero; re + 1j * im would not
         ops = np.empty(re_im[:, 0].shape, dtype=complex)
         ops.real, ops.imag = re_im[:, 0], re_im[:, 1]
         return evo.SpectralEvolutionModel(
             mode_ops=ops,
-            m_modes=int(spec["m_modes"]),
-            seq_len=int(spec["seq_len"]),
+            m_modes=m_modes,
+            seq_len=seq_len,
             ridge_lambda=float(_doc_floats(spec["ridge_lambda"], "ridge_lambda")),
         )
     if kind == "direct":
+        k = len(doc["centroids"])
         return evo.DirectEvolutionModel(
-            centroids=_doc_floats(doc["centroids"], "centroids"),
-            operators=_doc_floats(doc["operators"], "operators"),
+            centroids=_doc_floats(doc["centroids"], "centroids", (k, width)),
+            operators=_doc_floats(doc["operators"], "operators", (k, width, width)),
             ridge_lambda=float(_doc_floats(doc["ridge_lambda"], "ridge_lambda")),
         )
-    if kind == "hopfield":
-        return evo.HopfieldEvolutionModel(
-            keys=_doc_floats(doc["keys"], "keys"),
-            values=_doc_floats(doc["values"], "values"),
-            beta=float(_doc_floats(doc["beta"], "beta")),
-        )
-    raise ValueError(f"unknown evolver kind {kind!r}")
+    k = len(doc["keys"])
+    return evo.HopfieldEvolutionModel(
+        keys=_doc_floats(doc["keys"], "keys", (k, width)),
+        values=_doc_floats(doc["values"], "values", (k, width)),
+        beta=float(_doc_floats(doc["beta"], "beta")),
+    )
 
 
 def model_to_json(model: FittedForecaster) -> str:
@@ -698,15 +704,22 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
     embedding = EmbeddingParams(m=int(doc["embedding"]["m"]), tau=int(doc["embedding"]["tau"]))
     config = ForecasterConfig(embedding=embedding, **doc["config"])
     _doc_floats([v for v in vars(config).values() if isinstance(v, float)], "config value")
-    channels = [
-        ChannelModel(
-            evolvers=[_evolver_from_doc(e) for e in ch["evolvers"]],
-            readout=_doc_floats(ch["readout"], "readout"),
+    sh = pipeline_shapes(config, embedding)
+    strategy = config.evolution_strategy
+    channels = []
+    for ch in doc["channels"]:
+        if len(ch["evolvers"]) != len(sh.scale_lens):
+            raise ModelFormatError(
+                f"{len(ch['evolvers'])} evolvers for {len(sh.scale_lens)} scales"
+            )
+        channels.append(ChannelModel(
+            evolvers=[_evolver_from_doc(e, length, strategy, sh)
+                      for e, length in zip(ch["evolvers"], sh.scale_lens)],
+            readout=_doc_floats(ch["readout"], "readout",
+                                (sh.n_patches * sh.d, config.horizon)),
             train_mean=float(_doc_floats(ch["train_mean"], "train_mean")),
             train_std=float(_doc_floats(ch["train_std"], "train_std")),
-        )
-        for ch in doc["channels"]
-    ]
+        ))
     return FittedForecaster(config, embedding, channels)
 
 

@@ -3,9 +3,9 @@
 The working basis is the shifted, normalized Legendre family on the unit
 window, phi_n(s) = sqrt(2n+1) * P_n(2s - 1) for s in [0, 1], orthonormal under
 the plain Lebesgue measure.  On top of it sit the translated-measure state
-matrices (full sliding-window form, its "normal" parameterization, and the two
-diagonal approximations) and the discretization rules: zero-order hold for the
-transition, forward Euler (or exact hold, for error studies) for the input map.
+matrices (full sliding-window form and two diagonal approximations) and the
+discretization rules: zero-order hold for the transition, forward Euler (or
+exact hold, for error studies) for the input map.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-
-from .errors import ShapeMismatchError
 
 VARIANTS = ("legt_full", "legs_diag", "diag_neg1")
 
@@ -61,59 +59,15 @@ class LegendreBasis:
         """(order, num_nodes) matrix of basis values at the quadrature nodes."""
         return self._phi_nodes
 
-    def phi_right_endpoint(self) -> np.ndarray:
-        """phi_n(1) = sqrt(2n+1), the window's most recent point."""
-        return np.sqrt(2.0 * np.arange(self.order) + 1.0)
 
-
-def project_window(u, basis: LegendreBasis) -> np.ndarray:
-    """Quadrature coefficients <u, phi_n> over the unit window.
-
-    ``u`` may be a callable on [0, 1], samples at the quadrature nodes (length
-    equal to the node count), or uniform samples on [0, 1] inclusive, which are
-    linearly interpolated onto the nodes.
-    """
-    if callable(u):
-        vals = np.asarray(u(basis.nodes), dtype=float)
-    else:
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 1 or u.size < 1:
-            raise ValueError("samples must be a non-empty 1-D array")
-        if u.size == basis.nodes.size:
-            vals = u
-        elif u.size == 1:
-            vals = np.full_like(basis.nodes, u[0])
-        else:
-            grid = np.linspace(0.0, 1.0, u.size)
-            vals = np.interp(basis.nodes, grid, u)
-    return basis.phi_at_nodes @ (basis.weights * vals)
-
-
-def eval_window(coeffs, basis: LegendreBasis, s) -> np.ndarray:
-    """g(s) = sum_n c_n phi_n(s)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[-1] != basis.order:
-        raise ShapeMismatchError("coefficient count does not match basis order")
-    s = np.asarray(s, dtype=float)
-    phi = np.stack([basis.phi(n, s) for n in range(basis.order)])
-    return coeffs @ phi
-
-
-def reconstruct_window(coeffs, basis: LegendreBasis, num_points: int) -> np.ndarray:
-    """Evaluate the coefficient expansion on a uniform inclusive grid."""
-    if num_points < 1:
-        raise ValueError("num_points must be >= 1")
-    return eval_window(coeffs, basis, np.linspace(0.0, 1.0, num_points))
-
-
-def piecewise_projection_error(f, order: int, refinement: int, num_nodes: int = 64) -> float:
+def piecewise_projection_error(f, order: int, refinement: int) -> float:
     """L2 error of projecting f onto piecewise degree-<order polynomials.
 
     [0, 1] is split into 2**refinement equal cells; on each the projection is
     taken against the local orthonormal basis, and the squared residual is
-    integrated with the same dense quadrature.
+    integrated with the same dense quadrature (64 Gauss nodes per cell).
     """
-    basis = LegendreBasis(order, num_nodes=num_nodes)
+    basis = LegendreBasis(order, num_nodes=64)
     cells = 2 ** refinement
     width = 1.0 / cells
     err2 = 0.0
@@ -135,28 +89,6 @@ def approximation_error_bound(order: int, refinement: int, sup_deriv: float) -> 
 
 # ---------------------------------------------------------------------------
 # translated-measure state matrices
-
-
-def build_hippo_legt(n: int):
-    """Sliding-window (translated-measure) matrices in normalized form.
-
-    Returns ``(a_normal, correction, b)`` with ``a_normal`` following the
-    sparse odd-index parameterization (nonzero only where n<k with k odd, or
-    n>k with n odd), ``correction = a_normal - a_full`` against the full
-    sliding-window matrix, and ``b_n = sqrt(2n+1)``.  Sign convention: the
-    window is oriented so B is entrywise positive; the reversed orientation
-    flips B's odd entries and transposes the off-diagonal pattern.
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    s = np.sqrt(2.0 * np.arange(n) + 1.0)
-    rows = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    upper = (rows < cols) & (cols % 2 == 1)
-    lower = (rows > cols) & (rows % 2 == 1)
-    a_normal = np.where(upper | lower, -np.outer(s, s), 0.0)
-    correction = a_normal - legt_full_matrix(n)
-    return a_normal, correction, s.copy()
 
 
 def legt_full_matrix(n: int) -> np.ndarray:

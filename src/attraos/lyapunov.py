@@ -56,7 +56,7 @@ def estimate_mle(
     if series.size < needed:
         raise TooShortError(f"need at least {needed} samples")
 
-    pts = delay_embed(series, params).points
+    pts = delay_embed(series, params)
     n = pts.shape[0]
     usable = n - horizon  # both ends of a pair must track the full horizon
     if usable < 2:

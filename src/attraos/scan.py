@@ -67,18 +67,10 @@ def operator_compose(qi: ScanElement, qj: ScanElement) -> ScanElement:
     return ScanElement(a=a, b=b, matrix=qi.matrix)
 
 
-def identity_element(like: ScanElement) -> ScanElement:
-    if like.matrix:
-        a = np.eye(like.a.shape[-1])
-    else:
-        a = np.ones_like(np.asarray(like.a, dtype=float))
-    return ScanElement(a=a, b=np.zeros_like(np.asarray(like.b, dtype=float)), matrix=like.matrix)
-
-
-def sequential_scan(inp: ScanInput, x0=None) -> np.ndarray:
-    """x_k = a_k * x_{k-1} + bu_k for k = 1..L, O(L) sequential."""
+def sequential_scan(inp: ScanInput) -> np.ndarray:
+    """x_k = a_k * x_{k-1} + bu_k for k = 1..L from x_0 = 0, O(L) sequential."""
     b = inp.bu_seq
-    x = np.zeros_like(b[0]) if x0 is None else np.asarray(x0, dtype=float)
+    x = np.zeros_like(b[0])
     out = np.empty_like(b)
     for k in range(inp.length):
         if inp.matrix:

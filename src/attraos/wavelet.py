@@ -44,7 +44,6 @@ class Pyramid:
 
     details: list
     coarse: np.ndarray
-    levels: int
 
 
 def build_filters(n: int) -> WaveletFilters:
@@ -139,7 +138,7 @@ def decompose(x: np.ndarray, filters: WaveletFilters, levels: int) -> Pyramid:
     for _ in range(levels):
         coarse, detail = up_project(coarse, filters)
         details.append(detail)
-    return Pyramid(details=details, coarse=coarse, levels=levels)
+    return Pyramid(details=details, coarse=coarse)
 
 
 def reconstruct(pyramid: Pyramid, filters: WaveletFilters) -> np.ndarray:

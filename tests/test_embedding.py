@@ -59,8 +59,8 @@ class TestMutualInformation:
     def test_profile_matches_brute_force(self):
         rng = np.random.default_rng(0)
         s = np.cumsum(rng.standard_normal(400))
-        ours = emb.mi_profile(s, 10, bins=8)
-        oracle = brute_force_mi(s, 10, bins=8)
+        ours = emb.mi_profile(s, 10)
+        oracle = brute_force_mi(s, 10, bins=emb.default_bins(400))
         assert np.allclose(ours, oracle, atol=1e-12)
 
     def test_iid_noise_conventions(self):
@@ -106,17 +106,17 @@ class TestFalseNearestNeighbors:
 
 class TestDelayEmbed:
     def test_basic_expansion(self):
-        traj = emb.delay_embed([1, 2, 3, 4, 5], emb.EmbeddingParams(2, 1))
-        assert traj.points.tolist() == [[1, 2], [2, 3], [3, 4], [4, 5]]
+        pts = emb.delay_embed([1, 2, 3, 4, 5], emb.EmbeddingParams(2, 1))
+        assert pts.tolist() == [[1, 2], [2, 3], [3, 4], [4, 5]]
 
     def test_m1_identity(self):
         z = np.arange(9.0)
-        traj = emb.delay_embed(z, emb.EmbeddingParams(1, 3))
-        assert np.array_equal(traj.points.ravel(), z)
+        pts = emb.delay_embed(z, emb.EmbeddingParams(1, 3))
+        assert np.array_equal(pts.ravel(), z)
 
     def test_single_point(self):
-        traj = emb.delay_embed([1, 2, 3, 4, 5], emb.EmbeddingParams(3, 2))
-        assert traj.points.tolist() == [[1, 3, 5]]
+        pts = emb.delay_embed([1, 2, 3, 4, 5], emb.EmbeddingParams(3, 2))
+        assert pts.tolist() == [[1, 3, 5]]
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
@@ -135,10 +135,10 @@ class TestDelayEmbed:
             with pytest.raises(TooShortError):
                 emb.delay_embed(z, emb.EmbeddingParams(m, tau))
             return
-        traj = emb.delay_embed(z, emb.EmbeddingParams(m, tau))
-        assert traj.points.shape == (n - (m - 1) * tau, m)
+        pts = emb.delay_embed(z, emb.EmbeddingParams(m, tau))
+        assert pts.shape == (n - (m - 1) * tau, m)
         # last coordinate recovers the tail of the source series
-        assert np.array_equal(traj.points[:, -1], z[(m - 1) * tau :])
+        assert np.array_equal(pts[:, -1], z[(m - 1) * tau :])
 
 
 class TestPatch:
@@ -222,7 +222,7 @@ class TestSelectEmbedding:
 def test_multivariate_channels_embed_independently(rng):
     data = rng.standard_normal((200, 2))
     p = emb.EmbeddingParams(3, 4)
-    a = emb.delay_embed(data[:, 0], p).points
-    b = emb.delay_embed(data[:, 1], p).points
+    a = emb.delay_embed(data[:, 0], p)
+    b = emb.delay_embed(data[:, 1], p)
     assert a.shape == b.shape
     assert not np.array_equal(a, b)

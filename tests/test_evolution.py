@@ -317,7 +317,7 @@ class TestHopfield:
             seps.append(np.min(np.diag(gram)[:, None] - gram + np.diag(np.full(p, np.inf))))
             cfg = evo.HopfieldConfig(patterns=pats, beta=40.0)
             xi = pats[0] + noise
-            for _ in range(cfg.max_iters):
+            for _ in range(50):
                 xi = evo.hopfield_update(xi, cfg)
             errors.append(np.linalg.norm(xi - pats[0]))
         assert np.all(np.diff(seps) > 0)  # the ladder is really monotone
@@ -333,7 +333,8 @@ class TestHopfieldEvolutionModel:
         src = np.concatenate([np.full((20, 2), 1.0), np.full((20, 2), -1.0)])
         src += 0.01 * rng.standard_normal(src.shape)
         dst = 2.0 * src
-        model = evo.fit_hopfield_evolution(src, 2, beta=50.0, seed=0, targets=dst)
+        part = evo.kmeans_partition(src, 2, seed=0)
+        model = evo.fit_hopfield_evolution(src, part, beta=50.0, targets=dst)
         out = evo.apply_hopfield_evolution(np.array([[1.0, 1.0]]), model)
         assert np.abs(out - 2.0).max() <= 0.1
 

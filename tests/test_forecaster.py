@@ -147,14 +147,6 @@ class TestPredict:
         b = fc.predict(model, val[50 : 96 + 50]).predictions
         assert np.array_equal(a, b)
 
-    def test_truth_argument_attaches_metrics(self, lorenz_model):
-        model, _, val = lorenz_model
-        truth = val[96 : 96 + 16]
-        res = fc.predict(model, val[:96], truth=truth)
-        expect = fc.evaluate(res.predictions, truth)
-        assert res.mse_per_channel[0] == expect["mse_per_channel"][0]
-        assert res.mae_per_channel[0] == expect["mae_per_channel"][0]
-
     def test_training_window_reproduces_fit_time_path_bitwise(self, lorenz_model):
         # the staged reference re-runs exactly the code path used while fitting
         model, train, _ = lorenz_model
@@ -257,7 +249,7 @@ def reference_features(scales, model):
     """The staged back half: reconstruct, drop padding, endpoint, flatten."""
     sh = model.shapes
     time_major = [np.swapaxes(s, 0, 1) for s in scales]
-    pyr = Pyramid(details=time_major[:-1], coarse=time_major[-1], levels=sh.eff_levels)
+    pyr = Pyramid(details=time_major[:-1], coarse=time_major[-1])
     states = reconstruct(pyr, staged_primitives(model.config)[2])[sh.pad :]
     feats = states @ np.sqrt(2.0 * np.arange(sh.order) + 1.0)  # (L', B, D)
     return np.swapaxes(feats, 0, 1).reshape(feats.shape[1], -1)
@@ -522,6 +514,12 @@ class TestRollout:
         roll = fc.rollout(model, val[:96], 20)
         assert roll.shape == (20, 1)
 
+    @pytest.mark.parametrize("total", [0, -3])
+    def test_nonpositive_length_raises(self, lorenz_model, total):
+        model, _, val = lorenz_model
+        with pytest.raises(ValueError, match="horizon_total must be >= 1"):
+            fc.rollout(model, val[:96], total)
+
 
 class TestSaveLoad:
     @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
@@ -603,13 +601,6 @@ class TestNonFiniteInput:
         model, x = model_and_data
         with pytest.raises(NonFiniteError):
             fc.predict(model, self.with_nan(x[:96]))
-
-    def test_predict_rejects_inf_truth(self, model_and_data):
-        model, x = model_and_data
-        truth = x[96:100].copy()
-        truth[0] = np.inf
-        with pytest.raises(NonFiniteError):
-            fc.predict(model, x[:96], truth=truth)
 
     def test_rollout_rejects_nan_context(self, model_and_data):
         model, x = model_and_data
@@ -696,6 +687,36 @@ class TestModelDocument:
             with pytest.raises(ModelFormatError):
                 fc.model_from_json(text.replace(f'"{marker}"', token))
 
+    @pytest.mark.parametrize("where", ["readout", "evolver-count", "evolver-array", "strategy"])
+    @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
+    def test_document_at_odds_with_its_config_raises(self, lorenz63_x, strategy, where):
+        cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
+        doc = json.loads(fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000])))
+        ch = doc["channels"][0]
+        if where == "strategy":
+            # the evolvers are of the kind the fit made, no longer the config's
+            other = {"frequency": "direct", "direct": "hopfield", "hopfield": "direct"}
+            doc["config"]["evolution_strategy"] = other[strategy]
+        elif where == "readout":
+            ch["readout"].pop()  # one feature row short
+        elif where == "evolver-count":
+            ch["evolvers"].pop()  # one scale without an evolver
+        else:
+            ev = ch["evolvers"][0]
+            body = ev["doc"] if strategy == "frequency" else ev
+            key = {"frequency": "mode_ops", "direct": "operators", "hopfield": "keys"}[strategy]
+
+            def drop_last_column(rows):
+                if isinstance(rows[0], list):
+                    for row in rows:
+                        drop_last_column(row)
+                else:
+                    rows.pop()
+
+            drop_last_column(body[key])
+        with pytest.raises(ModelFormatError):
+            fc.model_from_json(json.dumps(doc))
+
     def test_non_finite_model_is_not_written_as_bare_nan(self, lorenz_model):
         model = lorenz_model[0]
         ch = model.channels[0]
@@ -733,6 +754,36 @@ class TestLegacyDocument:
         doc = json.loads(text)
         del doc["ssm"], doc["disc"]
         assert fc.model_to_json(fc.model_from_json(text)) == json.dumps(doc)
+
+
+@pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+class TestNonlinearDocument:
+    """``direct`` and ``hopfield`` model documents written by attraos at
+    commit b8cb457 (legt_full, two clusters, otherwise the setup of the
+    legacy ``frequency`` document) from the first 2000 samples of the
+    Lorenz63 fixture, with three contexts and the predictions that version
+    made."""
+
+    @staticmethod
+    def text(strategy):
+        return (LEGACY.parent / f"legacy_v1_{strategy}_legt_full.json").read_text(encoding="utf-8")
+
+    def test_loads_with_bit_identical_predictions(self, strategy):
+        model = fc.model_from_json(self.text(strategy))
+        io = json.loads((LEGACY.parent / f"legacy_v1_{strategy}_legt_full_io.json")
+                        .read_text(encoding="utf-8"))
+        for context, expect in zip(io["contexts"], io["predictions"], strict=True):
+            assert np.array_equal(fc.predict(model, context).predictions[:, 0], expect)
+
+    def test_resave_is_byte_identical(self, strategy):
+        text = self.text(strategy)
+        assert fc.model_to_json(fc.model_from_json(text)) == text
+
+    def test_refit_writes_the_same_document(self, lorenz63_x, strategy):
+        # pins the k-means partition and the per-cluster fits
+        text = self.text(strategy)
+        config = fc.model_from_json(text).config
+        assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == text
 
 
 class TestStrategies:

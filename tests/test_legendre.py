@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from attraos import legendre as lg
-from attraos.errors import ShapeMismatchError
 
 
 class TestLegendreEval:
@@ -41,56 +39,13 @@ class TestBasis:
         exact = 3 / 8 - 1 / 4 + 0.5
         assert np.sum(b.weights * poly(b.nodes)) == pytest.approx(exact, abs=1e-14)
 
-    def test_right_endpoint_values(self):
-        b = lg.LegendreBasis(5)
-        assert np.allclose(b.phi_right_endpoint(), np.sqrt(2 * np.arange(5) + 1))
-
 
 class TestProjection:
-    def test_constant_hits_dc_coefficient(self):
-        b = lg.LegendreBasis(6)
-        c = lg.project_window(np.full(b.nodes.size, 3.25), b)
-        assert c[0] == pytest.approx(3.25, abs=1e-12)
-        assert np.abs(c[1:]).max() <= 1e-12
-
-    def test_basis_function_projects_to_unit_vector(self):
-        b = lg.LegendreBasis(6)
-        c = lg.project_window(b.phi(2, b.nodes), b)
-        expect = np.zeros(6)
-        expect[2] = 1.0
-        assert np.abs(c - expect).max() <= 1e-10
-
-    def test_projection_matches_quad_oracle(self):
-        b = lg.LegendreBasis(5, num_nodes=32)
-        f = np.sin
-        ours = lg.project_window(f, b)
-        for n in range(5):
-            ref, _ = quad(lambda s: math.sin(s) * b.phi(n, s), 0.0, 1.0, limit=100)
-            assert ours[n] == pytest.approx(ref, abs=1e-10)
-
-    def test_polynomial_roundtrip_exact(self, rng):
-        b = lg.LegendreBasis(6, num_nodes=24)
-        coeffs_poly = rng.standard_normal(6)  # degree-5 polynomial
-        f = lambda s: np.polyval(coeffs_poly, s)
-        c = lg.project_window(f, b)
-        grid = np.linspace(0, 1, 33)
-        rec = lg.reconstruct_window(c, b, 33)
-        assert np.abs(rec - f(grid)).max() <= 1e-10
-
-    def test_zero_coefficients_zero_function(self):
-        b = lg.LegendreBasis(4)
-        assert np.all(lg.reconstruct_window(np.zeros(4), b, 10) == 0.0)
-
     def test_sin_projection_respects_error_bound(self):
         # N = 8, r = 0: residual below the derivative-based bound
         err = lg.piecewise_projection_error(lambda s: np.sin(2 * np.pi * s), 8, 0)
         bound = lg.approximation_error_bound(8, 0, (2 * np.pi) ** 8)
         assert err <= bound
-
-    def test_coefficient_shape_guard(self):
-        b = lg.LegendreBasis(4)
-        with pytest.raises(ShapeMismatchError):
-            lg.eval_window(np.zeros(5), b, 0.5)
 
 
 class TestApproximationBound:
@@ -136,26 +91,6 @@ class TestApproximationBound:
 
 
 class TestHippoMatrices:
-    def test_normal_form_entries(self):
-        a2, _, _ = lg.build_hippo_legt(2)
-        assert a2[0, 1] == pytest.approx(-math.sqrt(3), abs=1e-12)
-        assert a2[0, 0] == 0.0 and a2[1, 1] == 0.0
-        a4, _, _ = lg.build_hippo_legt(4)
-        assert a4[2, 0] == 0.0  # n even never fires in the lower case
-        assert a4[3, 0] == pytest.approx(-math.sqrt(7), abs=1e-12)
-
-    def test_b_vector_convention(self):
-        _, _, b = lg.build_hippo_legt(5)
-        assert np.allclose(b, np.sqrt(2 * np.arange(5) + 1))
-
-    def test_correction_reconstructs_full_matrix(self):
-        an, corr, _ = lg.build_hippo_legt(6)
-        assert np.allclose(an - corr, lg.legt_full_matrix(6), atol=1e-12)
-
-    def test_normal_part_is_normal_matrix(self):
-        an, _, _ = lg.build_hippo_legt(8)
-        assert np.allclose(an @ an.T, an.T @ an, atol=1e-10)
-
     def test_legs_diag(self):
         assert lg.build_hippo_legs_diag(3).tolist() == [-1.0, -2.0, -3.0]
         assert lg.build_hippo_legs_diag(1).tolist() == [-1.0]

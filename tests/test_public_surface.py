@@ -1,0 +1,69 @@
+"""Every public top-level function and class of ``src/attraos`` has a caller.
+
+A caller is a code reference to the name (an ``ast.Name`` or the attribute of
+an ``ast.Attribute``) in ``src/attraos`` outside the name's own definition,
+in ``scripts/``, in ``perfbench/`` (not its tests) or in the acceptance suite
+``tests/test_acceptance.py``.  A name's own unit tests do not count, and
+neither do re-exports: an import or an ``__all__`` string is not a
+reference.  Names are matched without their module, so a name shared by two
+modules counts as called when either is.
+
+Only top-level ``def`` and ``class`` statements are checked; methods,
+dataclass fields, parameters and module constants are out of scope.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "attraos"
+
+# name -> why it stays without a caller
+ALLOWED = {
+    "tree_schedule": "test_scan's schedule-replay oracle replays this documented "
+    "composition order against blelloch_scan",
+    "scan_composition_count": "test_scan's work-bound test checks blelloch_scan's "
+    "composition count against it",
+}
+
+
+def public_definitions(tree):
+    return [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def referenced_names(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def caller_references():
+    refs = set()
+    for path in LIBRARY.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)
+            refs |= referenced_names(stmt) - {own}
+    others = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+              ROOT / "tests" / "test_acceptance.py"]
+    for path in others:
+        refs |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    refs = caller_references()
+    uncalled = {
+        f"{path.stem}.{node.name}"
+        for path in LIBRARY.glob("*.py")
+        for node in public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if node.name not in refs
+    }
+    assert uncalled == {f"scan.{name}" for name in ALLOWED}

@@ -33,7 +33,8 @@ def replay_schedule(a_seq, bu_seq):
 class TestOperatorCompose:
     def test_identity_left(self, rng):
         q = scan.ScanElement(a=rng.uniform(0, 1, 4), b=rng.standard_normal(4))
-        out = scan.operator_compose(scan.identity_element(q), q)
+        identity = scan.ScanElement(a=np.ones(4), b=np.zeros(4))
+        out = scan.operator_compose(identity, q)
         assert np.array_equal(out.a, q.a) and np.array_equal(out.b, q.b)
 
     def test_scalar_example(self):
@@ -96,11 +97,6 @@ class TestSequentialScan:
     def test_doubling_recurrence(self):
         inp = scan.ScanInput(a_seq=np.full((4, 1), 2.0), bu_seq=np.ones((4, 1)))
         assert scan.sequential_scan(inp).ravel().tolist() == [1.0, 3.0, 7.0, 15.0]
-
-    def test_initial_state(self):
-        inp = scan.ScanInput(a_seq=np.full((3, 1), 2.0), bu_seq=np.zeros((3, 1)))
-        out = scan.sequential_scan(inp, x0=np.array([1.0]))
-        assert out.ravel().tolist() == [2.0, 4.0, 8.0]
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatchError):
