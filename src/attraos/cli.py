@@ -3,12 +3,14 @@ bench-scan.
 
 Exit codes: 0 success, 2 usage error (bad flag values), 3 data error (missing
 or unusable input).  All numeric output is written at full double precision
-(%.17g for CSV cells, round-trip exact floats in JSON).
+(%.17g for CSV cells, round-trip exact floats in strict JSON: no NaN or
+infinities).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -16,8 +18,10 @@ import time
 import numpy as np
 
 from . import chaos, forecaster
-from .embedding import EmbeddingParams, delay_embed, fnn_profile, mi_profile, select_embedding
+from .embedding import (EmbeddingParams, default_max_tau, delay_embed, fnn_profile,
+                        mi_profile, select_embedding)
 from .errors import AttraosError
+from .legendre import VARIANTS
 from .lyapunov import mle_table
 from .scan import ScanInput, blelloch_scan, sequential_scan
 from .seeding import derive_seed
@@ -54,7 +58,7 @@ def read_csv(path) -> np.ndarray:
 
 
 def _json_out(obj) -> None:
-    print(json.dumps(obj))
+    print(json.dumps(obj, allow_nan=False))
 
 
 def cmd_simulate(args) -> int:
@@ -106,7 +110,7 @@ def cmd_embed(args) -> int:
     header = [f"c{c}_d{d}" for c in range(data.shape[1]) for d in range(params.m)]
     write_csv(args.out_traj, points, header)
     ref = data[:, 0]
-    max_tau = args.max_tau or int(np.clip(ref.size // 10, 10, 100))
+    max_tau = args.max_tau or default_max_tau(ref.size)
     meta = {
         "m": params.m,
         "tau": params.tau,
@@ -128,10 +132,12 @@ def cmd_lyapunov(args) -> int:
         fit_range = (args.fit_start, args.fit_end)
     table = mle_table(data, params, horizon=args.horizon, theiler=args.theiler,
                       fit_range=fit_range)
+    curve = table["estimates"][0].divergence_curve
     out = {
         "mle_per_channel": table["per_channel"].tolist(),
         "mean_mle": table["mean"],
-        "divergence_curve": table["estimates"][0].divergence_curve.tolist(),
+        # a step where every pair has met has no mean log separation
+        "divergence_curve": [v if np.isfinite(v) else None for v in curve.tolist()],
     }
     if args.dt is not None:
         out["mean_mle_per_time_unit"] = table["mean"] / args.dt
@@ -141,22 +147,10 @@ def cmd_lyapunov(args) -> int:
 
 def cmd_fit(args) -> int:
     data = read_csv(args.input)
-    embedding = _embedding_flags(args)
+    names = {f.name for f in dataclasses.fields(forecaster.ForecasterConfig)}
     config = forecaster.ForecasterConfig(
-        window=args.window,
-        horizon=args.horizon,
-        embedding=embedding,
-        patch_len=args.patch_len,
-        poly_order=args.poly_order,
-        ssm_variant=args.variant,
-        theta=args.theta,
-        levels=args.levels,
-        m_modes=args.m_modes,
-        ridge_lambda=args.ridge_lambda,
-        evolution_strategy=args.strategy,
-        n_clusters=args.clusters,
-        max_train_windows=args.max_windows,
-        seed=args.seed,
+        embedding=_embedding_flags(args),
+        **{k: v for k, v in vars(args).items() if k in names},
     )
     model = forecaster.fit(config, data)
     forecaster.save_model(model, args.out)
@@ -261,25 +255,26 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dt", type=float, default=None)
     s.set_defaults(func=cmd_lyapunov)
 
-    s = sub.add_parser("fit", help="fit a forecaster on a series CSV")
+    # each config flag is stored under its ForecasterConfig field, and only
+    # when given, so the config's own defaults apply
+    s = sub.add_parser("fit", help="fit a forecaster on a series CSV",
+                       argument_default=argparse.SUPPRESS)
     s.add_argument("--input", type=str, required=True)
     s.add_argument("--window", type=int, required=True)
     s.add_argument("--horizon", type=int, required=True)
     s.add_argument("--m", type=int, default=None)
     s.add_argument("--tau", type=int, default=None)
-    s.add_argument("--patch-len", type=int, default=8)
-    s.add_argument("--poly-order", type=int, default=8)
-    s.add_argument("--variant", choices=["legt_full", "legs_diag", "diag_neg1"],
-                   default="diag_neg1")
-    s.add_argument("--theta", type=float, default=4.0)
-    s.add_argument("--levels", type=int, default=2)
-    s.add_argument("--m-modes", type=int, default=16)
-    s.add_argument("--ridge-lambda", type=float, default=1e-3)
-    s.add_argument("--strategy", choices=["frequency", "direct", "hopfield"],
-                   default="frequency")
-    s.add_argument("--clusters", type=int, default=8)
-    s.add_argument("--max-windows", type=int, default=1024)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--patch-len", type=int)
+    s.add_argument("--poly-order", type=int)
+    s.add_argument("--variant", dest="ssm_variant", choices=VARIANTS)
+    s.add_argument("--theta", type=float)
+    s.add_argument("--levels", type=int)
+    s.add_argument("--m-modes", type=int)
+    s.add_argument("--ridge-lambda", type=float)
+    s.add_argument("--strategy", dest="evolution_strategy", choices=forecaster.STRATEGIES)
+    s.add_argument("--clusters", dest="n_clusters", type=int)
+    s.add_argument("--max-windows", dest="max_train_windows", type=int)
+    s.add_argument("--seed", type=int)
     s.add_argument("--out", type=str, required=True)
     s.set_defaults(func=cmd_fit)
 

@@ -44,6 +44,11 @@ def default_bins(length: int) -> int:
     return int(np.clip(int(np.sqrt(length / 5)), 8, 64))
 
 
+def default_max_tau(length: int) -> int:
+    """Largest delay the MI scan tries for a series of ``length`` samples."""
+    return int(np.clip(length // 10, 10, 100))
+
+
 def _check_series(series: np.ndarray) -> np.ndarray:
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
@@ -214,7 +219,7 @@ def select_embedding(
         tau = int(np.median([p.tau for p in picks]))
         return EmbeddingParams(m=m, tau=max(1, tau))
     if max_tau is None:
-        max_tau = int(np.clip(arr.size // 10, 10, 100))
+        max_tau = default_max_tau(arr.size)
     tau = mutual_information_delay(arr, max_tau)
     m = false_nearest_neighbors(arr, tau, max_m)
     return EmbeddingParams(m=m, tau=tau)

@@ -62,7 +62,8 @@ def ridge_fit(a: np.ndarray, b: np.ndarray, ridge_lambda: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralEvolutionModel:
-    """Per-mode complex operators W_i (m_modes, N, N) over length-L sequences.
+    """Per-mode complex operators W_i (M, N, N) over length-L sequences, for
+    the M lowest DFT modes.
 
     ``matrix`` is the same map as one real (L*N, L*N) matrix acting on a
     sequence flattened position-major; it is derived at construction from
@@ -70,9 +71,7 @@ class SpectralEvolutionModel:
     """
 
     mode_ops: np.ndarray
-    m_modes: int
     seq_len: int
-    ridge_lambda: float
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -101,9 +100,7 @@ def fit_spectral_operators(
     ops = np.empty((m_modes, n, n), dtype=complex)
     for i in range(m_modes):
         ops[i] = ridge_fit(a_spec[:, i, :], b_spec[:, i, :], ridge_lambda)
-    return SpectralEvolutionModel(
-        mode_ops=ops, m_modes=m_modes, seq_len=seq_len, ridge_lambda=ridge_lambda
-    )
+    return SpectralEvolutionModel(mode_ops=ops, seq_len=seq_len)
 
 
 def apply_spectral_evolution(x: np.ndarray, model: SpectralEvolutionModel) -> np.ndarray:
@@ -113,7 +110,7 @@ def apply_spectral_evolution(x: np.ndarray, model: SpectralEvolutionModel) -> np
         raise ShapeMismatchError(
             f"model was fit for length {model.seq_len}, got {x.shape[0]}"
         )
-    spec = fft_modes(x, model.m_modes)
+    spec = fft_modes(x, model.mode_ops.shape[0])
     out = np.einsum("mij,m...j->m...i", model.mode_ops, spec)
     return ifft_modes(out, model.seq_len)
 
@@ -197,7 +194,6 @@ class DirectEvolutionModel:
 
     centroids: np.ndarray
     operators: np.ndarray  # (k, F, F)
-    ridge_lambda: float
 
 
 def fit_direct_operators(
@@ -227,9 +223,7 @@ def fit_direct_operators(
             ops[c] = np.eye(f)
         else:
             ops[c] = ridge_fit(reps[mask], targets[mask], ridge_lambda)
-    return DirectEvolutionModel(
-        centroids=partition.centroids, operators=ops, ridge_lambda=ridge_lambda
-    )
+    return DirectEvolutionModel(centroids=partition.centroids, operators=ops)
 
 
 def apply_direct_evolution(x: np.ndarray, model: DirectEvolutionModel) -> np.ndarray:

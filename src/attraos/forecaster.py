@@ -39,11 +39,12 @@ normalization stays outside the map, so a constant channel still forecasts
 its mean exactly.  ``fit`` and ``direct``/``hopfield`` serving run the stages
 (``_staged_forecast``), which stay the reference for the maps.
 
-A fitted model is its config, its embedding and its per-channel maps
-(evolvers and readout).  The shapes, the stage operators and the serving
-maps are closed-form functions of those, so ``FittedForecaster`` derives
-them when it is constructed, after a fit and after a load alike.  The model
-document (``model_to_json``) stores only what was fit; this module is the
+A fitted model is its config, which holds the embedding it was fit with,
+and its per-channel maps (evolvers and readout).  The shapes, the stage
+operators and the serving maps are closed-form functions of those, so
+``FittedForecaster`` derives them when it is constructed, after a fit and
+after a load alike.  The model document (``model_to_json``) stores the
+config, the embedding and the fitted arrays, each once; this module is the
 only one that reads or writes it.
 
 Every learned map is a closed-form ridge regression; there is no iterative
@@ -54,7 +55,7 @@ shifted by one patch), so "evolve" means "advance the window by one patch".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -166,8 +167,6 @@ def pipeline_shapes(config: ForecasterConfig, embedding: EmbeddingParams) -> Sha
 class ChannelModel:
     evolvers: list
     readout: np.ndarray  # (n_patches * d, horizon)
-    train_mean: float
-    train_std: float
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,8 @@ class ForecastResult:
 
 @dataclass(frozen=True)
 class FittedForecaster:
-    """A fitted model: config, embedding and one ``ChannelModel`` per channel.
+    """A fitted model: its config, whose ``embedding`` is the one the model
+    was fit with, and one ``ChannelModel`` per channel.
 
     The remaining fields are derived at construction and are neither
     compared nor serialized: the pipeline ``shapes`` and the per-coordinate
@@ -189,7 +189,6 @@ class FittedForecaster:
     """
 
     config: ForecasterConfig
-    embedding: EmbeddingParams
     channels: list
     shapes: ShapeInfo = field(init=False, repr=False, compare=False)
     front: np.ndarray = field(init=False, repr=False, compare=False)
@@ -198,7 +197,7 @@ class FittedForecaster:
 
     def __post_init__(self):
         cfg = self.config
-        shapes = pipeline_shapes(cfg, self.embedding)
+        shapes = pipeline_shapes(cfg, cfg.embedding)
         ssm = make_ssm_params(cfg.ssm_variant, cfg.poly_order, 1.0 / cfg.theta)
         filters = build_filters(cfg.poly_order)
         front = _front_operator(ssm, discretize(ssm, b_method="euler"), filters, shapes)
@@ -209,6 +208,10 @@ class FittedForecaster:
         if cfg.evolution_strategy == "frequency":
             serving = _serving_maps(self)
         object.__setattr__(self, "serving", serving)
+
+    @property
+    def embedding(self) -> EmbeddingParams:
+        return self.config.embedding
 
     @property
     def n_channels(self) -> int:
@@ -391,13 +394,11 @@ def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
     feats = _features(stack, evolvers, model)
     targets = (z[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
     readout = evo.ridge_fit(feats, targets, config.ridge_lambda).T  # (feat, horizon)
-    stats = (float(z.mean()), float(z.std()))
-    # horizon values far beyond their window's spread, or a series whose sum
-    # overflows, leave finite inputs with a non-finite fit
-    if not (np.all(np.isfinite(readout)) and np.all(np.isfinite(stats))):
+    # horizon values far beyond their window's spread leave finite inputs
+    # with a non-finite fit
+    if not np.all(np.isfinite(readout)):
         raise NonFiniteError("the fit overflows the float range at this series' scale")
-    return ChannelModel(evolvers=evolvers, readout=readout, train_mean=stats[0],
-                        train_std=stats[1])
+    return ChannelModel(evolvers=evolvers, readout=readout)
 
 
 def fit(config: ForecasterConfig, series) -> FittedForecaster:
@@ -408,10 +409,13 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     operators model); at most ``max_train_windows`` of the most recent ones
     are kept, and each channel runs all of them through the pipeline as one
     batch.  With ``embedding=None`` the delay/dimension are selected from
-    the data, capped so one context window always holds at least two patches;
-    a constant series then raises DegenerateSeriesError, while a manually
-    supplied embedding turns a constant series into an exact constant
-    forecast (zero features, the window mean is returned).  A series with
+    the data, capped so one context window always holds at least two
+    patches; a constant series then raises DegenerateSeriesError, while a
+    manually supplied embedding turns a constant series into an exact
+    constant forecast (zero features, the window mean is returned).  The
+    returned model's config holds the embedding it was fit with, so
+    ``fit(model.config, x)`` behaves the same for a fitted model and for the
+    same model loaded from its document.  A series with
     NaN or inf, or finite values whose window spread or fit overflows the
     float range, raises NonFiniteError, and ``max_train_windows < 2`` raises
     ValueError (one window makes no evolution pair).
@@ -424,24 +428,23 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     if n < w + h + config.patch_len:
         raise TooShortError("series shorter than one training window + horizon")
 
-    embedding = config.embedding
-    if embedding is None:
+    if config.embedding is None:
         cap_tau = max(1, (w - 2 * config.patch_len) // max(1, AUTO_MAX_M - 1))
-        embedding = select_embedding(
+        config = replace(config, embedding=select_embedding(
             arr if n_channels > 1 else arr[:, 0],
             max_tau=max(1, min(cap_tau, n // 4 - 1)),
             max_m=AUTO_MAX_M,
-        )
+        ))
     # the channels are fit on the stage operators of a channel-less model;
     # the returned model is built from them, so its serving maps see them
-    operators = FittedForecaster(config, embedding, channels=[])
+    operators = FittedForecaster(config, channels=[])
 
     all_starts = np.arange(0, n - w - h + 1, config.patch_len)
     if all_starts.size < 2:
         raise TooShortError("need at least two training windows")
     starts = all_starts[-config.max_train_windows :]
     channels = [_fit_channel(arr[:, c], starts, operators, c) for c in range(n_channels)]
-    return FittedForecaster(config, embedding, channels)
+    return FittedForecaster(config, channels)
 
 
 def _staged_forecast(model: FittedForecaster, windows: np.ndarray) -> np.ndarray:
@@ -493,7 +496,7 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
 
 
 def evaluate(predictions, truth) -> dict:
-    """MSE / MAE averaged over horizon and channels (plus per-channel views).
+    """MSE and MAE averaged over horizon and channels.
 
     NaN or inf in either array, or errors whose squares overflow the float
     range, raise NonFiniteError; empty arrays raise EmptyInputError.
@@ -508,12 +511,7 @@ def evaluate(predictions, truth) -> dict:
     mse = float(np.mean(err**2))
     if not np.isfinite(mse):
         raise NonFiniteError("prediction errors overflow the float range")
-    return {
-        "mse": mse,
-        "mae": float(np.mean(np.abs(err))),
-        "mse_per_channel": np.mean(err**2, axis=0),
-        "mae_per_channel": np.mean(np.abs(err), axis=0),
-    }
+    return {"mse": mse, "mae": float(np.mean(np.abs(err)))}
 
 
 def teacher_force_modulate(z_pred, z_true, alpha: float):
@@ -583,30 +581,15 @@ def global_mean_forecast(train_series, horizon: int) -> np.ndarray:
 
 
 def _evolver_doc(ev) -> dict:
+    """An evolver's fitted arrays; its kind, scalars and shapes are the
+    config's."""
     if isinstance(ev, evo.SpectralEvolutionModel):
-        return {
-            "kind": "frequency",
-            "doc": {
-                "m_modes": ev.m_modes,
-                "seq_len": ev.seq_len,
-                "ridge_lambda": float(ev.ridge_lambda),
-                "mode_ops": [[op.real.tolist(), op.imag.tolist()] for op in ev.mode_ops],
-            },
-        }
+        ops = [[op.real.tolist(), op.imag.tolist()] for op in ev.mode_ops]
+        return {"doc": {"mode_ops": ops}}
     if isinstance(ev, evo.DirectEvolutionModel):
-        return {
-            "kind": "direct",
-            "centroids": ev.centroids.tolist(),
-            "operators": ev.operators.tolist(),
-            "ridge_lambda": float(ev.ridge_lambda),
-        }
+        return {"centroids": ev.centroids.tolist(), "operators": ev.operators.tolist()}
     if isinstance(ev, evo.HopfieldEvolutionModel):
-        return {
-            "kind": "hopfield",
-            "keys": ev.keys.tolist(),
-            "values": ev.values.tolist(),
-            "beta": float(ev.beta),
-        }
+        return {"keys": ev.keys.tolist(), "values": ev.values.tolist()}
     raise TypeError(f"unknown evolver type {type(ev)!r}")
 
 
@@ -623,42 +606,30 @@ def _doc_floats(value, what: str, shape: tuple | None = None) -> np.ndarray:
     return arr
 
 
-def _evolver_from_doc(doc: dict, length: int, strategy: str, sh: ShapeInfo):
-    """The evolver of a scale with ``length`` positions; its kind and array
-    shapes must be those the model's config implies."""
-    kind = doc["kind"]
-    if kind != strategy:
-        raise ModelFormatError(f"{kind!r} evolver in a {strategy!r} model")
+def _evolver_from_doc(doc: dict, length: int, config: ForecasterConfig, sh: ShapeInfo):
+    """The evolver of a scale with ``length`` positions, of the config's
+    strategy: its arrays are read in the shapes the config implies, its
+    scalars come from the config.  An evolver of another strategy lacks the
+    keys read here."""
     n, width = sh.order, sh.d * sh.order  # width: a position's (D, N) state
-    if kind == "frequency":
-        spec = doc["doc"]
-        m_modes, seq_len = int(spec["m_modes"]), int(spec["seq_len"])
-        if seq_len != length or m_modes > length // 2 + 1:
-            raise ModelFormatError(
-                f"{m_modes} modes of length {seq_len} at a scale of length {length}"
-            )
-        re_im = _doc_floats(spec["mode_ops"], "mode_ops", (m_modes, 2, n, n))
+    if config.evolution_strategy == "frequency":
+        m_modes = min(config.m_modes, length // 2 + 1)
+        re_im = _doc_floats(doc["doc"]["mode_ops"], "mode_ops", (m_modes, 2, n, n))
         # filling both parts keeps every signed zero; re + 1j * im would not
         ops = np.empty(re_im[:, 0].shape, dtype=complex)
         ops.real, ops.imag = re_im[:, 0], re_im[:, 1]
-        return evo.SpectralEvolutionModel(
-            mode_ops=ops,
-            m_modes=m_modes,
-            seq_len=seq_len,
-            ridge_lambda=float(_doc_floats(spec["ridge_lambda"], "ridge_lambda")),
-        )
-    if kind == "direct":
+        return evo.SpectralEvolutionModel(mode_ops=ops, seq_len=length)
+    if config.evolution_strategy == "direct":
         k = len(doc["centroids"])
         return evo.DirectEvolutionModel(
             centroids=_doc_floats(doc["centroids"], "centroids", (k, width)),
             operators=_doc_floats(doc["operators"], "operators", (k, width, width)),
-            ridge_lambda=float(_doc_floats(doc["ridge_lambda"], "ridge_lambda")),
         )
     k = len(doc["keys"])
     return evo.HopfieldEvolutionModel(
         keys=_doc_floats(doc["keys"], "keys", (k, width)),
         values=_doc_floats(doc["values"], "values", (k, width)),
-        beta=float(_doc_floats(doc["beta"], "beta")),
+        beta=config.hopfield_beta,
     )
 
 
@@ -670,12 +641,7 @@ def model_to_json(model: FittedForecaster) -> str:
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "embedding"},
         "embedding": {"m": model.embedding.m, "tau": model.embedding.tau},
         "channels": [
-            {
-                "evolvers": [_evolver_doc(ev) for ev in ch.evolvers],
-                "readout": ch.readout.tolist(),
-                "train_mean": ch.train_mean,
-                "train_std": ch.train_std,
-            }
+            {"evolvers": [_evolver_doc(ev) for ev in ch.evolvers], "readout": ch.readout.tolist()}
             for ch in model.channels
         ],
     }
@@ -687,8 +653,10 @@ def model_from_json(text: str) -> FittedForecaster:
     version-1 model raises ModelFormatError, as does any number in it that
     is not finite (``NaN``, ``Infinity`` or a literal beyond the float range).
 
-    The ``ssm`` and ``disc`` entries that older documents carry are ignored:
-    the model derives them from its config."""
+    Entries that older documents carry are ignored: the derived ``ssm`` and
+    ``disc``, the unused ``train_mean``/``train_std`` of each channel, and
+    each evolver's copies of config values (``kind``, ``m_modes``,
+    ``seq_len``, ``ridge_lambda``, ``beta``)."""
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("v") != 1:
@@ -705,7 +673,6 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
     config = ForecasterConfig(embedding=embedding, **doc["config"])
     _doc_floats([v for v in vars(config).values() if isinstance(v, float)], "config value")
     sh = pipeline_shapes(config, embedding)
-    strategy = config.evolution_strategy
     channels = []
     for ch in doc["channels"]:
         if len(ch["evolvers"]) != len(sh.scale_lens):
@@ -713,14 +680,12 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
                 f"{len(ch['evolvers'])} evolvers for {len(sh.scale_lens)} scales"
             )
         channels.append(ChannelModel(
-            evolvers=[_evolver_from_doc(e, length, strategy, sh)
+            evolvers=[_evolver_from_doc(e, length, config, sh)
                       for e, length in zip(ch["evolvers"], sh.scale_lens)],
             readout=_doc_floats(ch["readout"], "readout",
                                 (sh.n_patches * sh.d, config.horizon)),
-            train_mean=float(_doc_floats(ch["train_mean"], "train_mean")),
-            train_std=float(_doc_floats(ch["train_std"], "train_std")),
         ))
-    return FittedForecaster(config, embedding, channels)
+    return FittedForecaster(config, channels)
 
 
 def save_model(model: FittedForecaster, path) -> None:

@@ -38,7 +38,10 @@ def estimate_mle(
 
     ``theiler`` defaults to m * tau; ``fit_range`` (start, end) defaults to
     (1, horizon // 2).  Pairs whose initial separation is exactly zero carry
-    no direction information and are dropped.
+    no direction information and are dropped.  A step at which every pair
+    has met (zero separation) has no mean log separation: its curve value is
+    ``-inf``, and such a step inside ``fit_range`` raises
+    DegenerateSeriesError.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
@@ -80,6 +83,8 @@ def estimate_mle(
         d = np.linalg.norm(pts[i_ref + k] - pts[j_ref + k], axis=1)
         good = d > 0
         curve[k] = float(np.mean(np.log(d[good]))) if np.any(good) else -np.inf
+    if not np.all(np.isfinite(curve[lo:hi])):
+        raise DegenerateSeriesError("a step in the fit range has no separated neighbor pair")
     ks = np.arange(lo, hi)
     slope = float(np.polyfit(ks, curve[lo:hi], 1)[0])
     return LyapunovEstimate(mle=slope, divergence_curve=curve, fit_range=(lo, hi))

@@ -1,10 +1,20 @@
 import json
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from attraos import forecaster as fc
-from attraos.cli import main, read_csv, write_csv
+from attraos.cli import build_parser, main, read_csv, write_csv
+
+
+def strict_json(text):
+    """Parse ``text`` as standard JSON, which has no NaN or infinities."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def run(capsys, *argv):
@@ -152,6 +162,35 @@ class TestLyapunov:
         assert "mean_mle_per_time_unit" in doc
         assert len(doc["divergence_curve"]) == 151
 
+    @pytest.fixture
+    def meeting_csv(self, tmp_path):
+        # noise, then a constant tail: every pair that reaches the tail meets
+        path = tmp_path / "meet.csv"
+        series = np.r_[np.random.default_rng(0).standard_normal(300), np.zeros(2000)]
+        write_csv(path, series[:, None], ["v0"])
+        return path
+
+    def test_steps_without_pairs_are_null(self, meeting_csv, capsys):
+        code, stdout, _ = run(
+            capsys,
+            "lyapunov", "--input", str(meeting_csv), "--m", "3", "--tau", "2", "--horizon", "400",
+        )
+        assert code == 0
+        doc = strict_json(stdout)
+        curve = doc["divergence_curve"]
+        assert curve[300:] == [None] * 101 and None not in curve[:300]
+        assert np.isfinite(doc["mean_mle"])
+
+    def test_fit_range_without_pairs_exits_3(self, meeting_csv, capsys):
+        code, out, err = run(
+            capsys,
+            "lyapunov", "--input", str(meeting_csv), "--m", "3", "--tau", "2", "--horizon", "400",
+            "--fit-start", "250", "--fit-end", "350",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestFitPredictEval:
     def test_full_cycle(self, lorenz_csv, tmp_path, capsys):
@@ -201,6 +240,17 @@ class TestFitPredictEval:
         in_process = fc.predict(model, data).predictions
         from_cli = read_csv(pred_path)
         assert np.array_equal(in_process, from_cli)
+
+    def test_fit_flags_default_to_the_config(self, lorenz_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        code, _, _ = run(
+            capsys,
+            "fit", "--input", str(lorenz_csv), "--window", "96", "--horizon", "8",
+            "--out", str(model_path),
+        )
+        assert code == 0
+        model = fc.load_model(model_path)
+        assert model.config == replace(fc.ForecasterConfig(96, 8), embedding=model.embedding)
 
     def test_malformed_model_exits_3_without_traceback(self, lorenz_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -253,3 +303,13 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--system", "nonsense", "--steps", "1", "--out", "x.csv"])
     assert exc.value.code == 2
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("attraos ")]
+    assert len(commands) == 7
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -113,19 +113,19 @@ class TestSpectralEvolution:
         x = rng.standard_normal((l, 2, 3))
         m = l // 2 + 1
         ops = np.stack([np.eye(3, dtype=complex)] * m)
-        model = evo.SpectralEvolutionModel(ops, m, l, 0.0)
+        model = evo.SpectralEvolutionModel(ops, l)
         assert np.abs(evo.apply_spectral_evolution(x, model) - x).max() <= 1e-9
 
     def test_zero_operators(self, rng):
         x = rng.standard_normal((8, 2))[:, :, None]
-        model = evo.SpectralEvolutionModel(np.zeros((5, 1, 1), dtype=complex), 5, 8, 0.0)
+        model = evo.SpectralEvolutionModel(np.zeros((5, 1, 1), dtype=complex), 8)
         assert np.all(evo.apply_spectral_evolution(x, model) == 0.0)
 
     def test_truncated_identity_is_lowpass(self, rng):
         l, m = 16, 3
         x = rng.standard_normal((l, 1))
         ops = np.stack([np.eye(1, dtype=complex)] * m)
-        model = evo.SpectralEvolutionModel(ops, m, l, 0.0)
+        model = evo.SpectralEvolutionModel(ops, l)
         ours = evo.apply_spectral_evolution(x, model).ravel()
         ref = evo.ifft_modes(evo.fft_modes(x.ravel(), m), l)
         assert np.allclose(ours, ref, atol=1e-12)
@@ -255,7 +255,7 @@ class TestDirectEvolution:
         # four clusters near the data and one so far away that no row picks it
         centroids = np.concatenate([rng.standard_normal((4, 6)), np.full((1, 6), 1e6)])
         model = evo.DirectEvolutionModel(
-            centroids=centroids, operators=rng.standard_normal((5, 6, 6)), ridge_lambda=1e-3
+            centroids=centroids, operators=rng.standard_normal((5, 6, 6))
         )
         pts = rng.standard_normal((200, 6))
         labels = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)

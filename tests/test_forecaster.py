@@ -534,12 +534,18 @@ class TestSaveLoad:
         b = fc.predict(loaded, x[:96]).predictions
         assert np.array_equal(a, b)
 
+    def test_auto_embedding_config_survives_a_reload(self, lorenz63_x):
+        cfg = fc.ForecasterConfig(window=96, horizon=8, max_train_windows=16)
+        model = fc.fit(cfg, lorenz63_x[:3000])
+        assert model.config == replace(cfg, embedding=model.embedding)
+        assert fc.model_from_json(fc.model_to_json(model)).config == model.config
+
     @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
     @pytest.mark.parametrize("scalars", [{}, {"ridge_lambda": 1, "hopfield_beta": 4}],
                              ids=["float", "int-scalars"])
     def test_resave_is_byte_identical(self, lorenz63_x, strategy, scalars):
         # the frequency operators hold signed zeros that the load must keep,
-        # and an evolver's scalars load as floats whatever the config held
+        # and the config's scalars load as the numbers it held
         cfg = small_config(window=96, evolution_strategy=strategy, max_train_windows=32,
                            **scalars)
         text = fc.model_to_json(fc.fit(cfg, lorenz63_x[:5000]))
@@ -625,12 +631,10 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteError):
             fc.rollout(model, 1e200 * x[:96], 8)
 
-    @pytest.mark.parametrize("scale,tail", [(1e-153, 1e153), (1.0, 1e160)],
-                             ids=["readout", "train-std"])
+    @pytest.mark.parametrize("scale,tail", [(1e-153, 1e153)], ids=["readout"])
     def test_horizon_beyond_window_scale_raises(self, lorenz63_x, scale, tail):
         # the last values appear in no window, only in horizons: far beyond
-        # the windows' spread they overflow the readout fit, and beyond 1e154
-        # the series' std
+        # the windows' spread they overflow the readout fit
         x = scale * lorenz63_x[:2000]
         x[-2:] = tail
         with pytest.raises(NonFiniteError):
@@ -655,9 +659,7 @@ class TestModelDocument:
         with pytest.raises(ModelFormatError):
             fc.model_from_json(text)
 
-    @pytest.mark.parametrize(
-        "where", ["evolver-array", "evolver-scalar", "readout", "train_mean", "config"]
-    )
+    @pytest.mark.parametrize("where", ["evolver-array", "readout", "config"])
     @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
     def test_non_finite_number_raises(self, lorenz63_x, strategy, where):
         cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
@@ -666,19 +668,14 @@ class TestModelDocument:
         ev = ch["evolvers"][0]
         body = ev["doc"] if strategy == "frequency" else ev
         array_key = {"frequency": "mode_ops", "direct": "operators", "hopfield": "keys"}[strategy]
-        scalar_key = "beta" if strategy == "hopfield" else "ridge_lambda"
         marker = "@non-finite@"
         if where == "evolver-array":
             row = body[array_key]
             while isinstance(row[0], list):
                 row = row[0]
             row[0] = marker
-        elif where == "evolver-scalar":
-            body[scalar_key] = marker
         elif where == "readout":
             ch["readout"][3][1] = marker
-        elif where == "train_mean":
-            ch["train_mean"] = marker
         else:
             doc["config"]["theta"] = marker
         text = json.dumps(doc)
@@ -717,6 +714,33 @@ class TestModelDocument:
         with pytest.raises(ModelFormatError):
             fc.model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
+    def test_every_entry_outside_the_config_is_read(self, lorenz63_x, strategy):
+        # an entry the load does not need could be dropped from the document
+        cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
+        doc = json.loads(fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000])))
+
+        def key_paths(node, path=()):
+            # every key but the config's; one element of each list of objects
+            if isinstance(node, list) and isinstance(node[0], dict):
+                yield from key_paths(node[0], path + (0,))
+            elif isinstance(node, dict):
+                for key, value in node.items():
+                    if path + (key,) != ("config",):
+                        yield path + (key,)
+                        yield from key_paths(value, path + (key,))
+
+        paths = list(key_paths(doc))
+        assert ("channels", 0, "evolvers", 0) in [p[:4] for p in paths]
+        for *parents, last in paths:
+            broken = json.loads(json.dumps(doc))
+            node = broken
+            for key in parents:
+                node = node[key]
+            del node[last]
+            with pytest.raises(ModelFormatError):
+                fc.model_from_json(json.dumps(broken))
+
     def test_non_finite_model_is_not_written_as_bare_nan(self, lorenz_model):
         model = lorenz_model[0]
         ch = model.channels[0]
@@ -726,6 +750,19 @@ class TestModelDocument:
 
 
 LEGACY = Path(__file__).parent / "data" / "legacy_v1_frequency_legt_full"
+
+
+def without_config_copies(doc: dict) -> dict:
+    """A fixture document without the entries the loader ignores and the
+    writer no longer stores: each channel's ``train_mean``/``train_std`` and
+    each evolver's copies of config values."""
+    for ch in doc["channels"]:
+        del ch["train_mean"], ch["train_std"]
+        for ev in ch["evolvers"]:
+            for body in (ev, ev.get("doc", {})):
+                for key in ("kind", "m_modes", "seq_len", "ridge_lambda", "beta"):
+                    body.pop(key, None)
+    return doc
 
 
 class TestLegacyDocument:
@@ -751,7 +788,8 @@ class TestLegacyDocument:
             assert_close(fc.predict(model, context).predictions, staged, rtol=1e-10)
 
     def test_resave_drops_only_ssm_and_disc(self, text):
-        doc = json.loads(text)
+        # and the entries ``without_config_copies`` drops
+        doc = without_config_copies(json.loads(text))
         del doc["ssm"], doc["disc"]
         assert fc.model_to_json(fc.model_from_json(text)) == json.dumps(doc)
 
@@ -777,13 +815,31 @@ class TestNonlinearDocument:
 
     def test_resave_is_byte_identical(self, strategy):
         text = self.text(strategy)
-        assert fc.model_to_json(fc.model_from_json(text)) == text
+        expect = json.dumps(without_config_copies(json.loads(text)))
+        assert fc.model_to_json(fc.model_from_json(text)) == expect
 
     def test_refit_writes_the_same_document(self, lorenz63_x, strategy):
         # pins the k-means partition and the per-cluster fits
         text = self.text(strategy)
         config = fc.model_from_json(text).config
-        assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == text
+        expect = json.dumps(without_config_copies(json.loads(text)))
+        assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == expect
+
+
+def test_evolver_beta_copy_is_ignored():
+    # the hopfield fixture copies its config's beta into every evolver; the
+    # model predicts with the config's, whatever the copy says
+    text = TestNonlinearDocument.text("hopfield")
+    doc = json.loads(text)
+    for ev in doc["channels"][0]["evolvers"]:
+        assert ev["beta"] != 50.0
+        ev["beta"] = 50.0
+    edited, model = fc.model_from_json(json.dumps(doc)), fc.model_from_json(text)
+    io = json.loads((LEGACY.parent / "legacy_v1_hopfield_legt_full_io.json")
+                    .read_text(encoding="utf-8"))
+    for context in io["contexts"]:
+        assert np.array_equal(fc.predict(edited, context).predictions,
+                              fc.predict(model, context).predictions)
 
 
 class TestStrategies:

@@ -91,6 +91,17 @@ class TestEstimateMle:
         with pytest.raises(DegenerateSeriesError):
             estimate_mle(np.ones(1000), EmbeddingParams(2, 1), horizon=10)
 
+    def test_fit_range_where_pairs_have_met_rejected(self):
+        # every pair that reaches the constant tail meets: from step 300 on
+        # the curve has no value
+        series = np.r_[np.random.default_rng(0).standard_normal(300), np.zeros(2000)]
+        params = EmbeddingParams(3, 2)
+        est = estimate_mle(series, params, horizon=400)
+        assert np.all(np.isneginf(est.divergence_curve[300:]))
+        assert np.isfinite(est.mle)
+        with pytest.raises(DegenerateSeriesError):
+            estimate_mle(series, params, horizon=400, fit_range=(250, 350))
+
     def test_too_short(self):
         with pytest.raises(TooShortError):
             estimate_mle(np.sin(np.arange(50.0)), EmbeddingParams(3, 5), horizon=100)
