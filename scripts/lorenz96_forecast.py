@@ -4,7 +4,8 @@
 Simulates a 40-dimensional Lorenz96 run, maps it to 3 channels through a
 seeded random linear observation, fits all three evolution strategies on the
 first 70%, and reports validation MSE/MAE against persistence, global-mean and
-DLinear-style baselines on the held-out tail.
+DLinear-style baselines on the held-out tail, with each strategy's fit time and
+model document size (``model_mb``, its JSON length in MB).
 
 The DLinear-style baseline (Zeng et al. 2023, arXiv:2205.13504) is one ridge
 map per channel from the instance-normalized window to the normalized horizon,
@@ -85,8 +86,10 @@ def main():
         t1 = time.time()
         model = fc.fit(replace(base, evolution_strategy=strategy), train)
         mse, mae = val_metrics(lambda ctx: fc.predict(model, ctx).predictions)
-        results[strategy] = {"mse": mse, "mae": mae, "fit_s": time.time() - t1}
-        print(f"{strategy:10s} mse {mse:10.3f} mae {mae:8.3f} ({time.time() - t1:.1f}s)")
+        fit_s = time.time() - t1
+        model_mb = len(fc.model_to_json(model)) / 1e6
+        results[strategy] = {"mse": mse, "mae": mae, "fit_s": fit_s, "model_mb": model_mb}
+        print(f"{strategy:10s} mse {mse:10.3f} mae {mae:8.3f} ({fit_s:.1f}s, {model_mb:.2f} MB)")
 
     mse, mae = val_metrics(lambda ctx: fc.persistence_forecast(ctx, h))
     results["persistence"] = {"mse": mse, "mae": mae}

@@ -190,10 +190,11 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DirectEvolutionModel:
-    """One ridge-fit linear map per cluster; queries go to the nearest centroid."""
+    """One ridge-fit N x N map per cluster, shared by the D coordinates of a
+    position; a position goes to the centroid nearest its (D * N) state."""
 
-    centroids: np.ndarray
-    operators: np.ndarray  # (k, F, F)
+    centroids: np.ndarray  # (k, D * N)
+    operators: np.ndarray  # (k, N, N)
 
 
 def fit_direct_operators(
@@ -205,39 +206,32 @@ def fit_direct_operators(
 ) -> DirectEvolutionModel:
     """Per-cluster map from each point to its successor.
 
-    ``reps`` holds (T, F) source points and ``targets`` their successors;
-    the pair (reps[t], targets[t]) belongs to the cluster ``partition.labels[t]``.
-    Clusters with no pairs fall back to identity.
+    ``reps`` holds (T, D, N) source positions and ``targets`` their
+    successors; the pair (reps[t], targets[t]) belongs to the cluster
+    ``partition.labels[t]``, and each of its D coordinates is one N-vector
+    pair of that cluster's fit.  Clusters with no pairs fall back to identity.
     """
     reps = np.asarray(reps, dtype=float)
-    if reps.ndim != 2 or reps.shape[0] == 0:
-        raise EmptyInputError("need a non-empty (time, features) array")
+    if reps.ndim != 3 or reps.shape[0] == 0:
+        raise EmptyInputError("need a non-empty (time, D, N) array")
     targets = np.asarray(targets, dtype=float)
     if targets.shape != reps.shape:
         raise ShapeMismatchError("targets must match reps in shape")
-    f = reps.shape[1]
-    ops = np.empty((partition.k, f, f))
-    for c in range(partition.k):
+    n = reps.shape[2]
+    ops = np.tile(np.eye(n), (partition.k, 1, 1))
+    for c in np.unique(partition.labels):
         mask = partition.labels == c
-        if not np.any(mask):
-            ops[c] = np.eye(f)
-        else:
-            ops[c] = ridge_fit(reps[mask], targets[mask], ridge_lambda)
+        ops[c] = ridge_fit(reps[mask].reshape(-1, n), targets[mask].reshape(-1, n), ridge_lambda)
     return DirectEvolutionModel(centroids=partition.centroids, operators=ops)
 
 
 def apply_direct_evolution(x: np.ndarray, model: DirectEvolutionModel) -> np.ndarray:
-    """Advance each row of a (rows, F) array by its nearest-centroid cluster
-    operator."""
+    """Advance each (D, N) position of a (rows, D, N) array by its
+    nearest-centroid cluster operator; each row is its own product, so a row
+    does not depend on the others."""
     x = np.asarray(x, dtype=float)
-    labels = _sq_dists(x, model.centroids).argmin(axis=1)
-    # one matmul per cluster: gathering operators[labels] would copy an
-    # (rows, F, F) array
-    out = np.empty_like(x)
-    for c, op in enumerate(model.operators):
-        mask = labels == c
-        out[mask] = x[mask] @ op.T
-    return out
+    labels = _sq_dists(x.reshape(len(x), -1), model.centroids).argmin(axis=1)
+    return x @ model.operators[labels].swapaxes(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +289,10 @@ def fit_hopfield_evolution(
 ) -> HopfieldEvolutionModel:
     """Store one (centroid, mean successor) pair per cluster.
 
-    ``reps`` holds (T, F) source points and ``targets`` their successors;
-    the pair (reps[t], targets[t]) belongs to the cluster
-    ``partition.labels[t]``.  A cluster with no pairs maps its centroid to
-    itself.
+    ``reps`` holds (T, D, N) source positions and ``targets`` their
+    successors; the pair (reps[t], targets[t]) belongs to the cluster
+    ``partition.labels[t]``, and a value is a mean of flattened (D * N)
+    successor states.  A cluster with no pairs maps its centroid to itself.
     """
     reps = np.asarray(reps, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -306,6 +300,7 @@ def fit_hopfield_evolution(
         raise ShapeMismatchError("targets must match reps in shape")
     if reps.shape[0] == 0:
         raise EmptyInputError("need at least one transition")
+    targets = targets.reshape(len(targets), -1)
     values = np.empty_like(partition.centroids)
     for c in range(partition.k):
         mask = partition.labels == c
@@ -314,10 +309,11 @@ def fit_hopfield_evolution(
 
 
 def apply_hopfield_evolution(x: np.ndarray, model: HopfieldEvolutionModel) -> np.ndarray:
-    """x' = V^T softmax(beta K x) per row of a (rows, F) array."""
+    """x' = V^T softmax(beta K x) per position of a (rows, D, N) array, on
+    its flattened (D * N) state."""
     x = np.asarray(x, dtype=float)
-    logits = model.beta * (x @ model.keys.T)
+    logits = model.beta * (x.reshape(len(x), -1) @ model.keys.T)
     logits -= logits.max(axis=1, keepdims=True)
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
-    return w @ model.values
+    return (w @ model.values).reshape(x.shape)

@@ -11,18 +11,18 @@ samples with a ridge-fit readout.
 
 Every stage after patching up to the evolution, and from reconstruction to
 the endpoint, acts identically and linearly on each of the D = m * p patch
-coordinates, as does ``frequency`` evolution.  These stages therefore run as
-small per-coordinate matrices applied to each window's (steps, D) array: a
-front operator (recurrence, left padding, decompose), a frequency-evolution
-matrix per scale (on ``SpectralEvolutionModel``) and a back operator
-(reconstruct, drop padding, endpoint).  They are derived by pushing identity
-inputs through the reference primitives (``sequential_scan``, ``decompose``,
-``apply_spectral_evolution``, ``reconstruct``).  Each window gets its own
-identically shaped matrix product, so under ``frequency`` evolution a
-window's features do not depend on the batch it is computed in.  ``direct``
-and ``hopfield`` evolve all windows' positions as one product, so there a
-window's features may differ in the last bits between a batch and a window
-alone (measured up to 7.6e-14 relative).
+coordinates, as do ``frequency`` evolution and the N x N operator of each
+``direct`` cluster.  The linear stages therefore run as small per-coordinate
+matrices applied to each window's (steps, D) array: a front operator
+(recurrence, left padding, decompose), a frequency-evolution matrix per scale
+(on ``SpectralEvolutionModel``) and a back operator (reconstruct, drop
+padding, endpoint).  They are derived by pushing identity inputs through the
+reference primitives (``sequential_scan``, ``decompose``,
+``apply_spectral_evolution``, ``reconstruct``).  Each window, and under
+``direct`` each position, gets its own identically shaped matrix product, so
+a window's features do not depend on the batch it is computed in, except
+under ``hopfield``, which evolves all windows' positions as one product:
+there they may differ in the last bits (measured up to 9.3e-15 relative).
 
 Between the two operators a window is one (S, D) array, the stack: the whole
 pyramid, each scale a fixed block of rows (``ShapeInfo.scale_rows``).
@@ -114,6 +114,8 @@ class ForecasterConfig:
             raise ValueError("teacher_alpha must lie in [0, 1]")
         if self.m_modes < 1 or self.n_clusters < 1:
             raise ValueError("m_modes and n_clusters must be >= 1")
+        if not (self.ridge_lambda >= 0 and self.hopfield_beta > 0):
+            raise ValueError("ridge_lambda >= 0 and hopfield_beta > 0 required")
 
 
 @dataclass(frozen=True)
@@ -330,11 +332,9 @@ def _features(stack: np.ndarray, evolvers, model) -> np.ndarray:
             evolved[:, rows] = ev.matrix @ stack[:, rows]
         else:
             seqs = _positions(stack[:, rows], sh.order)
-            flat = seqs.reshape(-1, sh.d * sh.order)
-            if strategy == "direct":
-                nxt = evo.apply_direct_evolution(flat, ev)
-            else:
-                nxt = evo.apply_hopfield_evolution(flat, ev)
+            apply = (evo.apply_direct_evolution if strategy == "direct"
+                     else evo.apply_hopfield_evolution)
+            nxt = apply(seqs.reshape(-1, sh.d, sh.order), ev)
             _positions(evolved[:, rows], sh.order)[...] = nxt.reshape(seqs.shape)
     # the broadcast matmul makes one product per window, so a row does not
     # depend on its batch (a whole-batch tensordot changes the last bits)
@@ -377,11 +377,12 @@ def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
             )
         else:
             valid = seqs[:, _valid_positions(length, sh.padded // length, sh.pad)]
-            # (B, V, D, N), flattened window-major
-            src = valid[:-1].reshape(-1, sh.d * sh.order)
-            dst = valid[1:].reshape(-1, sh.d * sh.order)
+            # (B, V, D, N); a position pairs with its place in the next
+            # window, window-major
+            src, dst = (v.reshape(-1, sh.d, sh.order) for v in (valid[:-1], valid[1:]))
             seed = derive_seed(config.seed, 16 * channel_index + si + 2)
-            part = evo.kmeans_partition(src, min(config.n_clusters, src.shape[0]), seed=seed)
+            part = evo.kmeans_partition(src.reshape(len(src), -1),
+                                        min(config.n_clusters, len(src)), seed=seed)
             if config.evolution_strategy == "direct":
                 evolvers.append(
                     evo.fit_direct_operators(src, part, config.ridge_lambda, targets=dst)
@@ -623,7 +624,7 @@ def _evolver_from_doc(doc: dict, length: int, config: ForecasterConfig, sh: Shap
         k = len(doc["centroids"])
         return evo.DirectEvolutionModel(
             centroids=_doc_floats(doc["centroids"], "centroids", (k, width)),
-            operators=_doc_floats(doc["operators"], "operators", (k, width, width)),
+            operators=_doc_floats(doc["operators"], "operators", (k, n, n)),
         )
     k = len(doc["keys"])
     return evo.HopfieldEvolutionModel(

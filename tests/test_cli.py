@@ -252,6 +252,20 @@ class TestFitPredictEval:
         model = fc.load_model(model_path)
         assert model.config == replace(fc.ForecasterConfig(96, 8), embedding=model.embedding)
 
+    def test_negative_ridge_lambda_exits_like_horizon_0(self, lorenz_csv, tmp_path, capsys):
+        codes = []
+        for flags in (["--horizon", "0"], ["--horizon", "8", "--ridge-lambda", "-1"]):
+            code, out, err = run(
+                capsys,
+                "fit", "--input", str(lorenz_csv), "--window", "96", *flags,
+                "--out", str(tmp_path / "model.json"),
+            )
+            assert out == "" and err.startswith("error:")
+            assert "Traceback" not in err
+            codes.append(code)
+        assert codes[0] == codes[1] != 0
+        assert not (tmp_path / "model.json").exists()
+
     def test_malformed_model_exits_3_without_traceback(self, lorenz_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text('{"v": 1}')

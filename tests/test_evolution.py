@@ -199,51 +199,70 @@ def broadcast_sq_dists(points, centroids):
 def test_distances_match_broadcast_formula(n, f, k, monkeypatch):
     rng = np.random.default_rng(n + f + k)
     pts = rng.standard_normal((n, f)) + 4.0 * rng.integers(0, k, (n, 1))
+    positions = pts.reshape(n, -1, min(f, 8))  # (D, N) positions of F = D * N
     assert np.array_equal(evo._sq_dists(pts, pts[:k]), broadcast_sq_dists(pts, pts[:k]))
     part = evo.kmeans_partition(pts, k, seed=3)
-    model = evo.fit_direct_operators(pts, part, 1e-3, targets=0.5 * pts)
-    applied = evo.apply_direct_evolution(pts, model)
+    model = evo.fit_direct_operators(positions, part, 1e-3, targets=0.5 * positions)
+    applied = evo.apply_direct_evolution(positions, model)
     monkeypatch.setattr(evo, "_sq_dists", broadcast_sq_dists)
     ref = evo.kmeans_partition(pts, k, seed=3)
     assert np.array_equal(part.labels, ref.labels)
     assert np.array_equal(part.centroids, ref.centroids)
     assert np.array_equal(part.inertia_history, ref.inertia_history)
-    assert np.array_equal(applied, evo.apply_direct_evolution(pts, model))
+    assert np.array_equal(applied, evo.apply_direct_evolution(positions, model))
+
+
+def flat_partition(positions, k, seed=0):
+    """The k-means partition of (T, D, N) positions by their (D * N) states."""
+    return evo.kmeans_partition(positions.reshape(len(positions), -1), k, seed=seed)
 
 
 class TestDirectEvolution:
     def test_contraction_recovered(self, rng):
         # transitions sampled across state space from x_{t+1} = 0.5 x_t
-        src = rng.standard_normal((50, 3))
+        src = rng.standard_normal((50, 2, 3))
         dst = 0.5 * src
         lam = 1e-10
-        part = evo.kmeans_partition(src, 1, seed=0)
-        model = evo.fit_direct_operators(src, part, lam, targets=dst)
-        # closed-form ridge oracle, dense solve
-        w_ref = np.linalg.solve(src.T @ src + lam * np.eye(3), src.T @ dst).T
+        model = evo.fit_direct_operators(src, flat_partition(src, 1), lam, targets=dst)
+        # closed-form ridge oracle over every coordinate's N-vector, dense solve
+        a, b = src.reshape(-1, 3), dst.reshape(-1, 3)
+        w_ref = np.linalg.solve(a.T @ a + lam * np.eye(3), a.T @ b).T
         assert np.abs(model.operators[0] - w_ref).max() <= 1e-10
         assert np.abs(model.operators[0] - 0.5 * np.eye(3)).max() <= 1e-6
 
     def test_exact_linear_map_single_cluster(self, rng):
         w_true = rng.standard_normal((4, 4)) * 0.4
-        src = rng.standard_normal((50, 4))
+        src = rng.standard_normal((50, 3, 4))
         dst = src @ w_true.T
-        part = evo.kmeans_partition(src, 1, seed=0)
-        model = evo.fit_direct_operators(src, part, 1e-12, targets=dst)
+        model = evo.fit_direct_operators(src, flat_partition(src, 1), 1e-12, targets=dst)
         assert np.abs(model.operators[0] - w_true).max() <= 1e-6
         out = evo.apply_direct_evolution(src, model)
         assert np.abs(out - dst).max() <= 1e-6
 
+    def test_shared_map_recovered_from_fewer_pairs_than_a_dense_fit_needs(self, rng):
+        # two clusters of three pairs each; with D = 6 coordinates a pair
+        # gives six N-vector rows, so 18 rows fit each 4 x 4 map, where one
+        # dense (D * N) map per cluster would have 24 unknowns per output
+        w_true = rng.standard_normal((2, 4, 4)) * 0.4
+        src = rng.standard_normal((6, 6, 4)) + np.repeat([0.0, 50.0], 3)[:, None, None]
+        dst = np.concatenate([src[:3] @ w_true[0].T, src[3:] @ w_true[1].T])
+        part = flat_partition(src, 2)
+        first, second = part.labels[0], part.labels[3]
+        assert first != second and np.array_equal(part.labels, [first] * 3 + [second] * 3)
+        model = evo.fit_direct_operators(src, part, 1e-12, targets=dst)
+        assert np.abs(model.operators[first] - w_true[0]).max() <= 1e-10
+        assert np.abs(model.operators[second] - w_true[1]).max() <= 1e-10
+        assert np.abs(evo.apply_direct_evolution(src, model) - dst).max() <= 1e-10
+
     def test_single_transition_with_ridge_is_solvable(self):
-        src, dst = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-        part = evo.kmeans_partition(src, 1, seed=0)
-        model = evo.fit_direct_operators(src, part, 0.5, targets=dst)
+        src, dst = np.array([[[1.0, 0.0]]]), np.array([[[0.0, 1.0]]])
+        model = evo.fit_direct_operators(src, flat_partition(src, 1), 0.5, targets=dst)
         assert np.all(np.isfinite(model.operators))
 
     def test_empty_cluster_falls_back_to_identity(self, rng):
-        reps = rng.standard_normal((10, 2))
+        reps = rng.standard_normal((10, 3, 2))
         src, dst = reps[:-1], reps[1:]
-        part = evo.kmeans_partition(src, 3, seed=0)
+        part = flat_partition(src, 3)
         hacked = evo.AttractorPartition(
             labels=np.zeros(9, dtype=int), centroids=part.centroids, k=3
         )
@@ -251,18 +270,23 @@ class TestDirectEvolution:
         assert np.array_equal(model.operators[1], np.eye(2))
         assert np.array_equal(model.operators[2], np.eye(2))
 
-    def test_apply_matches_per_row_operator_gather(self, rng):
+    def test_apply_matches_per_cluster_loop(self, rng):
         # four clusters near the data and one so far away that no row picks it
         centroids = np.concatenate([rng.standard_normal((4, 6)), np.full((1, 6), 1e6)])
         model = evo.DirectEvolutionModel(
-            centroids=centroids, operators=rng.standard_normal((5, 6, 6))
+            centroids=centroids, operators=rng.standard_normal((5, 3, 3))
         )
-        pts = rng.standard_normal((200, 6))
-        labels = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
+        pts = rng.standard_normal((200, 2, 3))
+        flat = pts.reshape(200, 6)
+        labels = ((flat[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
         assert np.all(np.bincount(labels, minlength=5)[:4] > 0) and not np.any(labels == 4)
-        gathered = np.einsum("tij,tj->ti", model.operators[labels], pts)
-        assert np.allclose(evo.apply_direct_evolution(pts, model), gathered, rtol=1e-12, atol=1e-12)
-        assert np.allclose(evo.apply_direct_evolution(pts[7:8], model), gathered[7:8], rtol=1e-12, atol=1e-12)
+        ref = np.empty_like(pts)
+        for c, op in enumerate(model.operators):
+            ref[labels == c] = pts[labels == c] @ op.T
+        applied = evo.apply_direct_evolution(pts, model)
+        assert np.allclose(applied, ref, rtol=1e-12, atol=1e-12)
+        # each row is its own product, so a row alone gives the same bits
+        assert np.array_equal(evo.apply_direct_evolution(pts[7:8], model), applied[7:8])
 
 
 class TestHopfield:

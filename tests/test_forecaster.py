@@ -104,6 +104,12 @@ class TestFit:
         with pytest.raises(ValueError, match="max_train_windows"):
             fc.fit(cfg, np.sin(0.1 * np.arange(600)))
 
+    @pytest.mark.parametrize("field,value", [("ridge_lambda", -1.0), ("hopfield_beta", -1.0),
+                                             ("hopfield_beta", 0.0)])
+    def test_out_of_range_solver_values_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            fc.ForecasterConfig(window=96, horizon=4, **{field: value})
+
     def test_infeasible_window_embedding(self):
         cfg = small_config(embedding=EmbeddingParams(8, 16))  # span 113 > window
         with pytest.raises(TooShortError):
@@ -167,13 +173,14 @@ class TestPredict:
         # directly, while direct and hopfield models serve through it
         x = np.stack([lorenz63_x[:3000], np.cos(0.03 * np.arange(3000))], axis=1)
         cfg = small_config(window=96, max_train_windows=40, evolution_strategy=strategy)
+        sh = fc.pipeline_shapes(cfg, cfg.embedding)
         designs = []
         ridge_fit = fc.evo.ridge_fit
 
         def recording_ridge_fit(a, b, lam):
-            # the readout fit: spectral operators are complex and direct
-            # cluster operators map onto their own feature space
-            if np.isrealobj(a) and b.shape[1] == cfg.horizon:
+            # the readout fit, told apart by its design width: the N x N
+            # direct cluster fits have as many outputs as the horizon here
+            if a.shape[1] == sh.n_patches * sh.d:
                 designs.append(a.copy())
             return ridge_fit(a, b, lam)
 
@@ -199,13 +206,13 @@ class TestPredict:
                 fc.predict(model, window)
             # one single-window row per channel, in order
             for c in range(2):
-                if strategy == "frequency":
-                    assert np.array_equal(rows[c - 2][0], designs[c][i])
-                else:
+                if strategy == "hopfield":
                     # the fit evolves all windows' positions in one BLAS
                     # product, whose row sums differ in the last bits from a
-                    # single window's (measured: 7.6e-14 direct, 9.3e-15 hopfield)
+                    # single window's (measured: 9.3e-15)
                     assert_close(rows[c - 2][0], designs[c][i], rtol=1e-12)
+                else:
+                    assert np.array_equal(rows[c - 2][0], designs[c][i])
 
     def test_predict_runs_on_stage_operators(self, lorenz_model, monkeypatch):
         # the primitives and the stages only build the operators and the
@@ -757,7 +764,8 @@ def without_config_copies(doc: dict) -> dict:
     writer no longer stores: each channel's ``train_mean``/``train_std`` and
     each evolver's copies of config values."""
     for ch in doc["channels"]:
-        del ch["train_mean"], ch["train_std"]
+        for key in ("train_mean", "train_std"):
+            ch.pop(key, None)
         for ev in ch["evolvers"]:
             for body in (ev, ev.get("doc", {})):
                 for key in ("kind", "m_modes", "seq_len", "ridge_lambda", "beta"):
@@ -796,19 +804,22 @@ class TestLegacyDocument:
 
 @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
 class TestNonlinearDocument:
-    """``direct`` and ``hopfield`` model documents written by attraos at
-    commit b8cb457 (legt_full, two clusters, otherwise the setup of the
-    legacy ``frequency`` document) from the first 2000 samples of the
-    Lorenz63 fixture, with three contexts and the predictions that version
-    made."""
+    """``direct`` and ``hopfield`` model documents (legt_full, two clusters,
+    otherwise the setup of the legacy ``frequency`` document) fit on the
+    first 2000 samples of the Lorenz63 fixture, with three contexts and the
+    predictions the writing version made.  The ``hopfield`` one was written
+    by attraos at commit b8cb457, the ``direct`` one, with its N x N cluster
+    operators, by the version that introduced them."""
 
-    @staticmethod
-    def text(strategy):
-        return (LEGACY.parent / f"legacy_v1_{strategy}_legt_full.json").read_text(encoding="utf-8")
+    NAMES = {"direct": "v1_direct_legt_full", "hopfield": "legacy_v1_hopfield_legt_full"}
+
+    @classmethod
+    def text(cls, strategy):
+        return (LEGACY.parent / f"{cls.NAMES[strategy]}.json").read_text(encoding="utf-8")
 
     def test_loads_with_bit_identical_predictions(self, strategy):
         model = fc.model_from_json(self.text(strategy))
-        io = json.loads((LEGACY.parent / f"legacy_v1_{strategy}_legt_full_io.json")
+        io = json.loads((LEGACY.parent / f"{self.NAMES[strategy]}_io.json")
                         .read_text(encoding="utf-8"))
         for context, expect in zip(io["contexts"], io["predictions"], strict=True):
             assert np.array_equal(fc.predict(model, context).predictions[:, 0], expect)
@@ -824,6 +835,21 @@ class TestNonlinearDocument:
         config = fc.model_from_json(text).config
         expect = json.dumps(without_config_copies(json.loads(text)))
         assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == expect
+
+
+def test_dense_direct_document_raises():
+    # written at b8cb457, when each direct cluster fit one dense (D * N) map;
+    # such a model has to be refit
+    text = (LEGACY.parent / "legacy_v1_direct_legt_full.json").read_text(encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="operators has shape"):
+        fc.model_from_json(text)
+
+
+def test_non_positive_hopfield_beta_in_document_raises():
+    doc = json.loads(TestNonlinearDocument.text("hopfield"))
+    doc["config"]["hopfield_beta"] = -1
+    with pytest.raises(ModelFormatError):
+        fc.model_from_json(json.dumps(doc))
 
 
 def test_evolver_beta_copy_is_ignored():

@@ -31,4 +31,7 @@ def test_script_runs_and_reports_json(script, args):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    json.loads(proc.stdout.strip().splitlines()[-1])
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    if script == "lorenz96_forecast.py":
+        for strategy in ("frequency", "direct", "hopfield"):
+            assert report[strategy]["model_mb"] > 0
