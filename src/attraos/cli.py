@@ -126,10 +126,10 @@ def cmd_embed(args) -> int:
 
 def cmd_lyapunov(args) -> int:
     data = read_csv(args.input)
+    if (args.fit_start is None) != (args.fit_end is None):
+        raise UsageError("--fit-start and --fit-end must be given together")
     params = EmbeddingParams(m=args.m, tau=args.tau)
-    fit_range = None
-    if args.fit_start is not None and args.fit_end is not None:
-        fit_range = (args.fit_start, args.fit_end)
+    fit_range = None if args.fit_start is None else (args.fit_start, args.fit_end)
     table = mle_table(data, params, horizon=args.horizon, theiler=args.theiler,
                       fit_range=fit_range)
     curve = table["estimates"][0].divergence_curve
@@ -161,6 +161,8 @@ def cmd_fit(args) -> int:
             "m": model.embedding.m,
             "tau": model.embedding.tau,
             "n_patches": model.shapes.n_patches,
+            "padded": model.shapes.padded,
+            "scale_lens": list(model.shapes.scale_lens),
         }
     )
     return 0
@@ -189,6 +191,8 @@ def cmd_bench_scan(args) -> int:
         raise UsageError("--n must be >= 1")
     if args.d < 1:
         raise UsageError("--d must be >= 1")
+    if min(args.l_list) < 1:
+        raise UsageError("--l-list entries must be >= 1")
     rng = np.random.default_rng(derive_seed(args.seed, 7))
     report = []
     for l in args.l_list:

@@ -31,15 +31,12 @@ def fft_modes(x: np.ndarray, m_modes: int) -> np.ndarray:
 
 
 def ifft_modes(spectrum: np.ndarray, seq_len: int) -> np.ndarray:
-    """Zero-pad a truncated spectrum and invert (numpy convention: the
-    inverse transform carries the 1/L factor)."""
+    """Invert a truncated spectrum to ``seq_len`` samples; ``irfft`` takes
+    the missing high modes as zero (numpy convention: the inverse transform
+    carries the 1/L factor)."""
     spectrum = np.asarray(spectrum, dtype=complex)
-    full = seq_len // 2 + 1
-    if spectrum.shape[0] > full:
+    if spectrum.shape[0] > seq_len // 2 + 1:
         raise TooManyModesError("spectrum has more modes than the target length")
-    if spectrum.shape[0] < full:
-        pad = np.zeros((full - spectrum.shape[0],) + spectrum.shape[1:], dtype=complex)
-        spectrum = np.concatenate([spectrum, pad], axis=0)
     return np.fft.irfft(spectrum, n=seq_len, axis=0)
 
 

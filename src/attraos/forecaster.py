@@ -125,7 +125,7 @@ class ShapeInfo:
     ``scale_rows[s]`` is the slice of the (S, D) stack that holds scale s
     (finest detail first, coarse last): ``scale_lens[s] * order`` rows,
     position-major.  A position of scale s spans ``padded // scale_lens[s]``
-    patches.
+    patches and a ``frequency`` model evolves its ``scale_modes[s]`` lowest modes.
     """
 
     n_patches: int
@@ -136,6 +136,7 @@ class ShapeInfo:
     eff_levels: int
     scale_lens: tuple
     scale_rows: tuple
+    scale_modes: tuple
 
 
 def pipeline_shapes(config: ForecasterConfig, embedding: EmbeddingParams) -> ShapeInfo:
@@ -146,12 +147,12 @@ def pipeline_shapes(config: ForecasterConfig, embedding: EmbeddingParams) -> Sha
             f"(points={n_points}, patch_len={config.patch_len})"
         )
     n_patches = n_points // config.patch_len
-    padded = 1
-    while padded < n_patches:
-        padded *= 2
-    eff_levels = min(config.levels, padded.bit_length() - 1)
-    scale_lens = tuple(padded // 2 ** (i + 1) for i in range(eff_levels))
-    scale_lens = scale_lens + (padded // 2**eff_levels,)
+    # each level splits disjoint pairs of cells, so the pyramid needs only a
+    # multiple of 2^levels steps, with at most ceil(log2 n_patches) levels
+    eff_levels = min(config.levels, (n_patches - 1).bit_length())
+    cell = 2**eff_levels
+    padded = -(-n_patches // cell) * cell
+    scale_lens = tuple(padded >> min(i + 1, eff_levels) for i in range(eff_levels + 1))
     edges = tuple(accumulate((n * config.poly_order for n in scale_lens), initial=0))
     return ShapeInfo(
         n_patches=n_patches,
@@ -162,6 +163,7 @@ def pipeline_shapes(config: ForecasterConfig, embedding: EmbeddingParams) -> Sha
         eff_levels=eff_levels,
         scale_lens=scale_lens,
         scale_rows=tuple(map(slice, edges[:-1], edges[1:])),
+        scale_modes=tuple(min(config.m_modes, n // 2 + 1) for n in scale_lens),
     )
 
 
@@ -263,7 +265,7 @@ def _front_operator(ssm: SsmParams, disc: DiscretizedSsm, filters: WaveletFilter
     a_seq = np.broadcast_to(disc.a_bar, (length,) + disc.a_bar.shape)
     states = sequential_scan(ScanInput(a_seq=a_seq, bu_seq=bu, matrix=not ssm.is_diagonal))
     if sh.pad:
-        # wavelet stage needs a power-of-two step count; repeat the earliest
+        # the pyramid needs a multiple of 2^levels steps; repeat the earliest
         # state on the left so the most recent data stays aligned
         head = np.repeat(states[:1], sh.pad, axis=0)
         states = np.concatenate([head, states], axis=0)
@@ -365,10 +367,9 @@ def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
     for si, (length, rows) in enumerate(zip(sh.scale_lens, sh.scale_rows)):
         seqs = _positions(stack[:, rows], sh.order)
         if config.evolution_strategy == "frequency":
-            m_modes = min(config.m_modes, length // 2 + 1)
             # one spectrum per window and state row; consecutive windows
             # form the pairs
-            spectra = evo.fft_modes(np.swapaxes(seqs, 0, 1), m_modes)  # (M, B, D, N)
+            spectra = evo.fft_modes(np.swapaxes(seqs, 0, 1), sh.scale_modes[si])  # (M, B, D, N)
             spectra = spectra.transpose(1, 2, 0, 3)  # (B, D, M, N)
             a_spec = spectra[:-1].reshape((-1,) + spectra.shape[2:])
             b_spec = spectra[1:].reshape((-1,) + spectra.shape[2:])
@@ -607,19 +608,17 @@ def _doc_floats(value, what: str, shape: tuple | None = None) -> np.ndarray:
     return arr
 
 
-def _evolver_from_doc(doc: dict, length: int, config: ForecasterConfig, sh: ShapeInfo):
-    """The evolver of a scale with ``length`` positions, of the config's
-    strategy: its arrays are read in the shapes the config implies, its
-    scalars come from the config.  An evolver of another strategy lacks the
-    keys read here."""
+def _evolver_from_doc(doc: dict, scale: int, config: ForecasterConfig, sh: ShapeInfo):
+    """The evolver of scale ``scale``, of the config's strategy: its arrays
+    are read in the shapes the config implies, its scalars come from the
+    config.  An evolver of another strategy lacks the keys read here."""
     n, width = sh.order, sh.d * sh.order  # width: a position's (D, N) state
     if config.evolution_strategy == "frequency":
-        m_modes = min(config.m_modes, length // 2 + 1)
-        re_im = _doc_floats(doc["doc"]["mode_ops"], "mode_ops", (m_modes, 2, n, n))
+        re_im = _doc_floats(doc["doc"]["mode_ops"], "mode_ops", (sh.scale_modes[scale], 2, n, n))
         # filling both parts keeps every signed zero; re + 1j * im would not
         ops = np.empty(re_im[:, 0].shape, dtype=complex)
         ops.real, ops.imag = re_im[:, 0], re_im[:, 1]
-        return evo.SpectralEvolutionModel(mode_ops=ops, seq_len=length)
+        return evo.SpectralEvolutionModel(mode_ops=ops, seq_len=sh.scale_lens[scale])
     if config.evolution_strategy == "direct":
         k = len(doc["centroids"])
         return evo.DirectEvolutionModel(
@@ -637,7 +636,7 @@ def _evolver_from_doc(doc: dict, length: int, config: ForecasterConfig, sh: Shap
 def model_to_json(model: FittedForecaster) -> str:
     cfg = model.config
     doc = {
-        "v": 1,
+        "v": 2,
         # the embedding the model was fit with is stored on its own below
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "embedding"},
         "embedding": {"m": model.embedding.m, "tau": model.embedding.tau},
@@ -651,8 +650,11 @@ def model_to_json(model: FittedForecaster) -> str:
 
 def model_from_json(text: str) -> FittedForecaster:
     """Rebuild a model from its JSON document; a document that is not a
-    version-1 model raises ModelFormatError, as does any number in it that
-    is not finite (``NaN``, ``Infinity`` or a literal beyond the float range).
+    version-1 or version-2 model raises ModelFormatError, as does any number
+    in it that is not finite (``NaN``, ``Infinity`` or a literal beyond the
+    float range).  Version 1 padded the pyramid to a power of two; a
+    version-1 ``frequency`` model that now pads to another length had other
+    scales and raises ModelFormatError (it must be refit).
 
     Entries that older documents carry are ignored: the derived ``ssm`` and
     ``disc``, the unused ``train_mean``/``train_std`` of each channel, and
@@ -660,8 +662,8 @@ def model_from_json(text: str) -> FittedForecaster:
     ``seq_len``, ``ridge_lambda``, ``beta``)."""
     try:
         doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("v") != 1:
-            raise ModelFormatError("not a version-1 model document")
+        if not isinstance(doc, dict) or doc.get("v") not in (1, 2):
+            raise ModelFormatError("not a version-1 or version-2 model document")
         return _model_from_doc(doc)
     # JSONDecodeError is a ValueError; an infinite value or an integer beyond
     # the float range where an integer or float is read raises OverflowError
@@ -674,6 +676,10 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
     config = ForecasterConfig(embedding=embedding, **doc["config"])
     _doc_floats([v for v in vars(config).values() if isinstance(v, float)], "config value")
     sh = pipeline_shapes(config, embedding)
+    v1_padded = 1 << (sh.n_patches - 1).bit_length()
+    if doc["v"] == 1 and config.evolution_strategy == "frequency" and sh.padded != v1_padded:
+        raise ModelFormatError(f"version-1 frequency model padded to {v1_padded} patches, "
+                               f"now {sh.padded}: refit the model")
     channels = []
     for ch in doc["channels"]:
         if len(ch["evolvers"]) != len(sh.scale_lens):
@@ -681,8 +687,7 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
                 f"{len(ch['evolvers'])} evolvers for {len(sh.scale_lens)} scales"
             )
         channels.append(ChannelModel(
-            evolvers=[_evolver_from_doc(e, length, config, sh)
-                      for e, length in zip(ch["evolvers"], sh.scale_lens)],
+            evolvers=[_evolver_from_doc(e, s, config, sh) for s, e in enumerate(ch["evolvers"])],
             readout=_doc_floats(ch["readout"], "readout",
                                 (sh.n_patches * sh.d, config.horizon)),
         ))

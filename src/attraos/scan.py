@@ -5,9 +5,11 @@ operator
 
     (a_i, b_i) . (a_j, b_j) = (a_j * a_i, a_j * b_i + b_j)
 
-over a fixed up-sweep/down-sweep schedule on an identity-padded power-of-two
-grid.  The down sweep starts with the identity composition (identity at
-virtual position -1 into position 0), which is a no-op.
+over a fixed up-sweep/down-sweep schedule on a virtual power-of-two grid:
+the input fills its last positions, and no identity elements are
+materialized for the rest.  The down sweep starts with the identity
+composition (identity at virtual position -1 into position 0), which is a
+no-op.
 """
 
 from __future__ import annotations
@@ -126,23 +128,6 @@ def _level_plan(l_padded: int):
     return plan
 
 
-def _pad_left(inp: ScanInput, l_padded: int):
-    pad = l_padded - inp.length
-    if pad == 0:
-        return inp.a_seq.copy(), inp.bu_seq.copy(), 0
-    if inp.matrix:
-        eye = np.eye(inp.a_seq.shape[-1])
-        a_pad = np.broadcast_to(eye, (pad,) + inp.a_seq.shape[1:]).copy()
-    else:
-        a_pad = np.ones((pad,) + inp.a_seq.shape[1:])
-    b_pad = np.zeros((pad,) + inp.bu_seq.shape[1:])
-    return (
-        np.concatenate([a_pad, inp.a_seq], axis=0),
-        np.concatenate([b_pad, inp.bu_seq], axis=0),
-        pad,
-    )
-
-
 def _compose_at(a, b, dst, half, matrix: bool):
     src = dst - half
     if matrix:
@@ -158,20 +143,22 @@ def _compose_at(a, b, dst, half, matrix: bool):
 def blelloch_scan(inp: ScanInput) -> np.ndarray:
     """Tree-scheduled scan; equals sequential_scan up to float tolerance.
 
-    Non-power-of-two lengths are left-padded with identity elements and the
-    padded outputs dropped.  Compositions whose source segment lies entirely
-    in the identity padding are exact no-ops and are skipped, which keeps the
-    composition count at most 2L - 1 for input length L.
+    A composition whose source lies in the first ``pad`` grid positions
+    (identity elements) is an exact no-op and is skipped, so every other one
+    reads and writes input positions only: the scan runs on the unpadded
+    arrays with grid indices shifted by ``pad``.  This keeps the composition
+    count at most 2L - 1 for input length L.
     """
     if inp.length == 0:
         return inp.bu_seq.copy()
     lp = _padded_length(inp.length)
-    a, b, pad = _pad_left(inp, lp)
+    pad = lp - inp.length
+    a, b = inp.a_seq.copy(), inp.bu_seq.copy()
     for dst, half in _level_plan(lp):
-        keep = dst[(dst - half) >= pad]
+        keep = dst[(dst - half) >= pad] - pad
         if keep.size:
             _compose_at(a, b, keep, half, inp.matrix)
-    return b[pad:]
+    return b
 
 
 def scan_composition_count(length: int) -> int:

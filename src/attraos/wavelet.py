@@ -126,13 +126,16 @@ def down_project(x_coarse: np.ndarray, s_detail: np.ndarray, filters: WaveletFil
 
 
 def decompose(x: np.ndarray, filters: WaveletFilters, levels: int) -> Pyramid:
-    """Repeated up projection; the pyramid keeps every level's details."""
+    """Repeated up projection; the pyramid keeps every level's details.  Each
+    level splits disjoint pairs, so any positive multiple of 2^levels works."""
     x = np.asarray(x, dtype=float)
     length = x.shape[0]
-    if length < 1 or (length & (length - 1)) != 0:
-        raise ShapeMismatchError("sequence length must be a power of two")
+    if length < 1:
+        raise ShapeMismatchError("sequence must not be empty")
     if levels < 0 or 2**levels > length:
         raise ValueError("levels must satisfy 0 <= levels <= log2(len)")
+    if length % 2**levels:
+        raise ShapeMismatchError(f"sequence length {length} is not a multiple of 2^{levels}")
     details = []
     coarse = x
     for _ in range(levels):

@@ -181,6 +181,15 @@ class TestLyapunov:
         assert curve[300:] == [None] * 101 and None not in curve[:300]
         assert np.isfinite(doc["mean_mle"])
 
+    @pytest.mark.parametrize("flag", ["--fit-start", "--fit-end"])
+    def test_lone_fit_range_flag_is_usage_error(self, lorenz_csv, capsys, flag):
+        code, out, err = run(
+            capsys,
+            "lyapunov", "--input", str(lorenz_csv), "--m", "3", "--tau", "16", flag, "60",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "together" in err
+
     def test_fit_range_without_pairs_exits_3(self, meeting_csv, capsys):
         code, out, err = run(
             capsys,
@@ -220,6 +229,18 @@ class TestFitPredictEval:
         assert code == 0
         doc = json.loads(stdout)
         assert doc["mse"] == 0.0 and doc["mae"] == 0.0
+
+    def test_fit_reports_the_padding_layout(self, lorenz_csv, tmp_path, capsys):
+        # 44 embedded points make 11 patches, padded to 12 for 2 levels
+        code, stdout, _ = run(
+            capsys,
+            "fit", "--input", str(lorenz_csv), "--window", "48", "--horizon", "4",
+            "--m", "2", "--tau", "4", "--patch-len", "4", "--levels", "2",
+            "--out", str(tmp_path / "model.json"),
+        )
+        assert code == 0
+        doc = json.loads(stdout)
+        assert (doc["n_patches"], doc["padded"], doc["scale_lens"]) == (11, 12, [6, 3, 3])
 
     def test_cli_predict_bit_identical_to_in_process(self, lorenz_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -311,6 +332,12 @@ class TestBenchScan:
         code, _, err = run(capsys, "bench-scan", "--l-list", "8", "--n", "0")
         assert code == 2
         assert err.strip()
+
+    @pytest.mark.parametrize("l_list", ["0", "-3", "8,0"])
+    def test_rejects_lengths_below_one(self, capsys, l_list):
+        code, out, err = run(capsys, "bench-scan", "--l-list", l_list)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_usage_error_exits_2(capsys):

@@ -353,8 +353,11 @@ class TestServingMaps:
             # 5 patches pad to 8 on a 3-level pyramid
             (dict(window=28, horizon=2, embedding=EmbeddingParams(3, 4), poly_order=3,
                   levels=3, m_modes=2), 2),
+            # 11 patches pad to 12 on a 2-level pyramid, not to a power of two
+            (dict(window=48, horizon=2, embedding=EmbeddingParams(2, 4), poly_order=3,
+                  m_modes=2), 2),
         ],
-        ids=["diag_neg1-1ch", "legt_full-2ch", "legs_diag-3ch", "padded-2ch"],
+        ids=["diag_neg1-1ch", "legt_full-2ch", "legs_diag-3ch", "padded-2ch", "11-patches-2ch"],
     )
     def test_serving_matches_staged_reference(self, lorenz63_x, overrides, n_channels):
         t = np.arange(3000)
@@ -418,6 +421,20 @@ class TestShapesContract:
         assert sh.d == m * p
         assert sh.padded >= sh.n_patches and sh.padded < 2 * max(sh.n_patches, 1)
         assert len(sh.scale_lens) == sh.eff_levels + 1
+
+    @pytest.mark.parametrize("levels", range(6))
+    def test_padding_is_the_smallest_multiple_of_the_pyramid_cell(self, levels):
+        for n in range(1, 201):
+            cfg = fc.ForecasterConfig(window=2 * n, horizon=1, embedding=EmbeddingParams(1, 1),
+                                      patch_len=2, levels=levels)
+            sh = fc.pipeline_shapes(cfg, cfg.embedding)
+            cell = 2**sh.eff_levels
+            power_of_two = 1 << (n - 1).bit_length()
+            assert sh.n_patches == n
+            assert sh.eff_levels == min(levels, power_of_two.bit_length() - 1)
+            assert sh.padded % cell == 0 and 0 <= sh.padded - n < cell
+            assert sh.padded <= power_of_two
+            assert sum(sh.scale_lens[:-1]) + sh.scale_lens[-1] == sh.padded
 
     def test_representation_tensor_shape(self, lorenz_model):
         model, _, val = lorenz_model
@@ -654,13 +671,13 @@ class TestModelDocument:
         [
             '{"v": 1}',
             "[1, 2]",
-            '{"v": 2}',
+            '{"v": 3}',
             "{not json",
             '{"v": 1, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
             ' "channels": []}',
             '{"v": 1, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "channels": []}',
         ],
-        ids=["no-body", "not-object", "version-2", "not-json", "horizon-0", "config-not-object"],
+        ids=["no-body", "not-object", "version-3", "not-json", "horizon-0", "config-not-object"],
     )
     def test_malformed_document_raises_typed_error(self, text):
         with pytest.raises(ModelFormatError):
@@ -761,8 +778,10 @@ LEGACY = Path(__file__).parent / "data" / "legacy_v1_frequency_legt_full"
 
 def without_config_copies(doc: dict) -> dict:
     """A fixture document without the entries the loader ignores and the
-    writer no longer stores: each channel's ``train_mean``/``train_std`` and
-    each evolver's copies of config values."""
+    writer no longer stores (each channel's ``train_mean``/``train_std`` and
+    each evolver's copies of config values), at the version the writer
+    stamps."""
+    doc["v"] = 2
     for ch in doc["channels"]:
         for key in ("train_mean", "train_std"):
             ch.pop(key, None)
@@ -776,30 +795,69 @@ def without_config_copies(doc: dict) -> dict:
 class TestLegacyDocument:
     """A ``frequency`` / ``legt_full`` model document written by attraos at
     commit 34c421a, which still stored the derived ``ssm`` and ``disc``
-    entries, with three contexts and the predictions that version made."""
+    entries.  Its 11 patches were padded to 16, where this version pads them
+    to 12, so its scales are gone: it must be refit."""
 
     @pytest.fixture(scope="class")
-    def text(self):
-        return LEGACY.with_suffix(".json").read_text(encoding="utf-8")
+    def doc(self):
+        return json.loads(LEGACY.with_suffix(".json").read_text(encoding="utf-8"))
 
-    def test_loads_with_bit_identical_predictions(self, text):
-        model = fc.model_from_json(text)
-        doc = json.loads(text)
-        ssm, disc, _ = staged_primitives(model.config)
+    def test_frequency_document_must_be_refit(self, doc):
+        with pytest.raises(ModelFormatError, match="refit"):
+            fc.model_from_json(json.dumps(doc))
+
+    def test_derived_entries_match_the_staged_primitives(self, doc):
+        config = fc.ForecasterConfig(embedding=EmbeddingParams(**doc["embedding"]),
+                                     **doc["config"])
+        ssm, disc, _ = staged_primitives(config)
         assert np.array_equal(ssm.a, doc["ssm"]["a"])
         assert np.array_equal(disc.a_bar, doc["disc"]["a_bar"])
         assert np.array_equal(disc.b_bar, doc["disc"]["b_bar"])
-        io = json.loads(Path(f"{LEGACY}_io.json").read_text(encoding="utf-8"))
-        for context, expect in zip(io["contexts"], io["predictions"], strict=True):
-            staged = fc._staged_forecast(model, np.asarray(context)[None])
-            assert np.array_equal(staged[:, 0], expect)
-            assert_close(fc.predict(model, context).predictions, staged, rtol=1e-10)
 
-    def test_resave_drops_only_ssm_and_disc(self, text):
-        # and the entries ``without_config_copies`` drops
-        doc = without_config_copies(json.loads(text))
-        del doc["ssm"], doc["disc"]
-        assert fc.model_to_json(fc.model_from_json(text)) == json.dumps(doc)
+    def test_resave_drops_only_ssm_and_disc(self, doc):
+        # and the entries ``without_config_copies`` drops: grafted onto the
+        # current frequency document, they are ignored and not written back
+        text = TestFrequencyDocument.text()
+        grafted = json.loads(text)
+        grafted.update(ssm=doc["ssm"], disc=doc["disc"])
+        for ch, old in zip(grafted["channels"], doc["channels"], strict=True):
+            ch.update(train_mean=old["train_mean"], train_std=old["train_std"])
+            for ev, old_ev in zip(ch["evolvers"], old["evolvers"], strict=True):
+                ev["kind"] = old_ev["kind"]
+                ev["doc"].update({k: v for k, v in old_ev["doc"].items() if k != "mode_ops"})
+        assert fc.model_to_json(fc.model_from_json(json.dumps(grafted))) == text
+
+
+class TestFrequencyDocument:
+    """The ``frequency`` / ``legt_full`` model of the legacy document's setup
+    (window 48, horizon 4, m=2, tau=4, patch 4, order 3, 32 windows), fit on
+    the first 2000 samples of the Lorenz63 fixture: its 11 patches pad to
+    12.  It holds the legacy document's three contexts and the predictions
+    of the version that wrote it."""
+
+    PATH = LEGACY.parent / "v2_frequency_legt_full"
+
+    @classmethod
+    def text(cls):
+        return cls.PATH.with_suffix(".json").read_text(encoding="utf-8")
+
+    def test_loads_with_bit_identical_predictions(self):
+        model = fc.model_from_json(self.text())
+        assert (model.shapes.n_patches, model.shapes.padded) == (11, 12)
+        io = json.loads(Path(f"{self.PATH}_io.json").read_text(encoding="utf-8"))
+        for context, expect in zip(io["contexts"], io["predictions"], strict=True):
+            got = fc.predict(model, context).predictions
+            assert np.array_equal(got[:, 0], expect)
+            assert_close(got, fc._staged_forecast(model, np.asarray(context)[None]), rtol=1e-10)
+
+    def test_resave_is_byte_identical(self):
+        text = self.text()
+        assert fc.model_to_json(fc.model_from_json(text)) == text
+
+    def test_refit_writes_the_same_document(self, lorenz63_x):
+        text = self.text()
+        config = fc.model_from_json(text).config
+        assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == text
 
 
 @pytest.mark.parametrize("strategy", ["direct", "hopfield"])

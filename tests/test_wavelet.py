@@ -133,17 +133,18 @@ class TestPyramid:
     def test_lossless_reconstruction(self, rng):
         for n in (1, 2, 3, 4):
             f = wv.build_filters(n)
-            for log_l in (1, 3, 6):
-                x = rng.standard_normal((2**log_l, 5, n))
-                p = wv.decompose(x, f, log_l)
+            for length, levels in ((2, 1), (8, 3), (64, 6), (12, 2), (24, 3)):
+                x = rng.standard_normal((length, 5, n))
+                p = wv.decompose(x, f, levels)
                 assert np.abs(wv.reconstruct(p, f) - x).max() <= 1e-9
 
     def test_energy_preservation(self, rng):
         f = wv.build_filters(4)
-        x = rng.standard_normal((64, 4))
-        p = wv.decompose(x, f, 5)
-        total = np.sum(p.coarse**2) + sum(np.sum(d**2) for d in p.details)
-        assert abs(total - np.sum(x**2)) <= 1e-9
+        for length, levels in ((64, 5), (12, 2), (24, 3)):
+            x = rng.standard_normal((length, 4))
+            p = wv.decompose(x, f, levels)
+            total = np.sum(p.coarse**2) + sum(np.sum(d**2) for d in p.details)
+            assert abs(total - np.sum(x**2)) <= 1e-9
 
     def test_coarse_and_detail_content_are_orthogonal(self, rng):
         # build one signal from coarse-only content and one from detail-only
@@ -156,9 +157,11 @@ class TestPyramid:
         assert abs(np.sum(xa * xb)) <= 1e-9
 
     def test_non_power_of_two_rejected(self, rng):
+        # a length that is not a multiple of 2^levels; 12 at 2 levels is legal
         f = wv.build_filters(2)
-        with pytest.raises(ShapeMismatchError):
-            wv.decompose(rng.standard_normal((12, 2)), f, 2)
+        for length, levels in ((10, 2), (12, 3)):
+            with pytest.raises(ShapeMismatchError):
+                wv.decompose(rng.standard_normal((length, 2)), f, levels)
 
     def test_too_many_levels_rejected(self, rng):
         f = wv.build_filters(2)
