@@ -103,10 +103,8 @@ def cmd_embed(args) -> int:
     if params is None:
         params = select_embedding(series, max_tau=args.max_tau, max_m=args.max_m,
                                   repeats=args.repeats)
-    cols = []
-    for c in range(data.shape[1]):
-        cols.append(delay_embed(data[:, c], params))
-    points = np.concatenate(cols, axis=1)
+    # (channels, count, m) points, laid out channel-major per row
+    points = np.concatenate(delay_embed(data.T, params), axis=1)
     header = [f"c{c}_d{d}" for c in range(data.shape[1]) for d in range(params.m)]
     write_csv(args.out_traj, points, header)
     ref = data[:, 0]

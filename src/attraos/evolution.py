@@ -173,7 +173,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(points, centroids[:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -181,7 +181,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
             break
         probs = d2 / total
         centroids[c] = points[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, ((points - centroids[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(points, centroids[c : c + 1])[:, 0])
     return centroids
 
 
@@ -248,13 +248,11 @@ class HopfieldConfig:
 
 
 def hopfield_update(query: np.ndarray, config: HopfieldConfig) -> np.ndarray:
-    """One retrieval step: xi <- X softmax(beta X^T xi)."""
-    xi = np.asarray(query, dtype=float)
-    logits = config.beta * (config.patterns @ xi)
-    logits -= logits.max()
-    p = np.exp(logits)
-    p /= p.sum()
-    return config.patterns.T @ p
+    """One retrieval step: xi <- X softmax(beta X^T xi), the auto-associative
+    case of ``apply_hopfield_evolution``."""
+    memory = HopfieldEvolutionModel(keys=config.patterns, values=config.patterns,
+                                    beta=config.beta)
+    return apply_hopfield_evolution(np.asarray(query)[None], memory)[0]
 
 
 def hopfield_energy(xi: np.ndarray, config: HopfieldConfig) -> float:

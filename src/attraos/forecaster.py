@@ -116,6 +116,9 @@ class ForecasterConfig:
             raise ValueError("m_modes and n_clusters must be >= 1")
         if not (self.ridge_lambda >= 0 and self.hopfield_beta > 0):
             raise ValueError("ridge_lambda >= 0 and hopfield_beta > 0 required")
+        if self.max_train_windows < 2:
+            # one window makes no evolution pair
+            raise ValueError("max_train_windows must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -419,11 +422,8 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     ``fit(model.config, x)`` behaves the same for a fitted model and for the
     same model loaded from its document.  A series with
     NaN or inf, or finite values whose window spread or fit overflows the
-    float range, raises NonFiniteError, and ``max_train_windows < 2`` raises
-    ValueError (one window makes no evolution pair).
+    float range, raises NonFiniteError.
     """
-    if config.max_train_windows < 2:
-        raise ValueError("max_train_windows must be >= 2")
     arr = _finite_2d(series, "series")
     n, n_channels = arr.shape
     w, h = config.window, config.horizon
@@ -516,17 +516,6 @@ def evaluate(predictions, truth) -> dict:
     return {"mse": mse, "mae": float(np.mean(np.abs(err)))}
 
 
-def teacher_force_modulate(z_pred, z_true, alpha: float):
-    """Convex blend (1 - alpha) * prediction + alpha * truth."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    z_pred = np.asarray(z_pred, dtype=float)
-    z_true = np.asarray(z_true, dtype=float)
-    if z_pred.shape != z_true.shape:
-        raise ShapeMismatchError("state shapes differ")
-    return (1.0 - alpha) * z_pred + alpha * z_true
-
-
 def rollout(
     model: FittedForecaster,
     context,
@@ -536,10 +525,17 @@ def rollout(
 ) -> np.ndarray:
     """Autoregressive multi-window forecast.
 
-    When ``truth`` is given, each predicted segment is blended with the true
-    continuation before being appended to the context (the returned forecast
-    itself stays unblended).  alpha defaults to the config's teacher_alpha.
-    ``horizon_total < 1`` raises ValueError.
+    Each segment is a ``predict`` on the trailing window, and the next
+    window ends with the segment.  When ``truth`` is given with alpha > 0,
+    it holds the true continuation of the context, and the samples appended
+    to the window are the blend ``(1 - alpha) * segment + alpha * truth``
+    of the same steps; the returned forecast itself stays unblended.  alpha
+    defaults to the config's teacher_alpha.  ``horizon_total < 1`` or an
+    alpha outside [0, 1] raises ValueError.  Truth with NaN or inf raises
+    NonFiniteError whatever alpha is; with alpha > 0, truth that does not
+    cover every segment (``ceil(horizon_total / horizon) * horizon``
+    samples) raises TooShortError and truth with another channel count
+    ShapeMismatchError.
     """
     if horizon_total < 1:
         raise ValueError("horizon_total must be >= 1")
@@ -547,23 +543,24 @@ def rollout(
         alpha = model.config.teacher_alpha
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    ctx = _finite_2d(context, "context").copy()
-    h = model.config.horizon
+    w, h = model.config.window, model.config.horizon
+    window = _finite_2d(context, "context")[-w:]
     truth_arr = None if truth is None else _finite_2d(truth, "truth")
-    preds = []
-    produced = 0
-    while produced < horizon_total:
-        seg = predict(model, ctx).predictions
-        preds.append(seg)
-        if truth_arr is not None and alpha > 0.0:
-            t_seg = truth_arr[produced : produced + h]
-            if t_seg.shape[0] < h:
-                raise TooShortError("truth shorter than the rollout horizon")
-            feed = teacher_force_modulate(seg, t_seg, alpha)
-        else:
-            feed = seg
-        ctx = np.concatenate([ctx, feed], axis=0)
-        produced += h
+    n_segments = -(-horizon_total // h)
+    preds = [predict(model, window).predictions]  # the context's errors come first
+    forced = truth_arr is not None and alpha > 0.0
+    if forced and truth_arr.shape[0] < n_segments * h:
+        raise TooShortError("truth shorter than the rollout horizon")
+    if forced and truth_arr.shape[1] != model.n_channels:
+        raise ShapeMismatchError(
+            f"model has {model.n_channels} channels, truth has {truth_arr.shape[1]}"
+        )
+    for k in range(1, n_segments):
+        feed = preds[-1]
+        if forced:
+            feed = (1.0 - alpha) * feed + alpha * truth_arr[(k - 1) * h : k * h]
+        window = np.concatenate([window, feed], axis=0)[-w:]
+        preds.append(predict(model, window).predictions)
     return np.concatenate(preds, axis=0)[:horizon_total]
 
 

@@ -160,23 +160,16 @@ def discretize(params: SsmParams, b_method: str = "euler") -> DiscretizedSsm:
     """
     if params.delta <= 0:
         raise ValueError("delta must be positive")
+    if b_method not in ("euler", "zoh"):
+        raise ValueError("b_method must be 'euler' or 'zoh'")
     d = params.delta
-    if params.is_diagonal:
-        a_bar = np.exp(d * params.a)
-        if b_method == "euler":
-            b_bar = d * params.b
-        elif b_method == "zoh":
-            b_bar = _zoh_input_factor(params.a, d) * params.b
-        else:
-            raise ValueError("b_method must be 'euler' or 'zoh'")
+    a_bar = np.exp(d * params.a) if params.is_diagonal else expm(d * params.a)
+    if b_method == "euler":
+        b_bar = d * params.b
+    elif params.is_diagonal:
+        b_bar = _zoh_input_factor(params.a, d) * params.b
     else:
-        a_bar = expm(d * params.a)
-        if b_method == "euler":
-            b_bar = d * params.b
-        elif b_method == "zoh":
-            b_bar = np.linalg.solve(params.a, (a_bar - np.eye(params.n)) @ params.b)
-        else:
-            raise ValueError("b_method must be 'euler' or 'zoh'")
+        b_bar = np.linalg.solve(params.a, (a_bar - np.eye(params.n)) @ params.b)
     return DiscretizedSsm(a_bar=a_bar, b_bar=b_bar)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .embedding import EmbeddingParams, delay_embed
+from .embedding import EmbeddingParams, _check_series, delay_embed
 from .errors import DegenerateSeriesError, TooShortError
 
 _QUERY_BLOCK = 2048  # reference points per neighbour query
@@ -37,21 +37,21 @@ def estimate_mle(
     """Mean log-divergence curve and its slope over ``fit_range``.
 
     ``theiler`` defaults to m * tau; ``fit_range`` (start, end) defaults to
-    (1, horizon // 2).  Pairs whose initial separation is exactly zero carry
-    no direction information and are dropped.  A step at which every pair
-    has met (zero separation) has no mean log separation: its curve value is
-    ``-inf``, and such a step inside ``fit_range`` raises
+    (1, max(3, horizon // 2)), so a horizon below 3 needs an explicit range
+    (a fit needs two steps).  Pairs whose initial separation is exactly zero
+    carry no direction information and are dropped.  A step at which every
+    pair has met (zero separation) has no mean log separation: its curve
+    value is ``-inf``, and such a step inside ``fit_range`` raises
     DegenerateSeriesError.
     """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ValueError("expected a scalar series")
-    if np.ptp(series) == 0.0:
-        raise DegenerateSeriesError("series is constant")
+    series = _check_series(series)
     if theiler is None:
         theiler = params.m * params.tau
     if fit_range is None:
-        fit_range = (1, max(2, horizon // 2))
+        if horizon < 3:
+            raise ValueError(f"horizon {horizon} leaves no default fit range; "
+                             "need horizon >= 3 or an explicit fit_range")
+        fit_range = (1, max(3, horizon // 2))
     lo, hi = int(fit_range[0]), int(fit_range[1])
     if not (0 <= lo < hi <= horizon) or hi - lo < 2:
         raise ValueError("fit_range must satisfy 0 <= start < end <= horizon, end - start >= 2")

@@ -55,18 +55,25 @@ def operator_compose(qi: ScanElement, qj: ScanElement) -> ScanElement:
     """Compose the earlier element qi with the later qj."""
     if qi.matrix != qj.matrix:
         raise ShapeMismatchError("cannot mix matrix and diagonal elements")
-    ai, bi = np.asarray(qi.a, dtype=float), np.asarray(qi.b, dtype=float)
-    aj, bj = np.asarray(qj.a, dtype=float), np.asarray(qj.b, dtype=float)
+    # one tree-scan composition of a two-element input: element 0 into 1
+    a = [np.asarray(q.a, dtype=float)[None] for q in (qi, qj)]
+    b = [np.asarray(q.b, dtype=float)[None] for q in (qi, qj)]
     try:
-        if qi.matrix:
-            a = aj @ ai
-            b = aj @ bi + bj
-        else:
-            a = aj * ai
-            b = aj * bi + bj
+        a_new, b_new = _compose(a, b, 0, 1, qi.matrix)
     except ValueError as exc:
         raise ShapeMismatchError(str(exc)) from exc
-    return ScanElement(a=a, b=b, matrix=qi.matrix)
+    return ScanElement(a=a_new[0], b=b_new[0], matrix=qi.matrix)
+
+
+def _compose(a, b, src, dst, matrix: bool):
+    """Element ``src`` composed into the later element ``dst``: (a[dst] *
+    a[src], a[dst] * b[src] + b[dst]).  Indexing ``a`` and ``b`` gives stacks
+    of elements along axis 0; in matrix mode a transition acts on the last
+    axis of the drive."""
+    if matrix:
+        return (np.einsum("lij,ljk->lik", a[dst], a[src]),
+                np.einsum("lij,l...j->l...i", a[dst], b[src]) + b[dst])
+    return a[dst] * a[src], a[dst] * b[src] + b[dst]
 
 
 def sequential_scan(inp: ScanInput) -> np.ndarray:
@@ -81,13 +88,6 @@ def sequential_scan(inp: ScanInput) -> np.ndarray:
             x = inp.a_seq[k] * x + b[k]
         out[k] = x
     return out
-
-
-def _padded_length(length: int) -> int:
-    lp = 1
-    while lp < length:
-        lp *= 2
-    return lp
 
 
 def tree_schedule(l_padded: int) -> list[tuple[int, int]]:
@@ -116,58 +116,35 @@ def tree_schedule(l_padded: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _level_plan(l_padded: int):
-    """tree_schedule grouped by level as (dst, half) for vectorized
-    execution, without the no-op identity composition."""
-    levels = l_padded.bit_length() - 1
-    plan = []
-    for d in range(levels):
-        plan.append((np.arange((2 << d) - 1, l_padded, 2 << d), 1 << d))
-    for d in range(levels - 2, -1, -1):
-        plan.append((np.arange((3 << d) - 1, l_padded, 2 << d), 1 << d))
-    return plan
+def _level_plan(length: int):
+    """tree_schedule of the padded grid grouped by level as (dst, half) for
+    vectorized execution, indexed into the unpadded input.
 
-
-def _compose_at(a, b, dst, half, matrix: bool):
-    src = dst - half
-    if matrix:
-        a_new = np.einsum("lij,ljk->lik", a[dst], a[src])
-        b_new = np.einsum("lij,l...j->l...i", a[dst], b[src]) + b[dst]
-    else:
-        a_new = a[dst] * a[src]
-        b_new = a[dst] * b[src] + b[dst]
-    a[dst] = a_new
-    b[dst] = b_new
+    A composition whose source lies in the first ``pad`` grid positions
+    (identity elements) is an exact no-op and is left out, as is the no-op
+    identity composition, so every remaining one reads and writes input
+    positions only.  An empty input has an empty plan.
+    """
+    lp = 1 << (length - 1).bit_length()
+    pad, levels = lp - length, lp.bit_length() - 1
+    grid = [(np.arange((2 << d) - 1, lp, 2 << d), 1 << d) for d in range(levels)]
+    grid += [(np.arange((3 << d) - 1, lp, 2 << d), 1 << d) for d in range(levels - 2, -1, -1)]
+    plan = [(dst[dst - half >= pad] - pad, half) for dst, half in grid]
+    return [(dst, half) for dst, half in plan if dst.size]
 
 
 def blelloch_scan(inp: ScanInput) -> np.ndarray:
     """Tree-scheduled scan; equals sequential_scan up to float tolerance.
 
-    A composition whose source lies in the first ``pad`` grid positions
-    (identity elements) is an exact no-op and is skipped, so every other one
-    reads and writes input positions only: the scan runs on the unpadded
-    arrays with grid indices shifted by ``pad``.  This keeps the composition
-    count at most 2L - 1 for input length L.
+    The scan runs ``_level_plan`` on the unpadded arrays, which keeps the
+    composition count at most 2L - 1 for input length L.
     """
-    if inp.length == 0:
-        return inp.bu_seq.copy()
-    lp = _padded_length(inp.length)
-    pad = lp - inp.length
     a, b = inp.a_seq.copy(), inp.bu_seq.copy()
-    for dst, half in _level_plan(lp):
-        keep = dst[(dst - half) >= pad] - pad
-        if keep.size:
-            _compose_at(a, b, keep, half, inp.matrix)
+    for dst, half in _level_plan(inp.length):
+        a[dst], b[dst] = _compose(a, b, dst - half, dst, inp.matrix)
     return b
 
 
 def scan_composition_count(length: int) -> int:
     """Number of operator compositions blelloch_scan performs for length L."""
-    if length == 0:
-        return 0
-    lp = _padded_length(length)
-    pad = lp - length
-    count = 0
-    for dst, half in _level_plan(lp):
-        count += int(np.sum((dst - half) >= pad))
-    return count
+    return sum(dst.size for dst, _ in _level_plan(length))

@@ -190,6 +190,15 @@ class TestLyapunov:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "together" in err
 
+    def test_horizon_without_default_fit_range_exits_3(self, lorenz_csv, capsys):
+        code, out, err = run(
+            capsys,
+            "lyapunov", "--input", str(lorenz_csv), "--m", "3", "--tau", "16", "--horizon", "2",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "horizon 2" in err
+        assert "Traceback" not in err
+
     def test_fit_range_without_pairs_exits_3(self, meeting_csv, capsys):
         code, out, err = run(
             capsys,

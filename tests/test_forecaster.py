@@ -100,9 +100,8 @@ class TestFit:
     @pytest.mark.parametrize("max_train_windows", [0, -5, 1])
     def test_fewer_than_two_train_windows_rejected(self, max_train_windows):
         # 0 would keep every window, -5 drop the oldest and 1 leave no pair
-        cfg = small_config(max_train_windows=max_train_windows)
         with pytest.raises(ValueError, match="max_train_windows"):
-            fc.fit(cfg, np.sin(0.1 * np.arange(600)))
+            small_config(max_train_windows=max_train_windows)
 
     @pytest.mark.parametrize("field,value", [("ridge_lambda", -1.0), ("hopfield_beta", -1.0),
                                              ("hopfield_beta", 0.0)])
@@ -490,21 +489,41 @@ class TestEvaluate:
             fc.evaluate(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
-class TestTeacherForcing:
-    def test_alpha_zero_keeps_prediction(self):
-        z = np.array([2.0, 3.0])
-        assert np.array_equal(fc.teacher_force_modulate(z, z + 5, 0.0), z)
+class TestTeacherForcedRollout:
+    def test_half_blend_is_fed_to_the_next_segment(self, lorenz_model):
+        model, _, val = lorenz_model
+        w, h = 96, 16
+        truth = val[w : w + 2 * h, None]
+        roll = fc.rollout(model, val[:w], 2 * h, truth=truth, alpha=0.5)
+        first = fc.predict(model, val[:w]).predictions
+        fed = 0.5 * first + 0.5 * truth[:h]
+        second = fc.predict(model, np.concatenate([val[:w, None], fed])).predictions
+        assert np.array_equal(roll, np.concatenate([first, second]))
 
-    def test_alpha_one_returns_truth(self):
-        z = np.array([2.0, 3.0])
-        assert np.array_equal(fc.teacher_force_modulate(z, z + 5, 1.0), z + 5)
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5])
+    def test_alpha_out_of_range_raises(self, lorenz_model, alpha):
+        model, _, val = lorenz_model
+        with pytest.raises(ValueError, match="alpha"):
+            fc.rollout(model, val[:96], 16, truth=val[96:112], alpha=alpha)
 
-    def test_midpoint(self):
-        assert fc.teacher_force_modulate(np.array([2.0]), np.array([4.0]), 0.5)[0] == 3.0
+    def test_truth_shorter_than_the_segments_raises(self, lorenz_model):
+        model, _, val = lorenz_model
+        # 20 samples take two 16-sample segments
+        with pytest.raises(TooShortError):
+            fc.rollout(model, val[:96], 20, truth=val[96:127], alpha=0.5)
 
-    def test_alpha_range_guard(self):
-        with pytest.raises(ValueError):
-            fc.teacher_force_modulate(np.zeros(2), np.zeros(2), 1.5)
+    def test_truth_channel_count_mismatch_raises(self, lorenz_model):
+        model, _, val = lorenz_model
+        truth = np.stack([val[96:128]] * 2, axis=1)
+        with pytest.raises(ShapeMismatchError):
+            fc.rollout(model, val[:96], 32, truth=truth, alpha=0.5)
+
+    def test_nan_truth_raises_at_alpha_zero(self, lorenz_model):
+        model, _, val = lorenz_model
+        truth = val[96:128].copy()
+        truth[3] = np.nan
+        with pytest.raises(NonFiniteError, match="truth"):
+            fc.rollout(model, val[:96], 32, truth=truth, alpha=0.0)
 
 
 class TestRollout:

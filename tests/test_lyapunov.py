@@ -102,6 +102,22 @@ class TestEstimateMle:
         with pytest.raises(DegenerateSeriesError):
             estimate_mle(series, params, horizon=400, fit_range=(250, 350))
 
+    @pytest.mark.parametrize("horizon", range(8))
+    def test_default_fit_range(self, horizon):
+        x = np.sin(0.37 * np.arange(400.0)) + 0.5 * np.sin(0.11 * np.arange(400.0))
+        params = EmbeddingParams(2, 3)
+        if horizon < 3:
+            with pytest.raises(ValueError, match=f"horizon {horizon}"):
+                estimate_mle(x, params, horizon=horizon)
+        else:
+            est = estimate_mle(x, params, horizon=horizon)
+            assert est.fit_range == (1, max(3, horizon // 2))
+            assert np.isfinite(est.mle)
+
+    def test_empty_series_is_too_short(self):
+        with pytest.raises(TooShortError):
+            estimate_mle(np.zeros(0), EmbeddingParams(2, 1), horizon=10)
+
     def test_too_short(self):
         with pytest.raises(TooShortError):
             estimate_mle(np.sin(np.arange(50.0)), EmbeddingParams(3, 5), horizon=100)

@@ -1,12 +1,13 @@
-"""Every public top-level function and class of ``src/attraos`` has a caller.
+"""Every top-level function and class of ``src/attraos`` has a caller.
 
 A caller is a code reference to the name (an ``ast.Name`` or the attribute of
 an ``ast.Attribute``) in ``src/attraos`` outside the name's own definition,
-in ``scripts/``, in ``perfbench/`` (not its tests) or in the acceptance suite
-``tests/test_acceptance.py``.  A name's own unit tests do not count, and
-neither do re-exports: an import or an ``__all__`` string is not a
-reference.  Names are matched without their module, so a name shared by two
-modules counts as called when either is.
+and for a public name also in ``scripts/``, in ``perfbench/`` (not its tests)
+or in the acceptance suite ``tests/test_acceptance.py``; a private name
+(leading underscore) needs a caller in ``src/attraos``.  A name's own unit
+tests do not count, and neither do re-exports: an import or an ``__all__``
+string is not a reference.  Names are matched without their module, so a
+name shared by two modules counts as called when either is.
 
 Only top-level ``def`` and ``class`` statements are checked; methods,
 dataclass fields, parameters and module constants are out of scope.
@@ -27,11 +28,11 @@ ALLOWED = {
 }
 
 
-def public_definitions(tree):
+def definitions(tree, private: bool):
     return [
         node for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        and node.name.startswith("_") == private
     ]
 
 
@@ -45,12 +46,17 @@ def referenced_names(node):
     return names
 
 
-def caller_references():
+def library_references():
     refs = set()
     for path in LIBRARY.glob("*.py"):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             own = getattr(stmt, "name", None)
             refs |= referenced_names(stmt) - {own}
+    return refs
+
+
+def caller_references():
+    refs = library_references()
     others = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
               ROOT / "tests" / "test_acceptance.py"]
     for path in others:
@@ -58,12 +64,18 @@ def caller_references():
     return refs
 
 
-def test_every_public_name_has_a_caller():
-    refs = caller_references()
-    uncalled = {
+def uncalled(private: bool, refs):
+    return {
         f"{path.stem}.{node.name}"
         for path in LIBRARY.glob("*.py")
-        for node in public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        for node in definitions(ast.parse(path.read_text(encoding="utf-8")), private)
         if node.name not in refs
     }
-    assert uncalled == {f"scan.{name}" for name in ALLOWED}
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled(False, caller_references()) == {f"scan.{name}" for name in ALLOWED}
+
+
+def test_every_private_name_has_a_library_caller():
+    assert uncalled(True, library_references()) == set()

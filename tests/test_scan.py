@@ -61,6 +61,20 @@ class TestOperatorCompose:
         assert np.allclose(out.a, a2 @ a1)
         assert np.allclose(out.b, a2 @ b1 + b2)
 
+    @pytest.mark.parametrize("drive_rows", [3, 2])
+    def test_matrix_elements_act_on_the_drive_last_axis(self, rng, drive_rows):
+        # a (d, n) drive holds d states; composing two elements is one
+        # sequential step from the first element's states
+        a = rng.standard_normal((2, 3, 3))
+        bu = rng.standard_normal((2, drive_rows, 3))
+        out = scan.operator_compose(
+            scan.ScanElement(a=a[0], b=bu[0], matrix=True),
+            scan.ScanElement(a=a[1], b=bu[1], matrix=True),
+        )
+        states = scan.sequential_scan(scan.ScanInput(a_seq=a, bu_seq=bu, matrix=True))
+        assert np.allclose(out.b, states[1], rtol=1e-12, atol=1e-12)
+        assert np.allclose(out.a, a[1] @ a[0])
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             scan.operator_compose(
