@@ -98,10 +98,9 @@ def _embedding_flags(args):
 
 def cmd_embed(args) -> int:
     data = read_csv(args.input)
-    series = data if data.shape[1] > 1 else data[:, 0]
     params = _embedding_flags(args)
     if params is None:
-        params = select_embedding(series, max_tau=args.max_tau, max_m=args.max_m,
+        params = select_embedding(data, max_tau=args.max_tau, max_m=args.max_m,
                                   repeats=args.repeats)
     # (channels, count, m) points, laid out channel-major per row
     points = np.concatenate(delay_embed(data.T, params), axis=1)

@@ -30,14 +30,17 @@ Evolution writes each scale's next step into the same rows of a new stack;
 ``direct`` and ``hopfield``, which are nonlinear in a position's (D, N)
 state, see the block as a (positions, D, N) view.
 
-With ``frequency`` evolution every stage after instance normalization is
-linear, from the delay embedding to the readout, so each channel's pipeline
-collapses to one (window, horizon) serving map, derived by pushing the
-identity window through the stages.  ``predict`` then normalizes each
-channel's window and applies its map, all channels in one batched product;
-normalization stays outside the map, so a constant channel still forecasts
-its mean exactly.  ``fit`` and ``direct``/``hopfield`` serving run the stages
-(``_staged_forecast``), which stay the reference for the maps.
+``_forecast`` runs the stages after normalization on per-channel stacks:
+each channel's evolution and back operator (``_features``), then its
+readout.  With ``frequency`` evolution every stage after instance
+normalization is linear, from the delay embedding to the readout, so each
+channel's pipeline collapses to one (window, horizon) serving map:
+``_forecast``'s response to the identity window.  ``predict`` normalizes
+each channel's window once, takes the normalized forecast from the serving
+maps (``frequency``, all channels in one batched product) or from
+``_forecast`` (``direct``/``hopfield``), and denormalizes once;
+normalization stays outside the maps, so a constant channel still forecasts
+its mean exactly.
 
 A fitted model is its config, which holds the embedding it was fit with,
 and its per-channel maps (evolvers and readout).  The shapes, the stage
@@ -93,7 +96,6 @@ class ForecasterConfig:
     m_modes: int = 16
     ridge_lambda: float = 1e-3
     evolution_strategy: str = "frequency"
-    teacher_alpha: float = 0.0
     n_clusters: int = 8
     hopfield_beta: float = 4.0
     max_train_windows: int = 1024
@@ -110,8 +112,6 @@ class ForecasterConfig:
             raise ValueError("theta must be positive")
         if self.evolution_strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if not 0.0 <= self.teacher_alpha <= 1.0:
-            raise ValueError("teacher_alpha must lie in [0, 1]")
         if self.m_modes < 1 or self.n_clusters < 1:
             raise ValueError("m_modes and n_clusters must be >= 1")
         if not (self.ridge_lambda >= 0 and self.hopfield_beta > 0):
@@ -192,7 +192,7 @@ class FittedForecaster:
     Euler-discretized recurrence and the wavelet filters, and for
     ``frequency`` models the ``serving`` maps (C, window, horizon), one per
     channel, from a normalized window to its normalized forecast (``None``
-    for ``direct`` and ``hopfield``).
+    for ``direct`` and ``hopfield``, and for a model without channels).
     """
 
     config: ForecasterConfig
@@ -212,8 +212,11 @@ class FittedForecaster:
         object.__setattr__(self, "front", front)
         object.__setattr__(self, "back", _back_operator(filters, shapes))
         serving = None
-        if cfg.evolution_strategy == "frequency":
-            serving = _serving_maps(self)
+        if cfg.evolution_strategy == "frequency" and self.channels:
+            # row i of a channel's map is the normalized forecast of a unit
+            # sample at window position i; every channel reads one stack
+            identity = _stack(np.eye(cfg.window), self)
+            serving = _forecast(np.broadcast_to(identity, (self.n_channels, *identity.shape)), self)
         object.__setattr__(self, "serving", serving)
 
     @property
@@ -303,18 +306,10 @@ def _positions(rows: np.ndarray, order: int) -> np.ndarray:
 
 
 def _stack(zn: np.ndarray, model) -> np.ndarray:
-    """Embed, patch, then apply the front operator to a (batch, window)
-    array; returns the (batch, S, D) stack."""
-    patches = patch(delay_embed(zn, model.embedding), model.config.patch_len)  # (B, L, D)
+    """Embed, patch, then apply the front operator to a (..., batch, window)
+    array of normalized windows; returns the (..., batch, S, D) stacks."""
+    patches = patch(delay_embed(zn, model.embedding), model.config.patch_len)  # (..., B, L, D)
     return model.front @ patches
-
-
-def _represent(windows: np.ndarray, model):
-    """Normalize a (batch, window) array of one channel's windows and take
-    its stack; returns the (batch, S, D) stack and the per-window means and
-    stds."""
-    zn, mu, sd = _normalize(windows)
-    return _stack(zn, model), mu, sd
 
 
 def _valid_positions(length: int, cell: int, pad: int) -> np.ndarray:
@@ -346,25 +341,23 @@ def _features(stack: np.ndarray, evolvers, model) -> np.ndarray:
     return (model.back @ evolved).reshape(stack.shape[0], -1)
 
 
-def _serving_maps(model) -> np.ndarray:
-    """(C, window, horizon) maps of a ``frequency`` model, one per channel.
-
-    With ``frequency`` evolution every stage after instance normalization is
-    linear, so a channel's whole pipeline is one matrix: row i is the
-    normalized forecast of a unit sample at window position i, pushed through
-    the same stages as the staged path (``_stack``, ``_features``, readout).
-    """
-    cfg = model.config
-    stack = _stack(np.eye(cfg.window), model)
-    maps = [_features(stack, ch.evolvers, model) @ ch.readout for ch in model.channels]
-    return np.array(maps).reshape(len(maps), cfg.window, cfg.horizon)
+def _forecast(stacks: np.ndarray, model) -> np.ndarray:
+    """(C, B, horizon) normalized forecasts of per-channel (C, B, S, D)
+    stacks: each channel's evolution and back operator (``_features``), then
+    its readout.  ``fit`` builds its design rows with the same ``_features``
+    call, and the ``frequency`` serving maps are this function's response to
+    the identity window."""
+    return np.stack([_features(stack, ch.evolvers, model) @ ch.readout
+                     for stack, ch in zip(stacks, model.channels, strict=True)])
 
 
 def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
                  channel_index: int) -> ChannelModel:
     config, sh = model.config, model.shapes
     w, h = config.window, config.horizon
-    stack, mu, sd = _represent(z[starts[:, None] + np.arange(w)], model)
+    zn, mu, sd = _normalize(z[starts[:, None] + np.arange(w)])
+    stack = _stack(zn, model)
+    del zn  # the fit reads only the stack; free the windows before the spectra
 
     evolvers = []
     for si, (length, rows) in enumerate(zip(sh.scale_lens, sh.scale_rows)):
@@ -433,12 +426,12 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     if config.embedding is None:
         cap_tau = max(1, (w - 2 * config.patch_len) // max(1, AUTO_MAX_M - 1))
         config = replace(config, embedding=select_embedding(
-            arr if n_channels > 1 else arr[:, 0],
+            arr,
             max_tau=max(1, min(cap_tau, n // 4 - 1)),
             max_m=AUTO_MAX_M,
         ))
-    # the channels are fit on the stage operators of a channel-less model;
-    # the returned model is built from them, so its serving maps see them
+    # the channels are fit on the stage operators of a channel-less model,
+    # which builds no serving maps; the returned model is built from them
     operators = FittedForecaster(config, channels=[])
 
     all_starts = np.arange(0, n - w - h + 1, config.patch_len)
@@ -449,31 +442,13 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     return FittedForecaster(config, channels)
 
 
-def _staged_forecast(model: FittedForecaster, windows: np.ndarray) -> np.ndarray:
-    """(horizon, channels) forecast of a (channels, window) array, one
-    channel's trailing window per row, run stage by stage: normalize, stack,
-    evolve and back operator (``_features``), readout.
-
-    This is the path ``fit`` builds its design rows with; ``direct`` and
-    ``hopfield`` models serve through it, and it is the reference for the
-    ``frequency`` serving maps.
-    """
-    stack, mu, sd = _represent(windows, model)
-    return np.stack(
-        [
-            mu[c] + sd[c] * (_features(stack[c : c + 1], ch.evolvers, model)[0] @ ch.readout)
-            for c, ch in enumerate(model.channels)
-        ],
-        axis=1,
-    )
-
-
 def predict(model: FittedForecaster, context) -> ForecastResult:
     """Deterministic forward pass on the trailing window of the context.
 
-    A ``frequency`` model normalizes each channel's window and applies that
-    channel's serving map, all channels in one batched product; ``direct``
-    and ``hopfield`` models run the stages (``_staged_forecast``).  NaN or
+    Each channel's window is normalized once and its normalized forecast
+    denormalized once.  A ``frequency`` model takes that forecast from its
+    serving maps, all channels in one batched product; ``direct`` and
+    ``hopfield`` models run the stages (``_stack``, ``_forecast``).  NaN or
     inf in the context, and a forecast that overflows the float range, raise
     NonFiniteError.  ``evaluate`` scores a forecast against the truth.
     """
@@ -486,12 +461,13 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
             f"model has {model.n_channels} channels, context has {arr.shape[1]}"
         )
     # one contiguous row per channel, laid out like the fit-time windows
-    windows = np.ascontiguousarray(arr[-w:].T)
+    zn, mu, sd = _normalize(np.ascontiguousarray(arr[-w:].T))
+    zn = zn[:, None, :]  # (C, 1, window): one window per channel
     if model.serving is None:
-        out = _staged_forecast(model, windows)
+        normed = _forecast(_stack(zn, model), model)
     else:
-        zn, mu, sd = _normalize(windows)
-        out = (mu[:, None] + sd[:, None] * (zn[:, None, :] @ model.serving)[:, 0]).T
+        normed = zn @ model.serving
+    out = (mu[:, None] + sd[:, None] * normed[:, 0]).T
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("the forecast overflows the float range")
     return ForecastResult(predictions=out)
@@ -521,7 +497,7 @@ def rollout(
     context,
     horizon_total: int,
     truth=None,
-    alpha: float | None = None,
+    alpha: float = 0.0,
 ) -> np.ndarray:
     """Autoregressive multi-window forecast.
 
@@ -529,18 +505,16 @@ def rollout(
     window ends with the segment.  When ``truth`` is given with alpha > 0,
     it holds the true continuation of the context, and the samples appended
     to the window are the blend ``(1 - alpha) * segment + alpha * truth``
-    of the same steps; the returned forecast itself stays unblended.  alpha
-    defaults to the config's teacher_alpha.  ``horizon_total < 1`` or an
-    alpha outside [0, 1] raises ValueError.  Truth with NaN or inf raises
-    NonFiniteError whatever alpha is; with alpha > 0, truth that does not
-    cover every segment (``ceil(horizon_total / horizon) * horizon``
-    samples) raises TooShortError and truth with another channel count
-    ShapeMismatchError.
+    of the same steps; the returned forecast itself stays unblended.
+    ``horizon_total < 1`` or an alpha outside [0, 1] raises ValueError.
+    Truth with NaN or inf raises NonFiniteError whatever alpha is; with
+    alpha > 0, truth that does not cover every segment fed to a window
+    (``(ceil(horizon_total / horizon) - 1) * horizon`` samples: the last
+    segment feeds none) raises TooShortError and truth with another channel
+    count ShapeMismatchError.
     """
     if horizon_total < 1:
         raise ValueError("horizon_total must be >= 1")
-    if alpha is None:
-        alpha = model.config.teacher_alpha
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     w, h = model.config.window, model.config.horizon
@@ -549,8 +523,8 @@ def rollout(
     n_segments = -(-horizon_total // h)
     preds = [predict(model, window).predictions]  # the context's errors come first
     forced = truth_arr is not None and alpha > 0.0
-    if forced and truth_arr.shape[0] < n_segments * h:
-        raise TooShortError("truth shorter than the rollout horizon")
+    if forced and truth_arr.shape[0] < (n_segments - 1) * h:
+        raise TooShortError("truth shorter than the segments it feeds")
     if forced and truth_arr.shape[1] != model.n_channels:
         raise ShapeMismatchError(
             f"model has {model.n_channels} channels, truth has {truth_arr.shape[1]}"
@@ -654,9 +628,10 @@ def model_from_json(text: str) -> FittedForecaster:
     scales and raises ModelFormatError (it must be refit).
 
     Entries that older documents carry are ignored: the derived ``ssm`` and
-    ``disc``, the unused ``train_mean``/``train_std`` of each channel, and
-    each evolver's copies of config values (``kind``, ``m_modes``,
-    ``seq_len``, ``ridge_lambda``, ``beta``)."""
+    ``disc``, the config's ``teacher_alpha``, the unused
+    ``train_mean``/``train_std`` of each channel, and each evolver's copies
+    of config values (``kind``, ``m_modes``, ``seq_len``, ``ridge_lambda``,
+    ``beta``)."""
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("v") not in (1, 2):
@@ -670,7 +645,9 @@ def model_from_json(text: str) -> FittedForecaster:
 
 def _model_from_doc(doc: dict) -> FittedForecaster:
     embedding = EmbeddingParams(m=int(doc["embedding"]["m"]), tau=int(doc["embedding"]["tau"]))
-    config = ForecasterConfig(embedding=embedding, **doc["config"])
+    entries = {**doc["config"]}
+    entries.pop("teacher_alpha", None)  # rollout's alpha argument replaced it
+    config = ForecasterConfig(embedding=embedding, **entries)
     _doc_floats([v for v in vars(config).values() if isinstance(v, float)], "config value")
     sh = pipeline_shapes(config, embedding)
     v1_padded = 1 << (sh.n_patches - 1).bit_length()

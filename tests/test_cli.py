@@ -8,6 +8,7 @@ import pytest
 
 from attraos import forecaster as fc
 from attraos.cli import build_parser, main, read_csv, write_csv
+from attraos.embedding import EmbeddingParams, select_embedding
 
 
 def strict_json(text):
@@ -128,6 +129,24 @@ class TestEmbed:
         assert saved["m"] == doc["m"]
         pts = read_csv(traj)
         assert pts.shape[1] == 3 * doc["m"]
+
+    def test_one_column_selects_as_the_library_does(self, lorenz_csv, tmp_path, capsys):
+        x = read_csv(lorenz_csv)[:, 0]
+        one = tmp_path / "x.csv"
+        write_csv(one, x[:, None], ["x"])
+        code, stdout, _ = run(
+            capsys,
+            "embed", "--input", str(one), "--max-tau", "40", "--max-m", "6",
+            "--out-traj", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        doc = json.loads(stdout)
+        assert EmbeddingParams(doc["m"], doc["tau"]) == select_embedding(x, max_tau=40, max_m=6)
+        write_csv(one, np.full((500, 1), 2.5), ["x"])
+        code, _, err = run(capsys, "embed", "--input", str(one),
+                           "--out-traj", str(tmp_path / "t.csv"))
+        assert code == 3
+        assert "every channel is constant" in err
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code, _, err = run(

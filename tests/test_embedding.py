@@ -206,6 +206,14 @@ class TestSelectEmbedding:
         with pytest.raises(DegenerateSeriesError):
             emb.select_embedding(np.full((1000, 2), 3.0))
 
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_one_column_is_the_series(self, lorenz63_x, repeats):
+        x = lorenz63_x[:6000]
+        single = emb.select_embedding(x, max_tau=40, max_m=6, repeats=repeats)
+        assert emb.select_embedding(x[:, None], max_tau=40, max_m=6, repeats=repeats) == single
+        with pytest.raises(DegenerateSeriesError, match="every channel is constant"):
+            emb.select_embedding(np.zeros((1000, 1)))
+
     def test_channel_independent_embedding(self, lorenz63_x):
         x = lorenz63_x[:6000]
         two = np.stack([x, x], axis=1)

@@ -158,11 +158,12 @@ class TestPredict:
         cfg = model.config
         s = train.size - cfg.window - cfg.horizon  # a training window start
         window = train[s : s + cfg.window]
-        stack, mu, sd = fc._represent(window[None], model)
+        zn, mu, sd = fc._normalize(window[None])
+        stack = fc._stack(zn, model)
         ch = model.channels[0]
         feats = fc._features(stack, ch.evolvers, model)
         manual = mu[0] + sd[0] * (feats[0] @ ch.readout)
-        assert np.array_equal(fc._staged_forecast(model, window[None])[:, 0], manual)
+        assert np.array_equal(staged_reference(model, window)[:, 0], manual)
 
     @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
     def test_predict_reproduces_fit_time_design_rows(self, lorenz63_x, monkeypatch, strategy):
@@ -200,7 +201,7 @@ class TestPredict:
         for i in (0, 17, 39):
             window = x[starts[i] : starts[i] + 96]
             if strategy == "frequency":
-                fc._staged_forecast(model, np.ascontiguousarray(window.T))
+                staged_reference(model, window)
             else:
                 fc.predict(model, window)
             # one single-window row per channel, in order
@@ -222,7 +223,8 @@ class TestPredict:
         def forbidden(*args, **kwargs):
             raise AssertionError("primitive or stage called while serving")
 
-        for name in ("sequential_scan", "decompose", "reconstruct", "_represent", "_features"):
+        for name in ("sequential_scan", "decompose", "reconstruct", "_stack", "_forecast",
+                     "_features"):
             monkeypatch.setattr(fc, name, forbidden)
         for name in ("fft_modes", "ifft_modes", "apply_spectral_evolution"):
             monkeypatch.setattr(fc.evo, name, forbidden)
@@ -294,8 +296,8 @@ class TestStageOperators:
             return [fc._positions(stack[:, rows], sh.order) for rows in sh.scale_rows]
 
         windows = rng.standard_normal((batch, window))
-        stack, mu, sd = fc._represent(windows, model)
-        zn = (windows - mu[:, None]) / sd[:, None]
+        zn, _, _ = fc._normalize(windows)
+        stack = fc._stack(zn, model)
         ref = reference_scales(patch(delay_embed(zn, emb), p), model)
         for got, want in zip(scales(stack), ref, strict=True):
             assert_close(got, want)
@@ -323,7 +325,7 @@ class TestStageOperators:
         ch = model.channels[0]
 
         def rows(w):
-            stack, _, _ = fc._represent(w, model)
+            stack = fc._stack(fc._normalize(w)[0], model)
             return stack, fc._features(stack, ch.evolvers, model)
 
         batch_stack, batch_rows = rows(windows)
@@ -333,9 +335,13 @@ class TestStageOperators:
 
 
 def staged_reference(model, context):
-    """The staged forecast of a context's trailing window."""
+    """The staged (horizon, channels) forecast of a context's trailing
+    window: normalize each channel's window, take its stack, run
+    ``_forecast`` and denormalize."""
     window = fc._as_2d(context)[-model.config.window :]
-    return fc._staged_forecast(model, np.ascontiguousarray(window.T))
+    zn, mu, sd = fc._normalize(np.ascontiguousarray(window.T))
+    normed = fc._forecast(fc._stack(zn[:, None, :], model), model)[:, 0]
+    return (mu[:, None] + sd[:, None] * normed).T
 
 
 class TestServingMaps:
@@ -377,6 +383,11 @@ class TestServingMaps:
             context = val[s : s + 96]
             assert_close(fc.predict(model, context).predictions,
                          staged_reference(model, context), rtol=1e-10)
+
+    def test_a_model_without_channels_builds_no_maps(self, lorenz_model):
+        # fit fits its channels on such a model's stage operators
+        model = fc.FittedForecaster(lorenz_model[0].config, channels=[])
+        assert model.serving is None and model.front.shape[0] == model.back.shape[1]
 
     @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
     def test_nonlinear_strategies_serve_through_the_stages(self, lorenz63_x, strategy):
@@ -437,7 +448,8 @@ class TestShapesContract:
 
     def test_representation_tensor_shape(self, lorenz_model):
         model, _, val = lorenz_model
-        stack, mu, sd = fc._represent(np.stack([val[:96], val[10:106]]), model)
+        zn, mu, sd = fc._normalize(np.stack([val[:96], val[10:106]]))
+        stack = fc._stack(zn, model)
         sh = model.shapes
         assert stack.shape == (2, model.front.shape[0], sh.d)
         # the scale slices tile the stack's rows in order, L_s * N rows each
@@ -508,9 +520,16 @@ class TestTeacherForcedRollout:
 
     def test_truth_shorter_than_the_segments_raises(self, lorenz_model):
         model, _, val = lorenz_model
-        # 20 samples take two 16-sample segments
+        # 20 samples take two 16-sample segments; the first feeds the second
         with pytest.raises(TooShortError):
-            fc.rollout(model, val[:96], 20, truth=val[96:127], alpha=0.5)
+            fc.rollout(model, val[:96], 20, truth=val[96:111], alpha=0.5)
+
+    def test_truth_of_the_fed_segments_suffices(self, lorenz_model):
+        # the last segment feeds no window, so its truth is never read
+        model, _, val = lorenz_model
+        exact = fc.rollout(model, val[:96], 20, truth=val[96:112], alpha=0.5)
+        longer = fc.rollout(model, val[:96], 20, truth=val[96:128], alpha=0.5)
+        assert np.array_equal(exact, longer)
 
     def test_truth_channel_count_mismatch_raises(self, lorenz_model):
         model, _, val = lorenz_model
@@ -601,7 +620,8 @@ class TestSaveLoad:
         model = fc.fit(cfg, x)
         w, h = cfg.window, cfg.horizon
         starts = np.arange(0, x.size - w - h + 1, cfg.patch_len)[-32:]
-        stack, mu, sd = fc._represent(x[starts[:, None] + np.arange(w)], model)
+        zn, mu, sd = fc._normalize(x[starts[:, None] + np.arange(w)])
+        stack = fc._stack(zn, model)
         feats = fc._features(stack, model.channels[0].evolvers, model)
         targets = (x[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
         readout = model.channels[0].readout
@@ -797,10 +817,11 @@ LEGACY = Path(__file__).parent / "data" / "legacy_v1_frequency_legt_full"
 
 def without_config_copies(doc: dict) -> dict:
     """A fixture document without the entries the loader ignores and the
-    writer no longer stores (each channel's ``train_mean``/``train_std`` and
-    each evolver's copies of config values), at the version the writer
-    stamps."""
+    writer no longer stores (the config's ``teacher_alpha``, each channel's
+    ``train_mean``/``train_std`` and each evolver's copies of config values),
+    at the version the writer stamps."""
     doc["v"] = 2
+    doc["config"].pop("teacher_alpha", None)
     for ch in doc["channels"]:
         for key in ("train_mean", "train_std"):
             ch.pop(key, None)
@@ -826,8 +847,8 @@ class TestLegacyDocument:
             fc.model_from_json(json.dumps(doc))
 
     def test_derived_entries_match_the_staged_primitives(self, doc):
-        config = fc.ForecasterConfig(embedding=EmbeddingParams(**doc["embedding"]),
-                                     **doc["config"])
+        entries = {k: v for k, v in doc["config"].items() if k != "teacher_alpha"}
+        config = fc.ForecasterConfig(embedding=EmbeddingParams(**doc["embedding"]), **entries)
         ssm, disc, _ = staged_primitives(config)
         assert np.array_equal(ssm.a, doc["ssm"]["a"])
         assert np.array_equal(disc.a_bar, doc["disc"]["a_bar"])
@@ -836,15 +857,15 @@ class TestLegacyDocument:
     def test_resave_drops_only_ssm_and_disc(self, doc):
         # and the entries ``without_config_copies`` drops: grafted onto the
         # current frequency document, they are ignored and not written back
-        text = TestFrequencyDocument.text()
-        grafted = json.loads(text)
+        grafted = json.loads(TestFrequencyDocument.text())
         grafted.update(ssm=doc["ssm"], disc=doc["disc"])
         for ch, old in zip(grafted["channels"], doc["channels"], strict=True):
             ch.update(train_mean=old["train_mean"], train_std=old["train_std"])
             for ev, old_ev in zip(ch["evolvers"], old["evolvers"], strict=True):
                 ev["kind"] = old_ev["kind"]
                 ev["doc"].update({k: v for k, v in old_ev["doc"].items() if k != "mode_ops"})
-        assert fc.model_to_json(fc.model_from_json(json.dumps(grafted))) == text
+        assert fc.model_to_json(fc.model_from_json(json.dumps(grafted))) == (
+            TestFrequencyDocument.written())
 
 
 class TestFrequencyDocument:
@@ -860,23 +881,45 @@ class TestFrequencyDocument:
     def text(cls):
         return cls.PATH.with_suffix(".json").read_text(encoding="utf-8")
 
+    @classmethod
+    def written(cls):
+        """The fixture as this version writes it."""
+        return json.dumps(without_config_copies(json.loads(cls.text())))
+
+    @classmethod
+    def io(cls):
+        return json.loads(Path(f"{cls.PATH}_io.json").read_text(encoding="utf-8"))
+
     def test_loads_with_bit_identical_predictions(self):
         model = fc.model_from_json(self.text())
         assert (model.shapes.n_patches, model.shapes.padded) == (11, 12)
-        io = json.loads(Path(f"{self.PATH}_io.json").read_text(encoding="utf-8"))
+        io = self.io()
         for context, expect in zip(io["contexts"], io["predictions"], strict=True):
             got = fc.predict(model, context).predictions
             assert np.array_equal(got[:, 0], expect)
-            assert_close(got, fc._staged_forecast(model, np.asarray(context)[None]), rtol=1e-10)
+            assert_close(got, staged_reference(model, context), rtol=1e-10)
 
     def test_resave_is_byte_identical(self):
-        text = self.text()
-        assert fc.model_to_json(fc.model_from_json(text)) == text
+        assert fc.model_to_json(fc.model_from_json(self.text())) == self.written()
 
     def test_refit_writes_the_same_document(self, lorenz63_x):
-        text = self.text()
-        config = fc.model_from_json(text).config
-        assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == text
+        config = fc.model_from_json(self.text()).config
+        assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == self.written()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_teacher_alpha_entry_is_ignored(self, alpha):
+        # written while the config held rollout's default alpha: the entry
+        # loads whatever it says, and is not written back
+        doc = json.loads(self.text())
+        assert doc["config"]["teacher_alpha"] == 0.0
+        doc["config"]["teacher_alpha"] = alpha
+        model = fc.model_from_json(json.dumps(doc))
+        io = self.io()
+        for context, expect in zip(io["contexts"], io["predictions"], strict=True):
+            assert np.array_equal(fc.predict(model, context).predictions[:, 0], expect)
+        resaved = fc.model_to_json(model)
+        assert "teacher_alpha" not in json.loads(resaved)["config"]
+        assert resaved == self.written()
 
 
 @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
