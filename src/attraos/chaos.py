@@ -3,7 +3,8 @@
 Integration is classical fixed-step 4th-order Runge-Kutta, which keeps
 trajectories fully deterministic and preserves equilibria exactly (a zero
 vector field adds exactly 0.0 per step).  A seeded random linear map turns a
-high-dimensional trajectory into a lower-dimensional observed series.
+high-dimensional trajectory into a lower-dimensional observed series.  An
+initial state or observation map of the wrong shape raises ShapeMismatchError.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import NonFiniteError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class ObservationMap:
     @classmethod
     def random(cls, obs_dim: int, state_dim: int, seed: int) -> "ObservationMap":
         if obs_dim > state_dim:
-            raise DimensionMismatchError(
+            raise ShapeMismatchError(
                 f"obs_dim {obs_dim} exceeds state_dim {state_dim}"
             )
         rng = np.random.default_rng(seed)
@@ -106,7 +107,7 @@ def simulate_lorenz63(
 ) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3,):
-        raise DimensionMismatchError("Lorenz63 needs a 3-vector initial state")
+        raise ShapeMismatchError("Lorenz63 needs a 3-vector initial state")
     return Trajectory(states=_rk4(lambda s: lorenz63_rhs(s, params), x0, dt, steps), dt=dt)
 
 
@@ -117,7 +118,7 @@ def simulate_lorenz96(
         raise ValueError("Lorenz96 needs dim >= 4 (coupling reaches i-2..i+1)")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (params.dim,):
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"initial state has shape {x0.shape}, expected ({params.dim},)"
         )
     # the neighbour indices are built once, not on each of the 4 calls per step
@@ -131,7 +132,7 @@ def simulate_lorenz96(
 def observe(traj: Trajectory, omap: ObservationMap) -> np.ndarray:
     """Observed series (steps+1, obs_dim): each row is weights @ state."""
     if omap.weights.shape[1] != traj.state_dim:
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"map expects state_dim {omap.weights.shape[1]}, got {traj.state_dim}"
         )
     return traj.states @ omap.weights.T

@@ -62,18 +62,16 @@ def _json_out(obj) -> None:
 
 
 def cmd_simulate(args) -> int:
+    x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else None
     if args.system == "lorenz63":
         params = chaos.Lorenz63Params(sigma=args.sigma, rho=args.rho, beta=args.beta)
-        x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else np.array([1.0, 1.0, 1.0])
+        x0 = np.ones(3) if x0 is None else x0
         traj = chaos.simulate_lorenz63(params, x0, args.dt, args.steps + args.transient)
     else:
         if args.dim < 4:
             raise UsageError("lorenz96 needs --dim >= 4")
         params = chaos.Lorenz96Params(forcing_f=args.f, dim=args.dim)
-        if args.x0:
-            x0 = np.array([float(v) for v in args.x0.split(",")])
-        else:
-            x0 = chaos.default_lorenz96_x0(params)
+        x0 = chaos.default_lorenz96_x0(params) if x0 is None else x0
         traj = chaos.simulate_lorenz96(params, x0, args.dt, args.steps + args.transient)
     if args.transient:
         traj = chaos.drop_transient(traj, args.transient)
@@ -106,11 +104,14 @@ def cmd_embed(args) -> int:
     points = np.concatenate(delay_embed(data.T, params), axis=1)
     header = [f"c{c}_d{d}" for c in range(data.shape[1]) for d in range(params.m)]
     write_csv(args.out_traj, points, header)
-    ref = data[:, 0]
+    # the first channel that is not constant; if none is, column 0 raises
+    channel = next((c for c in range(data.shape[1]) if np.ptp(data[:, c]) != 0.0), 0)
+    ref = data[:, channel]
     max_tau = args.max_tau or default_max_tau(ref.size)
     meta = {
         "m": params.m,
         "tau": params.tau,
+        "curve_channel": channel,
         "mi_curve": mi_profile(ref, max_tau).tolist(),
         "fnn_fraction_curve": fnn_profile(ref, params.tau, args.max_m).tolist(),
     }
@@ -125,16 +126,21 @@ def cmd_lyapunov(args) -> int:
     data = read_csv(args.input)
     if (args.fit_start is None) != (args.fit_end is None):
         raise UsageError("--fit-start and --fit-end must be given together")
+    if args.theiler is not None and args.theiler < 0:
+        raise UsageError("--theiler must be >= 0")
     params = EmbeddingParams(m=args.m, tau=args.tau)
     fit_range = None if args.fit_start is None else (args.fit_start, args.fit_end)
     table = mle_table(data, params, horizon=args.horizon, theiler=args.theiler,
                       fit_range=fit_range)
-    curve = table["estimates"][0].divergence_curve
+    # every channel is fit over the same range; the curve is channel 0's
+    first = table["estimates"][0]
     out = {
         "mle_per_channel": table["per_channel"].tolist(),
         "mean_mle": table["mean"],
+        "fit_range": list(first.fit_range),
         # a step where every pair has met has no mean log separation
-        "divergence_curve": [v if np.isfinite(v) else None for v in curve.tolist()],
+        "divergence_curve": [v if np.isfinite(v) else None
+                             for v in first.divergence_curve.tolist()],
     }
     if args.dt is not None:
         out["mean_mle_per_time_unit"] = table["mean"] / args.dt
@@ -178,8 +184,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     pred = read_csv(args.pred)
     truth = read_csv(args.truth)
-    metrics = forecaster.evaluate(pred, truth)
-    _json_out({"mse": metrics["mse"], "mae": metrics["mae"]})
+    _json_out(forecaster.evaluate(pred, truth))
     return 0
 
 

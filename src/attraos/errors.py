@@ -9,10 +9,6 @@ class NonFiniteError(AttraosError):
     """A computation produced inf/NaN (e.g. integration blow-up)."""
 
 
-class DimensionMismatchError(AttraosError):
-    pass
-
-
 class TooShortError(AttraosError):
     """Input series is too short for the requested operation."""
 
@@ -34,14 +30,6 @@ class SingularSystemError(AttraosError):
 
 
 class EmptyInputError(AttraosError):
-    pass
-
-
-class OddLengthError(AttraosError):
-    pass
-
-
-class WindowTooShortError(AttraosError):
     pass
 
 

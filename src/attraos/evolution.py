@@ -119,8 +119,7 @@ def apply_spectral_evolution(x: np.ndarray, model: SpectralEvolutionModel) -> np
 @dataclass(frozen=True)
 class AttractorPartition:
     labels: np.ndarray
-    centroids: np.ndarray
-    k: int
+    centroids: np.ndarray  # (k, features)
     inertia_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
@@ -155,7 +154,7 @@ def kmeans_partition(points: np.ndarray, k: int, seed: int = 0) -> AttractorPart
         if not moved:
             break
     return AttractorPartition(
-        labels=labels, centroids=centroids, k=k, inertia_history=np.asarray(inertia)
+        labels=labels, centroids=centroids, inertia_history=np.asarray(inertia)
     )
 
 
@@ -215,7 +214,7 @@ def fit_direct_operators(
     if targets.shape != reps.shape:
         raise ShapeMismatchError("targets must match reps in shape")
     n = reps.shape[2]
-    ops = np.tile(np.eye(n), (partition.k, 1, 1))
+    ops = np.tile(np.eye(n), (len(partition.centroids), 1, 1))
     for c in np.unique(partition.labels):
         mask = partition.labels == c
         ops[c] = ridge_fit(reps[mask].reshape(-1, n), targets[mask].reshape(-1, n), ridge_lambda)
@@ -297,7 +296,7 @@ def fit_hopfield_evolution(
         raise EmptyInputError("need at least one transition")
     targets = targets.reshape(len(targets), -1)
     values = np.empty_like(partition.centroids)
-    for c in range(partition.k):
+    for c in range(len(partition.centroids)):
         mask = partition.labels == c
         values[c] = targets[mask].mean(axis=0) if np.any(mask) else partition.centroids[c]
     return HopfieldEvolutionModel(keys=partition.centroids, values=values, beta=beta)

@@ -71,7 +71,6 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
     TooShortError,
-    WindowTooShortError,
 )
 from .legendre import DiscretizedSsm, SsmParams, discretize, make_ssm_params
 from .scan import ScanInput, sequential_scan
@@ -102,20 +101,26 @@ class ForecasterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            # a document may hold 96.5 or Infinity where a count belongs
+            if f.type == "int" and not isinstance(getattr(self, f.name), (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if self.patch_len < 1 or self.poly_order < 1 or self.levels < 0:
             raise ValueError("patch_len, poly_order >= 1 and levels >= 0 required")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not 0 < self.theta < np.inf:
+            raise ValueError("theta must be positive and finite")
         if self.evolution_strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.m_modes < 1 or self.n_clusters < 1:
             raise ValueError("m_modes and n_clusters must be >= 1")
-        if not (self.ridge_lambda >= 0 and self.hopfield_beta > 0):
-            raise ValueError("ridge_lambda >= 0 and hopfield_beta > 0 required")
+        if not 0 <= self.ridge_lambda < np.inf:
+            raise ValueError("ridge_lambda must be >= 0 and finite")
+        if not 0 < self.hopfield_beta < np.inf:
+            raise ValueError("hopfield_beta must be positive and finite")
         if self.max_train_windows < 2:
             # one window makes no evolution pair
             raise ValueError("max_train_windows must be >= 2")
@@ -270,11 +275,9 @@ def _front_operator(ssm: SsmParams, disc: DiscretizedSsm, filters: WaveletFilter
     bu = np.eye(length)[..., None] * disc.b_bar  # (step, impulse, N)
     a_seq = np.broadcast_to(disc.a_bar, (length,) + disc.a_bar.shape)
     states = sequential_scan(ScanInput(a_seq=a_seq, bu_seq=bu, matrix=not ssm.is_diagonal))
-    if sh.pad:
-        # the pyramid needs a multiple of 2^levels steps; repeat the earliest
-        # state on the left so the most recent data stays aligned
-        head = np.repeat(states[:1], sh.pad, axis=0)
-        states = np.concatenate([head, states], axis=0)
+    # the pyramid needs a multiple of 2^levels steps; repeat the earliest
+    # state on the left so the most recent data stays aligned
+    states = np.concatenate([np.repeat(states[:1], sh.pad, axis=0), states], axis=0)
     pyr = decompose(states, filters, sh.eff_levels)
     return np.concatenate(
         [s.transpose(0, 2, 1).reshape(-1, length) for s in list(pyr.details) + [pyr.coarse]]
@@ -424,7 +427,7 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
         raise TooShortError("series shorter than one training window + horizon")
 
     if config.embedding is None:
-        cap_tau = max(1, (w - 2 * config.patch_len) // max(1, AUTO_MAX_M - 1))
+        cap_tau = max(1, (w - 2 * config.patch_len) // (AUTO_MAX_M - 1))
         config = replace(config, embedding=select_embedding(
             arr,
             max_tau=max(1, min(cap_tau, n // 4 - 1)),
@@ -434,10 +437,8 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     # which builds no serving maps; the returned model is built from them
     operators = FittedForecaster(config, channels=[])
 
-    all_starts = np.arange(0, n - w - h + 1, config.patch_len)
-    if all_starts.size < 2:
-        raise TooShortError("need at least two training windows")
-    starts = all_starts[-config.max_train_windows :]
+    # the length check above leaves room for at least two windows
+    starts = np.arange(0, n - w - h + 1, config.patch_len)[-config.max_train_windows :]
     channels = [_fit_channel(arr[:, c], starts, operators, c) for c in range(n_channels)]
     return FittedForecaster(config, channels)
 
@@ -448,14 +449,16 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
     Each channel's window is normalized once and its normalized forecast
     denormalized once.  A ``frequency`` model takes that forecast from its
     serving maps, all channels in one batched product; ``direct`` and
-    ``hopfield`` models run the stages (``_stack``, ``_forecast``).  NaN or
-    inf in the context, and a forecast that overflows the float range, raise
-    NonFiniteError.  ``evaluate`` scores a forecast against the truth.
+    ``hopfield`` models run the stages (``_stack``, ``_forecast``).  A
+    context shorter than the window raises TooShortError, as a short series
+    does in ``fit``, and one with another channel count ShapeMismatchError.
+    NaN or inf in the context, and a forecast that overflows the float range,
+    raise NonFiniteError.  ``evaluate`` scores a forecast against the truth.
     """
     arr = _finite_2d(context, "context")
     w = model.config.window
     if arr.shape[0] < w:
-        raise WindowTooShortError(f"context needs at least {w} samples")
+        raise TooShortError(f"context needs at least {w} samples")
     if arr.shape[1] != model.n_channels:
         raise ShapeMismatchError(
             f"model has {model.n_channels} channels, context has {arr.shape[1]}"
@@ -648,7 +651,6 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
     entries = {**doc["config"]}
     entries.pop("teacher_alpha", None)  # rollout's alpha argument replaced it
     config = ForecasterConfig(embedding=embedding, **entries)
-    _doc_floats([v for v in vars(config).values() if isinstance(v, float)], "config value")
     sh = pipeline_shapes(config, embedding)
     v1_padded = 1 << (sh.n_patches - 1).bit_length()
     if doc["v"] == 1 and config.evolution_strategy == "frequency" and sh.padded != v1_padded:

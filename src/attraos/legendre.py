@@ -48,16 +48,12 @@ class LegendreBasis:
         x, w = np.polynomial.legendre.leggauss(q)
         self.nodes = 0.5 * (x + 1.0)
         self.weights = 0.5 * w
-        self._phi_nodes = np.stack([self.phi(n, self.nodes) for n in range(order)])
+        # (order, num_nodes) matrix of basis values at the quadrature nodes
+        self.phi_at_nodes = np.stack([self.phi(n, self.nodes) for n in range(order)])
 
     def phi(self, n: int, s) -> np.ndarray:
         """phi_n(s) = sqrt(2n+1) P_n(2s - 1)."""
         return math.sqrt(2 * n + 1) * legendre_eval(n, 2.0 * np.asarray(s, dtype=float) - 1.0)
-
-    @property
-    def phi_at_nodes(self) -> np.ndarray:
-        """(order, num_nodes) matrix of basis values at the quadrature nodes."""
-        return self._phi_nodes
 
 
 def piecewise_projection_error(f, order: int, refinement: int) -> float:

@@ -36,17 +36,19 @@ def estimate_mle(
 ) -> LyapunovEstimate:
     """Mean log-divergence curve and its slope over ``fit_range``.
 
-    ``theiler`` defaults to m * tau; ``fit_range`` (start, end) defaults to
-    (1, max(3, horizon // 2)), so a horizon below 3 needs an explicit range
-    (a fit needs two steps).  Pairs whose initial separation is exactly zero
-    carry no direction information and are dropped.  A step at which every
-    pair has met (zero separation) has no mean log separation: its curve
-    value is ``-inf``, and such a step inside ``fit_range`` raises
-    DegenerateSeriesError.
+    ``theiler`` defaults to m * tau, and a negative one raises ValueError;
+    ``fit_range`` (start, end) defaults to (1, max(3, horizon // 2)), so a
+    horizon below 3 needs an explicit range (a fit needs two steps).  Pairs
+    whose initial separation is exactly zero carry no direction information
+    and are dropped.  A step at which every pair has met (zero separation)
+    has no mean log separation: its curve value is ``-inf``, and such a step
+    inside ``fit_range`` raises DegenerateSeriesError.
     """
     series = _check_series(series)
     if theiler is None:
         theiler = params.m * params.tau
+    if theiler < 0:
+        raise ValueError(f"theiler must be >= 0, got {theiler}")
     if fit_range is None:
         if horizon < 3:
             raise ValueError(f"horizon {horizon} leaves no default fit range; "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OddLengthError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .legendre import LegendreBasis
 
 _ORTHO_TOL = 1e-12
@@ -98,10 +98,12 @@ def _apply(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def up_project(x_fine: np.ndarray, filters: WaveletFilters):
-    """Map a length-L coefficient sequence to (coarse L/2, detail L/2)."""
+    """Map a length-L coefficient sequence to (coarse L/2, detail L/2).  An
+    odd L, or a trailing axis other than the filter order, raises
+    ShapeMismatchError, as ``decompose`` does for a length it cannot split."""
     x_fine = np.asarray(x_fine, dtype=float)
     if x_fine.shape[0] % 2 != 0:
-        raise OddLengthError("up projection needs an even-length sequence")
+        raise ShapeMismatchError("up projection needs an even-length sequence")
     if x_fine.shape[-1] != filters.order:
         raise ShapeMismatchError("trailing axis must match the filter order")
     left = x_fine[0::2]

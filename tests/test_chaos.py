@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attraos import chaos
-from attraos.errors import DimensionMismatchError, NonFiniteError
+from attraos.errors import NonFiniteError, ShapeMismatchError
 
 
 def rk4_reference(rhs, x0, dt, steps):
@@ -120,9 +120,9 @@ class TestObserve:
 
     def test_dimension_checks(self):
         traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 10)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             chaos.observe(traj, chaos.ObservationMap(weights=np.zeros((2, 5))))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             chaos.ObservationMap.random(5, 3, seed=0)
 
 

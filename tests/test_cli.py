@@ -1,3 +1,4 @@
+import importlib
 import json
 import shlex
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 
 from attraos import forecaster as fc
 from attraos.cli import build_parser, main, read_csv, write_csv
-from attraos.embedding import EmbeddingParams, select_embedding
+from attraos.embedding import EmbeddingParams, fnn_profile, mi_profile, select_embedding
 
 
 def strict_json(text):
@@ -125,6 +126,7 @@ class TestEmbed:
         doc = json.loads(stdout)
         assert doc["m"] >= 1 and doc["tau"] >= 1
         assert "mi_curve" in doc and "fnn_fraction_curve" in doc
+        assert doc["curve_channel"] == 0
         saved = json.loads(meta.read_text())
         assert saved["m"] == doc["m"]
         pts = read_csv(traj)
@@ -147,6 +149,27 @@ class TestEmbed:
                            "--out-traj", str(tmp_path / "t.csv"))
         assert code == 3
         assert "every channel is constant" in err
+
+    def test_curves_come_from_the_first_varying_channel(self, lorenz_csv, tmp_path, capsys):
+        x = read_csv(lorenz_csv)[:, 0]
+        path = tmp_path / "cx.csv"
+        write_csv(path, np.column_stack([np.full_like(x, 2.5), x]), ["c", "x"])
+        code, stdout, _ = run(
+            capsys,
+            "embed", "--input", str(path), "--max-tau", "40", "--max-m", "6",
+            "--out-traj", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["curve_channel"] == 1
+        assert doc["mi_curve"] == mi_profile(x, 40).tolist()
+        assert doc["fnn_fraction_curve"] == fnn_profile(x, doc["tau"], 6).tolist()
+        # with every channel constant the curves have no channel to describe
+        write_csv(path, np.full((500, 2), 2.5), ["a", "b"])
+        code, out, err = run(capsys, "embed", "--input", str(path), "--m", "2", "--tau", "1",
+                             "--out-traj", str(tmp_path / "t.csv"))
+        assert code == 3 and out == ""
+        assert "series is constant" in err
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code, _, err = run(
@@ -180,6 +203,27 @@ class TestLyapunov:
         assert doc["mean_mle"] == pytest.approx(np.mean(doc["mle_per_channel"]))
         assert "mean_mle_per_time_unit" in doc
         assert len(doc["divergence_curve"]) == 151
+
+    @pytest.mark.parametrize("flags,expected", [((), [1, 20]),
+                                                (("--fit-start", "5", "--fit-end", "30"), [5, 30])])
+    def test_reports_the_fit_range(self, lorenz_csv, capsys, flags, expected):
+        code, stdout, _ = run(
+            capsys,
+            "lyapunov", "--input", str(lorenz_csv), "--m", "3", "--tau", "16",
+            "--horizon", "40", *flags,
+        )
+        assert code == 0
+        assert json.loads(stdout)["fit_range"] == expected
+
+    @pytest.mark.parametrize("theiler", ["-1", "-3"])
+    def test_negative_theiler_is_usage_error(self, lorenz_csv, capsys, theiler):
+        code, out, err = run(
+            capsys,
+            "lyapunov", "--input", str(lorenz_csv), "--m", "3", "--tau", "16",
+            "--theiler", theiler,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--theiler" in err
 
     @pytest.fixture
     def meeting_csv(self, tmp_path):
@@ -315,6 +359,16 @@ class TestFitPredictEval:
         assert codes[0] == codes[1] != 0
         assert not (tmp_path / "model.json").exists()
 
+    def test_non_finite_theta_exits_3_naming_it(self, lorenz_csv, tmp_path, capsys):
+        code, out, err = run(
+            capsys,
+            "fit", "--input", str(lorenz_csv), "--window", "96", "--horizon", "8",
+            "--theta", "inf", "--out", str(tmp_path / "model.json"),
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "theta" in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_malformed_model_exits_3_without_traceback(self, lorenz_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text('{"v": 1}')
@@ -372,6 +426,15 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--system", "nonsense", "--steps", "1", "--out", "x.csv"])
     assert exc.value.code == 2
+
+
+def test_console_script_is_the_cli_main():
+    # the installed ``attraos`` command; the tests import the package from src
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["attraos"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_readme_cli_lines_parse():

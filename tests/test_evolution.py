@@ -264,7 +264,7 @@ class TestDirectEvolution:
         src, dst = reps[:-1], reps[1:]
         part = flat_partition(src, 3)
         hacked = evo.AttractorPartition(
-            labels=np.zeros(9, dtype=int), centroids=part.centroids, k=3
+            labels=np.zeros(9, dtype=int), centroids=part.centroids
         )
         model = evo.fit_direct_operators(src, hacked, 1e-3, targets=dst)
         assert np.array_equal(model.operators[1], np.eye(2))

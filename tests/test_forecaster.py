@@ -16,7 +16,6 @@ from attraos.errors import (
     NonFiniteError,
     ShapeMismatchError,
     TooShortError,
-    WindowTooShortError,
 )
 from attraos.legendre import discretize, make_ssm_params
 from attraos.scan import ScanInput, sequential_scan
@@ -109,6 +108,17 @@ class TestFit:
         with pytest.raises(ValueError):
             fc.ForecasterConfig(window=96, horizon=4, **{field: value})
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["theta", "ridge_lambda", "hopfield_beta"])
+    def test_non_finite_solver_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            fc.ForecasterConfig(window=96, horizon=4, **{field: value})
+
+    @pytest.mark.parametrize("value", [96.5, np.inf, np.nan])
+    def test_non_integer_count_rejected(self, value):
+        with pytest.raises(ValueError, match="window must be an integer"):
+            fc.ForecasterConfig(window=value, horizon=4)
+
     def test_infeasible_window_embedding(self):
         cfg = small_config(embedding=EmbeddingParams(8, 16))  # span 113 > window
         with pytest.raises(TooShortError):
@@ -138,7 +148,7 @@ class TestPredict:
 
     def test_window_too_short(self, lorenz_model):
         model, _, val = lorenz_model
-        with pytest.raises(WindowTooShortError):
+        with pytest.raises(TooShortError):
             fc.predict(model, val[:40])
 
     def test_channel_count_guard(self, lorenz_model):
@@ -746,6 +756,14 @@ class TestModelDocument:
         for token in ("NaN", "Infinity", "-Infinity", "1e999"):
             with pytest.raises(ModelFormatError):
                 fc.model_from_json(text.replace(f'"{marker}"', token))
+
+    @pytest.mark.parametrize("token", ["96.5", "Infinity", "NaN"])
+    def test_non_integer_count_raises(self, lorenz63_x, token):
+        cfg = small_config(window=96, max_train_windows=16)
+        doc = json.loads(fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000])))
+        doc["config"]["window"] = "@count@"
+        with pytest.raises(ModelFormatError, match="window must be an integer"):
+            fc.model_from_json(json.dumps(doc).replace('"@count@"', token))
 
     @pytest.mark.parametrize("where", ["readout", "evolver-count", "evolver-array", "strategy"])
     @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])

@@ -114,6 +114,12 @@ class TestEstimateMle:
             assert est.fit_range == (1, max(3, horizon // 2))
             assert np.isfinite(est.mle)
 
+    @pytest.mark.parametrize("theiler", [-1, -3])
+    def test_negative_theiler_rejected(self, theiler):
+        x = np.sin(0.37 * np.arange(400.0)) + 0.5 * np.sin(0.11 * np.arange(400.0))
+        with pytest.raises(ValueError, match="theiler"):
+            estimate_mle(x, EmbeddingParams(2, 3), horizon=20, theiler=theiler)
+
     def test_empty_series_is_too_short(self):
         with pytest.raises(TooShortError):
             estimate_mle(np.zeros(0), EmbeddingParams(2, 1), horizon=10)

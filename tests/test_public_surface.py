@@ -1,4 +1,5 @@
-"""Every top-level function and class of ``src/attraos`` has a caller.
+"""Every top-level function and class of ``src/attraos`` has a caller, and
+every dataclass field and property of a top-level class has a reader.
 
 A caller is a code reference to the name (an ``ast.Name`` or the attribute of
 an ``ast.Attribute``) in ``src/attraos`` outside the name's own definition,
@@ -9,8 +10,14 @@ tests do not count, and neither do re-exports: an import or an ``__all__``
 string is not a reference.  Names are matched without their module, so a
 name shared by two modules counts as called when either is.
 
+A reader of a field or property is an attribute load of its name in
+``src/attraos`` outside its own class, or anywhere in the files a public
+name's caller may sit in.  Names are matched without their class, and a
+constructor argument is not a reader: a value stored that nothing reads
+restates what its producer already knows.
+
 Only top-level ``def`` and ``class`` statements are checked; methods,
-dataclass fields, parameters and module constants are out of scope.
+parameters and module constants are out of scope.
 """
 
 import ast
@@ -25,6 +32,12 @@ ALLOWED = {
     "composition order against blelloch_scan",
     "scan_composition_count": "test_scan's work-bound test checks blelloch_scan's "
     "composition count against it",
+}
+
+# Class.member -> why it stays without a reader
+UNREAD_ALLOWED = {
+    "SsmParams.variant": "the acceptance suite constructs SsmParams with it, and "
+    "that suite is the fixed oracle",
 }
 
 
@@ -55,11 +68,15 @@ def library_references():
     return refs
 
 
+def caller_files():
+    """Files outside the library whose references count as callers."""
+    return [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+            ROOT / "tests" / "test_acceptance.py"]
+
+
 def caller_references():
     refs = library_references()
-    others = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
-              ROOT / "tests" / "test_acceptance.py"]
-    for path in others:
+    for path in caller_files():
         refs |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     return refs
 
@@ -73,9 +90,52 @@ def uncalled(private: bool, refs):
     }
 
 
+def decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else node.id
+
+
+def members(cls):
+    """Dataclass fields and properties declared in a class statement."""
+    fields = "dataclass" in map(decorator_name, cls.decorator_list)
+    for stmt in cls.body:
+        if fields and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id
+        elif (isinstance(stmt, ast.FunctionDef)
+              and "property" in map(decorator_name, stmt.decorator_list)):
+            yield stmt.name
+
+
+def attribute_loads(node):
+    return {
+        sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def unread_members():
+    outside = set()
+    for path in caller_files():
+        outside |= attribute_loads(ast.parse(path.read_text(encoding="utf-8")))
+    library = [stmt for path in LIBRARY.glob("*.py")
+               for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    loads = [attribute_loads(stmt) for stmt in library]
+    unread = set()
+    for cls in library:
+        if isinstance(cls, ast.ClassDef):
+            readers = outside.union(*(names for stmt, names in zip(library, loads)
+                                      if stmt is not cls))
+            unread |= {f"{cls.name}.{m}" for m in members(cls) if m not in readers}
+    return unread
+
+
 def test_every_public_name_has_a_caller():
     assert uncalled(False, caller_references()) == {f"scan.{name}" for name in ALLOWED}
 
 
 def test_every_private_name_has_a_library_caller():
     assert uncalled(True, library_references()) == set()
+
+
+def test_every_field_and_property_has_a_reader():
+    assert unread_members() == set(UNREAD_ALLOWED)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attraos import wavelet as wv
-from attraos.errors import OddLengthError, ShapeMismatchError
+from attraos.errors import ShapeMismatchError
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -91,7 +91,7 @@ class TestUpDownProjection:
 
     def test_odd_length_rejected(self):
         f = wv.build_filters(2)
-        with pytest.raises(OddLengthError):
+        with pytest.raises(ShapeMismatchError):
             wv.up_project(np.zeros((5, 2)), f)
 
     @settings(max_examples=40, deadline=None)
