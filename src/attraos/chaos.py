@@ -49,6 +49,8 @@ class ObservationMap:
 
     @classmethod
     def random(cls, obs_dim: int, state_dim: int, seed: int) -> "ObservationMap":
+        if obs_dim < 1:
+            raise ValueError(f"obs_dim must be >= 1, got {obs_dim}")
         if obs_dim > state_dim:
             raise ShapeMismatchError(
                 f"obs_dim {obs_dim} exceeds state_dim {state_dim}"

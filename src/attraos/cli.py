@@ -62,6 +62,8 @@ def _json_out(obj) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.obs_dim is not None and args.obs_dim < 1:
+        raise UsageError("--obs-dim must be >= 1")
     x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else None
     if args.system == "lorenz63":
         params = chaos.Lorenz63Params(sigma=args.sigma, rho=args.rho, beta=args.beta)
@@ -128,6 +130,8 @@ def cmd_lyapunov(args) -> int:
         raise UsageError("--fit-start and --fit-end must be given together")
     if args.theiler is not None and args.theiler < 0:
         raise UsageError("--theiler must be >= 0")
+    if args.dt is not None and not args.dt > 0:
+        raise UsageError("--dt must be > 0")
     params = EmbeddingParams(m=args.m, tau=args.tau)
     fit_range = None if args.fit_start is None else (args.fit_start, args.fit_end)
     table = mle_table(data, params, horizon=args.horizon, theiler=args.theiler,

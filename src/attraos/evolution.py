@@ -125,7 +125,9 @@ class AttractorPartition:
 
 def kmeans_partition(points: np.ndarray, k: int, seed: int = 0) -> AttractorPartition:
     """Lloyd's algorithm with k-means++ seeding (deterministic per seed), at
-    most 100 iterations."""
+    most 100 iterations.  A Lloyd step's distances are one matrix product,
+    |x|^2 - 2 x c^T + |c|^2 clipped at 0: the labels are the broadcast
+    formula's unless two centroids tie to the last bits."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise EmptyInputError("need a non-empty (points, features) array")
@@ -136,8 +138,10 @@ def kmeans_partition(points: np.ndarray, k: int, seed: int = 0) -> AttractorPart
     centroids = _kmeanspp_init(points, k, rng)
     labels = np.zeros(n, dtype=int)
     inertia = []
+    sq_norms = (points**2).sum(axis=1)[:, None]
     for _ in range(100):
-        d2 = _sq_dists(points, centroids)
+        d2 = sq_norms - 2.0 * (points @ centroids.T) + (centroids**2).sum(axis=1)
+        np.maximum(d2, 0.0, out=d2)
         new_labels = d2.argmin(axis=1)
         inertia.append(float(d2[np.arange(n), new_labels].sum()))
         moved = np.any(new_labels != labels) or len(inertia) == 1
@@ -161,7 +165,8 @@ def kmeans_partition(points: np.ndarray, k: int, seed: int = 0) -> AttractorPart
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(n, k) squared distances, filled one centroid at a time so no
     (n, k, F) temporary is made; each entry sums its row like the
-    broadcast formula does, so the values are the same."""
+    broadcast formula does, so the values are the same.  Serving uses it
+    because a row's label must not depend on the batch it comes in."""
     d2 = np.empty((points.shape[0], centroids.shape[0]))
     for c, centroid in enumerate(centroids):
         d2[:, c] = ((points - centroid) ** 2).sum(axis=1)

@@ -18,6 +18,7 @@ from .embedding import EmbeddingParams, _check_series, delay_embed
 from .errors import DegenerateSeriesError, TooShortError
 
 _QUERY_BLOCK = 2048  # reference points per neighbour query
+_FIRST_K = 8  # neighbours every point is queried for first
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ def estimate_mle(
     and are dropped.  A step at which every pair has met (zero separation)
     has no mean log separation: its curve value is ``-inf``, and such a step
     inside ``fit_range`` raises DegenerateSeriesError.
+    A separation sums its squared coordinate differences in lag order, as
+    ``np.linalg.norm`` does below 8 terms (above, numpy sums pairwise).
     """
     series = _check_series(series)
     if theiler is None:
@@ -63,9 +66,7 @@ def estimate_mle(
 
     pts = delay_embed(series, params)
     n = pts.shape[0]
-    usable = n - horizon  # both ends of a pair must track the full horizon
-    if usable < 2:
-        raise TooShortError("horizon leaves no usable reference points")
+    usable = n - horizon  # pairs track the full horizon; >= theiler + 2 by the length check
     base = pts[:usable]
     tree = cKDTree(base)
     idx = np.arange(usable)
@@ -80,11 +81,19 @@ def estimate_mle(
     if i_ref.size == 0:
         raise DegenerateSeriesError("no separated neighbor pairs found")
 
+    # point i's lag j is series[i + j * tau], so step k sums the squared
+    # sample differences at offsets k + j * tau; the steps k = r (mod tau)
+    # share offsets, and row p % m holds offset r + p * tau
+    m, tau = params.m, params.tau
+    lag_sq = np.empty((m, i_ref.size))
     curve = np.empty(horizon + 1)
-    for k in range(horizon + 1):
-        d = np.linalg.norm(pts[i_ref + k] - pts[j_ref + k], axis=1)
-        good = d > 0
-        curve[k] = float(np.mean(np.log(d[good]))) if np.any(good) else -np.inf
+    for r in range(min(tau, horizon + 1)):
+        for p, t in enumerate(range(r, horizon + params.span, tau)):
+            np.square(series[i_ref + t] - series[j_ref + t], out=lag_sq[p % m])
+            if p >= m - 1:
+                d = np.sqrt(sum(lag_sq[(p + 1 + j) % m] for j in range(m)))
+                good = d > 0
+                curve[t - (m - 1) * tau] = np.mean(np.log(d[good])) if np.any(good) else -np.inf
     if not np.all(np.isfinite(curve[lo:hi])):
         raise DegenerateSeriesError("a step in the fit range has no separated neighbor pair")
     ks = np.arange(lo, hi)
@@ -97,19 +106,24 @@ def _nearest_outside_window(tree, base, idx, theiler):
 
     The window |i - j| <= theiler holds at most 2 * theiler + 1 points, so
     the 2 * theiler + 4 nearest neighbours always include a partner unless
-    that count is capped at the number of points.  The points are queried in
-    blocks so the (points, k) neighbour arrays stay bounded.
+    that count is capped at the number of points.  Most points find one
+    among their ``_FIRST_K`` nearest, so only the rest get the full query
+    (the same partner unless two neighbours tie exactly in distance).  The
+    points are queried in blocks so the (points, k) arrays stay bounded.
     """
     n = base.shape[0]
     k = min(n, 2 * theiler + 4)
     partner = np.full(n, -1, dtype=int)
-    for lo in range(0, idx.size, _QUERY_BLOCK):
-        block = idx[lo : lo + _QUERY_BLOCK]
-        _, nbrs = tree.query(base[block], k=k)
-        ok = np.abs(nbrs - block[:, None]) > theiler
-        has = ok.any(axis=1)
-        first = ok.argmax(axis=1)
-        partner[block[has]] = nbrs[has, first[has]]
+    todo = idx
+    for k_query in (min(k, _FIRST_K), k):
+        for lo in range(0, todo.size, _QUERY_BLOCK):
+            block = todo[lo : lo + _QUERY_BLOCK]
+            _, nbrs = tree.query(base[block], k=k_query)
+            ok = np.abs(nbrs - block[:, None]) > theiler
+            has = ok.any(axis=1)
+            first = ok.argmax(axis=1)
+            partner[block[has]] = nbrs[has, first[has]]
+        todo = todo[partner[todo] < 0]
     return partner
 
 

@@ -125,6 +125,11 @@ class TestObserve:
         with pytest.raises(ShapeMismatchError):
             chaos.ObservationMap.random(5, 3, seed=0)
 
+    @pytest.mark.parametrize("obs_dim", [0, -1])
+    def test_random_map_needs_an_observed_channel(self, obs_dim):
+        with pytest.raises(ValueError, match="obs_dim"):
+            chaos.ObservationMap.random(obs_dim, 3, seed=0)
+
 
 @settings(max_examples=20, deadline=None)
 @given(

@@ -71,6 +71,18 @@ class TestSimulate:
         assert code == 2
         assert err.strip()
 
+    @pytest.mark.parametrize("obs_dim", ["0", "-2"])
+    def test_obs_dim_below_one_is_usage_error(self, tmp_path, capsys, obs_dim):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            capsys,
+            "simulate", "--system", "lorenz96", "--dim", "8", "--steps", "10",
+            "--obs-dim", obs_dim, "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and "--obs-dim" in err
+        assert not out.exists()
+
     def test_seed_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -224,6 +236,16 @@ class TestLyapunov:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--theiler" in err
+
+    @pytest.mark.parametrize("dt", ["0", "-0.01"])
+    def test_non_positive_dt_is_usage_error(self, lorenz_csv, capsys, dt):
+        code, out, err = run(
+            capsys,
+            "lyapunov", "--input", str(lorenz_csv), "--m", "3", "--tau", "16",
+            "--horizon", "40", "--dt", dt,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--dt" in err
 
     @pytest.fixture
     def meeting_csv(self, tmp_path):

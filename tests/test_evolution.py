@@ -195,20 +195,47 @@ def broadcast_sq_dists(points, centroids):
     return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
+def broadcast_lloyd(points, k, seed):
+    """Reference: kmeans_partition's Lloyd loop on broadcast distances."""
+    n = len(points)
+    centroids = evo._kmeanspp_init(points, k, np.random.default_rng(seed))
+    labels = np.zeros(n, dtype=int)
+    inertia = []
+    for _ in range(100):
+        d2 = broadcast_sq_dists(points, centroids)
+        new_labels = d2.argmin(axis=1)
+        inertia.append(d2[np.arange(n), new_labels].sum())
+        moved = np.any(new_labels != labels) or len(inertia) == 1
+        labels = new_labels
+        for c in range(k):
+            members = points[labels == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                far = int(d2[np.arange(n), labels].argmax())
+                centroids[c] = points[far]
+                labels[far] = c
+        if not moved:
+            break
+    return labels, centroids, np.asarray(inertia)
+
+
 @pytest.mark.parametrize("n,f,k", [(300, 3, 5), (512, 96, 8), (64, 1, 4)])
 def test_distances_match_broadcast_formula(n, f, k, monkeypatch):
     rng = np.random.default_rng(n + f + k)
     pts = rng.standard_normal((n, f)) + 4.0 * rng.integers(0, k, (n, 1))
     positions = pts.reshape(n, -1, min(f, 8))  # (D, N) positions of F = D * N
     assert np.array_equal(evo._sq_dists(pts, pts[:k]), broadcast_sq_dists(pts, pts[:k]))
+    # the Lloyd loop's expanded-norm distances pick the same labels, so the
+    # centroids agree bit for bit; only the inertia's last bits differ
     part = evo.kmeans_partition(pts, k, seed=3)
+    labels, centroids, inertia = broadcast_lloyd(pts, k, seed=3)
+    assert np.array_equal(part.labels, labels)
+    assert np.array_equal(part.centroids, centroids)
+    assert part.inertia_history == pytest.approx(inertia, rel=1e-12, abs=0)
     model = evo.fit_direct_operators(positions, part, 1e-3, targets=0.5 * positions)
     applied = evo.apply_direct_evolution(positions, model)
     monkeypatch.setattr(evo, "_sq_dists", broadcast_sq_dists)
-    ref = evo.kmeans_partition(pts, k, seed=3)
-    assert np.array_equal(part.labels, ref.labels)
-    assert np.array_equal(part.centroids, ref.centroids)
-    assert np.array_equal(part.inertia_history, ref.inertia_history)
     assert np.array_equal(applied, evo.apply_direct_evolution(positions, model))
 
 

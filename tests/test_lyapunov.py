@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from attraos import chaos
-from attraos.embedding import EmbeddingParams
+from attraos.embedding import EmbeddingParams, delay_embed
 from attraos.errors import DegenerateSeriesError, TooShortError
 from attraos.lyapunov import _nearest_outside_window, estimate_mle, mle_table
 
@@ -188,12 +188,17 @@ def one_shot_nearest_outside_window(tree, base, idx, theiler):
 
 
 @pytest.mark.parametrize(
-    "n,theiler",
-    [(5000, 48), (2060, 1030)],
-    ids=["many-blocks", "k-capped-at-n"],
+    "source,n,theiler",
+    [("lorenz63", 5000, 48), ("lorenz63", 2060, 1030), ("sine", 3000, 40)],
+    ids=["many-blocks", "k-capped-at-n", "first-8-inside-window"],
 )
-def test_blocked_partners_match_one_shot_query(lorenz63_x, n, theiler):
-    base = np.stack([lorenz63_x[:n], lorenz63_x[16 : n + 16], lorenz63_x[32 : n + 32]], axis=1)
+def test_blocked_partners_match_one_shot_query(lorenz63_x, source, n, theiler):
+    # a finely sampled sine whose amplitude grows enough that each turn
+    # stays apart from the last: a point's 8 nearest neighbours are its own
+    # time neighbours, and only the full-k query reaches the next turn
+    t = np.arange(n + 32)
+    x = lorenz63_x if source == "lorenz63" else np.exp(3 * t / n) * np.sin(2 * np.pi * t / 400)
+    base = np.stack([x[:n], x[16 : n + 16], x[32 : n + 32]], axis=1)
     tree = cKDTree(base)
     idx = np.arange(n)
     expect = one_shot_nearest_outside_window(tree, base, idx, theiler)
@@ -203,3 +208,42 @@ def test_blocked_partners_match_one_shot_query(lorenz63_x, n, theiler):
     assert np.all(np.abs(expect[found] - idx[found]) > theiler)
     # with k capped at n the points nearest the middle have no partner
     assert np.any(~found) == (2 * theiler + 4 > n)
+    if source == "sine":
+        _, first8 = tree.query(base, k=8)
+        assert np.mean(np.all(np.abs(first8 - idx[:, None]) <= theiler, axis=1)) > 0.9
+
+
+def norm_loop_curve(series, params, horizon):
+    """Reference: the per-step ``np.linalg.norm`` loop over the embedded
+    points, on the pairs ``estimate_mle`` forms (default Theiler window)."""
+    pts = delay_embed(series, params)
+    base = pts[: len(pts) - horizon]
+    idx = np.arange(len(base))
+    partner = _nearest_outside_window(cKDTree(base), base, idx, params.m * params.tau)
+    i_ref, j_ref = idx[partner >= 0], partner[partner >= 0]
+    keep = np.linalg.norm(base[i_ref] - base[j_ref], axis=1) > 0
+    i_ref, j_ref = i_ref[keep], j_ref[keep]
+    curve = np.empty(horizon + 1)
+    for k in range(horizon + 1):
+        d = np.linalg.norm(pts[i_ref + k] - pts[j_ref + k], axis=1)
+        good = d > 0
+        curve[k] = float(np.mean(np.log(d[good]))) if np.any(good) else -np.inf
+    return curve
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_streamed_curve_matches_norm_loop(lorenz63_x, m):
+    params = EmbeddingParams(m, 7)
+    est = estimate_mle(lorenz63_x[:6000], params, horizon=90)
+    assert np.array_equal(est.divergence_curve, norm_loop_curve(lorenz63_x[:6000], params, 90))
+
+
+def test_streamed_curve_matches_norm_loop_where_pairs_meet():
+    series = np.r_[np.random.default_rng(0).standard_normal(300), np.zeros(2000)]
+    params = EmbeddingParams(3, 2)
+    est = estimate_mle(series, params, horizon=400)
+    expect = norm_loop_curve(series, params, 400)
+    assert np.isneginf(expect[-1])
+    assert np.array_equal(est.divergence_curve, expect)
+    with pytest.raises(DegenerateSeriesError):
+        estimate_mle(series, params, horizon=400, fit_range=(250, 350))
