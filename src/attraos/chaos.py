@@ -31,10 +31,9 @@ class Lorenz96Params:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Integrated states, shape (steps+1, state_dim), at uniform spacing dt."""
+    """Integrated states, shape (steps+1, state_dim), at the caller's uniform step dt."""
 
     states: np.ndarray
-    dt: float
 
     @property
     def state_dim(self) -> int:
@@ -110,7 +109,7 @@ def simulate_lorenz63(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3,):
         raise ShapeMismatchError("Lorenz63 needs a 3-vector initial state")
-    return Trajectory(states=_rk4(lambda s: lorenz63_rhs(s, params), x0, dt, steps), dt=dt)
+    return Trajectory(states=_rk4(lambda s: lorenz63_rhs(s, params), x0, dt, steps))
 
 
 def simulate_lorenz96(
@@ -126,8 +125,7 @@ def simulate_lorenz96(
     # the neighbour indices are built once, not on each of the 4 calls per step
     neighbours = _ring_neighbours(params.dim)
     return Trajectory(
-        states=_rk4(lambda s: _lorenz96_field(s, params.forcing_f, neighbours), x0, dt, steps),
-        dt=dt,
+        states=_rk4(lambda s: _lorenz96_field(s, params.forcing_f, neighbours), x0, dt, steps)
     )
 
 
@@ -144,7 +142,7 @@ def drop_transient(traj: Trajectory, n: int) -> Trajectory:
     """Discard the first n states (transient toward the attractor)."""
     if n < 0 or n >= traj.states.shape[0]:
         raise ValueError("transient length out of range")
-    return Trajectory(states=traj.states[n:], dt=traj.dt)
+    return Trajectory(states=traj.states[n:])
 
 
 def default_lorenz96_x0(params: Lorenz96Params) -> np.ndarray:

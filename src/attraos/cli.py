@@ -49,7 +49,7 @@ def read_csv(path) -> np.ndarray:
     """Value columns of a headed CSV; a leading 't' column is dropped."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if header and header[0].strip().lower() == "t":
         data = data[:, 1:]
     if data.shape[1] == 0:

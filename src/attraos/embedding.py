@@ -31,6 +31,8 @@ class EmbeddingParams:
     tau: int
 
     def __post_init__(self):
+        if not all(type(v) is int or isinstance(v, np.integer) for v in (self.m, self.tau)):
+            raise ValueError("embedding m and tau must be integers")
         if self.m < 1 or self.tau < 1:
             raise ValueError("embedding needs m >= 1 and tau >= 1")
 
@@ -106,19 +108,19 @@ def _embed_forward(series: np.ndarray, m: int, tau: int) -> np.ndarray:
     return view[..., :n, ::tau]
 
 
-def fnn_profile(series, tau: int, max_m: int) -> np.ndarray:
-    """False-neighbor fraction for m = 1..max_m (1.0 where too short to test)."""
+def _fnn_fractions(series, tau: int, max_m: int):
+    """False-neighbor fractions for m = 1, 2, ..., max_m in turn; ends
+    early at the first m the series is too short to test."""
     series = _check_series(series)
     if tau < 1 or max_m < 1:
         raise ValueError("need tau >= 1 and max_m >= 1")
     if series.size < (max_m - 1) * tau + 2:
         raise TooShortError("series too short to embed at max_m")
     sigma = float(series.std())
-    fracs = np.ones(max_m)
     for m in range(1, max_m + 1):
         usable = series.size - m * tau
         if usable < 2:
-            break
+            return
         pts = _embed_forward(series, m, tau)[:usable]
         tree = cKDTree(pts)
         dist, idx = tree.query(pts, k=2)
@@ -129,16 +131,21 @@ def fnn_profile(series, tau: int, max_m: int) -> np.ndarray:
             ratio = np.where(d > 0, extra / np.where(d > 0, d, 1.0), np.inf)
         ratio[(d == 0) & (extra == 0)] = 0.0
         lonely = np.sqrt(d**2 + extra**2) / sigma > FNN_SIZE_TOL
-        fracs[m - 1] = float(np.mean((ratio > FNN_RATIO_TOL) | lonely))
-    return fracs
+        yield float(np.mean((ratio > FNN_RATIO_TOL) | lonely))
+
+
+def fnn_profile(series, tau: int, max_m: int) -> np.ndarray:
+    """False-neighbor fraction for m = 1..max_m (1.0 where too short to test)."""
+    tested = list(_fnn_fractions(series, tau, max_m))
+    return np.concatenate([tested, np.ones(max_m - len(tested))])
 
 
 def false_nearest_neighbors(series, tau: int, max_m: int) -> int:
-    """Smallest m <= max_m whose FNN fraction is below FNN_THRESHOLD, else max_m."""
-    fracs = fnn_profile(series, tau, max_m)
-    below = np.nonzero(fracs < FNN_THRESHOLD)[0]
-    if below.size:
-        return int(below[0] + 1)
+    """Smallest m <= max_m whose FNN fraction is below FNN_THRESHOLD, else
+    max_m; the search stops there and tests no larger dimension."""
+    for m, frac in enumerate(_fnn_fractions(series, tau, max_m), start=1):
+        if frac < FNN_THRESHOLD:
+            return m
     return max_m
 
 
@@ -206,7 +213,7 @@ def select_embedding(
         ]
         m = max(p.m for p in per)
         tau = int(np.median([p.tau for p in per]))
-        return EmbeddingParams(m=m, tau=max(1, tau))
+        return EmbeddingParams(m=m, tau=tau)
     if repeats > 1:
         seg_len = max(8, int(0.6 * arr.size))
         starts = np.linspace(0, arr.size - seg_len, repeats).astype(int)
@@ -217,7 +224,7 @@ def select_embedding(
         ms = [p.m for p in picks]
         m = int(np.bincount(ms).argmax())
         tau = int(np.median([p.tau for p in picks]))
-        return EmbeddingParams(m=m, tau=max(1, tau))
+        return EmbeddingParams(m=m, tau=tau)
     if max_tau is None:
         max_tau = default_max_tau(arr.size)
     tau = mutual_information_delay(arr, max_tau)

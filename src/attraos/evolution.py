@@ -84,7 +84,7 @@ def fit_spectral_operators(
     a_spec: np.ndarray,
     b_spec: np.ndarray,
     seq_len: int,
-    ridge_lambda: float = 1e-3,
+    ridge_lambda: float,
 ) -> SpectralEvolutionModel:
     """Per-mode ridge fit from spectra (S, M, N) to next-step spectra."""
     a_spec = np.asarray(a_spec, dtype=complex)
@@ -201,7 +201,7 @@ class DirectEvolutionModel:
 def fit_direct_operators(
     reps: np.ndarray,
     partition: AttractorPartition,
-    ridge_lambda: float = 1e-3,
+    ridge_lambda: float,
     *,
     targets: np.ndarray,
 ) -> DirectEvolutionModel:

@@ -72,7 +72,7 @@ from .errors import (
     ShapeMismatchError,
     TooShortError,
 )
-from .legendre import DiscretizedSsm, SsmParams, discretize, make_ssm_params
+from .legendre import DiscretizedSsm, discretize, make_ssm_params
 from .scan import ScanInput, sequential_scan
 from .seeding import derive_seed
 from .wavelet import Pyramid, WaveletFilters, build_filters, decompose, reconstruct
@@ -102,8 +102,9 @@ class ForecasterConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            # a document may hold 96.5 or Infinity where a count belongs
-            if f.type == "int" and not isinstance(getattr(self, f.name), (int, np.integer)):
+            value = getattr(self, f.name)
+            # 96.5, Infinity or true (whose type is bool) in a document is no count
+            if f.type == "int" and not (type(value) is int or isinstance(value, np.integer)):
                 raise ValueError(f"{f.name} must be an integer")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -128,7 +129,7 @@ class ForecasterConfig:
 
 @dataclass(frozen=True)
 class ShapeInfo:
-    """Static pipeline shapes for a given config + embedding.
+    """Static pipeline shapes for a config with its embedding set.
 
     ``scale_rows[s]`` is the slice of the (S, D) stack that holds scale s
     (finest detail first, coarse last): ``scale_lens[s] * order`` rows,
@@ -147,8 +148,9 @@ class ShapeInfo:
     scale_modes: tuple
 
 
-def pipeline_shapes(config: ForecasterConfig, embedding: EmbeddingParams) -> ShapeInfo:
-    n_points = config.window - (embedding.m - 1) * embedding.tau
+def pipeline_shapes(config: ForecasterConfig) -> ShapeInfo:
+    """Shapes of ``config``'s pipeline under its embedding, which must be set."""
+    n_points = config.window - (config.embedding.m - 1) * config.embedding.tau
     if n_points < config.patch_len:
         raise TooShortError(
             "window leaves no full patch after embedding "
@@ -166,7 +168,7 @@ def pipeline_shapes(config: ForecasterConfig, embedding: EmbeddingParams) -> Sha
         n_patches=n_patches,
         padded=padded,
         pad=padded - n_patches,
-        d=embedding.m * config.patch_len,
+        d=config.embedding.m * config.patch_len,
         order=config.poly_order,
         eff_levels=eff_levels,
         scale_lens=scale_lens,
@@ -209,10 +211,10 @@ class FittedForecaster:
 
     def __post_init__(self):
         cfg = self.config
-        shapes = pipeline_shapes(cfg, cfg.embedding)
+        shapes = pipeline_shapes(cfg)
         ssm = make_ssm_params(cfg.ssm_variant, cfg.poly_order, 1.0 / cfg.theta)
         filters = build_filters(cfg.poly_order)
-        front = _front_operator(ssm, discretize(ssm, b_method="euler"), filters, shapes)
+        front = _front_operator(discretize(ssm), filters, shapes)
         object.__setattr__(self, "shapes", shapes)
         object.__setattr__(self, "front", front)
         object.__setattr__(self, "back", _back_operator(filters, shapes))
@@ -262,10 +264,10 @@ def _normalize(windows: np.ndarray):
     return (windows - mu[:, None]) / sd[:, None], mu, sd
 
 
-def _front_operator(ssm: SsmParams, disc: DiscretizedSsm, filters: WaveletFilters,
-                    sh: ShapeInfo) -> np.ndarray:
+def _front_operator(disc: DiscretizedSsm, filters: WaveletFilters, sh: ShapeInfo) -> np.ndarray:
     """(S, L) matrix from one coordinate's patch sequence to its stacked
-    scale sequences: recurrence, left padding, decompose.
+    scale sequences: recurrence (in matrix mode for a full (N, N)
+    ``disc.a_bar``), left padding, decompose.
 
     Column j is the response to a unit value at patch j, computed by running
     the identity through the primitives as L independent coordinates.  Scale
@@ -274,7 +276,7 @@ def _front_operator(ssm: SsmParams, disc: DiscretizedSsm, filters: WaveletFilter
     length = sh.n_patches
     bu = np.eye(length)[..., None] * disc.b_bar  # (step, impulse, N)
     a_seq = np.broadcast_to(disc.a_bar, (length,) + disc.a_bar.shape)
-    states = sequential_scan(ScanInput(a_seq=a_seq, bu_seq=bu, matrix=not ssm.is_diagonal))
+    states = sequential_scan(ScanInput(a_seq=a_seq, bu_seq=bu, matrix=disc.a_bar.ndim == 2))
     # the pyramid needs a multiple of 2^levels steps; repeat the earliest
     # state on the left so the most recent data stays aligned
     states = np.concatenate([np.repeat(states[:1], sh.pad, axis=0), states], axis=0)
@@ -556,26 +558,23 @@ def global_mean_forecast(train_series, horizon: int) -> np.ndarray:
 # serialization
 
 
-def _evolver_doc(ev) -> dict:
-    """An evolver's fitted arrays; its kind, scalars and shapes are the
-    config's."""
-    if isinstance(ev, evo.SpectralEvolutionModel):
+def _evolver_doc(ev, config: ForecasterConfig) -> dict:
+    """The fitted arrays of an evolver of the config's strategy; its kind,
+    scalars and shapes are the config's."""
+    if config.evolution_strategy == "frequency":
         ops = [[op.real.tolist(), op.imag.tolist()] for op in ev.mode_ops]
         return {"doc": {"mode_ops": ops}}
-    if isinstance(ev, evo.DirectEvolutionModel):
+    if config.evolution_strategy == "direct":
         return {"centroids": ev.centroids.tolist(), "operators": ev.operators.tolist()}
-    if isinstance(ev, evo.HopfieldEvolutionModel):
-        return {"keys": ev.keys.tolist(), "values": ev.values.tolist()}
-    raise TypeError(f"unknown evolver type {type(ev)!r}")
+    return {"keys": ev.keys.tolist(), "values": ev.values.tolist()}
 
 
-def _doc_floats(value, what: str, shape: tuple | None = None) -> np.ndarray:
-    """A document number or nested list of numbers as a float array; NaN or
-    inf in it (a ``NaN``/``Infinity`` token, or a literal beyond the float
-    range), or a shape other than ``shape`` when one is given, raises
-    ModelFormatError."""
+def _doc_floats(value, what: str, shape: tuple) -> np.ndarray:
+    """A document number or nested list of numbers as a float array of
+    ``shape``; NaN or inf in it (a ``NaN``/``Infinity`` token, or a literal
+    beyond the float range), or another shape, raises ModelFormatError."""
     arr = np.asarray(value, dtype=float)
-    if shape is not None and arr.shape != shape:
+    if arr.shape != shape:
         raise ModelFormatError(f"{what} has shape {arr.shape}, the model needs {shape}")
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"non-finite {what} in model document")
@@ -615,7 +614,8 @@ def model_to_json(model: FittedForecaster) -> str:
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "embedding"},
         "embedding": {"m": model.embedding.m, "tau": model.embedding.tau},
         "channels": [
-            {"evolvers": [_evolver_doc(ev) for ev in ch.evolvers], "readout": ch.readout.tolist()}
+            {"evolvers": [_evolver_doc(ev, cfg) for ev in ch.evolvers],
+             "readout": ch.readout.tolist()}
             for ch in model.channels
         ],
     }
@@ -637,21 +637,22 @@ def model_from_json(text: str) -> FittedForecaster:
     ``beta``)."""
     try:
         doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("v") not in (1, 2):
+        # true == 1 and 2.0 == 2, so the type is checked too
+        if not isinstance(doc, dict) or type(doc.get("v")) is not int or doc["v"] not in (1, 2):
             raise ModelFormatError("not a version-1 or version-2 model document")
         return _model_from_doc(doc)
-    # JSONDecodeError is a ValueError; an infinite value or an integer beyond
-    # the float range where an integer or float is read raises OverflowError
+    # JSONDecodeError is a ValueError; an integer beyond the float range in
+    # an array raises OverflowError
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
 
 
 def _model_from_doc(doc: dict) -> FittedForecaster:
-    embedding = EmbeddingParams(m=int(doc["embedding"]["m"]), tau=int(doc["embedding"]["tau"]))
+    embedding = EmbeddingParams(m=doc["embedding"]["m"], tau=doc["embedding"]["tau"])
     entries = {**doc["config"]}
     entries.pop("teacher_alpha", None)  # rollout's alpha argument replaced it
     config = ForecasterConfig(embedding=embedding, **entries)
-    sh = pipeline_shapes(config, embedding)
+    sh = pipeline_shapes(config)
     v1_padded = 1 << (sh.n_patches - 1).bit_length()
     if doc["v"] == 1 and config.evolution_strategy == "frequency" and sh.padded != v1_padded:
         raise ModelFormatError(f"version-1 frequency model padded to {v1_padded} patches, "

@@ -43,7 +43,6 @@ class LegendreBasis:
     def __init__(self, order: int, num_nodes: int | None = None):
         if order < 1:
             raise ValueError("basis order must be >= 1")
-        self.order = order
         q = num_nodes if num_nodes is not None else max(order, 16)
         x, w = np.polynomial.legendre.leggauss(q)
         self.nodes = 0.5 * (x + 1.0)

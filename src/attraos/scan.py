@@ -143,8 +143,3 @@ def blelloch_scan(inp: ScanInput) -> np.ndarray:
     for dst, half in _level_plan(inp.length):
         a[dst], b[dst] = _compose(a, b, dst - half, dst, inp.matrix)
     return b
-
-
-def scan_composition_count(length: int) -> int:
-    """Number of operator compositions blelloch_scan performs for length L."""
-    return sum(dst.size for dst, _ in _level_plan(length))

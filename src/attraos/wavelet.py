@@ -17,8 +17,6 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .legendre import LegendreBasis
 
-_ORTHO_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class WaveletFilters:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from attraos import embedding as emb
 from attraos.errors import DegenerateSeriesError, TooShortError
@@ -90,6 +91,7 @@ class TestFalseNearestNeighbors:
     def test_white_noise_never_settles(self):
         rng = np.random.default_rng(7)
         s = rng.uniform(size=2000)
+        assert np.all(emb.fnn_profile(s, 1, 6) >= emb.FNN_THRESHOLD)
         assert emb.false_nearest_neighbors(s, 1, 6) == 6
 
     def test_fraction_matches_exhaustive_oracle(self):
@@ -102,6 +104,44 @@ class TestFalseNearestNeighbors:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             emb.false_nearest_neighbors(np.sin(np.arange(10.0)), 4, 5)
+
+    def test_search_stops_at_its_answer(self, lorenz63_x, monkeypatch):
+        # x settles at m = 3, so the trees for m = 4..6 are never built
+        built = []
+
+        def counting_tree(pts):
+            built.append(pts.shape[1])
+            return cKDTree(pts)
+
+        monkeypatch.setattr(emb, "cKDTree", counting_tree)
+        assert emb.false_nearest_neighbors(lorenz63_x, 16, 6) == 3
+        assert built == [1, 2, 3]
+
+    def test_answer_is_the_first_profile_entry_below_threshold(self, lorenz63_x):
+        rng = np.random.default_rng(11)
+        cases = [
+            (lorenz63_x[:20000], 16, 6),
+            (lorenz63_x[:5000], 4, 8),
+            (np.sin(0.05 * np.arange(3000)) + 0.01 * rng.standard_normal(3000), 30, 6),
+            (np.cumsum(rng.standard_normal(2000)), 3, 6),
+        ]
+        for series, tau, max_m in cases:
+            below = np.nonzero(emb.fnn_profile(series, tau, max_m) < emb.FNN_THRESHOLD)[0]
+            assert below.size
+            assert emb.false_nearest_neighbors(series, tau, max_m) == below[0] + 1
+
+    def test_max_m_when_too_short_to_test_first(self):
+        # 40 samples at tau 9 leave too few points to test m = 5
+        s = np.random.default_rng(7).uniform(size=40)
+        profile = emb.fnn_profile(s, 9, 5)
+        assert profile[-1] == 1.0 and np.all(profile >= emb.FNN_THRESHOLD)
+        assert emb.false_nearest_neighbors(s, 9, 5) == 5
+
+
+@pytest.mark.parametrize("m,tau", [(2.5, 4), (2, True), (np.float64(3.0), 4)])
+def test_embedding_params_need_integers(m, tau):
+    with pytest.raises(ValueError, match="integers"):
+        emb.EmbeddingParams(m=m, tau=tau)
 
 
 class TestDelayEmbed:

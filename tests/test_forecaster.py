@@ -119,6 +119,11 @@ class TestFit:
         with pytest.raises(ValueError, match="window must be an integer"):
             fc.ForecasterConfig(window=value, horizon=4)
 
+    @pytest.mark.parametrize("field", ["horizon", "seed", "n_clusters"])
+    def test_bool_count_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            fc.ForecasterConfig(**{"window": 48, "horizon": 4, field: True})
+
     def test_infeasible_window_embedding(self):
         cfg = small_config(embedding=EmbeddingParams(8, 16))  # span 113 > window
         with pytest.raises(TooShortError):
@@ -183,7 +188,7 @@ class TestPredict:
         # directly, while direct and hopfield models serve through it
         x = np.stack([lorenz63_x[:3000], np.cos(0.03 * np.arange(3000))], axis=1)
         cfg = small_config(window=96, max_train_windows=40, evolution_strategy=strategy)
-        sh = fc.pipeline_shapes(cfg, cfg.embedding)
+        sh = fc.pipeline_shapes(cfg)
         designs = []
         ridge_fit = fc.evo.ridge_fit
 
@@ -435,7 +440,7 @@ class TestShapesContract:
             window=window, horizon=4, embedding=EmbeddingParams(m, tau), patch_len=p,
             poly_order=5, levels=2,
         )
-        sh = fc.pipeline_shapes(cfg, cfg.embedding)
+        sh = fc.pipeline_shapes(cfg)
         n_pts = window - (m - 1) * tau
         assert sh.n_patches == n_pts // p
         assert sh.d == m * p
@@ -447,7 +452,7 @@ class TestShapesContract:
         for n in range(1, 201):
             cfg = fc.ForecasterConfig(window=2 * n, horizon=1, embedding=EmbeddingParams(1, 1),
                                       patch_len=2, levels=levels)
-            sh = fc.pipeline_shapes(cfg, cfg.embedding)
+            sh = fc.pipeline_shapes(cfg)
             cell = 2**sh.eff_levels
             power_of_two = 1 << (n - 1).bit_length()
             assert sh.n_patches == n
@@ -764,6 +769,20 @@ class TestModelDocument:
         doc["config"]["window"] = "@count@"
         with pytest.raises(ModelFormatError, match="window must be an integer"):
             fc.model_from_json(json.dumps(doc).replace('"@count@"', token))
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("config", "seed", True), ("config", "n_clusters", True), ("embedding", "m", 3.7),
+         ("embedding", "tau", 4.9), (None, "v", True), (None, "v", 2.0)],
+    )
+    def test_non_integer_entry_raises(self, lorenz63_x, section, key, value):
+        # each of these once loaded as the integer it compares equal to or
+        # truncates to
+        cfg = small_config(window=96, max_train_windows=16, evolution_strategy="direct")
+        doc = json.loads(fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000])))
+        (doc if section is None else doc[section])[key] = value
+        with pytest.raises(ModelFormatError):
+            fc.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("where", ["readout", "evolver-count", "evolver-array", "strategy"])
     @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])

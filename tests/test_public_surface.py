@@ -16,8 +16,18 @@ name's caller may sit in.  Names are matched without their class, and a
 constructor argument is not a reader: a value stored that nothing reads
 restates what its producer already knows.
 
-Only top-level ``def`` and ``class`` statements are checked; methods,
-parameters and module constants are out of scope.
+A module-level name that an assignment binds (``__all__`` aside) needs a
+reader: a load of the name (an ``ast.Name`` or the attribute of an
+``ast.Attribute``) in ``src/attraos``, or for a public name also in the
+files a public name's caller may sit in.  A constant nobody reads states a
+rule the code does not follow.
+
+Only top-level ``def`` and ``class`` statements, dataclass fields,
+properties and module-level assignments are checked; methods, parameters
+and attributes that methods set on instances are out of scope.  Matched by
+name alone, such an attribute would hide behind any other reader of its
+name: an unread ``LegendreBasis.order`` would count as read through
+``ShapeInfo.order``.
 """
 
 import ast
@@ -30,8 +40,6 @@ LIBRARY = ROOT / "src" / "attraos"
 ALLOWED = {
     "tree_schedule": "test_scan's schedule-replay oracle replays this documented "
     "composition order against blelloch_scan",
-    "scan_composition_count": "test_scan's work-bound test checks blelloch_scan's "
-    "composition count against it",
 }
 
 # Class.member -> why it stays without a reader
@@ -129,6 +137,35 @@ def unread_members():
     return unread
 
 
+def module_constants(tree):
+    """Names a module-level assignment binds, ``__all__`` aside."""
+    targets = [t for stmt in tree.body if isinstance(stmt, ast.Assign) for t in stmt.targets]
+    targets += [stmt.target for stmt in tree.body if isinstance(stmt, ast.AnnAssign)]
+    names = {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+    return names - {"__all__"}
+
+
+def name_loads(node):
+    return attribute_loads(node) | {
+        sub.id for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def unread_constants():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in LIBRARY.glob("*.py")}
+    library = set().union(*map(name_loads, trees.values()))
+    outside = library.union(*(name_loads(ast.parse(path.read_text(encoding="utf-8")))
+                              for path in caller_files()))
+    return {
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name in module_constants(tree)
+        if name not in (library if name.startswith("_") else outside)
+    }
+
+
 def test_every_public_name_has_a_caller():
     assert uncalled(False, caller_references()) == {f"scan.{name}" for name in ALLOWED}
 
@@ -139,3 +176,7 @@ def test_every_private_name_has_a_library_caller():
 
 def test_every_field_and_property_has_a_reader():
     assert unread_members() == set(UNREAD_ALLOWED)
+
+
+def test_every_module_constant_has_a_reader():
+    assert unread_constants() == set()

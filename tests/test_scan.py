@@ -167,8 +167,9 @@ class TestBlellochScan:
             assert rel.max() <= 1e-10
 
     def test_work_bound(self):
+        # blelloch_scan runs one composition per destination of its level plan
         for l in range(1, 300):
-            assert scan.scan_composition_count(l) <= 2 * l
+            assert sum(dst.size for dst, _ in scan._level_plan(l)) <= 2 * l
 
 
 def test_tree_schedule_matches_paper_l4():
