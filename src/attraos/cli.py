@@ -46,8 +46,9 @@ def write_csv(path, data: np.ndarray, header: list, times=None) -> None:
 
 
 def read_csv(path) -> np.ndarray:
-    """Value columns of a headed CSV; a leading 't' column is dropped."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Value columns of a headed CSV; a leading 't' column is dropped, and so
+    is a UTF-8 byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if header and header[0].strip().lower() == "t":
@@ -100,14 +101,13 @@ def cmd_embed(args) -> int:
     data = read_csv(args.input)
     params = _embedding_flags(args)
     if params is None:
-        params = select_embedding(data, max_tau=args.max_tau, max_m=args.max_m,
-                                  repeats=args.repeats)
+        params = select_embedding(data, max_tau=args.max_tau, max_m=args.max_m)
     # (channels, count, m) points, laid out channel-major per row
     points = np.concatenate(delay_embed(data.T, params), axis=1)
     header = [f"c{c}_d{d}" for c in range(data.shape[1]) for d in range(params.m)]
     write_csv(args.out_traj, points, header)
     # the first channel that is not constant; if none is, column 0 raises
-    channel = next((c for c in range(data.shape[1]) if np.ptp(data[:, c]) != 0.0), 0)
+    channel = next((c for c, col in enumerate(data.T) if col.min() != col.max()), 0)
     ref = data[:, channel]
     max_tau = args.max_tau or default_max_tau(ref.size)
     meta = {
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tau", type=int, default=None)
     s.add_argument("--max-tau", type=int, default=None)
     s.add_argument("--max-m", type=int, default=8)
-    s.add_argument("--repeats", type=int, default=1)
     s.add_argument("--out-traj", type=str, required=True)
     s.add_argument("--out-meta", type=str, default="")
     s.set_defaults(func=cmd_embed)

@@ -9,6 +9,10 @@ a neighbor is false when the extra coordinate blows up relative to its
 current distance (ratio tolerance 10) or relative to the attractor size
 (loneliness tolerance 2); the second part keeps pure noise from looking
 embeddable at large dimensions.
+
+Every function here and in ``lyapunov`` that reads a scalar series raises
+ShapeMismatchError for one that is not 1-D, and NonFiniteError for one with
+NaN or inf or whose spread or nearest-neighbour distances overflow floats.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateSeriesError, TooShortError
+from .errors import DegenerateSeriesError, NonFiniteError, ShapeMismatchError, TooShortError
 
 FNN_RATIO_TOL = 10.0
 FNN_SIZE_TOL = 2.0
@@ -54,8 +58,11 @@ def default_max_tau(length: int) -> int:
 def _check_series(series: np.ndarray) -> np.ndarray:
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
-        raise ValueError("expected a 1-D scalar series")
-    if series.size and np.ptp(series) == 0.0:
+        raise ShapeMismatchError(f"expected a 1-D scalar series, got shape {series.shape}")
+    if not np.all(np.isfinite(series)):
+        raise NonFiniteError("series contains NaN or inf")
+    # comparing the extremes, unlike np.ptp, cannot overflow
+    if series.size and series.min() == series.max():
         raise DegenerateSeriesError("series is constant")
     return series
 
@@ -68,8 +75,12 @@ def mi_profile(series, max_tau: int) -> np.ndarray:
         raise ValueError("max_tau must be >= 1")
     if series.size < 4 * max_tau:
         raise TooShortError(f"need at least {4 * max_tau} samples for max_tau={max_tau}")
+    lo, hi = float(series.min()), float(series.max())
+    if not np.isfinite(hi - lo):
+        raise NonFiniteError("the series' spread overflows the float range")
     bins = default_bins(series.size)
-    edges = np.linspace(series.min(), series.max(), bins + 1)
+    # with a spread of a few subnormal steps the rounded edges can step back
+    edges = np.maximum.accumulate(np.linspace(lo, hi, bins + 1))
     out = np.empty(max_tau + 1)
     for tau in range(max_tau + 1):
         x = series[: series.size - tau]
@@ -125,6 +136,9 @@ def _fnn_fractions(series, tau: int, max_m: int):
         tree = cKDTree(pts)
         dist, idx = tree.query(pts, k=2)
         d = dist[:, 1]
+        if np.isinf(d).any():
+            # the tree reports a neighbour it cannot place as index ``usable``
+            raise NonFiniteError("a neighbour distance overflows the float range")
         j = idx[:, 1]
         extra = np.abs(series[np.arange(usable) + m * tau] - series[j + m * tau])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -188,7 +202,6 @@ def select_embedding(
     series,
     max_tau: int | None = None,
     max_m: int = 10,
-    repeats: int = 1,
 ) -> EmbeddingParams:
     """Delay from the MI minimum, then dimension from FNN.
 
@@ -196,34 +209,18 @@ def select_embedding(
     independently; the unified parameters are the maximum m and the median tau
     across the channels that are not constant (a constant channel has no
     dynamics to embed; only an all-constant input raises
-    DegenerateSeriesError).  ``repeats > 1`` re-runs the selection on that
-    many overlapping segments (60% of the series each) and reports the modal
-    m and median tau, damping the method's numerical sensitivity.
+    DegenerateSeriesError).  Each series is checked as the module docstring
+    states, so input of more than two dimensions raises ShapeMismatchError.
     """
     arr = np.asarray(series, dtype=float)
     if arr.ndim == 2:
-        varying = [
-            c for c in range(arr.shape[1]) if arr.shape[0] == 0 or np.ptp(arr[:, c]) != 0.0
-        ]
+        varying = [c for c in range(arr.shape[1])
+                   if arr.shape[0] == 0 or arr[:, c].min() != arr[:, c].max()]
         if not varying:
             raise DegenerateSeriesError("every channel is constant")
-        per = [
-            select_embedding(arr[:, c], max_tau, max_m, repeats)
-            for c in varying
-        ]
+        per = [select_embedding(arr[:, c], max_tau, max_m) for c in varying]
         m = max(p.m for p in per)
         tau = int(np.median([p.tau for p in per]))
-        return EmbeddingParams(m=m, tau=tau)
-    if repeats > 1:
-        seg_len = max(8, int(0.6 * arr.size))
-        starts = np.linspace(0, arr.size - seg_len, repeats).astype(int)
-        picks = [
-            select_embedding(arr[s : s + seg_len], max_tau, max_m)
-            for s in starts
-        ]
-        ms = [p.m for p in picks]
-        m = int(np.bincount(ms).argmax())
-        tau = int(np.median([p.tau for p in picks]))
         return EmbeddingParams(m=m, tau=tau)
     if max_tau is None:
         max_tau = default_max_tau(arr.size)

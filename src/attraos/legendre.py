@@ -37,14 +37,13 @@ class LegendreBasis:
     """Orthonormal shifted Legendre basis with Gauss quadrature on [0, 1].
 
     ``num_nodes`` Gauss-Legendre nodes integrate polynomials up to degree
-    2*num_nodes - 1 exactly; the default never drops below the basis order.
+    2*num_nodes - 1 exactly.
     """
 
-    def __init__(self, order: int, num_nodes: int | None = None):
+    def __init__(self, order: int, num_nodes: int):
         if order < 1:
             raise ValueError("basis order must be >= 1")
-        q = num_nodes if num_nodes is not None else max(order, 16)
-        x, w = np.polynomial.legendre.leggauss(q)
+        x, w = np.polynomial.legendre.leggauss(num_nodes)
         self.nodes = 0.5 * (x + 1.0)
         self.weights = 0.5 * w
         # (order, num_nodes) matrix of basis values at the quadrature nodes

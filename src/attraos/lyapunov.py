@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .embedding import EmbeddingParams, _check_series, delay_embed
-from .errors import DegenerateSeriesError, TooShortError
+from .errors import DegenerateSeriesError, NonFiniteError, ShapeMismatchError, TooShortError
 
 _QUERY_BLOCK = 2048  # reference points per neighbour query
 _FIRST_K = 8  # neighbours every point is queried for first
@@ -46,6 +46,7 @@ def estimate_mle(
     inside ``fit_range`` raises DegenerateSeriesError.
     A separation sums its squared coordinate differences in lag order, as
     ``np.linalg.norm`` does below 8 terms (above, numpy sums pairwise).
+    The series is checked as the ``embedding`` module docstring states.
     """
     series = _check_series(series)
     if theiler is None:
@@ -118,10 +119,13 @@ def _nearest_outside_window(tree, base, idx, theiler):
     for k_query in (min(k, _FIRST_K), k):
         for lo in range(0, todo.size, _QUERY_BLOCK):
             block = todo[lo : lo + _QUERY_BLOCK]
-            _, nbrs = tree.query(base[block], k=k_query)
+            dist, nbrs = tree.query(base[block], k=k_query)
             ok = np.abs(nbrs - block[:, None]) > theiler
             has = ok.any(axis=1)
             first = ok.argmax(axis=1)
+            if np.isinf(dist[has, first[has]]).any():
+                # the tree reports a neighbour it cannot place as index n
+                raise NonFiniteError("a neighbour distance overflows the float range")
             partner[block[has]] = nbrs[has, first[has]]
         todo = todo[partner[todo] < 0]
     return partner
@@ -132,11 +136,14 @@ def mle_table(dataset, params, horizon: int = 200, theiler: int | None = None,
     """Channel-wise estimates plus their arithmetic mean.
 
     ``params`` is one EmbeddingParams shared by all channels or a list with
-    one entry per channel.
+    one entry per channel.  A dataset that is neither a series nor a
+    (samples, channels >= 1) array raises ShapeMismatchError.
     """
     arr = np.asarray(dataset, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ShapeMismatchError(f"expected a series or (samples, channels >= 1), got {arr.shape}")
     channels = arr.shape[1]
     if isinstance(params, EmbeddingParams):
         params = [params] * channels

@@ -5,15 +5,16 @@ operator
 
     (a_i, b_i) . (a_j, b_j) = (a_j * a_i, a_j * b_i + b_j)
 
-over a fixed up-sweep/down-sweep schedule on a virtual power-of-two grid:
-the input fills its last positions, and no identity elements are
-materialized for the rest.  The down sweep starts with the identity
-composition (identity at virtual position -1 into position 0), which is a
-no-op.
+over the fixed up-sweep/down-sweep schedule ``tree_schedule`` of a virtual
+power-of-two grid, one level at a time: the input fills the grid's last
+positions, and no identity elements are materialized for the rest.  The
+down sweep starts with the identity composition (identity at virtual
+position -1 into position 0), which is a no-op.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,10 +127,13 @@ def _level_plan(length: int):
     positions only.  An empty input has an empty plan.
     """
     lp = 1 << (length - 1).bit_length()
-    pad, levels = lp - length, lp.bit_length() - 1
-    grid = [(np.arange((2 << d) - 1, lp, 2 << d), 1 << d) for d in range(levels)]
-    grid += [(np.arange((3 << d) - 1, lp, 2 << d), 1 << d) for d in range(levels - 2, -1, -1)]
-    plan = [(dst[dst - half >= pad] - pad, half) for dst, half in grid]
+    pad = lp - length
+    # a level is a run of pairs with one half-width: consecutive levels
+    # differ in it, and the only pair that can join a neighbouring level,
+    # the identity pair (-1, 0) when lp is 2 or 4, is always left out
+    levels = itertools.groupby(tree_schedule(lp), key=lambda pair: pair[1] - pair[0])
+    plan = [(np.array([d for s, d in pairs if s >= pad], dtype=int) - pad, half)
+            for half, pairs in levels]
     return [(dst, half) for dst, half in plan if dst.size]
 
 

@@ -25,3 +25,18 @@ def lorenz96_3d():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def overflowing():
+    """A finite 3000-sample series whose spread overflows the float range."""
+    t = np.arange(3000)
+    return 1.5e308 * np.sin(0.05 * t) * np.cos(0.0031 * t)
+
+
+@pytest.fixture(scope="session")
+def sine_with_nan():
+    """A 3000-sample sine with one NaN."""
+    x = np.sin(0.05 * np.arange(3000))
+    x[1000] = np.nan
+    return x

@@ -125,6 +125,40 @@ def test_write_csv_bytes_match_per_cell_formatting(tmp_path, with_times):
     assert path.read_bytes() == per_cell_csv(data, header, times)
 
 
+def test_read_csv_ignores_a_byte_order_mark(tmp_path):
+    # spreadsheet programs start a UTF-8 file with one
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufefft,v0\n0,1.5\n0.01,2.5\n0.02,3.5\n", encoding="utf-8")
+    assert np.array_equal(read_csv(path), [[1.5], [2.5], [3.5]])
+
+
+@pytest.fixture(scope="module")
+def unusable_csvs(tmp_path_factory, overflowing, sine_with_nan):
+    """CSVs the embedding and Lyapunov commands must reject with exit 3:
+    one NaN cell, and finite values whose spread overflows the float range."""
+    paths = {}
+    for name, series in (("nan", sine_with_nan), ("overflow", overflowing)):
+        paths[name] = tmp_path_factory.mktemp("data") / f"{name}.csv"
+        write_csv(paths[name], series[:, None], ["t", "v0"], times=0.01 * np.arange(series.size))
+    return paths
+
+
+@pytest.mark.parametrize("command", [
+    ["embed", "--out-traj", "unused.csv"],
+    ["lyapunov", "--m", "3", "--tau", "4", "--horizon", "40"],
+], ids=["embed", "lyapunov"])
+@pytest.mark.parametrize("kind,message", [("nan", "contains NaN or inf"),
+                                          ("overflow", "overflows the float range")],
+                         ids=["nan", "overflow"])
+def test_unusable_series_exits_3_naming_the_fault(unusable_csvs, tmp_path, monkeypatch,
+                                                  capsys, command, kind, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command, "--input", str(unusable_csvs[kind]))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 class TestEmbed:
     def test_embed_writes_trajectory_and_meta(self, lorenz_csv, tmp_path, capsys):
         traj = tmp_path / "traj.csv"

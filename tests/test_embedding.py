@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from attraos import embedding as emb
-from attraos.errors import DegenerateSeriesError, TooShortError
+from attraos.errors import (DegenerateSeriesError, NonFiniteError, ShapeMismatchError,
+                             TooShortError)
 
 
 def brute_force_mi(series, max_tau, bins):
@@ -246,11 +247,10 @@ class TestSelectEmbedding:
         with pytest.raises(DegenerateSeriesError):
             emb.select_embedding(np.full((1000, 2), 3.0))
 
-    @pytest.mark.parametrize("repeats", [1, 3])
-    def test_one_column_is_the_series(self, lorenz63_x, repeats):
+    def test_one_column_is_the_series(self, lorenz63_x):
         x = lorenz63_x[:6000]
-        single = emb.select_embedding(x, max_tau=40, max_m=6, repeats=repeats)
-        assert emb.select_embedding(x[:, None], max_tau=40, max_m=6, repeats=repeats) == single
+        single = emb.select_embedding(x, max_tau=40, max_m=6)
+        assert emb.select_embedding(x[:, None], max_tau=40, max_m=6) == single
         with pytest.raises(DegenerateSeriesError, match="every channel is constant"):
             emb.select_embedding(np.zeros((1000, 1)))
 
@@ -261,10 +261,41 @@ class TestSelectEmbedding:
         multi = emb.select_embedding(two, max_tau=40, max_m=6)
         assert (multi.m, multi.tau) == (single.m, single.tau)
 
-    def test_repeats_reports_modal_params(self, lorenz63_x):
-        params = emb.select_embedding(lorenz63_x[:12000], max_tau=40, max_m=6, repeats=3)
-        assert params.m in (3, 4, 5)
-        assert params.tau >= 1
+
+SERIES_CALLS = {
+    "mi_profile": lambda x: emb.mi_profile(x, 20),
+    "fnn_profile": lambda x: emb.fnn_profile(x, 4, 4),
+    "select_embedding": emb.select_embedding,
+}
+
+
+class TestSeriesErrors:
+    @pytest.mark.parametrize("call", SERIES_CALLS.values(), ids=SERIES_CALLS)
+    def test_nan_raises_non_finite(self, sine_with_nan, call):
+        with pytest.raises(NonFiniteError, match="NaN or inf"):
+            call(sine_with_nan)
+
+    @pytest.mark.parametrize("call", SERIES_CALLS.values(), ids=SERIES_CALLS)
+    def test_not_1d_raises_shape_mismatch(self, call):
+        with pytest.raises(ShapeMismatchError, match="1-D"):
+            call(np.sin(0.05 * np.arange(3000)).reshape(1000, 3, 1))
+
+    def test_overflowing_spread_raises_non_finite(self, overflowing):
+        with pytest.raises(NonFiniteError, match="spread overflows"):
+            emb.mi_profile(overflowing, 20)
+
+    def test_subnormal_spread_gives_a_finite_curve(self):
+        # a spread of 5 subnormal steps over 8 bins: the edge step rounds up
+        # to a whole subnormal step, so the inner edges pass the top one
+        steps = np.r_[35, 36, 37, 38, 39, 40, 39, 38, 37, 36][np.arange(300) % 10]
+        curve = emb.mi_profile(-5e-324 * steps, 5)
+        assert np.all(np.isfinite(curve)) and curve[0] > 0
+
+    def test_overflowing_neighbour_distance_raises_non_finite(self, overflowing):
+        # the spread fits the float range, a squared distance does not
+        x = overflowing / 1.5e108
+        with pytest.raises(NonFiniteError, match="distance overflows"):
+            emb.fnn_profile(x, 4, 4)
 
 
 def test_multivariate_channels_embed_independently(rng):

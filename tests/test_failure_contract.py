@@ -1,5 +1,6 @@
 """Property tests of the failure contract: random shapes and values passed to
-``fit``, ``predict``, ``rollout``, ``evaluate`` and ``model_from_json`` give
+``fit``, ``predict``, ``rollout``, ``evaluate``, ``model_from_json``, the
+embedding selection and its MI/FNN curves, and the Lyapunov estimates give
 either a finite result or an ``AttraosError``.
 
 Values are finite floats of any magnitude, with NaN or inf injected at a few
@@ -8,6 +9,7 @@ affine map, so that both the error paths and the fitted paths are reached.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attraos import forecaster as fc
-from attraos.embedding import EmbeddingParams
+from attraos.embedding import EmbeddingParams, fnn_profile, mi_profile, select_embedding
 from attraos.errors import AttraosError
+from attraos.lyapunov import estimate_mle, mle_table
 
 SMALL = dict(
     window=24, horizon=3, embedding=EmbeddingParams(2, 3), patch_len=4, poly_order=3,
@@ -78,6 +81,68 @@ def lorenz(lorenz63_x):
 def fitted(request, lorenz63_x):
     data = np.stack([lorenz63_x[:600], lorenz63_x[7000:7600]], axis=1)
     return fc.fit(config(request.param), data)
+
+
+# enough rows for the default MI delay scan (at least 10 delays, 4 rows each)
+EMBED_ROWS = 300
+small = st.integers(1, 6)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_fit_with_auto_embedding(lorenz, data):
+    arr = data.draw(series(max_rows=EMBED_ROWS, lorenz=lorenz))
+    model = finite_or_typed(fc.fit, replace(config("frequency"), embedding=None), arr)
+    if model is not None:
+        assert_finite_model(model)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_select_embedding(lorenz, data):
+    arr = data.draw(series(max_rows=EMBED_ROWS, lorenz=lorenz))
+    finite_or_typed(select_embedding, arr, max_m=data.draw(small))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_mi_profile(lorenz, data):
+    arr = data.draw(series(max_rows=EMBED_ROWS, lorenz=lorenz))
+    curve = finite_or_typed(mi_profile, arr, data.draw(small))
+    if curve is not None:
+        assert np.all(np.isfinite(curve))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_fnn_profile(lorenz, data):
+    arr = data.draw(series(max_rows=EMBED_ROWS, lorenz=lorenz))
+    curve = finite_or_typed(fnn_profile, arr, data.draw(small), data.draw(small))
+    if curve is not None:
+        assert np.all(np.isfinite(curve))
+
+
+def lyapunov_args(data):
+    params = EmbeddingParams(data.draw(st.integers(1, 3)), data.draw(small))
+    return params, data.draw(st.integers(3, 20))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_estimate_mle(lorenz, data):
+    arr = data.draw(series(max_rows=EMBED_ROWS, lorenz=lorenz))
+    estimate = finite_or_typed(estimate_mle, arr, *lyapunov_args(data))
+    if estimate is not None:
+        assert np.isfinite(estimate.mle)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_mle_table(lorenz, data):
+    arr = data.draw(series(max_rows=EMBED_ROWS, lorenz=lorenz))
+    table = finite_or_typed(mle_table, arr, *lyapunov_args(data))
+    if table is not None:
+        assert np.all(np.isfinite(table["per_channel"])) and np.isfinite(table["mean"])
 
 
 # mostly the fitted models' channel count, so that forecasts are reached

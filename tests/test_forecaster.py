@@ -709,6 +709,10 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteError):
             fc.rollout(model, 1e200 * x[:96], 8)
 
+    def test_auto_embedding_overflowing_spread_raises(self, overflowing):
+        with pytest.raises(NonFiniteError, match="spread overflows"):
+            fc.fit(fc.ForecasterConfig(window=96, horizon=16), overflowing)
+
     @pytest.mark.parametrize("scale,tail", [(1e-153, 1e153)], ids=["readout"])
     def test_horizon_beyond_window_scale_raises(self, lorenz63_x, scale, tail):
         # the last values appear in no window, only in horizons: far beyond

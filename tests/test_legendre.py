@@ -33,7 +33,7 @@ class TestBasis:
         assert np.abs(gram - np.eye(9)).max() <= 1e-10
 
     def test_quadrature_exact_for_low_degree(self):
-        b = lg.LegendreBasis(4)
+        b = lg.LegendreBasis(4, num_nodes=4)
         # degree 2N-1 = 7 polynomial integrates exactly
         poly = lambda s: 3 * s**7 - s**3 + 0.5
         exact = 3 / 8 - 1 / 4 + 0.5

@@ -4,7 +4,8 @@ from scipy.spatial import cKDTree
 
 from attraos import chaos
 from attraos.embedding import EmbeddingParams, delay_embed
-from attraos.errors import DegenerateSeriesError, TooShortError
+from attraos.errors import (DegenerateSeriesError, NonFiniteError, ShapeMismatchError,
+                             TooShortError)
 from attraos.lyapunov import _nearest_outside_window, estimate_mle, mle_table
 
 
@@ -128,6 +129,14 @@ class TestEstimateMle:
         with pytest.raises(TooShortError):
             estimate_mle(np.sin(np.arange(50.0)), EmbeddingParams(3, 5), horizon=100)
 
+    def test_nan_raises_non_finite(self, sine_with_nan):
+        with pytest.raises(NonFiniteError, match="NaN or inf"):
+            estimate_mle(sine_with_nan, EmbeddingParams(3, 4), horizon=40)
+
+    def test_overflowing_neighbour_distance_raises_non_finite(self, overflowing):
+        with pytest.raises(NonFiniteError, match="distance overflows"):
+            estimate_mle(overflowing, EmbeddingParams(3, 4), horizon=40)
+
     def test_subsampling_monotonicity(self, lorenz63_x):
         # halving the sampling rate scales the per-step exponent up; assert
         # sign invariance and the monotone relation, not the exact factor
@@ -158,6 +167,11 @@ class TestMleTable:
             horizon=60,
         )
         assert t["per_channel"].shape == (2,)
+
+    @pytest.mark.parametrize("shape", [(100, 2, 2), (100, 0), ()])
+    def test_dataset_shape_raises_shape_mismatch(self, shape):
+        with pytest.raises(ShapeMismatchError, match="channels"):
+            mle_table(np.zeros(shape), EmbeddingParams(3, 4), horizon=40)
 
 
 def test_positive_mle_on_lorenz96(lorenz96_3d):

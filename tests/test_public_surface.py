@@ -36,12 +36,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "attraos"
 
-# name -> why it stays without a caller
-ALLOWED = {
-    "tree_schedule": "test_scan's schedule-replay oracle replays this documented "
-    "composition order against blelloch_scan",
-}
-
 # Class.member -> why it stays without a reader
 UNREAD_ALLOWED = {
     "SsmParams.variant": "the acceptance suite constructs SsmParams with it, and "
@@ -167,7 +161,7 @@ def unread_constants():
 
 
 def test_every_public_name_has_a_caller():
-    assert uncalled(False, caller_references()) == {f"scan.{name}" for name in ALLOWED}
+    assert uncalled(False, caller_references()) == set()
 
 
 def test_every_private_name_has_a_library_caller():
