@@ -12,7 +12,9 @@ embeddable at large dimensions.
 
 Every function here and in ``lyapunov`` that reads a scalar series raises
 ShapeMismatchError for one that is not 1-D, and NonFiniteError for one with
-NaN or inf or whose spread or nearest-neighbour distances overflow floats.
+NaN or inf or whose spread (``mi_profile``) or nearest-neighbour distances
+(``lyapunov``) overflow floats.  The FNN test scales the series by a power
+of two first, so its fractions do not depend on the series' magnitude.
 """
 
 from __future__ import annotations
@@ -127,6 +129,10 @@ def _fnn_fractions(series, tau: int, max_m: int):
         raise ValueError("need tau >= 1 and max_m >= 1")
     if series.size < (max_m - 1) * tau + 2:
         raise TooShortError("series too short to embed at max_m")
+    # scaling by a power of two is exact and keeps every ratio and comparison;
+    # with |series| < 1 no spread, distance or square overflows, and a tiny
+    # series no longer underflows when squared
+    series = np.ldexp(series, -np.frexp(np.abs(series).max())[1])
     sigma = float(series.std())
     for m in range(1, max_m + 1):
         usable = series.size - m * tau
@@ -136,9 +142,6 @@ def _fnn_fractions(series, tau: int, max_m: int):
         tree = cKDTree(pts)
         dist, idx = tree.query(pts, k=2)
         d = dist[:, 1]
-        if np.isinf(d).any():
-            # the tree reports a neighbour it cannot place as index ``usable``
-            raise NonFiniteError("a neighbour distance overflows the float range")
         j = idx[:, 1]
         extra = np.abs(series[np.arange(usable) + m * tau] - series[j + m * tau])
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -609,7 +609,7 @@ def _evolver_from_doc(doc: dict, scale: int, config: ForecasterConfig, sh: Shape
 def model_to_json(model: FittedForecaster) -> str:
     cfg = model.config
     doc = {
-        "v": 2,
+        "v": 3,
         # the embedding the model was fit with is stored on its own below
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "embedding"},
         "embedding": {"m": model.embedding.m, "tau": model.embedding.tau},
@@ -624,11 +624,13 @@ def model_to_json(model: FittedForecaster) -> str:
 
 def model_from_json(text: str) -> FittedForecaster:
     """Rebuild a model from its JSON document; a document that is not a
-    version-1 or version-2 model raises ModelFormatError, as does any number
+    version-1, -2 or -3 model raises ModelFormatError, as does any number
     in it that is not finite (``NaN``, ``Infinity`` or a literal beyond the
-    float range).  Version 1 padded the pyramid to a power of two; a
+    float range).  Two older formats must be refit and raise
+    ModelFormatError: version 1 padded the pyramid to a power of two, so a
     version-1 ``frequency`` model that now pads to another length had other
-    scales and raises ModelFormatError (it must be refit).
+    scales; and versions 1 and 2 built the wavelet detail filters by
+    Gram-Schmidt, whose rows differ from today's above order 8.
 
     Entries that older documents carry are ignored: the derived ``ssm`` and
     ``disc``, the config's ``teacher_alpha``, the unused
@@ -638,8 +640,8 @@ def model_from_json(text: str) -> FittedForecaster:
     try:
         doc = json.loads(text)
         # true == 1 and 2.0 == 2, so the type is checked too
-        if not isinstance(doc, dict) or type(doc.get("v")) is not int or doc["v"] not in (1, 2):
-            raise ModelFormatError("not a version-1 or version-2 model document")
+        if not isinstance(doc, dict) or type(doc.get("v")) is not int or doc["v"] not in (1, 2, 3):
+            raise ModelFormatError("not a version-1, -2 or -3 model document")
         return _model_from_doc(doc)
     # JSONDecodeError is a ValueError; an integer beyond the float range in
     # an array raises OverflowError
@@ -657,6 +659,10 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
     if doc["v"] == 1 and config.evolution_strategy == "frequency" and sh.padded != v1_padded:
         raise ModelFormatError(f"version-1 frequency model padded to {v1_padded} patches, "
                                f"now {sh.padded}: refit the model")
+    # up to order 8 the Gram-Schmidt rows match the QR rows to 1e-10
+    if doc["v"] < 3 and config.poly_order > 8:
+        raise ModelFormatError(f"version-{doc['v']} model of order {config.poly_order} used "
+                               f"other wavelet filters: refit the model")
     channels = []
     for ch in doc["channels"]:
         if len(ch["evolvers"]) != len(sh.scale_lens):

@@ -4,8 +4,9 @@ Doubling the approximation window maps two neighbouring coefficient vectors
 (order-N Legendre expansions on adjacent unit cells) to one coarse vector plus
 one detail vector living in the orthogonal complement.  The analysis filters
 come from expanding each coarse basis function in the two half-window bases by
-Gauss quadrature; the detail filters complete those rows to an orthogonal
-2N x 2N matrix, so synthesis is the transpose and the round trip is lossless.
+Gauss quadrature; one Householder QR completes those rows to an orthogonal
+2N x 2N matrix, so synthesis is the transpose and the round trip is lossless
+to rounding at every order.
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ from .legendre import LegendreBasis
 
 @dataclass(frozen=True)
 class WaveletFilters:
-    """Analysis blocks (h1, h2, g1, g2) and synthesis blocks (their transposes)."""
+    """Analysis blocks; [[h1, h2], [g1, g2]] is orthogonal, so synthesis
+    applies their transposes."""
 
     h1: np.ndarray
     h2: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    h1d: np.ndarray
-    h2d: np.ndarray
-    g1d: np.ndarray
-    g2d: np.ndarray
 
     @property
     def order(self) -> int:
@@ -48,8 +46,9 @@ def build_filters(n: int) -> WaveletFilters:
     """Orthogonal filter bank of order n.
 
     h1[i, j] = <phi_i, left-half phi_j> and h2 likewise for the right half;
-    the g rows are a deterministic Gram-Schmidt completion of [h1 h2], signed
-    so each detail row leads with a positive entry.  At n = 1 this reduces to
+    the g rows are the orthogonal complement of [h1 h2] from the QR of
+    [h1 h2]^T followed by the first n unit columns, each signed so that its
+    first entry above 1e-10 in magnitude is positive.  At n = 1 this reduces to
     the Haar pair (1/sqrt2, 1/sqrt2) / (1/sqrt2, -1/sqrt2).
     """
     if n < 1:
@@ -64,31 +63,16 @@ def build_filters(n: int) -> WaveletFilters:
     h1 = inv_sqrt2 * phi_left @ (w[:, None] * phi_u.T)
     h2 = inv_sqrt2 * phi_right @ (w[:, None] * phi_u.T)
 
-    rows = [np.concatenate([h1[i], h2[i]]) for i in range(n)]
-    details = []
-    for cand in np.eye(2 * n):
-        v = cand.copy()
-        for r in rows:
-            v -= (r @ v) * r
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            v /= norm
-            rows.append(v)
-            details.append(v)
-        if len(details) == n:
-            break
-    if len(details) != n:
-        raise RuntimeError("failed to complete the orthogonal complement")
-    g = np.stack(details)
+    # the last n columns of Q span the orthogonal complement of the coarse rows
+    h = np.concatenate([h1, h2], axis=1)
+    q, _ = np.linalg.qr(np.concatenate([h.T, np.eye(2 * n, n)], axis=1))
+    g = q[:, n:].T
     for i in range(n):
         lead = g[i, np.abs(g[i]) > 1e-10]
         if lead.size and lead[0] < 0:
             g[i] = -g[i]
     g1, g2 = g[:, :n], g[:, n:]
-    return WaveletFilters(
-        h1=h1, h2=h2, g1=g1, g2=g2,
-        h1d=h1.T.copy(), h2d=h2.T.copy(), g1d=g1.T.copy(), g2d=g2.T.copy(),
-    )
+    return WaveletFilters(h1=h1, h2=h2, g1=g1, g2=g2)
 
 
 def _apply(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -117,8 +101,8 @@ def down_project(x_coarse: np.ndarray, s_detail: np.ndarray, filters: WaveletFil
     s_detail = np.asarray(s_detail, dtype=float)
     if x_coarse.shape != s_detail.shape:
         raise ShapeMismatchError("coarse and detail parts must have equal shapes")
-    left = _apply(filters.h1d, x_coarse) + _apply(filters.g1d, s_detail)
-    right = _apply(filters.h2d, x_coarse) + _apply(filters.g2d, s_detail)
+    left = _apply(filters.h1.T, x_coarse) + _apply(filters.g1.T, s_detail)
+    right = _apply(filters.h2.T, x_coarse) + _apply(filters.g2.T, s_detail)
     out = np.empty((2 * x_coarse.shape[0],) + x_coarse.shape[1:])
     out[0::2] = left
     out[1::2] = right

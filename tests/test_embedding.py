@@ -291,11 +291,15 @@ class TestSeriesErrors:
         curve = emb.mi_profile(-5e-324 * steps, 5)
         assert np.all(np.isfinite(curve)) and curve[0] > 0
 
-    def test_overflowing_neighbour_distance_raises_non_finite(self, overflowing):
-        # the spread fits the float range, a squared distance does not
-        x = overflowing / 1.5e108
-        with pytest.raises(NonFiniteError, match="distance overflows"):
-            emb.fnn_profile(x, 4, 4)
+    @pytest.mark.parametrize("scale", [2.0**510, 2.0**-900])
+    def test_fnn_does_not_depend_on_the_series_scale(self, scale):
+        # unscaled, the squares of these series' distances overflow or
+        # underflow and switch the loneliness test off or on everywhere
+        noise = np.random.default_rng(0).standard_normal(3000)
+        assert np.array_equal(emb.fnn_profile(scale * noise, 1, 5), emb.fnn_profile(noise, 1, 5))
+        t = np.arange(4000)
+        sines = np.sin(0.05 * t) + 0.5 * np.sin(0.131 * t)
+        assert emb.select_embedding(scale * sines, max_m=6) == emb.select_embedding(sines, max_m=6)
 
 
 def test_multivariate_channels_embed_independently(rng):

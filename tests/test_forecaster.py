@@ -348,6 +348,23 @@ class TestStageOperators:
         assert np.array_equal(batch_stack[i], alone_stack[0])
         assert np.array_equal(batch_rows[i], alone_rows[0])
 
+    @pytest.mark.parametrize("order", [3, 8, 12, 16, 24, 32])
+    def test_unchanged_scales_give_the_recurrence_endpoints(self, order):
+        # with every scale left as it is, back @ front must evaluate the
+        # recurrence's state after each kept patch at the cell's right end;
+        # that holds only if the filter bank is orthogonal
+        cfg = fc.ForecasterConfig(window=48, horizon=2, embedding=EmbeddingParams(2, 4),
+                                  patch_len=4, poly_order=order, levels=3)
+        model = fc.FittedForecaster(cfg, [])
+        sh = model.shapes
+        assert (sh.n_patches, sh.pad, sh.eff_levels) == (11, 5, 3)
+        _, disc, _ = staged_primitives(cfg)
+        bu = np.eye(sh.n_patches)[..., None] * disc.b_bar  # (step, impulse, N)
+        a_seq = np.broadcast_to(disc.a_bar, (sh.n_patches,) + disc.a_bar.shape)
+        states = sequential_scan(ScanInput(a_seq=a_seq, bu_seq=bu, matrix=disc.a_bar.ndim == 2))
+        endpoints = states @ np.sqrt(2.0 * np.arange(order) + 1.0)
+        assert_close(model.back @ model.front, endpoints, rtol=1e-11)
+
 
 def staged_reference(model, context):
     """The staged (horizon, channels) forecast of a context's trailing
@@ -729,13 +746,13 @@ class TestModelDocument:
         [
             '{"v": 1}',
             "[1, 2]",
-            '{"v": 3}',
+            '{"v": 4}',
             "{not json",
             '{"v": 1, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
             ' "channels": []}',
             '{"v": 1, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "channels": []}',
         ],
-        ids=["no-body", "not-object", "version-3", "not-json", "horizon-0", "config-not-object"],
+        ids=["no-body", "not-object", "version-4", "not-json", "horizon-0", "config-not-object"],
     )
     def test_malformed_document_raises_typed_error(self, text):
         with pytest.raises(ModelFormatError):
@@ -861,7 +878,7 @@ def without_config_copies(doc: dict) -> dict:
     writer no longer stores (the config's ``teacher_alpha``, each channel's
     ``train_mean``/``train_std`` and each evolver's copies of config values),
     at the version the writer stamps."""
-    doc["v"] = 2
+    doc["v"] = 3
     doc["config"].pop("teacher_alpha", None)
     for ch in doc["channels"]:
         for key in ("train_mean", "train_std"):
@@ -913,10 +930,12 @@ class TestFrequencyDocument:
     """The ``frequency`` / ``legt_full`` model of the legacy document's setup
     (window 48, horizon 4, m=2, tau=4, patch 4, order 3, 32 windows), fit on
     the first 2000 samples of the Lorenz63 fixture: its 11 patches pad to
-    12.  It holds the legacy document's three contexts and the predictions
-    of the version that wrote it."""
+    12.  Its ``_io`` file holds the legacy document's three contexts and the
+    predictions this version makes from it, within 1e-14 relative of the
+    writing version's.  The version-3 document is this setup's refit."""
 
     PATH = LEGACY.parent / "v2_frequency_legt_full"
+    REFIT = LEGACY.parent / "v3_frequency_legt_full.json"
 
     @classmethod
     def text(cls):
@@ -945,7 +964,9 @@ class TestFrequencyDocument:
 
     def test_refit_writes_the_same_document(self, lorenz63_x):
         config = fc.model_from_json(self.text()).config
-        assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == self.written()
+        refit = self.REFIT.read_text(encoding="utf-8")
+        assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == refit
+        assert fc.model_to_json(fc.model_from_json(refit)) == refit
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_teacher_alpha_entry_is_ignored(self, alpha):
@@ -968,9 +989,11 @@ class TestNonlinearDocument:
     """``direct`` and ``hopfield`` model documents (legt_full, two clusters,
     otherwise the setup of the legacy ``frequency`` document) fit on the
     first 2000 samples of the Lorenz63 fixture, with three contexts and the
-    predictions the writing version made.  The ``hopfield`` one was written
-    by attraos at commit b8cb457, the ``direct`` one, with its N x N cluster
-    operators, by the version that introduced them."""
+    predictions this version makes from them (within 1e-12 relative of the
+    writing version's).  The ``hopfield`` one was written by attraos at
+    commit b8cb457, the ``direct`` one, with its N x N cluster operators, by
+    the version that introduced them; the version-3 documents are their
+    refits."""
 
     NAMES = {"direct": "v1_direct_legt_full", "hopfield": "legacy_v1_hopfield_legt_full"}
 
@@ -992,10 +1015,32 @@ class TestNonlinearDocument:
 
     def test_refit_writes_the_same_document(self, lorenz63_x, strategy):
         # pins the k-means partition and the per-cluster fits
-        text = self.text(strategy)
-        config = fc.model_from_json(text).config
-        expect = json.dumps(without_config_copies(json.loads(text)))
-        assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == expect
+        config = fc.model_from_json(self.text(strategy)).config
+        refit = (LEGACY.parent / f"v3_{strategy}_legt_full.json").read_text(encoding="utf-8")
+        assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == refit
+        assert fc.model_to_json(fc.model_from_json(refit)) == refit
+
+
+@pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
+@pytest.mark.parametrize("order", [8, 9, 16])
+def test_version_2_document_above_order_8_must_be_refit(lorenz63_x, strategy, order):
+    # version 2 built the detail filters by Gram-Schmidt: up to order 8 its
+    # rows match the QR completion to 1e-10, above it they do not
+    cfg = fc.ForecasterConfig(window=48, horizon=4, embedding=EmbeddingParams(2, 4),
+                              patch_len=4, poly_order=order, ssm_variant="legt_full",
+                              n_clusters=2, evolution_strategy=strategy, max_train_windows=32)
+    text = fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000]))
+    model = fc.model_from_json(text)
+    assert fc.model_to_json(model) == text
+    doc = json.loads(text)
+    doc["v"] = 2
+    if order > 8:
+        with pytest.raises(ModelFormatError, match="refit"):
+            fc.model_from_json(json.dumps(doc))
+        return
+    context = lorenz63_x[2000:2048]
+    assert np.array_equal(fc.predict(fc.model_from_json(json.dumps(doc)), context).predictions,
+                          fc.predict(model, context).predictions)
 
 
 def test_dense_direct_document_raises():

@@ -25,18 +25,14 @@ class TestBuildFilters:
         assert f.g1[0, 0] == pytest.approx(INV_SQRT2, abs=1e-12)
         assert f.g2[0, 0] == pytest.approx(-INV_SQRT2, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-    def test_stacked_analysis_matrix_is_orthogonal(self, n):
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_stacked_analysis_matrix_is_orthogonal(self, n, rng):
+        # at every order, so the pyramid's round trip is lossless
         f = wv.build_filters(n)
         t = np.block([[f.h1, f.h2], [f.g1, f.g2]])
-        assert np.abs(t @ t.T - np.eye(2 * n)).max() <= 1e-10
-
-    def test_synthesis_blocks_are_transposes(self):
-        f = wv.build_filters(3)
-        assert np.array_equal(f.h1d, f.h1.T)
-        assert np.array_equal(f.h2d, f.h2.T)
-        assert np.array_equal(f.g1d, f.g1.T)
-        assert np.array_equal(f.g2d, f.g2.T)
+        assert np.abs(t @ t.T - np.eye(2 * n)).max() <= 1e-12
+        x = rng.standard_normal((24, 3, n))
+        assert np.abs(wv.reconstruct(wv.decompose(x, f, 3), f) - x).max() <= 1e-12 * np.abs(x).max()
 
     def test_detail_rows_lead_positive(self):
         for n in (1, 2, 3, 4):
