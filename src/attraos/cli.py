@@ -14,13 +14,14 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
 from . import chaos, forecaster
 from .embedding import (EmbeddingParams, default_max_tau, delay_embed, fnn_profile,
                         mi_profile, select_embedding)
-from .errors import AttraosError
+from .errors import AttraosError, EmptyInputError
 from .legendre import VARIANTS
 from .lyapunov import mle_table
 from .scan import ScanInput, blelloch_scan, sequential_scan
@@ -47,10 +48,17 @@ def write_csv(path, data: np.ndarray, header: list, times=None) -> None:
 
 def read_csv(path) -> np.ndarray:
     """Value columns of a headed CSV; a leading 't' column is dropped, and so
-    is a UTF-8 byte-order mark."""
+    is a UTF-8 byte-order mark.  A CSV without data rows raises
+    EmptyInputError."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # reported below as an error rather than on stderr; loadtxt gives
+            # (0, 1) whatever the header says
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[0] == 0:
+        raise EmptyInputError(f"no data rows in {path}")
     if header and header[0].strip().lower() == "t":
         data = data[:, 1:]
     if data.shape[1] == 0:
@@ -65,6 +73,12 @@ def _json_out(obj) -> None:
 def cmd_simulate(args) -> int:
     if args.obs_dim is not None and args.obs_dim < 1:
         raise UsageError("--obs-dim must be >= 1")
+    if args.steps < 1:
+        raise UsageError("--steps must be >= 1")
+    if not 0 < args.dt < np.inf:
+        raise UsageError("--dt must be positive and finite")
+    if args.transient < 0:
+        raise UsageError("--transient must be >= 0")
     x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else None
     if args.system == "lorenz63":
         params = chaos.Lorenz63Params(sigma=args.sigma, rho=args.rho, beta=args.beta)

@@ -83,12 +83,13 @@ def mi_profile(series, max_tau: int) -> np.ndarray:
     bins = default_bins(series.size)
     # with a spread of a few subnormal steps the rounded edges can step back
     edges = np.maximum.accumulate(np.linspace(lo, hi, bins + 1))
+    # each sample's bin, taken once by histogram2d's rule: the top edge
+    # closes the last bin
+    idx = np.minimum(np.searchsorted(edges, series, side="right"), bins) - 1
     out = np.empty(max_tau + 1)
     for tau in range(max_tau + 1):
-        x = series[: series.size - tau]
-        y = series[tau:]
-        joint, _, _ = np.histogram2d(x, y, bins=(edges, edges))
-        joint /= joint.sum()
+        pairs = idx[: series.size - tau] * bins + idx[tau:]
+        joint = np.bincount(pairs, minlength=bins * bins).reshape(bins, bins) / pairs.size
         px = joint.sum(axis=1)
         py = joint.sum(axis=0)
         nz = joint > 0

@@ -30,17 +30,18 @@ Evolution writes each scale's next step into the same rows of a new stack;
 ``direct`` and ``hopfield``, which are nonlinear in a position's (D, N)
 state, see the block as a (positions, D, N) view.
 
-``_forecast`` runs the stages after normalization on per-channel stacks:
-each channel's evolution and back operator (``_features``), then its
-readout.  With ``frequency`` evolution every stage after instance
-normalization is linear, from the delay embedding to the readout, so each
-channel's pipeline collapses to one (window, horizon) serving map:
-``_forecast``'s response to the identity window.  ``predict`` normalizes
-each channel's window once, takes the normalized forecast from the serving
-maps (``frequency``, all channels in one batched product) or from
-``_forecast`` (``direct``/``hopfield``), and denormalizes once;
-normalization stays outside the maps, so a constant channel still forecasts
-its mean exactly.
+``_features`` runs a channel's stages after the front operator: its
+evolution and the back operator.  With ``frequency`` evolution every stage
+after instance normalization is linear, from the delay embedding to the
+readout, so each channel's pipeline collapses to one (window, horizon)
+serving map.  ``_features`` applied to the front operator itself, its L
+columns taken as coordinates, gives the channel's (L', L) stage map; that
+map on the embedded and patched identity window, then the readout, is the
+serving map.  ``predict`` normalizes each channel's window once, takes the
+normalized forecast from the serving maps (``frequency``, all channels in
+one batched product) or from the stack, ``_features`` and readout
+(``direct``/``hopfield``), and denormalizes once; normalization stays
+outside the maps, so a constant channel still forecasts its mean exactly.
 
 A fitted model is its config, which holds the embedding it was fit with,
 and its per-channel maps (evolvers and readout).  The shapes, the stage
@@ -220,10 +221,13 @@ class FittedForecaster:
         object.__setattr__(self, "back", _back_operator(filters, shapes))
         serving = None
         if cfg.evolution_strategy == "frequency" and self.channels:
-            # row i of a channel's map is the normalized forecast of a unit
-            # sample at window position i; every channel reads one stack
-            identity = _stack(np.eye(cfg.window), self)
-            serving = _forecast(np.broadcast_to(identity, (self.n_channels, *identity.shape)), self)
+            # every stage acts alike on each patch coordinate, so the front
+            # operator's L columns evolve as L coordinates: one (L', L) map
+            # per channel, applied to the embedded and patched identity window
+            unit = patch(delay_embed(np.eye(cfg.window), cfg.embedding), cfg.patch_len)
+            serving = np.stack([
+                (_features(front[None], ch.evolvers, self).reshape(-1, shapes.n_patches) @ unit)
+                .reshape(cfg.window, -1) @ ch.readout for ch in self.channels])
         object.__setattr__(self, "serving", serving)
 
     @property
@@ -346,16 +350,6 @@ def _features(stack: np.ndarray, evolvers, model) -> np.ndarray:
     return (model.back @ evolved).reshape(stack.shape[0], -1)
 
 
-def _forecast(stacks: np.ndarray, model) -> np.ndarray:
-    """(C, B, horizon) normalized forecasts of per-channel (C, B, S, D)
-    stacks: each channel's evolution and back operator (``_features``), then
-    its readout.  ``fit`` builds its design rows with the same ``_features``
-    call, and the ``frequency`` serving maps are this function's response to
-    the identity window."""
-    return np.stack([_features(stack, ch.evolvers, model) @ ch.readout
-                     for stack, ch in zip(stacks, model.channels, strict=True)])
-
-
 def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
                  channel_index: int) -> ChannelModel:
     config, sh = model.config, model.shapes
@@ -451,7 +445,8 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
     Each channel's window is normalized once and its normalized forecast
     denormalized once.  A ``frequency`` model takes that forecast from its
     serving maps, all channels in one batched product; ``direct`` and
-    ``hopfield`` models run the stages (``_stack``, ``_forecast``).  A
+    ``hopfield`` models run the stages (``_stack``, ``_features``, then
+    each channel's readout), as the fit built its design rows.  A
     context shorter than the window raises TooShortError, as a short series
     does in ``fit``, and one with another channel count ShapeMismatchError.
     NaN or inf in the context, and a forecast that overflows the float range,
@@ -469,7 +464,8 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
     zn, mu, sd = _normalize(np.ascontiguousarray(arr[-w:].T))
     zn = zn[:, None, :]  # (C, 1, window): one window per channel
     if model.serving is None:
-        normed = _forecast(_stack(zn, model), model)
+        normed = np.stack([_features(stack, ch.evolvers, model) @ ch.readout
+                           for stack, ch in zip(_stack(zn, model), model.channels, strict=True)])
     else:
         normed = zn @ model.serving
     out = (mu[:, None] + sd[:, None] * normed[:, 0]).T

@@ -1,6 +1,7 @@
 import importlib
 import json
 import shlex
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,6 +84,19 @@ class TestSimulate:
         assert err.startswith("error:") and "--obs-dim" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--dt", "0"), ("--dt", "-0.01"),
+                                            ("--dt", "nan"), ("--transient", "-1")])
+    def test_bad_integration_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        # a repeated flag takes its last value
+        code, stdout, err = run(
+            capsys,
+            "simulate", "--system", "lorenz63", "--steps", "10", flag, value, "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and flag in err
+        assert not out.exists()
+
     def test_seed_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -130,6 +144,23 @@ def test_read_csv_ignores_a_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("\ufefft,v0\n0,1.5\n0.01,2.5\n0.02,3.5\n", encoding="utf-8")
     assert np.array_equal(read_csv(path), [[1.5], [2.5], [3.5]])
+
+
+@pytest.mark.parametrize("header", ["t,v0", "v0"], ids=["with-t", "values"])
+@pytest.mark.parametrize("command", [
+    ["eval", "--truth", "empty.csv", "--pred"],
+    ["fit", "--window", "96", "--horizon", "16", "--out", "model.json", "--input"],
+], ids=["eval", "fit"])
+def test_csv_without_rows_exits_3_naming_it(tmp_path, monkeypatch, capsys, header, command):
+    monkeypatch.chdir(tmp_path)
+    Path("empty.csv").write_text(header + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        # loadtxt's warning about the empty body would reach stderr
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *command, "empty.csv")
+    assert code == 3 and out == ""
+    assert err == "error: no data rows in empty.csv\n"
+    assert not Path("model.json").exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from attraos import chaos
 from attraos import embedding as emb
 from attraos.errors import (DegenerateSeriesError, NonFiniteError, ShapeMismatchError,
                              TooShortError)
@@ -72,6 +73,36 @@ class TestMutualInformation:
         prof = emb.mi_profile(s, 40)
         assert 1 <= tau <= 40
         assert np.all(prof[1:] < prof[0] / 10)
+
+    @pytest.fixture(scope="class")
+    def mi_series(self):
+        states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01,
+                                         21000).states[1001:]
+        steps = np.r_[35, 36, 37, 38, 39, 40, 39, 38, 37, 36][np.arange(300) % 10]
+        return {
+            **dict(zip("xyz", states.T)),
+            "noise": np.random.default_rng(2).standard_normal(20000),
+            "rounded": np.round(states[:, 0], 1),  # ties on the edges
+            "subnormal": -5e-324 * steps,
+        }
+
+    @pytest.mark.parametrize("name", ["x", "y", "z", "noise", "rounded", "subnormal"])
+    def test_profile_equals_the_histogram2d_formula(self, mi_series, name):
+        # mi_profile bins each sample once; binning both copies of the series
+        # at every lag with histogram2d must count the same pairs
+        series = mi_series[name]
+        max_tau = 40 if series.size > 300 else 5
+        bins = emb.default_bins(series.size)
+        edges = np.maximum.accumulate(np.linspace(series.min(), series.max(), bins + 1))
+        expect = []
+        for tau in range(max_tau + 1):
+            joint, _, _ = np.histogram2d(series[: series.size - tau], series[tau:],
+                                         bins=(edges, edges))
+            joint /= joint.sum()
+            px, py = joint.sum(axis=1), joint.sum(axis=0)
+            nz = joint > 0
+            expect.append(np.sum(joint[nz] * np.log(joint[nz] / np.outer(px, py)[nz])))
+        assert np.array_equal(emb.mi_profile(series, max_tau), expect)
 
     def test_constant_series_rejected(self):
         with pytest.raises(DegenerateSeriesError):

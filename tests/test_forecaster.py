@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -238,8 +239,7 @@ class TestPredict:
         def forbidden(*args, **kwargs):
             raise AssertionError("primitive or stage called while serving")
 
-        for name in ("sequential_scan", "decompose", "reconstruct", "_stack", "_forecast",
-                     "_features"):
+        for name in ("sequential_scan", "decompose", "reconstruct", "_stack", "_features"):
             monkeypatch.setattr(fc, name, forbidden)
         for name in ("fft_modes", "ifft_modes", "apply_spectral_evolution"):
             monkeypatch.setattr(fc.evo, name, forbidden)
@@ -369,10 +369,12 @@ class TestStageOperators:
 def staged_reference(model, context):
     """The staged (horizon, channels) forecast of a context's trailing
     window: normalize each channel's window, take its stack, run
-    ``_forecast`` and denormalize."""
+    ``_features`` and the channel's readout, and denormalize."""
     window = fc._as_2d(context)[-model.config.window :]
     zn, mu, sd = fc._normalize(np.ascontiguousarray(window.T))
-    normed = fc._forecast(fc._stack(zn[:, None, :], model), model)[:, 0]
+    stacks = fc._stack(zn[:, None, :], model)
+    normed = np.stack([(fc._features(stack, ch.evolvers, model) @ ch.readout)[0]
+                       for stack, ch in zip(stacks, model.channels, strict=True)])
     return (mu[:, None] + sd[:, None] * normed).T
 
 
@@ -420,6 +422,31 @@ class TestServingMaps:
         # fit fits its channels on such a model's stage operators
         model = fc.FittedForecaster(lorenz_model[0].config, channels=[])
         assert model.serving is None and model.front.shape[0] == model.back.shape[1]
+
+    def test_long_window_maps_build_in_little_memory(self):
+        # the maps come from each channel's (L', L) stage map: a (window, S, D)
+        # identity stack of this model would take 31 MB, and its evolved copy
+        # as much again
+        cfg = fc.ForecasterConfig(window=336, horizon=96, embedding=EmbeddingParams(5, 16))
+        sh = fc.pipeline_shapes(cfg)
+        rng = np.random.default_rng(0)
+        evolvers = [
+            fc.evo.SpectralEvolutionModel(
+                mode_ops=rng.normal(size=(modes, sh.order, sh.order, 2)) @ [1.0, 1j],
+                seq_len=length,
+            )
+            for length, modes in zip(sh.scale_lens, sh.scale_modes)
+        ]
+        channel = fc.ChannelModel(evolvers=evolvers,
+                                  readout=rng.normal(size=(sh.n_patches * sh.d, cfg.horizon)))
+        tracemalloc.start()
+        try:
+            model = fc.FittedForecaster(cfg, [channel])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.serving.shape == (1, 336, 96)
+        assert peak < 20e6
 
     @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
     def test_nonlinear_strategies_serve_through_the_stages(self, lorenz63_x, strategy):
@@ -931,8 +958,10 @@ class TestFrequencyDocument:
     (window 48, horizon 4, m=2, tau=4, patch 4, order 3, 32 windows), fit on
     the first 2000 samples of the Lorenz63 fixture: its 11 patches pad to
     12.  Its ``_io`` file holds the legacy document's three contexts and the
-    predictions this version makes from it, within 1e-14 relative of the
-    writing version's.  The version-3 document is this setup's refit."""
+    predictions this version makes from it.  They were last regenerated when
+    the serving maps came to be built from each channel's (L', L) stage map,
+    which moved them by 7.8e-16 of the largest one; they stay within 1e-14 of
+    the writing version's.  The version-3 document is this setup's refit."""
 
     PATH = LEGACY.parent / "v2_frequency_legt_full"
     REFIT = LEGACY.parent / "v3_frequency_legt_full.json"
