@@ -48,8 +48,8 @@ and its per-channel maps (evolvers and readout).  The shapes, the stage
 operators and the serving maps are closed-form functions of those, so
 ``FittedForecaster`` derives them when it is constructed, after a fit and
 after a load alike.  The model document (``model_to_json``) stores the
-config, the embedding and the fitted arrays, each once; this module is the
-only one that reads or writes it.
+config and the embedding as JSON and the fitted arrays as base64 float64
+bytes, each once; this module is the only one that reads or writes it.
 
 Every learned map is a closed-form ridge regression; there is no iterative
 training.  Evolution operators are fit on consecutive-window pairs (windows
@@ -58,6 +58,7 @@ shifted by one patch), so "evolve" means "advance the window by one patch".
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
@@ -554,50 +555,89 @@ def global_mean_forecast(train_series, horizon: int) -> np.ndarray:
 # serialization
 
 
+def _encoded(arr: np.ndarray, what: str) -> str:
+    """A fitted array as a version-4 document entry: base64 of its
+    little-endian float64 (complex128 if complex) bytes in C order.  A
+    non-finite entry raises ValueError, as ``json.dumps`` does for NaN."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite {what} cannot be written")
+    little = arr.astype("<c16" if np.iscomplexobj(arr) else "<f8", copy=False)
+    return base64.b64encode(little.tobytes()).decode("ascii")
+
+
 def _evolver_doc(ev, config: ForecasterConfig) -> dict:
     """The fitted arrays of an evolver of the config's strategy; its kind,
     scalars and shapes are the config's."""
     if config.evolution_strategy == "frequency":
-        ops = [[op.real.tolist(), op.imag.tolist()] for op in ev.mode_ops]
-        return {"doc": {"mode_ops": ops}}
+        return {"doc": {"mode_ops": _encoded(ev.mode_ops, "mode_ops")}}
     if config.evolution_strategy == "direct":
-        return {"centroids": ev.centroids.tolist(), "operators": ev.operators.tolist()}
-    return {"keys": ev.keys.tolist(), "values": ev.values.tolist()}
+        return {"centroids": _encoded(ev.centroids, "centroids"),
+                "operators": _encoded(ev.operators, "operators")}
+    return {"keys": _encoded(ev.keys, "keys"), "values": _encoded(ev.values, "values")}
 
 
-def _doc_floats(value, what: str, shape: tuple) -> np.ndarray:
-    """A document number or nested list of numbers as a float array of
-    ``shape``; NaN or inf in it (a ``NaN``/``Infinity`` token, or a literal
-    beyond the float range), or another shape, raises ModelFormatError."""
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != shape:
-        raise ModelFormatError(f"{what} has shape {arr.shape}, the model needs {shape}")
+def _doc_floats(value, what: str, shape: tuple, version: int, dtype=float) -> np.ndarray:
+    """A document array of ``shape``, whose leading ``None`` stands for the
+    cluster count that the array sets.  From version 4 the array is one
+    base64 string of its little-endian ``dtype`` bytes in C order, before
+    it a nested list of JSON numbers.  Anything else, another shape, or NaN
+    or inf in it (a ``NaN``/``Infinity`` token, a literal beyond the float
+    range, or such bytes) raises ModelFormatError."""
+    if version < 4:
+        # asarray with a float dtype would read "1.5" or true as a number
+        if not set(map(type, np.asarray(value, dtype=object).flat)) <= {int, float}:
+            raise ModelFormatError(f"{what} holds an entry that is not a number")
+        arr = np.asarray(value, dtype=dtype)
+        shape = arr.shape[:1] + shape[1:] if shape[0] is None else shape
+        if arr.shape != shape:
+            raise ModelFormatError(f"{what} has shape {arr.shape}, the model needs {shape}")
+    else:
+        if type(value) is not str:
+            raise ModelFormatError(f"{what} is not a base64 string")
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+            raise ModelFormatError(f"{what} is not base64: {exc}") from exc
+        item = np.dtype(dtype).newbyteorder("<")
+        row = item.itemsize * int(np.prod(shape[1:]))
+        # at least one cluster, so that no bytes fail the length check
+        shape = (max(len(raw) // row, 1),) + shape[1:] if shape[0] is None else shape
+        if len(raw) != row * shape[0]:
+            raise ModelFormatError(f"{what} holds {len(raw)} bytes, the model needs "
+                                   f"{shape} {item.name} entries")
+        arr = np.frombuffer(raw, item).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"non-finite {what} in model document")
     return arr
 
 
-def _evolver_from_doc(doc: dict, scale: int, config: ForecasterConfig, sh: ShapeInfo):
+def _evolver_from_doc(doc: dict, scale: int, config: ForecasterConfig, sh: ShapeInfo,
+                      version: int):
     """The evolver of scale ``scale``, of the config's strategy: its arrays
     are read in the shapes the config implies, its scalars come from the
     config.  An evolver of another strategy lacks the keys read here."""
     n, width = sh.order, sh.d * sh.order  # width: a position's (D, N) state
     if config.evolution_strategy == "frequency":
-        re_im = _doc_floats(doc["doc"]["mode_ops"], "mode_ops", (sh.scale_modes[scale], 2, n, n))
-        # filling both parts keeps every signed zero; re + 1j * im would not
-        ops = np.empty(re_im[:, 0].shape, dtype=complex)
-        ops.real, ops.imag = re_im[:, 0], re_im[:, 1]
+        modes, ops = sh.scale_modes[scale], doc["doc"]["mode_ops"]
+        if version >= 4:
+            ops = _doc_floats(ops, "mode_ops", (modes, n, n), version, complex)
+        else:
+            re_im = _doc_floats(ops, "mode_ops", (modes, 2, n, n), version)
+            # filling both parts keeps every signed zero; re + 1j * im would not
+            ops = np.empty(re_im[:, 0].shape, dtype=complex)
+            ops.real, ops.imag = re_im[:, 0], re_im[:, 1]
         return evo.SpectralEvolutionModel(mode_ops=ops, seq_len=sh.scale_lens[scale])
     if config.evolution_strategy == "direct":
-        k = len(doc["centroids"])
+        centroids = _doc_floats(doc["centroids"], "centroids", (None, width), version)
         return evo.DirectEvolutionModel(
-            centroids=_doc_floats(doc["centroids"], "centroids", (k, width)),
-            operators=_doc_floats(doc["operators"], "operators", (k, n, n)),
+            centroids=centroids,
+            operators=_doc_floats(doc["operators"], "operators", (len(centroids), n, n),
+                                  version),
         )
-    k = len(doc["keys"])
+    keys = _doc_floats(doc["keys"], "keys", (None, width), version)
     return evo.HopfieldEvolutionModel(
-        keys=_doc_floats(doc["keys"], "keys", (k, width)),
-        values=_doc_floats(doc["values"], "values", (k, width)),
+        keys=keys,
+        values=_doc_floats(doc["values"], "values", keys.shape, version),
         beta=config.hopfield_beta,
     )
 
@@ -605,13 +645,13 @@ def _evolver_from_doc(doc: dict, scale: int, config: ForecasterConfig, sh: Shape
 def model_to_json(model: FittedForecaster) -> str:
     cfg = model.config
     doc = {
-        "v": 3,
+        "v": 4,
         # the embedding the model was fit with is stored on its own below
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "embedding"},
         "embedding": {"m": model.embedding.m, "tau": model.embedding.tau},
         "channels": [
             {"evolvers": [_evolver_doc(ev, cfg) for ev in ch.evolvers],
-             "readout": ch.readout.tolist()}
+             "readout": _encoded(ch.readout, "readout")}
             for ch in model.channels
         ],
     }
@@ -620,12 +660,20 @@ def model_to_json(model: FittedForecaster) -> str:
 
 def model_from_json(text: str) -> FittedForecaster:
     """Rebuild a model from its JSON document; a document that is not a
-    version-1, -2 or -3 model raises ModelFormatError, as does any number
-    in it that is not finite (``NaN``, ``Infinity`` or a literal beyond the
-    float range).  Two older formats must be refit and raise
-    ModelFormatError: version 1 padded the pyramid to a power of two, so a
-    version-1 ``frequency`` model that now pads to another length had other
-    scales; and versions 1 and 2 built the wavelet detail filters by
+    version-1 to -4 model raises ModelFormatError.
+
+    A version-4 document stores each fitted array as one base64 string of
+    its little-endian float64 bytes in C order (complex128 for ``frequency``
+    mode operators), with the shape that the config implies; the cluster
+    count of a ``direct``/``hopfield`` evolver follows from the byte length.
+    Versions 1 to 3 stored nested lists of JSON numbers.  An array that is
+    not of its version's kind, not valid base64, of another length or
+    shape, or that holds NaN or inf (a ``NaN``/``Infinity`` token, a literal
+    beyond the float range, or such bytes), raises ModelFormatError, as
+    does a non-finite config number.  Two older formats must be refit and
+    raise ModelFormatError: version 1 padded the pyramid to a power of two,
+    so a version-1 ``frequency`` model that now pads to another length had
+    other scales; and versions 1 and 2 built the wavelet detail filters by
     Gram-Schmidt, whose rows differ from today's above order 8.
 
     Entries that older documents carry are ignored: the derived ``ssm`` and
@@ -636,8 +684,8 @@ def model_from_json(text: str) -> FittedForecaster:
     try:
         doc = json.loads(text)
         # true == 1 and 2.0 == 2, so the type is checked too
-        if not isinstance(doc, dict) or type(doc.get("v")) is not int or doc["v"] not in (1, 2, 3):
-            raise ModelFormatError("not a version-1, -2 or -3 model document")
+        if not isinstance(doc, dict) or type(doc.get("v")) is not int or not 1 <= doc["v"] <= 4:
+            raise ModelFormatError("not a version-1 to -4 model document")
         return _model_from_doc(doc)
     # JSONDecodeError is a ValueError; an integer beyond the float range in
     # an array raises OverflowError
@@ -666,9 +714,10 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
                 f"{len(ch['evolvers'])} evolvers for {len(sh.scale_lens)} scales"
             )
         channels.append(ChannelModel(
-            evolvers=[_evolver_from_doc(e, s, config, sh) for s, e in enumerate(ch["evolvers"])],
+            evolvers=[_evolver_from_doc(e, s, config, sh, doc["v"])
+                      for s, e in enumerate(ch["evolvers"])],
             readout=_doc_floats(ch["readout"], "readout",
-                                (sh.n_patches * sh.d, config.horizon)),
+                                (sh.n_patches * sh.d, config.horizon), doc["v"]),
         ))
     return FittedForecaster(config, channels)
 

@@ -6,9 +6,13 @@ either a finite result or an ``AttraosError``.
 Values are finite floats of any magnitude, with NaN or inf injected at a few
 positions; series are either raw draws or a Lorenz63 segment under a random
 affine map, so that both the error paths and the fitted paths are reached.
+A model document gets one number of its float lists replaced, or one byte
+of a base64 array.
 """
 
+import base64
 import json
+import string
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +23,10 @@ from hypothesis.extra.numpy import arrays
 
 from attraos import forecaster as fc
 from attraos.embedding import EmbeddingParams, fnn_profile, mi_profile, select_embedding
-from attraos.errors import AttraosError
+from attraos.errors import AttraosError, ModelFormatError
 from attraos.lyapunov import estimate_mle, mle_table
+
+from test_forecaster import with_lists
 
 SMALL = dict(
     window=24, horizon=3, embedding=EmbeddingParams(2, 3), patch_len=4, poly_order=3,
@@ -197,25 +203,25 @@ def test_evaluate(data):
         assert all(np.all(np.isfinite(v)) for v in metrics.values())
 
 
-def float_paths(node, path=()):
-    """Paths to every float in a parsed JSON document."""
-    if isinstance(node, float):
+def leaf_paths(node, kind, path=()):
+    """Paths to every ``kind`` value (float, str) in a parsed JSON document."""
+    if isinstance(node, kind):
         yield path
     elif isinstance(node, (list, dict)):
         items = enumerate(node) if isinstance(node, list) else node.items()
         for key, value in items:
-            yield from float_paths(value, path + (key,))
+            yield from leaf_paths(value, kind, path + (key,))
 
 
 @SETTINGS
 @given(data=st.data())
 def test_model_from_json(fitted, lorenz, data):
-    # one float of the document (a stored array entry or a config or
-    # evolver scalar) is replaced by a finite float of any magnitude or by a
-    # non-finite token; integers are left alone, since they size the derived
-    # operators
-    doc = json.loads(fc.model_to_json(fitted))
-    paths = list(float_paths(doc))
+    # one float of the document in the float lists of versions 1 to 3 (a
+    # stored array entry or a config scalar) is replaced by a finite float
+    # of any magnitude or by a non-finite token; integers are left alone,
+    # since they size the derived operators
+    doc = with_lists(fc.model_to_json(fitted))
+    paths = list(leaf_paths(doc, float))
     *parents, last = paths[data.draw(st.integers(0, len(paths) - 1))]
     node = doc
     for key in parents:
@@ -225,6 +231,43 @@ def test_model_from_json(fitted, lorenz, data):
     token = data.draw(st.one_of(finite.map(repr),
                                 st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])))
     model = finite_or_typed(fc.model_from_json, json.dumps(doc).replace(f'"{marker}"', token))
+    assert_finite_forecasts(model, lorenz)
+
+
+BASE64_DIGITS = string.ascii_letters + string.digits + "+/="
+
+
+@SETTINGS
+@given(data=st.data())
+def test_model_from_json_with_a_corrupted_array(fitted, lorenz, data):
+    # one byte of a stored array is replaced: a byte of its base64 text by
+    # any character (mostly another base64 digit), or a byte of the decoded
+    # float64 data by any value, which reaches NaN, inf and huge exponents
+    doc = json.loads(fc.model_to_json(fitted))
+    paths = list(leaf_paths(doc["channels"], str))
+    *parents, last = paths[data.draw(st.integers(0, len(paths) - 1))]
+    node = doc["channels"]
+    for key in parents:
+        node = node[key]
+    text = node[last]
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(text) - 1))
+        char = data.draw(st.sampled_from(BASE64_DIGITS) | st.characters())
+        node[last] = text[:at] + char + text[at + 1 :]
+    else:
+        raw = bytearray(base64.b64decode(text))
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        node[last] = base64.b64encode(raw).decode("ascii")
+    try:
+        model = fc.model_from_json(json.dumps(doc))
+    except ModelFormatError:
+        return
+    assert_finite_forecasts(model, lorenz)
+
+
+def assert_finite_forecasts(model, lorenz):
+    """A loaded model (None when its load raised an AttraosError) forecasts
+    finite values or raises an AttraosError."""
     if model is not None:
         context = np.stack([lorenz[:24], lorenz[2000:2024]], axis=1)
         result = finite_or_typed(fc.predict, model, context)

@@ -1,3 +1,4 @@
+import base64
 import json
 import tracemalloc
 from dataclasses import replace
@@ -773,42 +774,131 @@ class TestModelDocument:
         [
             '{"v": 1}',
             "[1, 2]",
-            '{"v": 4}',
+            '{"v": 5}',
             "{not json",
             '{"v": 1, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
             ' "channels": []}',
             '{"v": 1, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "channels": []}',
         ],
-        ids=["no-body", "not-object", "version-4", "not-json", "horizon-0", "config-not-object"],
+        ids=["no-body", "not-object", "version-5", "not-json", "horizon-0", "config-not-object"],
     )
     def test_malformed_document_raises_typed_error(self, text):
         with pytest.raises(ModelFormatError):
             fc.model_from_json(text)
 
     @pytest.mark.parametrize("where", ["evolver-array", "readout", "config"])
-    @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
-    def test_non_finite_number_raises(self, lorenz63_x, strategy, where):
-        cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
-        doc = json.loads(fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000])))
-        ch = doc["channels"][0]
-        ev = ch["evolvers"][0]
-        body = ev["doc"] if strategy == "frequency" else ev
-        array_key = {"frequency": "mode_ops", "direct": "operators", "hopfield": "keys"}[strategy]
-        marker = "@non-finite@"
-        if where == "evolver-array":
-            row = body[array_key]
-            while isinstance(row[0], list):
-                row = row[0]
-            row[0] = marker
-        elif where == "readout":
-            ch["readout"][3][1] = marker
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    def test_non_finite_number_raises(self, strategy, where):
+        text = fixture_text(4, strategy)
+        doc, model = json.loads(text), fc.model_from_json(text)
+        if where == "config":
+            doc["config"]["theta"] = "@non-finite@"
+            text = json.dumps(doc)
+            assert fc.model_from_json(text.replace('"@non-finite@"', "0.5")) is not None
+            for token in ("NaN", "Infinity", "-Infinity", "1e999"):
+                with pytest.raises(ModelFormatError):
+                    fc.model_from_json(text.replace('"@non-finite@"', token))
+            return
+        ch, fitted = doc["channels"][0], model.channels[0]
+        if where == "readout":
+            body, key, arr = ch, "readout", fitted.readout.copy()
         else:
-            doc["config"]["theta"] = marker
+            body = evolver_body(ch["evolvers"][0])
+            key = EVOLVER_ARRAYS[strategy][-1]
+            arr = getattr(fitted.evolvers[0], key).copy()
+        for value, loads in ((0.5, True), (np.nan, False), (np.inf, False), (-np.inf, False)):
+            arr.flat[0] = value
+            body[key] = stored(arr)
+            if loads:
+                assert fc.model_from_json(json.dumps(doc)) is not None
+            else:
+                with pytest.raises(ModelFormatError, match="non-finite"):
+                    fc.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("where", ["evolver-array", "readout"])
+    def test_non_finite_number_in_a_float_list_raises(self, where):
+        doc = json.loads(fixture_text(3, "hopfield"))
+        ch = doc["channels"][0]
+        row = ch["readout"][3] if where == "readout" else ch["evolvers"][0]["keys"][0]
+        row[1] = "@non-finite@"
         text = json.dumps(doc)
-        assert fc.model_from_json(text.replace(f'"{marker}"', "0.5")) is not None
+        assert fc.model_from_json(text.replace('"@non-finite@"', "0.5")) is not None
         for token in ("NaN", "Infinity", "-Infinity", "1e999"):
             with pytest.raises(ModelFormatError):
-                fc.model_from_json(text.replace(f'"{marker}"', token))
+                fc.model_from_json(text.replace('"@non-finite@"', token))
+
+    @pytest.mark.parametrize("value", ["1.5", True, False, None, [1.5]])
+    @pytest.mark.parametrize("where", ["evolver-array", "readout"])
+    def test_float_list_entry_that_is_no_number_raises(self, where, value):
+        # asarray reads "1.5" and true as numbers, so these once loaded
+        doc = json.loads(fixture_text(3, "hopfield"))
+        ch = doc["channels"][0]
+        (ch["readout"] if where == "readout" else ch["evolvers"][0]["keys"])[0][0] = value
+        with pytest.raises(ModelFormatError):
+            fc.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("fault", ["alphabet", "one-float-short", "nan-bytes", "not-a-string"])
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    def test_bad_version_4_array_raises(self, strategy, fault):
+        text = fixture_text(4, strategy)
+
+        def arrays(doc):
+            ch = doc["channels"][0]
+            body = evolver_body(ch["evolvers"][0])
+            return [(ch, "readout")] + [(body, key) for key in EVOLVER_ARRAYS[strategy]]
+
+        for i in range(1 + len(EVOLVER_ARRAYS[strategy])):
+            doc = json.loads(text)
+            node, key = arrays(doc)[i]
+            raw = base64.b64decode(node[key])
+            if fault == "alphabet":
+                # URL-safe digits, which a decoder without validation skips
+                node[key], match = "-_-_" + node[key], "not base64"
+            elif fault == "one-float-short":
+                node[key], match = base64.b64encode(raw[:-8]).decode(), "bytes"
+            elif fault == "nan-bytes":
+                raw = np.array([np.nan], "<f8").tobytes() + raw[8:]
+                node[key], match = base64.b64encode(raw).decode(), "non-finite"
+            else:
+                node[key], match = np.frombuffer(raw, "<f8").tolist(), "not a base64 string"
+            with pytest.raises(ModelFormatError, match=match):
+                fc.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+    def test_version_4_evolver_without_clusters_raises(self, strategy):
+        doc = json.loads(fixture_text(4, strategy))
+        doc["channels"][0]["evolvers"][0].update({key: "" for key in EVOLVER_ARRAYS[strategy]})
+        with pytest.raises(ModelFormatError, match="bytes"):
+            fc.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    def test_single_precision_arrays_are_written_as_double(self, strategy):
+        model = fc.model_from_json(fixture_text(4, strategy))
+        single = {np.dtype(float): np.float32, np.dtype(complex): np.complex64}
+
+        def narrowed(obj, keys):
+            return replace(obj, **{k: getattr(obj, k).astype(single[getattr(obj, k).dtype])
+                                   for k in keys})
+
+        narrow = replace(model, channels=[
+            replace(narrowed(ch, ["readout"]),
+                    evolvers=[narrowed(ev, EVOLVER_ARRAYS[strategy]) for ev in ch.evolvers])
+            for ch in model.channels])
+        back = fc.model_from_json(fc.model_to_json(narrow))
+        for ch, ch_back in zip(narrow.channels, back.channels):
+            assert np.array_equal(ch.readout, ch_back.readout)
+            for ev, ev_back in zip(ch.evolvers, ch_back.evolvers):
+                for key in EVOLVER_ARRAYS[strategy]:
+                    assert np.array_equal(getattr(ev, key), getattr(ev_back, key))
+
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    def test_each_version_reads_its_own_array_encoding(self, strategy):
+        text = fixture_text(4, strategy)
+        base64_as_v3 = json.loads(text)
+        base64_as_v3["v"] = 3
+        for doc in (base64_as_v3, with_lists(text, version=4)):
+            with pytest.raises(ModelFormatError):
+                fc.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("token", ["96.5", "Infinity", "NaN"])
     def test_non_integer_count_raises(self, lorenz63_x, token):
@@ -833,40 +923,30 @@ class TestModelDocument:
             fc.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("where", ["readout", "evolver-count", "evolver-array", "strategy"])
-    @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
-    def test_document_at_odds_with_its_config_raises(self, lorenz63_x, strategy, where):
-        cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
-        doc = json.loads(fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000])))
-        ch = doc["channels"][0]
-        if where == "strategy":
-            # the evolvers are of the kind the fit made, no longer the config's
-            other = {"frequency": "direct", "direct": "hopfield", "hopfield": "direct"}
-            doc["config"]["evolution_strategy"] = other[strategy]
-        elif where == "readout":
-            ch["readout"].pop()  # one feature row short
-        elif where == "evolver-count":
-            ch["evolvers"].pop()  # one scale without an evolver
-        else:
-            ev = ch["evolvers"][0]
-            body = ev["doc"] if strategy == "frequency" else ev
-            key = {"frequency": "mode_ops", "direct": "operators", "hopfield": "keys"}[strategy]
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    def test_document_at_odds_with_its_config_raises(self, strategy, where):
+        for version in (4, 3):  # base64, then float lists
+            text = fixture_text(version, strategy)
+            doc, fitted = json.loads(text), fc.model_from_json(text).channels[0]
+            ch = doc["channels"][0]
+            if where == "strategy":
+                # the evolvers are of the kind the fit made, no longer the config's
+                other = {"frequency": "direct", "direct": "hopfield", "hopfield": "direct"}
+                doc["config"]["evolution_strategy"] = other[strategy]
+            elif where == "readout":
+                ch["readout"] = stored(fitted.readout[:-1], version)  # one feature row short
+            elif where == "evolver-count":
+                ch["evolvers"].pop()  # one scale without an evolver
+            else:
+                key = EVOLVER_ARRAYS[strategy][-1]  # one column short
+                arr = getattr(fitted.evolvers[0], key)[..., :-1]
+                evolver_body(ch["evolvers"][0])[key] = stored(arr, version)
+            with pytest.raises(ModelFormatError):
+                fc.model_from_json(json.dumps(doc))
 
-            def drop_last_column(rows):
-                if isinstance(rows[0], list):
-                    for row in rows:
-                        drop_last_column(row)
-                else:
-                    rows.pop()
-
-            drop_last_column(body[key])
-        with pytest.raises(ModelFormatError):
-            fc.model_from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
-    def test_every_entry_outside_the_config_is_read(self, lorenz63_x, strategy):
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    def test_every_entry_outside_the_config_is_read(self, strategy):
         # an entry the load does not need could be dropped from the document
-        cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
-        doc = json.loads(fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000])))
 
         def key_paths(node, path=()):
             # every key but the config's; one element of each list of objects
@@ -878,16 +958,17 @@ class TestModelDocument:
                         yield path + (key,)
                         yield from key_paths(value, path + (key,))
 
-        paths = list(key_paths(doc))
-        assert ("channels", 0, "evolvers", 0) in [p[:4] for p in paths]
-        for *parents, last in paths:
-            broken = json.loads(json.dumps(doc))
-            node = broken
-            for key in parents:
-                node = node[key]
-            del node[last]
-            with pytest.raises(ModelFormatError):
-                fc.model_from_json(json.dumps(broken))
+        for version in (4, 3):  # base64, then float lists
+            text = fixture_text(version, strategy)
+            paths = list(key_paths(json.loads(text)))
+            assert ("channels", 0, "evolvers", 0) in [p[:4] for p in paths]
+            for *parents, last in paths:
+                node = broken = json.loads(text)
+                for key in parents:
+                    node = node[key]
+                del node[last]
+                with pytest.raises(ModelFormatError):
+                    fc.model_from_json(json.dumps(broken))
 
     def test_non_finite_model_is_not_written_as_bare_nan(self, lorenz_model):
         model = lorenz_model[0]
@@ -897,23 +978,72 @@ class TestModelDocument:
             fc.model_to_json(broken)
 
 
-LEGACY = Path(__file__).parent / "data" / "legacy_v1_frequency_legt_full"
+DATA = Path(__file__).parent / "data"
+LEGACY = DATA / "legacy_v1_frequency_legt_full"
+
+EVOLVER_ARRAYS = {"frequency": ("mode_ops",), "direct": ("centroids", "operators"),
+                  "hopfield": ("keys", "values")}
+
+
+def fixture_text(version: int, strategy: str) -> str:
+    """The ``legt_full`` fixture document of ``strategy`` at ``version``
+    (3: float lists, 4: base64); both hold the same model."""
+    return (DATA / f"v{version}_{strategy}_legt_full.json").read_text(encoding="utf-8")
+
+
+def evolver_body(ev: dict) -> dict:
+    """The object that holds an evolver's arrays in a document."""
+    return ev.get("doc", ev)
+
+
+def stored(arr: np.ndarray, version: int = 4):
+    """A fitted array as a document of ``version`` stores it: from version 4
+    base64 of its little-endian bytes in C order, before it nested lists of
+    floats (a complex mode operator as its [real, imag] pair)."""
+    if version >= 4:
+        little = arr.astype("<c16" if np.iscomplexobj(arr) else "<f8")
+        return base64.b64encode(little.tobytes()).decode("ascii")
+    if np.iscomplexobj(arr):
+        return [[op.real.tolist(), op.imag.tolist()] for op in arr]
+    return arr.tolist()
+
+
+def with_lists(text: str, version: int = 3) -> dict:
+    """A version-4 document with its fitted arrays as the float lists of the
+    older versions, stamped ``version``."""
+    doc = json.loads(text)
+    doc["v"] = version
+    for ch, fitted in zip(doc["channels"], fc.model_from_json(text).channels, strict=True):
+        ch["readout"] = stored(fitted.readout, 3)
+        for ev, fitted_ev in zip(ch["evolvers"], fitted.evolvers, strict=True):
+            body = evolver_body(ev)
+            body.update({key: stored(getattr(fitted_ev, key), 3) for key in body})
+    return doc
 
 
 def without_config_copies(doc: dict) -> dict:
-    """A fixture document without the entries the loader ignores and the
-    writer no longer stores (the config's ``teacher_alpha``, each channel's
-    ``train_mean``/``train_std`` and each evolver's copies of config values),
-    at the version the writer stamps."""
-    doc["v"] = 3
+    """A fixture document as this version writes it: at version 4, each float
+    list as base64 of its little-endian float64 bytes, and without the
+    entries the loader ignores and the writer no longer stores (the config's
+    ``teacher_alpha``, each channel's ``train_mean``/``train_std`` and each
+    evolver's copies of config values)."""
+    doc["v"] = 4
     doc["config"].pop("teacher_alpha", None)
     for ch in doc["channels"]:
         for key in ("train_mean", "train_std"):
             ch.pop(key, None)
+        ch["readout"] = stored(np.array(ch["readout"]))
         for ev in ch["evolvers"]:
             for body in (ev, ev.get("doc", {})):
                 for key in ("kind", "m_modes", "seq_len", "ridge_lambda", "beta"):
                     body.pop(key, None)
+            body = evolver_body(ev)
+            if "mode_ops" in body:
+                # (modes, 2, N, N) [real, imag] pairs: with the pair axis last
+                # their float64 bytes are complex128 bytes
+                body["mode_ops"] = stored(np.moveaxis(np.array(body["mode_ops"]), 1, -1))
+            else:
+                body.update({key: stored(np.array(value)) for key, value in body.items()})
     return doc
 
 
@@ -961,10 +1091,9 @@ class TestFrequencyDocument:
     predictions this version makes from it.  They were last regenerated when
     the serving maps came to be built from each channel's (L', L) stage map,
     which moved them by 7.8e-16 of the largest one; they stay within 1e-14 of
-    the writing version's.  The version-3 document is this setup's refit."""
+    the writing version's.  The version-4 document is this setup's refit."""
 
     PATH = LEGACY.parent / "v2_frequency_legt_full"
-    REFIT = LEGACY.parent / "v3_frequency_legt_full.json"
 
     @classmethod
     def text(cls):
@@ -993,7 +1122,7 @@ class TestFrequencyDocument:
 
     def test_refit_writes_the_same_document(self, lorenz63_x):
         config = fc.model_from_json(self.text()).config
-        refit = self.REFIT.read_text(encoding="utf-8")
+        refit = fixture_text(4, "frequency")
         assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == refit
         assert fc.model_to_json(fc.model_from_json(refit)) == refit
 
@@ -1021,7 +1150,7 @@ class TestNonlinearDocument:
     predictions this version makes from them (within 1e-12 relative of the
     writing version's).  The ``hopfield`` one was written by attraos at
     commit b8cb457, the ``direct`` one, with its N x N cluster operators, by
-    the version that introduced them; the version-3 documents are their
+    the version that introduced them; the version-4 documents are their
     refits."""
 
     NAMES = {"direct": "v1_direct_legt_full", "hopfield": "legacy_v1_hopfield_legt_full"}
@@ -1045,9 +1174,21 @@ class TestNonlinearDocument:
     def test_refit_writes_the_same_document(self, lorenz63_x, strategy):
         # pins the k-means partition and the per-cluster fits
         config = fc.model_from_json(self.text(strategy)).config
-        refit = (LEGACY.parent / f"v3_{strategy}_legt_full.json").read_text(encoding="utf-8")
+        refit = fixture_text(4, strategy)
         assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == refit
         assert fc.model_to_json(fc.model_from_json(refit)) == refit
+
+
+@pytest.mark.parametrize("strategy", fc.STRATEGIES)
+def test_version_3_document_loads_and_resaves_as_version_4(lorenz63_x, strategy):
+    # the version-3 fixtures hold the version-4 fixtures' model as float lists
+    old, new = fc.model_from_json(fixture_text(3, strategy)), fc.model_from_json(
+        fixture_text(4, strategy))
+    assert fc.model_to_json(old) == fixture_text(4, strategy)
+    for start in (2000, 2500, 3000):
+        context = lorenz63_x[start : start + 48]
+        assert np.array_equal(fc.predict(old, context).predictions,
+                              fc.predict(new, context).predictions)
 
 
 @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
@@ -1061,8 +1202,7 @@ def test_version_2_document_above_order_8_must_be_refit(lorenz63_x, strategy, or
     text = fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000]))
     model = fc.model_from_json(text)
     assert fc.model_to_json(model) == text
-    doc = json.loads(text)
-    doc["v"] = 2
+    doc = with_lists(text, version=2)
     if order > 8:
         with pytest.raises(ModelFormatError, match="refit"):
             fc.model_from_json(json.dumps(doc))
