@@ -26,7 +26,7 @@ class TooManyModesError(AttraosError):
 
 
 class SingularSystemError(AttraosError):
-    """Unregularized least squares hit a rank-deficient Gram matrix."""
+    """Unregularized least squares hit a rank-deficient design."""
 
 
 class EmptyInputError(AttraosError):

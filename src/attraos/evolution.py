@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
+    NonFiniteError,
     ShapeMismatchError,
     SingularSystemError,
     TooManyModesError,
@@ -41,43 +42,44 @@ def ifft_modes(spectrum: np.ndarray, seq_len: int) -> np.ndarray:
 
 
 def ridge_fit(a: np.ndarray, b: np.ndarray, ridge_lambda: float) -> np.ndarray:
-    """W minimizing sum ||W a_s - b_s||^2 + lambda ||W||^2 over rows of a, b."""
+    """W minimizing sum ||W a_s - b_s||^2 + lambda ||W||^2 over rows of a, b.
+
+    One thin SVD of the design, a = U diag(s) V^H, gives
+    W = (V diag(s / (s^2 + lambda)) U^H b)^T for real and complex input and
+    for any shape, designs with more features than rows too.  The Gram
+    matrix a^H a, whose condition number is the square of a's, is never
+    formed.  With lambda = 0 a design whose rank (its singular values
+    above ``matrix_rank``'s default tolerance) is below its feature count
+    raises SingularSystemError; NaN or inf in a or b raises NonFiniteError
+    before anything is factored.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeMismatchError("need matching (samples, features) arrays")
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be >= 0")
-    gram = a.conj().T @ a
-    n = gram.shape[0]
-    if ridge_lambda == 0.0 and np.linalg.matrix_rank(gram) < n:
-        raise SingularSystemError("rank-deficient Gram matrix with lambda = 0")
-    gram = gram + ridge_lambda * np.eye(n)
-    cross = a.conj().T @ b
-    return np.linalg.solve(gram, cross).T
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise NonFiniteError("ridge design or targets contain NaN or inf")
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    if ridge_lambda == 0.0:
+        tol = s.max(initial=0.0) * max(a.shape) * np.finfo(s.dtype).eps
+        if np.count_nonzero(s > tol) < a.shape[1]:
+            raise SingularSystemError("rank-deficient design with lambda = 0")
+    # s / (s^2 + lambda), written so that s^2 cannot overflow; a zero
+    # singular value (lambda > 0 here) gets gain 0
+    with np.errstate(divide="ignore", over="ignore"):
+        gain = 1.0 / (s + ridge_lambda / s)
+    return (vh.conj().T @ (gain[:, None] * (u.conj().T @ b))).T
 
 
 @dataclass(frozen=True)
 class SpectralEvolutionModel:
     """Per-mode complex operators W_i (M, N, N) over length-L sequences, for
-    the M lowest DFT modes.
-
-    ``matrix`` is the same map as one real (L*N, L*N) matrix acting on a
-    sequence flattened position-major; it is derived at construction from
-    ``apply_spectral_evolution``, which stays the reference.
-    """
+    the M lowest DFT modes."""
 
     mode_ops: np.ndarray
     seq_len: int
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.mode_ops.shape[-1]
-        size = self.seq_len * n
-        # impulse k sits at position k // n, state k % n
-        impulses = np.eye(size).reshape(size, self.seq_len, n).swapaxes(0, 1)
-        resp = apply_spectral_evolution(impulses, self)  # (L, impulse, N)
-        object.__setattr__(self, "matrix", resp.transpose(0, 2, 1).reshape(size, size))
 
 
 def fit_spectral_operators(
@@ -86,7 +88,12 @@ def fit_spectral_operators(
     seq_len: int,
     ridge_lambda: float,
 ) -> SpectralEvolutionModel:
-    """Per-mode ridge fit from spectra (S, M, N) to next-step spectra."""
+    """Per-mode ridge fit from spectra (S, M, N) to next-step spectra.
+
+    Mode i's fit sees its rows only through the Gram and cross products of
+    ``a_spec[:, i]`` and ``b_spec[:, i]``, so any rows with the same
+    products give the same operators: a fit can pass the spectra of a few
+    factor rows in place of one row per training sequence."""
     a_spec = np.asarray(a_spec, dtype=complex)
     b_spec = np.asarray(b_spec, dtype=complex)
     if a_spec.shape != b_spec.shape or a_spec.ndim != 3:

@@ -14,30 +14,33 @@ the endpoint, acts identically and linearly on each of the D = m * p patch
 coordinates, as do ``frequency`` evolution and the N x N operator of each
 ``direct`` cluster.  The linear stages therefore run as small per-coordinate
 matrices applied to each window's (steps, D) array: a front operator
-(recurrence, left padding, decompose), a frequency-evolution matrix per scale
-(on ``SpectralEvolutionModel``) and a back operator (reconstruct, drop
+(recurrence, left padding, decompose) and a back operator (reconstruct, drop
 padding, endpoint).  They are derived by pushing identity inputs through the
-reference primitives (``sequential_scan``, ``decompose``,
-``apply_spectral_evolution``, ``reconstruct``).  Each window, and under
-``direct`` each position, gets its own identically shaped matrix product, so
-a window's features do not depend on the batch it is computed in, except
-under ``hopfield``, which evolves all windows' positions as one product:
-there they may differ in the last bits (measured up to 9.3e-15 relative).
+reference primitives (``sequential_scan``, ``decompose``, ``reconstruct``).
+Each window, and under ``direct`` each position, gets its own identically
+shaped matrix product, so a window's features do not depend on the batch it
+is computed in, except under ``hopfield``, which evolves all windows'
+positions as one product: there they may differ in the last bits (measured
+up to 9.3e-15 relative).
 
 Between the two operators a window is one (S, D) array, the stack: the whole
 pyramid, each scale a fixed block of rows (``ShapeInfo.scale_rows``).
 Evolution writes each scale's next step into the same rows of a new stack;
+it sees the block as a (positions, D, N) view, ``frequency`` evolution
+(``apply_spectral_evolution``) as D * N sequences along the positions,
 ``direct`` and ``hopfield``, which are nonlinear in a position's (D, N)
-state, see the block as a (positions, D, N) view.
+state, as one state per position.
 
 ``_features`` runs a channel's stages after the front operator: its
 evolution and the back operator.  With ``frequency`` evolution every stage
 after instance normalization is linear, from the delay embedding to the
 readout, so each channel's pipeline collapses to one (window, horizon)
 serving map.  ``_features`` applied to the front operator itself, its L
-columns taken as coordinates, gives the channel's (L', L) stage map; that
-map on the embedded and patched identity window, then the readout, is the
-serving map.  ``predict`` normalizes each channel's window once, takes the
+columns taken as coordinates, gives the channel's (L', L) stage map.  That
+map on the embedded and patched identity window (``_stage_map``) takes a
+normalized window to its feature row: a ``frequency`` fit builds its
+readout design from it, and with the readout it is the serving map.
+``predict`` normalizes each channel's window once, takes the
 normalized forecast from the serving maps (``frequency``, all channels in
 one batched product) or from the stack, ``_features`` and readout
 (``direct``/``hopfield``), and denormalizes once; normalization stays
@@ -51,9 +54,15 @@ after a load alike.  The model document (``model_to_json``) stores the
 config and the embedding as JSON and the fitted arrays as base64 float64
 bytes, each once; this module is the only one that reads or writes it.
 
-Every learned map is a closed-form ridge regression; there is no iterative
-training.  Evolution operators are fit on consecutive-window pairs (windows
-shifted by one patch), so "evolve" means "advance the window by one patch".
+Every learned map is a closed-form ridge regression (``evolution.ridge_fit``,
+one thin SVD of its design); there is no iterative training.  Evolution
+operators are fit on consecutive-window pairs (windows shifted by one
+patch), so "evolve" means "advance the window by one patch".  A
+``frequency`` fit sees the training windows only through two Gram matrices,
+so it fits on the R factors of two thin QR decompositions and builds no
+stack (``_fit_frequency``); ``direct`` and ``hopfield`` fits run all
+windows' stacks through the stages (``_fit_channel``), since k-means needs
+every source position.
 """
 
 from __future__ import annotations
@@ -222,13 +231,9 @@ class FittedForecaster:
         object.__setattr__(self, "back", _back_operator(filters, shapes))
         serving = None
         if cfg.evolution_strategy == "frequency" and self.channels:
-            # every stage acts alike on each patch coordinate, so the front
-            # operator's L columns evolve as L coordinates: one (L', L) map
-            # per channel, applied to the embedded and patched identity window
-            unit = patch(delay_embed(np.eye(cfg.window), cfg.embedding), cfg.patch_len)
-            serving = np.stack([
-                (_features(front[None], ch.evolvers, self).reshape(-1, shapes.n_patches) @ unit)
-                .reshape(cfg.window, -1) @ ch.readout for ch in self.channels])
+            unit = _unit_window(cfg)
+            serving = np.stack([_stage_map(ch.evolvers, self, unit) @ ch.readout
+                                for ch in self.channels])
         object.__setattr__(self, "serving", serving)
 
     @property
@@ -338,64 +343,123 @@ def _features(stack: np.ndarray, evolvers, model) -> np.ndarray:
     strategy = model.config.evolution_strategy
     evolved = np.empty_like(stack)
     for rows, ev in zip(sh.scale_rows, evolvers):
+        seqs = _positions(stack[:, rows], sh.order)
         if strategy == "frequency":
-            evolved[:, rows] = ev.matrix @ stack[:, rows]
+            # the spectral map runs along each sequence, axis 0
+            nxt = np.swapaxes(evo.apply_spectral_evolution(np.swapaxes(seqs, 0, 1), ev), 0, 1)
         else:
-            seqs = _positions(stack[:, rows], sh.order)
             apply = (evo.apply_direct_evolution if strategy == "direct"
                      else evo.apply_hopfield_evolution)
-            nxt = apply(seqs.reshape(-1, sh.d, sh.order), ev)
-            _positions(evolved[:, rows], sh.order)[...] = nxt.reshape(seqs.shape)
+            nxt = apply(seqs.reshape(-1, sh.d, sh.order), ev).reshape(seqs.shape)
+        _positions(evolved[:, rows], sh.order)[...] = nxt
     # the broadcast matmul makes one product per window, so a row does not
     # depend on its batch (a whole-batch tensordot changes the last bits)
     return (model.back @ evolved).reshape(stack.shape[0], -1)
 
 
-def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
-                 channel_index: int) -> ChannelModel:
-    config, sh = model.config, model.shapes
+def _unit_window(config: ForecasterConfig) -> np.ndarray:
+    """The embedded and patched identity window, (window, L, D)."""
+    return patch(delay_embed(np.eye(config.window), config.embedding), config.patch_len)
+
+
+def _stage_map(evolvers, model, unit: np.ndarray) -> np.ndarray:
+    """(window, L' * D) map from a normalized window to its feature row
+    under ``frequency`` evolution.  Every stage acts alike on each patch
+    coordinate, so ``_features`` evolves the front operator's L columns as
+    L coordinates into one (L', L) stage map; that map is applied to
+    ``unit``, the ``_unit_window``."""
+    stages = _features(model.front[None], evolvers, model).reshape(-1, model.shapes.n_patches)
+    return (stages @ unit).reshape(len(unit), -1)
+
+
+def _windows(z: np.ndarray, starts: np.ndarray, config: ForecasterConfig):
+    """A channel's normalized (B, window) training windows and their
+    (B, horizon) targets, each horizon normalized by its window.  A horizon
+    that overflows the float range at its window's scale raises
+    NonFiniteError."""
     w, h = config.window, config.horizon
     zn, mu, sd = _normalize(z[starts[:, None] + np.arange(w)])
-    stack = _stack(zn, model)
-    del zn  # the fit reads only the stack; free the windows before the spectra
+    with np.errstate(over="ignore"):
+        targets = (z[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
+    if not np.all(np.isfinite(targets)):
+        raise NonFiniteError("a horizon overflows the float range at its window's scale")
+    return zn, targets
 
-    evolvers = []
-    for si, (length, rows) in enumerate(zip(sh.scale_lens, sh.scale_rows)):
-        seqs = _positions(stack[:, rows], sh.order)
-        if config.evolution_strategy == "frequency":
-            # one spectrum per window and state row; consecutive windows
-            # form the pairs
-            spectra = evo.fft_modes(np.swapaxes(seqs, 0, 1), sh.scale_modes[si])  # (M, B, D, N)
-            spectra = spectra.transpose(1, 2, 0, 3)  # (B, D, M, N)
-            a_spec = spectra[:-1].reshape((-1,) + spectra.shape[2:])
-            b_spec = spectra[1:].reshape((-1,) + spectra.shape[2:])
-            evolvers.append(
-                evo.fit_spectral_operators(a_spec, b_spec, length, config.ridge_lambda)
-            )
-        else:
-            valid = seqs[:, _valid_positions(length, sh.padded // length, sh.pad)]
-            # (B, V, D, N); a position pairs with its place in the next
-            # window, window-major
-            src, dst = (v.reshape(-1, sh.d, sh.order) for v in (valid[:-1], valid[1:]))
-            seed = derive_seed(config.seed, 16 * channel_index + si + 2)
-            part = evo.kmeans_partition(src.reshape(len(src), -1),
-                                        min(config.n_clusters, len(src)), seed=seed)
-            if config.evolution_strategy == "direct":
-                evolvers.append(
-                    evo.fit_direct_operators(src, part, config.ridge_lambda, targets=dst)
-                )
-            else:
-                evolvers.append(
-                    evo.fit_hopfield_evolution(src, part, config.hopfield_beta, targets=dst)
-                )
 
-    feats = _features(stack, evolvers, model)
-    targets = (z[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
-    readout = evo.ridge_fit(feats, targets, config.ridge_lambda).T  # (feat, horizon)
+def _readout(design: np.ndarray, targets: np.ndarray, config: ForecasterConfig) -> np.ndarray:
+    """The (features, horizon) ridge readout from design rows to targets."""
+    readout = evo.ridge_fit(design, targets, config.ridge_lambda).T
     # horizon values far beyond their window's spread leave finite inputs
     # with a non-finite fit
     if not np.all(np.isfinite(readout)):
         raise NonFiniteError("the fit overflows the float range at this series' scale")
+    return readout
+
+
+def _fit_frequency(arr: np.ndarray, starts: np.ndarray, model: FittedForecaster) -> list:
+    """Fit each channel's ``frequency`` evolvers and readout from two thin
+    QR factors of its windows; the (B, S, D) stack is never built.
+
+    Mode m of scale s maps one patch coordinate's L patch values u to the
+    N-vector ``K_s[m] @ u``, where K_s is the DFT over positions of the
+    front operator's rows of that scale.  So the evolution fit sees the
+    windows only through the Gram matrix of ``[U_b | U_{b+1}]``, the
+    ((B-1) * D, 2L) matrix of consecutive windows' coordinate sequences,
+    and the readout fit, whose design is ``Zn @ stage map``, only through
+    the Gram matrix of ``[Zn | T]``.  The R factors of both keep those Gram
+    matrices, so the ridge fits run on at most 2L and window + horizon rows
+    and have the minimizers of the fits on all rows."""
+    config, sh = model.config, model.shapes
+    w, length = config.window, sh.n_patches
+    kernels = [evo.fft_modes(model.front[rows].reshape(n, sh.order, length), modes)
+               for n, rows, modes in zip(sh.scale_lens, sh.scale_rows, sh.scale_modes)]
+    unit = _unit_window(config)
+    channels = []
+    for c in range(arr.shape[1]):
+        zn, targets = _windows(arr[:, c], starts, config)
+        coords = np.swapaxes(patch(delay_embed(zn, model.embedding), config.patch_len), 1, 2)
+        pairs = np.concatenate([coords[:-1], coords[1:]], axis=2)  # (B - 1, D, 2L)
+        r_e = np.linalg.qr(pairs.reshape(-1, 2 * length), mode="r")
+        evolvers = [
+            evo.fit_spectral_operators(np.einsum("rj,mnj->rmn", r_e[:, :length], k),
+                                       np.einsum("rj,mnj->rmn", r_e[:, length:], k),
+                                       n, config.ridge_lambda)
+            for n, k in zip(sh.scale_lens, kernels)
+        ]
+        r_o = np.linalg.qr(np.concatenate([zn, targets], axis=1), mode="r")
+        readout = _readout(r_o[:, :w] @ _stage_map(evolvers, model, unit), r_o[:, w:], config)
+        channels.append(ChannelModel(evolvers=evolvers, readout=readout))
+    return channels
+
+
+def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
+                 channel_index: int) -> ChannelModel:
+    """Fit one channel's ``direct`` or ``hopfield`` evolvers and readout on
+    its stack: k-means needs every source position."""
+    config, sh = model.config, model.shapes
+    zn, targets = _windows(z, starts, config)
+    stack = _stack(zn, model)
+    del zn  # the fit reads only the stack and the targets
+
+    evolvers = []
+    for si, (length, rows) in enumerate(zip(sh.scale_lens, sh.scale_rows)):
+        seqs = _positions(stack[:, rows], sh.order)
+        valid = seqs[:, _valid_positions(length, sh.padded // length, sh.pad)]
+        # (B, V, D, N); a position pairs with its place in the next window,
+        # window-major
+        src, dst = (v.reshape(-1, sh.d, sh.order) for v in (valid[:-1], valid[1:]))
+        seed = derive_seed(config.seed, 16 * channel_index + si + 2)
+        part = evo.kmeans_partition(src.reshape(len(src), -1),
+                                    min(config.n_clusters, len(src)), seed=seed)
+        if config.evolution_strategy == "direct":
+            evolvers.append(
+                evo.fit_direct_operators(src, part, config.ridge_lambda, targets=dst)
+            )
+        else:
+            evolvers.append(
+                evo.fit_hopfield_evolution(src, part, config.hopfield_beta, targets=dst)
+            )
+    readout = _readout(_features(stack, evolvers, model), targets, config)
     return ChannelModel(evolvers=evolvers, readout=readout)
 
 
@@ -405,8 +469,12 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     Training windows start every ``patch_len`` samples so consecutive windows
     are exactly one recurrence step apart (that is what the evolution
     operators model); at most ``max_train_windows`` of the most recent ones
-    are kept, and each channel runs all of them through the pipeline as one
-    batch.  With ``embedding=None`` the delay/dimension are selected from
+    are kept.  A ``frequency`` fit reduces each channel's windows to two
+    thin QR factors and solves each ridge on their rows; ``direct`` and
+    ``hopfield`` fits run each channel's windows through the pipeline as
+    one batch.  Every ridge is solved by a thin SVD, and with
+    ``ridge_lambda=0`` a rank-deficient system raises SingularSystemError
+    (normalized windows have rank at most window - 1).  With ``embedding=None`` the delay/dimension are selected from
     the data, capped so one context window always holds at least two
     patches; a constant series then raises DegenerateSeriesError, while a
     manually supplied embedding turns a constant series into an exact
@@ -414,8 +482,8 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     returned model's config holds the embedding it was fit with, so
     ``fit(model.config, x)`` behaves the same for a fitted model and for the
     same model loaded from its document.  A series with
-    NaN or inf, or finite values whose window spread or fit overflows the
-    float range, raises NonFiniteError.
+    NaN or inf, or finite values whose window spread, normalized horizon or
+    fit overflows the float range, raises NonFiniteError.
     """
     arr = _finite_2d(series, "series")
     n, n_channels = arr.shape
@@ -436,7 +504,10 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
 
     # the length check above leaves room for at least two windows
     starts = np.arange(0, n - w - h + 1, config.patch_len)[-config.max_train_windows :]
-    channels = [_fit_channel(arr[:, c], starts, operators, c) for c in range(n_channels)]
+    if config.evolution_strategy == "frequency":
+        channels = _fit_frequency(arr, starts, operators)
+    else:
+        channels = [_fit_channel(arr[:, c], starts, operators, c) for c in range(n_channels)]
     return FittedForecaster(config, channels)
 
 

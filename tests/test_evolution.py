@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attraos import evolution as evo
-from attraos.errors import EmptyInputError, SingularSystemError, TooManyModesError
+from attraos.errors import (
+    EmptyInputError,
+    NonFiniteError,
+    SingularSystemError,
+    TooManyModesError,
+)
 
 
 def direct_dft(x):
@@ -105,6 +110,64 @@ class TestRidgeFit:
         base = objective(w)
         for _ in range(20):
             assert objective(w + rng.uniform(-1e-3, 1e-3, w.shape)) >= base
+
+
+    @pytest.mark.parametrize("where", ["design", "targets"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_non_finite_input_raises(self, rng, where, value, lam):
+        a = rng.standard_normal((12, 3))
+        b = rng.standard_normal((12, 2))
+        (a if where == "design" else b)[4, 1] = value
+        with pytest.raises(NonFiniteError):
+            evo.ridge_fit(a, b, lam)
+
+    def test_large_finite_design_does_not_overflow(self):
+        # its Gram matrix would hold 1e400
+        a = np.array([[1e200, 0.0], [0.0, 1.0]])
+        lam = 1e-3
+        w = evo.ridge_fit(a, np.array([[1.0, 2.0], [3.0, 4.0]]), lam)
+        # W^T = diag(1 / (s + lam / s)) b, s = (1e200, 1)
+        ref = np.array([[1e-200, 3.0 / (1.0 + lam)], [2e-200, 4.0 / (1.0 + lam)]])
+        assert np.all(np.isfinite(w))
+        assert np.all(np.abs(w - ref) <= 1e-12 * np.abs(ref))
+
+    def test_one_ulp_perturbation_moves_the_fit_little(self, rng):
+        # singular values 1e4 ... 1e-6, condition number 1e10: through the
+        # normal equations a one-ulp relative change of the design moves W
+        # by 3.1e-6 relative, through the SVD by 5.3e-11
+        u, _ = np.linalg.qr(rng.standard_normal((200, 50)))
+        v, _ = np.linalg.qr(rng.standard_normal((50, 50)))
+        a = (u * np.logspace(4, -6, 50)) @ v.T
+        b = rng.standard_normal((200, 3))
+        nudged = a * (1.0 + np.finfo(float).eps * rng.choice([-1.0, 1.0], a.shape))
+        w, w_nudged = evo.ridge_fit(a, b, 1e-3), evo.ridge_fit(nudged, b, 1e-3)
+        assert np.abs(w_nudged - w).max() <= 1e-8 * np.abs(w).max()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_wide_design_matches_the_dual_form(self, rng, dtype):
+        def draw(shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+        a, b, lam = draw((6, 15)), draw((6, 2)), 0.05
+        dual = a.conj().T @ np.linalg.solve(a @ a.conj().T + lam * np.eye(6), b)
+        assert np.abs(evo.ridge_fit(a, b, lam) - dual.T).max() <= 1e-12 * np.abs(dual).max()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_full_rank_unregularized_matches_lstsq(self, rng, dtype):
+        a, b = rng.standard_normal((25, 5)), rng.standard_normal((25, 2))
+        if dtype is complex:
+            a, b = a + 1j * rng.standard_normal((25, 5)), b + 1j * rng.standard_normal((25, 2))
+        ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.abs(evo.ridge_fit(a, b, 0.0) - ref.T).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape", [(25, 5), (3, 5)], ids=["tall", "wide"])
+    def test_exactly_rank_deficient_unregularized_raises(self, rng, shape):
+        a = rng.standard_normal(shape)
+        a[:, 4] = a[:, 0] - 2.0 * a[:, 1]  # an exact dependency, or too few rows
+        with pytest.raises(SingularSystemError):
+            evo.ridge_fit(a, rng.standard_normal((shape[0], 2)), 0.0)
 
 
 class TestSpectralEvolution:
