@@ -8,9 +8,11 @@ DLinear-style baselines on the held-out tail, with each strategy's fit time and
 model document size (``model_mb``, its JSON length in MB).
 
 The DLinear-style baseline (Zeng et al. 2023, arXiv:2205.13504) is one ridge
-map per channel from the instance-normalized window to the normalized horizon,
-fit on the same training windows as the forecaster.  A ``frequency`` model is
-itself a linear map of that shape (its serving map), so
+map per channel from the instance-normalized window to the normalized horizon.
+It is fit by the forecaster's own rules: the training windows and targets of
+``forecaster._windows`` and the readout solve ``forecaster._readout`` with the
+config's ``ridge_lambda``, so it follows any change to those rules.  A
+``frequency`` model is itself a linear map of that shape (its serving map), so
 ``dlinear_mse_ratio`` (baseline MSE / ``frequency`` MSE) says what the
 structure of the staged pipeline buys over an unconstrained linear map.
 """
@@ -22,24 +24,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from attraos import chaos, evolution as evo, forecaster as fc
+from attraos import chaos, forecaster as fc
 from attraos.seeding import derive_seed
-
-DLINEAR_LAMBDA = 1e-3
 
 
 def fit_dlinear(train, config):
     """(channels, window, horizon) ridge maps from each normalized training
     window to its normalized horizon, on the windows ``fc.fit`` uses."""
-    w, h = config.window, config.horizon
-    starts = np.arange(0, train.shape[0] - w - h + 1, config.patch_len)
-    starts = starts[-config.max_train_windows :]
-    maps = []
-    for z in train.T:
-        zn, mu, sd = fc._normalize(z[starts[:, None] + np.arange(w)])
-        target = (z[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
-        maps.append(evo.ridge_fit(zn, target, DLINEAR_LAMBDA).T)
-    return np.stack(maps)
+    return np.stack([fc._readout(*fc._windows(z, config), config) for z in train.T])
 
 
 def dlinear_predict(maps, context):

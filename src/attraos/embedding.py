@@ -14,7 +14,9 @@ Every function here and in ``lyapunov`` that reads a scalar series raises
 ShapeMismatchError for one that is not 1-D, and NonFiniteError for one with
 NaN or inf or whose spread (``mi_profile``) or nearest-neighbour distances
 (``lyapunov``) overflow floats.  The FNN test scales the series by a power
-of two first, so its fractions do not depend on the series' magnitude.
+of two first (``_unit_scaled``, which the forecaster's normalization shares),
+so its fractions do not depend on the series' magnitude.  ``_as_2d`` states
+the one (samples, channels) layout of a multichannel series.
 """
 
 from __future__ import annotations
@@ -55,6 +57,30 @@ def default_bins(length: int) -> int:
 def default_max_tau(length: int) -> int:
     """Largest delay the MI scan tries for a series of ``length`` samples."""
     return int(np.clip(length // 10, 10, 100))
+
+
+def _as_2d(series) -> np.ndarray:
+    """A series as a (samples, channels) array; a 1-D series is one channel.
+    Any other layout raises ShapeMismatchError."""
+    arr = np.asarray(series, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ShapeMismatchError(
+            f"expected a 1-D series or (samples, channels >= 1), got shape {arr.shape}"
+        )
+    return arr
+
+
+def _unit_scaled(x: np.ndarray, axis=None):
+    """``x`` times 2^-e, where e (kept along ``axis``) brings its largest
+    magnitude along ``axis`` into [0.5, 1), and e.
+
+    Scaling by a power of two is exact and keeps every ratio and comparison;
+    with |x| < 1 no spread, distance or square overflows, and a tiny series
+    no longer underflows when squared."""
+    exp = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(x, -exp), exp
 
 
 def _check_series(series: np.ndarray) -> np.ndarray:
@@ -130,10 +156,7 @@ def _fnn_fractions(series, tau: int, max_m: int):
         raise ValueError("need tau >= 1 and max_m >= 1")
     if series.size < (max_m - 1) * tau + 2:
         raise TooShortError("series too short to embed at max_m")
-    # scaling by a power of two is exact and keeps every ratio and comparison;
-    # with |series| < 1 no spread, distance or square overflows, and a tiny
-    # series no longer underflows when squared
-    series = np.ldexp(series, -np.frexp(np.abs(series).max())[1])
+    series = _unit_scaled(series)[0]
     sigma = float(series.std())
     for m in range(1, max_m + 1):
         usable = series.size - m * tau

@@ -316,10 +316,13 @@ def fit_hopfield_evolution(
 
 def apply_hopfield_evolution(x: np.ndarray, model: HopfieldEvolutionModel) -> np.ndarray:
     """x' = V^T softmax(beta K x) per position of a (rows, D, N) array, on
-    its flattened (D * N) state."""
+    its flattened (D * N) state.  The logits and the retrieval of each row
+    are products of their own (a broadcast matmul over the rows), so a row
+    does not depend on the rows computed with it."""
     x = np.asarray(x, dtype=float)
-    logits = model.beta * (x.reshape(len(x), -1) @ model.keys.T)
+    rows = x.reshape(len(x), 1, -1)
+    logits = model.beta * (rows @ model.keys.T)[:, 0]
     logits -= logits.max(axis=1, keepdims=True)
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
-    return (w @ model.values).reshape(x.shape)
+    return (w[:, None] @ model.values).reshape(x.shape)

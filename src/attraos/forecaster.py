@@ -1,8 +1,9 @@
 """End-to-end attractor-aware forecaster.
 
 Per channel, for a batch of context windows at once, the pipeline is:
-instance-normalize, delay-embed, patch, run the discretized
-polynomial-projection recurrence over the patch sequence, split the state
+instance-normalize (exactly at any magnitude, ``_normalize``), delay-embed,
+patch, run the discretized polynomial-projection recurrence over the patch
+sequence, split the state
 sequence into a multi-scale pyramid, advance every scale one step with the
 configured evolution strategy, reconstruct the finest scale from the evolved
 pyramid, collapse the polynomial axis by evaluating each window expansion at
@@ -17,11 +18,9 @@ matrices applied to each window's (steps, D) array: a front operator
 (recurrence, left padding, decompose) and a back operator (reconstruct, drop
 padding, endpoint).  They are derived by pushing identity inputs through the
 reference primitives (``sequential_scan``, ``decompose``, ``reconstruct``).
-Each window, and under ``direct`` each position, gets its own identically
-shaped matrix product, so a window's features do not depend on the batch it
-is computed in, except under ``hopfield``, which evolves all windows'
-positions as one product: there they may differ in the last bits (measured
-up to 9.3e-15 relative).
+Each window, and under ``direct`` and ``hopfield`` each position, gets its
+own identically shaped matrix product, so a window's features do not depend
+on the batch it is computed in, for every strategy.
 
 Between the two operators a window is one (S, D) array, the stack: the whole
 pyramid, each scale a fixed block of rows (``ShapeInfo.scale_rows``).
@@ -55,9 +54,10 @@ config and the embedding as JSON and the fitted arrays as base64 float64
 bytes, each once; this module is the only one that reads or writes it.
 
 Every learned map is a closed-form ridge regression (``evolution.ridge_fit``,
-one thin SVD of its design); there is no iterative training.  Evolution
-operators are fit on consecutive-window pairs (windows shifted by one
-patch), so "evolve" means "advance the window by one patch".  A
+one thin SVD of its design); there is no iterative training.  The training
+windows and their normalized targets come from one function (``_windows``).
+Evolution operators are fit on consecutive-window pairs (windows shifted by
+one patch), so "evolve" means "advance the window by one patch".  A
 ``frequency`` fit sees the training windows only through two Gram matrices,
 so it fits on the R factors of two thin QR decompositions and builds no
 stack (``_fit_frequency``); ``direct`` and ``hopfield`` fits run all
@@ -75,7 +75,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import evolution as evo
-from .embedding import EmbeddingParams, delay_embed, patch, select_embedding
+from .embedding import EmbeddingParams, _as_2d, _unit_scaled, delay_embed, patch, select_embedding
 from .errors import (
     EmptyInputError,
     ModelFormatError,
@@ -245,15 +245,6 @@ class FittedForecaster:
         return len(self.channels)
 
 
-def _as_2d(series) -> np.ndarray:
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ShapeMismatchError("series must be 1-D or (samples, channels >= 1)")
-    return arr
-
-
 def _finite_2d(series, what: str) -> np.ndarray:
     arr = _as_2d(series)
     if not np.all(np.isfinite(arr)):
@@ -261,17 +252,40 @@ def _finite_2d(series, what: str) -> np.ndarray:
     return arr
 
 
-def _normalize(windows: np.ndarray):
-    """Per-window instance normalization of a (batch, window) array.
+def _moments(windows: np.ndarray):
+    """Each row's mean, deviations from it and spread (population standard
+    deviation), in the arithmetic of ``np.mean`` and ``np.std``."""
+    n = windows.shape[1]
+    mu = np.add.reduce(windows, axis=1) / n
+    dev = windows - mu[:, None]
+    return mu, dev, np.sqrt(np.add.reduce(dev * dev, axis=1) / n)
 
-    A window whose mean or spread overflows the float range raises
-    NonFiniteError (an overflowing mean makes the std non-finite too)."""
-    mu = windows.mean(axis=1)
-    sd = windows.std(axis=1)
-    if not np.all(np.isfinite(sd)):
-        raise NonFiniteError("a window's spread overflows the float range")
-    sd[sd == 0.0] = 1.0
-    return (windows - mu[:, None]) / sd[:, None], mu, sd
+
+def _normalize(windows: np.ndarray):
+    """Per-window instance normalization of a (batch, window) array: the
+    normalized windows, and each window's mean and spread.
+
+    A window whose spread lies in [2^-460, 2^460] is normalized as it is;
+    no deviation's square over- or underflows there.  Any other window, a
+    constant one too, is normalized after ``_unit_scaled`` scales it by a
+    power of two, and its mean and spread are scaled back.  Scaling by a
+    power of two is exact, so a series scaled by 2^k normalizes to the same
+    bits, with its means and spreads scaled by 2^k, and the normalization
+    of finite windows always succeeds.  A constant window (spread 0) takes
+    spread 1 at its scaled magnitude, so its spread reads as that power of
+    two."""
+    # an overflowing sum or square leaves a spread outside the range below
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        mu, dev, sd = _moments(windows)
+    odd = ~((sd >= 2.0**-460) & (sd <= 2.0**460))
+    if not odd.any():
+        return dev / sd[:, None], mu, sd
+    scaled, exp = _unit_scaled(windows[odd], axis=1)
+    mu[odd], dev[odd], sd[odd] = _moments(scaled)
+    sd[sd == 0.0] = 1.0  # a constant window
+    zn = dev / sd[:, None]
+    mu[odd], sd[odd] = np.ldexp(mu[odd], exp[:, 0]), np.ldexp(sd[odd], exp[:, 0])
+    return zn, mu, sd
 
 
 def _front_operator(disc: DiscretizedSsm, filters: WaveletFilters, sh: ShapeInfo) -> np.ndarray:
@@ -372,12 +386,17 @@ def _stage_map(evolvers, model, unit: np.ndarray) -> np.ndarray:
     return (stages @ unit).reshape(len(unit), -1)
 
 
-def _windows(z: np.ndarray, starts: np.ndarray, config: ForecasterConfig):
+def _windows(z: np.ndarray, config: ForecasterConfig):
     """A channel's normalized (B, window) training windows and their
-    (B, horizon) targets, each horizon normalized by its window.  A horizon
-    that overflows the float range at its window's scale raises
-    NonFiniteError."""
+    (B, horizon) targets, each horizon normalized by its window.
+
+    This is the one statement of the training-window rule: windows start
+    every ``patch_len`` samples, so consecutive windows are exactly one
+    recurrence step apart (that is what the evolution operators model), and
+    the most recent ``max_train_windows`` of them are kept.  A horizon that
+    overflows the float range at its window's scale raises NonFiniteError."""
     w, h = config.window, config.horizon
+    starts = np.arange(0, len(z) - w - h + 1, config.patch_len)[-config.max_train_windows :]
     zn, mu, sd = _normalize(z[starts[:, None] + np.arange(w)])
     with np.errstate(over="ignore"):
         targets = (z[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
@@ -396,7 +415,7 @@ def _readout(design: np.ndarray, targets: np.ndarray, config: ForecasterConfig) 
     return readout
 
 
-def _fit_frequency(arr: np.ndarray, starts: np.ndarray, model: FittedForecaster) -> list:
+def _fit_frequency(arr: np.ndarray, model: FittedForecaster) -> list:
     """Fit each channel's ``frequency`` evolvers and readout from two thin
     QR factors of its windows; the (B, S, D) stack is never built.
 
@@ -416,7 +435,7 @@ def _fit_frequency(arr: np.ndarray, starts: np.ndarray, model: FittedForecaster)
     unit = _unit_window(config)
     channels = []
     for c in range(arr.shape[1]):
-        zn, targets = _windows(arr[:, c], starts, config)
+        zn, targets = _windows(arr[:, c], config)
         coords = np.swapaxes(patch(delay_embed(zn, model.embedding), config.patch_len), 1, 2)
         pairs = np.concatenate([coords[:-1], coords[1:]], axis=2)  # (B - 1, D, 2L)
         r_e = np.linalg.qr(pairs.reshape(-1, 2 * length), mode="r")
@@ -432,12 +451,11 @@ def _fit_frequency(arr: np.ndarray, starts: np.ndarray, model: FittedForecaster)
     return channels
 
 
-def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
-                 channel_index: int) -> ChannelModel:
+def _fit_channel(z: np.ndarray, model: FittedForecaster, channel_index: int) -> ChannelModel:
     """Fit one channel's ``direct`` or ``hopfield`` evolvers and readout on
     its stack: k-means needs every source position."""
     config, sh = model.config, model.shapes
-    zn, targets = _windows(z, starts, config)
+    zn, targets = _windows(z, config)
     stack = _stack(zn, model)
     del zn  # the fit reads only the stack and the targets
 
@@ -466,28 +484,30 @@ def _fit_channel(z: np.ndarray, starts: np.ndarray, model: FittedForecaster,
 def fit(config: ForecasterConfig, series) -> FittedForecaster:
     """Fit per-channel evolution operators and readouts on sliding windows.
 
-    Training windows start every ``patch_len`` samples so consecutive windows
-    are exactly one recurrence step apart (that is what the evolution
-    operators model); at most ``max_train_windows`` of the most recent ones
-    are kept.  A ``frequency`` fit reduces each channel's windows to two
+    The training windows are the ones ``_windows`` states: every
+    ``patch_len`` samples, at most ``max_train_windows`` of the most recent
+    ones.  A ``frequency`` fit reduces each channel's windows to two
     thin QR factors and solves each ridge on their rows; ``direct`` and
     ``hopfield`` fits run each channel's windows through the pipeline as
     one batch.  Every ridge is solved by a thin SVD, and with
     ``ridge_lambda=0`` a rank-deficient system raises SingularSystemError
-    (normalized windows have rank at most window - 1).  With ``embedding=None`` the delay/dimension are selected from
+    (normalized windows have rank at most window - 1).  With
+    ``embedding=None`` the delay/dimension are selected from
     the data, capped so one context window always holds at least two
     patches; a constant series then raises DegenerateSeriesError, while a
     manually supplied embedding turns a constant series into an exact
     constant forecast (zero features, the window mean is returned).  The
     returned model's config holds the embedding it was fit with, so
     ``fit(model.config, x)`` behaves the same for a fitted model and for the
-    same model loaded from its document.  A series with
-    NaN or inf, or finite values whose window spread, normalized horizon or
-    fit overflows the float range, raises NonFiniteError.
+    same model loaded from its document.  Fitting a series scaled by a
+    power of two gives the same model (``_normalize``).  A series with NaN
+    or inf, or finite values whose normalized horizon or fit overflows the
+    float range, raises NonFiniteError.
     """
     arr = _finite_2d(series, "series")
     n, n_channels = arr.shape
     w, h = config.window, config.horizon
+    # this leaves room for at least two training windows
     if n < w + h + config.patch_len:
         raise TooShortError("series shorter than one training window + horizon")
 
@@ -501,13 +521,10 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     # the channels are fit on the stage operators of a channel-less model,
     # which builds no serving maps; the returned model is built from them
     operators = FittedForecaster(config, channels=[])
-
-    # the length check above leaves room for at least two windows
-    starts = np.arange(0, n - w - h + 1, config.patch_len)[-config.max_train_windows :]
     if config.evolution_strategy == "frequency":
-        channels = _fit_frequency(arr, starts, operators)
+        channels = _fit_frequency(arr, operators)
     else:
-        channels = [_fit_channel(arr[:, c], starts, operators, c) for c in range(n_channels)]
+        channels = [_fit_channel(arr[:, c], operators, c) for c in range(n_channels)]
     return FittedForecaster(config, channels)
 
 
@@ -540,7 +557,9 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
                            for stack, ch in zip(_stack(zn, model), model.channels, strict=True)])
     else:
         normed = zn @ model.serving
-    out = (mu[:, None] + sd[:, None] * normed[:, 0]).T
+    # an overflowing forecast is found below, not printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (mu[:, None] + sd[:, None] * normed[:, 0]).T
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("the forecast overflows the float range")
     return ForecastResult(predictions=out)
@@ -558,8 +577,10 @@ def evaluate(predictions, truth) -> dict:
         raise ShapeMismatchError(f"predictions {p.shape} vs truth {t.shape}")
     if p.size == 0:
         raise EmptyInputError("nothing to evaluate")
-    err = p - t
-    mse = float(np.mean(err**2))
+    # an overflowing difference or square is found below, not printed
+    with np.errstate(over="ignore"):
+        err = p - t
+        mse = float(np.mean(err**2))
     if not np.isfinite(mse):
         raise NonFiniteError("prediction errors overflow the float range")
     return {"mse": mse, "mae": float(np.mean(np.abs(err)))}

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .embedding import EmbeddingParams, _check_series, delay_embed
-from .errors import DegenerateSeriesError, NonFiniteError, ShapeMismatchError, TooShortError
+from .embedding import EmbeddingParams, _as_2d, _check_series, delay_embed
+from .errors import DegenerateSeriesError, NonFiniteError, TooShortError
 
 _QUERY_BLOCK = 2048  # reference points per neighbour query
 _FIRST_K = 8  # neighbours every point is queried for first
@@ -139,11 +139,7 @@ def mle_table(dataset, params, horizon: int = 200, theiler: int | None = None,
     one entry per channel.  A dataset that is neither a series nor a
     (samples, channels >= 1) array raises ShapeMismatchError.
     """
-    arr = np.asarray(dataset, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ShapeMismatchError(f"expected a series or (samples, channels >= 1), got {arr.shape}")
+    arr = _as_2d(dataset)
     channels = arr.shape[1]
     if isinstance(params, EmbeddingParams):
         params = [params] * channels

@@ -481,6 +481,20 @@ class TestFitPredictEval:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_eval_overflowing_errors_print_one_error_line(self, tmp_path, capsys):
+        # errors of 2e200 overflow when squared; numpy's overflow warning
+        # would reach stderr ahead of the error line
+        paths = {side: tmp_path / f"{side}.csv" for side in ("pred", "truth")}
+        write_csv(paths["pred"], np.full((4, 1), 1e200), ["v0"])
+        write_csv(paths["truth"], np.full((4, 1), -1e200), ["v0"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "eval", "--pred", str(paths["pred"]), "--truth", str(paths["truth"])
+            )
+        assert code == 3 and out == ""
+        assert err == "error: prediction errors overflow the float range\n"
+
     def test_eval_missing_file_exits_3(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "eval", "--pred", str(tmp_path / "a.csv"), "--truth", str(tmp_path / "b.csv")

@@ -181,6 +181,15 @@ class TestFrequencyFit:
         assert peak < 100e6
 
 
+@pytest.fixture(scope="module")
+def strategy_models(lorenz_model):
+    """``lorenz_model`` and its refits under ``direct`` and ``hopfield``."""
+    model, train, _ = lorenz_model
+    return {s: model if s == "frequency"
+            else fc.fit(replace(model.config, evolution_strategy=s, max_train_windows=256), train)
+            for s in fc.STRATEGIES}
+
+
 class TestPredict:
     def test_deterministic(self, lorenz_model):
         model, _, val = lorenz_model
@@ -267,13 +276,7 @@ class TestPredict:
             fc.predict(model, x[starts[i] : starts[i] + 96])
             # one single-window row per channel, in order
             for c in range(2):
-                if strategy == "hopfield":
-                    # the fit evolves all windows' positions in one BLAS
-                    # product, whose row sums differ in the last bits from a
-                    # single window's (measured: 9.3e-15)
-                    assert_close(rows[c - 2][0], designs[c][i], rtol=1e-12)
-                else:
-                    assert np.array_equal(rows[c - 2][0], designs[c][i])
+                assert np.array_equal(rows[c - 2][0], designs[c][i])
 
     def test_predict_runs_on_stage_operators(self, lorenz_model, monkeypatch):
         # the primitives and the stages only build the operators and the
@@ -371,10 +374,17 @@ class TestStageOperators:
         rand = rng.standard_normal(stack.shape)
         assert_close((model.back @ rand).reshape(batch, -1), reference_features(scales(rand), model))
 
-    @settings(max_examples=20, deadline=None)
-    @given(batch=st.integers(1, 40), pick=st.integers(0, 39), seed=st.integers(0, 2**31))
-    def test_window_alone_equals_window_in_batch(self, lorenz_model, batch, pick, seed):
-        model, _, val = lorenz_model
+    @settings(max_examples=30, deadline=None)
+    @given(strategy=st.sampled_from(fc.STRATEGIES), batch=st.integers(1, 40),
+           pick=st.integers(0, 39), seed=st.integers(0, 2**31))
+    @example(strategy="frequency", batch=40, pick=3, seed=0)
+    @example(strategy="direct", batch=40, pick=3, seed=0)
+    @example(strategy="hopfield", batch=40, pick=3, seed=0)
+    def test_window_alone_equals_window_in_batch(self, strategy_models, lorenz_model, strategy,
+                                                 batch, pick, seed):
+        # every stage, each strategy's evolution too, computes a window's
+        # rows in products of their own
+        model, _, val = strategy_models[strategy], *lorenz_model[1:]
         rng = np.random.default_rng(seed)
         starts = rng.integers(0, val.size - 96, batch)
         windows = val[starts[:, None] + np.arange(96)]
@@ -782,19 +792,6 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteError):
             fc.rollout(model, x[:96], 8, truth=self.with_nan(x[96:104], at=0), alpha=0.5)
 
-    @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
-    def test_overflowing_scale_raises(self, lorenz63_x, strategy):
-        # finite values whose window spread overflows the float range
-        x = lorenz63_x[:2000]
-        cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
-        with pytest.raises(NonFiniteError):
-            fc.fit(cfg, 1e200 * x)
-        model = fc.fit(cfg, x)
-        with pytest.raises(NonFiniteError):
-            fc.predict(model, 1e200 * x[:96])
-        with pytest.raises(NonFiniteError):
-            fc.rollout(model, 1e200 * x[:96], 8)
-
     def test_auto_embedding_overflowing_spread_raises(self, overflowing):
         with pytest.raises(NonFiniteError, match="spread overflows"):
             fc.fit(fc.ForecasterConfig(window=96, horizon=16), overflowing)
@@ -818,6 +815,47 @@ class TestNonFiniteInput:
         cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
         model = fc.fit(cfg, x)
         assert np.all(np.isfinite(fc.predict(model, x[-98:-2]).predictions))
+
+
+class TestPowerOfTwoScale:
+    """Scaling by a power of two is exact, and ``_normalize`` scales a window
+    whose spread would over- or underflow when squared by one, so a window
+    scaled by 2^k normalizes to the same bits.  A model fit on 2^k * x then
+    forecasts exactly 2^k times the forecast of the model fit on x, from a
+    manual and from a selected embedding: at 2^-700 windows whose squared
+    deviations underflowed read as constant or forecast 41-130% off, at 2^700
+    their spread overflowed.  Every scale of the Lorenz63 series stays
+    within the normal float range for |k| <= 900."""
+
+    EMBEDDINGS = {"manual": EmbeddingParams(3, 4), "auto": None}
+
+    @pytest.fixture(scope="class")
+    def unscaled(self, lorenz63_x):
+        x = lorenz63_x[:2000]
+        models = {
+            (strategy, name): fc.fit(small_config(window=96, max_train_windows=16,
+                                                  evolution_strategy=strategy,
+                                                  embedding=embedding), x)
+            for strategy in fc.STRATEGIES for name, embedding in self.EMBEDDINGS.items()
+        }
+        return x, models
+
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    @settings(max_examples=8, deadline=None)
+    @given(k=st.integers(-900, 900))
+    @example(k=-700)
+    @example(k=700)
+    def test_scaled_series_forecasts_the_scaled_forecast(self, unscaled, strategy, k):
+        x, models = unscaled
+        context = x[-96:]
+        for name, embedding in self.EMBEDDINGS.items():
+            model = models[strategy, name]
+            expect = np.ldexp(fc.predict(model, context).predictions, k)
+            scaled = fc.fit(replace(model.config, embedding=embedding), np.ldexp(x, k))
+            assert scaled.embedding == model.embedding
+            assert np.array_equal(fc.predict(scaled, np.ldexp(context, k)).predictions, expect)
+            # the model fit at scale 1 serves the scaled context exactly too
+            assert np.array_equal(fc.predict(model, np.ldexp(context, k)).predictions, expect)
 
 
 class TestModelDocument:
