@@ -320,8 +320,7 @@ def apply_hopfield_evolution(x: np.ndarray, model: HopfieldEvolutionModel) -> np
     are products of their own (a broadcast matmul over the rows), so a row
     does not depend on the rows computed with it."""
     x = np.asarray(x, dtype=float)
-    rows = x.reshape(len(x), 1, -1)
-    logits = model.beta * (rows @ model.keys.T)[:, 0]
+    logits = model.beta * (x.reshape(len(x), 1, -1) @ model.keys.T)[:, 0]
     logits -= logits.max(axis=1, keepdims=True)
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)

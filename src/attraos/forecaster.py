@@ -254,7 +254,10 @@ def _finite_2d(series, what: str) -> np.ndarray:
 
 def _moments(windows: np.ndarray):
     """Each row's mean, deviations from it and spread (population standard
-    deviation), in the arithmetic of ``np.mean`` and ``np.std``."""
+    deviation), in the arithmetic of ``np.mean`` and ``np.std``.  The
+    deviations serve the spread and the normalized window alike, and
+    numpy's wrappers around these reductions cost a one-window ``predict``
+    more than the arithmetic does."""
     n = windows.shape[1]
     mu = np.add.reduce(windows, axis=1) / n
     dev = windows - mu[:, None]
@@ -277,14 +280,15 @@ def _normalize(windows: np.ndarray):
     # an overflowing sum or square leaves a spread outside the range below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         mu, dev, sd = _moments(windows)
-    odd = ~((sd >= 2.0**-460) & (sd <= 2.0**460))
-    if not odd.any():
+    rescale = ~((sd >= 2.0**-460) & (sd <= 2.0**460))
+    if not rescale.any():
         return dev / sd[:, None], mu, sd
-    scaled, exp = _unit_scaled(windows[odd], axis=1)
-    mu[odd], dev[odd], sd[odd] = _moments(scaled)
+    scaled, exp = _unit_scaled(windows[rescale], axis=1)
+    mu[rescale], dev[rescale], sd[rescale] = _moments(scaled)
     sd[sd == 0.0] = 1.0  # a constant window
     zn = dev / sd[:, None]
-    mu[odd], sd[odd] = np.ldexp(mu[odd], exp[:, 0]), np.ldexp(sd[odd], exp[:, 0])
+    exp = exp[:, 0]
+    mu[rescale], sd[rescale] = np.ldexp(mu[rescale], exp), np.ldexp(sd[rescale], exp)
     return zn, mu, sd
 
 

@@ -384,7 +384,7 @@ class TestStageOperators:
                                                  batch, pick, seed):
         # every stage, each strategy's evolution too, computes a window's
         # rows in products of their own
-        model, _, val = strategy_models[strategy], *lorenz_model[1:]
+        model, val = strategy_models[strategy], lorenz_model[2]
         rng = np.random.default_rng(seed)
         starts = rng.integers(0, val.size - 96, batch)
         windows = val[starts[:, None] + np.arange(96)]
@@ -818,14 +818,14 @@ class TestNonFiniteInput:
 
 
 class TestPowerOfTwoScale:
-    """Scaling by a power of two is exact, and ``_normalize`` scales a window
-    whose spread would over- or underflow when squared by one, so a window
-    scaled by 2^k normalizes to the same bits.  A model fit on 2^k * x then
-    forecasts exactly 2^k times the forecast of the model fit on x, from a
-    manual and from a selected embedding: at 2^-700 windows whose squared
-    deviations underflowed read as constant or forecast 41-130% off, at 2^700
-    their spread overflowed.  Every scale of the Lorenz63 series stays
-    within the normal float range for |k| <= 900."""
+    """Scaling by a power of two is exact, and ``_normalize`` scales each
+    window whose squared deviations could over- or underflow by a power of
+    two first, so a window scaled by 2^k normalizes to the same bits.  A
+    model fit on 2^k * x then forecasts exactly 2^k times the forecast of
+    the model fit on x, from a manual and from a selected embedding.  Taken
+    as they are, windows at 2^-700 lose their squared deviations to
+    underflow and forecast far off, and at 2^700 their spread overflows.
+    Every value of the Lorenz63 series stays a normal float for |k| <= 900."""
 
     EMBEDDINGS = {"manual": EmbeddingParams(3, 4), "auto": None}
 
