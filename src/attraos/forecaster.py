@@ -211,6 +211,7 @@ class FittedForecaster:
     ``frequency`` models the ``serving`` maps (C, window, horizon), one per
     channel, from a normalized window to its normalized forecast (``None``
     for ``direct`` and ``hopfield``, and for a model without channels).
+    Serving maps beyond the float range raise NonFiniteError.
     """
 
     config: ForecasterConfig
@@ -232,8 +233,13 @@ class FittedForecaster:
         serving = None
         if cfg.evolution_strategy == "frequency" and self.channels:
             unit = _unit_window(cfg)
-            serving = np.stack([_stage_map(ch.evolvers, self, unit) @ ch.readout
-                                for ch in self.channels])
+            # finite operators and readouts can still compose to an
+            # overflowing map; that is found below, not printed
+            with np.errstate(over="ignore", invalid="ignore"):
+                serving = np.stack([_stage_map(ch.evolvers, self, unit) @ ch.readout
+                                    for ch in self.channels])
+            if not np.all(np.isfinite(serving)):
+                raise NonFiniteError("the serving maps overflow the float range")
         object.__setattr__(self, "serving", serving)
 
     @property
@@ -264,32 +270,40 @@ def _moments(windows: np.ndarray):
     return mu, dev, np.sqrt(np.add.reduce(dev * dev, axis=1) / n)
 
 
-def _normalize(windows: np.ndarray):
+def _scaled_normalize(windows: np.ndarray):
     """Per-window instance normalization of a (batch, window) array: the
-    normalized windows, and each window's mean and spread.
+    normalized windows, each window's mean and spread in units of 2^e, and
+    the exponents e (``None`` when every e is 0).
 
-    A window whose spread lies in [2^-460, 2^460] is normalized as it is;
-    no deviation's square over- or underflows there.  Any other window, a
-    constant one too, is normalized after ``_unit_scaled`` scales it by a
-    power of two, and its mean and spread are scaled back.  Scaling by a
-    power of two is exact, so a series scaled by 2^k normalizes to the same
-    bits, with its means and spreads scaled by 2^k, and the normalization
-    of finite windows always succeeds.  A constant window (spread 0) takes
-    spread 1 at its scaled magnitude, so its spread reads as that power of
-    two."""
+    A window whose spread lies in [2^-460, 2^460] is normalized as it is,
+    with e = 0; no deviation's square over- or underflows there.  Any other
+    window, a constant one too, is normalized after ``_unit_scaled`` scales
+    it by 2^-e, the power of two that brings its largest magnitude into
+    [0.5, 1).  Scaling by a power of two is exact, so a series scaled by 2^k
+    normalizes to the same bits, and the normalization of finite windows
+    always succeeds.  A constant window (spread 0) takes spread 1 in its
+    units, so its spread reads as 2^e."""
     # an overflowing sum or square leaves a spread outside the range below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         mu, dev, sd = _moments(windows)
     rescale = ~((sd >= 2.0**-460) & (sd <= 2.0**460))
     if not rescale.any():
-        return dev / sd[:, None], mu, sd
-    scaled, exp = _unit_scaled(windows[rescale], axis=1)
+        return dev / sd[:, None], mu, sd, None
+    scaled, e = _unit_scaled(windows[rescale], axis=1)
     mu[rescale], dev[rescale], sd[rescale] = _moments(scaled)
     sd[sd == 0.0] = 1.0  # a constant window
-    zn = dev / sd[:, None]
-    exp = exp[:, 0]
-    mu[rescale], sd[rescale] = np.ldexp(mu[rescale], exp), np.ldexp(sd[rescale], exp)
-    return zn, mu, sd
+    exp = np.zeros(len(windows), dtype=int)
+    exp[rescale] = e[:, 0]
+    return dev / sd[:, None], mu, sd, exp
+
+
+def _normalize(windows: np.ndarray):
+    """The normalized windows of ``_scaled_normalize``, and each window's
+    mean and spread in the windows' own units."""
+    zn, mu, sd, exp = _scaled_normalize(windows)
+    if exp is None:
+        return zn, mu, sd
+    return zn, np.ldexp(mu, exp), np.ldexp(sd, exp)
 
 
 def _front_operator(disc: DiscretizedSsm, filters: WaveletFilters, sh: ShapeInfo) -> np.ndarray:
@@ -397,13 +411,19 @@ def _windows(z: np.ndarray, config: ForecasterConfig):
     This is the one statement of the training-window rule: windows start
     every ``patch_len`` samples, so consecutive windows are exactly one
     recurrence step apart (that is what the evolution operators model), and
-    the most recent ``max_train_windows`` of them are kept.  A horizon that
-    overflows the float range at its window's scale raises NonFiniteError."""
+    the most recent ``max_train_windows`` of them are kept.  Each horizon
+    is normalized in its window's power-of-two units (``_scaled_normalize``),
+    so a series near the top of the float range fits as it would at any
+    scale; a normalized horizon beyond the float range raises
+    NonFiniteError."""
     w, h = config.window, config.horizon
     starts = np.arange(0, len(z) - w - h + 1, config.patch_len)[-config.max_train_windows :]
-    zn, mu, sd = _normalize(z[starts[:, None] + np.arange(w)])
+    zn, mu, sd, exp = _scaled_normalize(z[starts[:, None] + np.arange(w)])
+    horizons = z[starts[:, None] + w + np.arange(h)]
     with np.errstate(over="ignore"):
-        targets = (z[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
+        if exp is not None:
+            horizons = np.ldexp(horizons, -exp[:, None])
+        targets = (horizons - mu[:, None]) / sd[:, None]
     if not np.all(np.isfinite(targets)):
         raise NonFiniteError("a horizon overflows the float range at its window's scale")
     return zn, targets
@@ -765,8 +785,9 @@ def model_from_json(text: str) -> FittedForecaster:
     Versions 1 to 3 stored nested lists of JSON numbers.  An array that is
     not of its version's kind, not valid base64, of another length or
     shape, or that holds NaN or inf (a ``NaN``/``Infinity`` token, a literal
-    beyond the float range, or such bytes), raises ModelFormatError, as
-    does a non-finite config number.  Two older formats must be refit and
+    beyond the float range, or such bytes), raises ModelFormatError, as do
+    a non-finite config number and finite ``frequency`` arrays whose serving
+    maps overflow the float range.  Two older formats must be refit and
     raise ModelFormatError: version 1 padded the pyramid to a power of two,
     so a version-1 ``frequency`` model that now pads to another length had
     other scales; and versions 1 and 2 built the wavelet detail filters by
@@ -815,7 +836,10 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
             readout=_doc_floats(ch["readout"], "readout",
                                 (sh.n_patches * sh.d, config.horizon), doc["v"]),
         ))
-    return FittedForecaster(config, channels)
+    try:
+        return FittedForecaster(config, channels)
+    except NonFiniteError as exc:
+        raise ModelFormatError(f"model document does not serve: {exc}") from exc
 
 
 def save_model(model: FittedForecaster, path) -> None:

@@ -6,12 +6,14 @@ one detail vector living in the orthogonal complement.  The analysis filters
 come from expanding each coarse basis function in the two half-window bases by
 Gauss quadrature; one Householder QR completes those rows to an orthogonal
 2N x 2N matrix, so synthesis is the transpose and the round trip is lossless
-to rounding at every order.
+to rounding at every order.  The bank is a pure function of the order, so
+``build_filters`` builds each order's bank once and returns it read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -42,8 +44,10 @@ class Pyramid:
     coarse: np.ndarray
 
 
+@cache
 def build_filters(n: int) -> WaveletFilters:
-    """Orthogonal filter bank of order n.
+    """Orthogonal filter bank of order n, built once per order; its arrays
+    are read-only, since every caller shares them.
 
     h1[i, j] = <phi_i, left-half phi_j> and h2 likewise for the right half;
     the g rows are the orthogonal complement of [h1 h2] from the QR of
@@ -72,6 +76,8 @@ def build_filters(n: int) -> WaveletFilters:
         if lead.size and lead[0] < 0:
             g[i] = -g[i]
     g1, g2 = g[:, :n], g[:, n:]
+    for arr in (h1, h2, g1, g2):
+        arr.flags.writeable = False
     return WaveletFilters(h1=h1, h2=h2, g1=g1, g2=g2)
 
 

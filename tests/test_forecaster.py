@@ -1,6 +1,7 @@
 import base64
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -817,6 +818,16 @@ class TestNonFiniteInput:
         assert np.all(np.isfinite(fc.predict(model, x[-98:-2]).predictions))
 
 
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    def test_series_near_the_float_maximum_fits(self, overflowing, strategy):
+        # each horizon is normalized in its window's power-of-two units, so
+        # the series fits to the same model as the series at 2^-10
+        cfg = fc.ForecasterConfig(window=96, horizon=16, embedding=EmbeddingParams(3, 8),
+                                  evolution_strategy=strategy)
+        scaled = fc.fit(cfg, np.ldexp(overflowing, -10))
+        assert fc.model_to_json(fc.fit(cfg, overflowing)) == fc.model_to_json(scaled)
+
+
 class TestPowerOfTwoScale:
     """Scaling by a power of two is exact, and ``_normalize`` scales each
     window whose squared deviations could over- or underflow by a power of
@@ -859,6 +870,18 @@ class TestPowerOfTwoScale:
 
 
 class TestModelDocument:
+    def test_overflowing_serving_maps_raise_without_a_warning(self):
+        # every stored entry is finite, but one readout entry near the float
+        # maximum takes the serving map beyond it
+        doc = json.loads(fixture_text(4, "frequency"))
+        readout = fc.model_from_json(fixture_text(4, "frequency")).channels[0].readout.copy()
+        readout[0, 0] = 1e308
+        doc["channels"][0]["readout"] = stored(readout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFormatError, match="serving maps overflow"):
+                fc.model_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -1060,8 +1083,14 @@ class TestModelDocument:
                 with pytest.raises(ModelFormatError):
                     fc.model_from_json(json.dumps(broken))
 
-    def test_non_finite_model_is_not_written_as_bare_nan(self, lorenz_model):
-        model = lorenz_model[0]
+    def test_non_finite_model_is_not_written_as_bare_nan(self, strategy_models):
+        # a frequency model with a NaN readout has NaN serving maps and is
+        # not built at all; a direct model has no serving maps and is built
+        model = strategy_models["frequency"]
+        ch = model.channels[0]
+        with pytest.raises(NonFiniteError, match="serving maps"):
+            replace(model, channels=[replace(ch, readout=ch.readout * np.nan)])
+        model = strategy_models["direct"]
         ch = model.channels[0]
         broken = replace(model, channels=[replace(ch, readout=ch.readout * np.nan)])
         with pytest.raises(ValueError):

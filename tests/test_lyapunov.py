@@ -7,6 +7,7 @@ from attraos.embedding import EmbeddingParams, delay_embed
 from attraos.errors import (DegenerateSeriesError, NonFiniteError, ShapeMismatchError,
                              TooShortError)
 from attraos.lyapunov import _nearest_outside_window, estimate_mle, mle_table
+from test_chaos import lorenz63_rhs
 
 
 def lorenz63_jacobian(s, p):
@@ -27,13 +28,13 @@ def benettin_mle(params, x0, dt, steps, discard=1000):
     v = np.array([1.0, 0.0, 0.0])
     total, count = 0.0, 0
     for k in range(steps):
-        k1 = chaos.lorenz63_rhs(x, params)
+        k1 = lorenz63_rhs(x, params)
         j1 = lorenz63_jacobian(x, params) @ v
-        k2 = chaos.lorenz63_rhs(x + 0.5 * dt * k1, params)
+        k2 = lorenz63_rhs(x + 0.5 * dt * k1, params)
         j2 = lorenz63_jacobian(x + 0.5 * dt * k1, params) @ (v + 0.5 * dt * j1)
-        k3 = chaos.lorenz63_rhs(x + 0.5 * dt * k2, params)
+        k3 = lorenz63_rhs(x + 0.5 * dt * k2, params)
         j3 = lorenz63_jacobian(x + 0.5 * dt * k2, params) @ (v + 0.5 * dt * j2)
-        k4 = chaos.lorenz63_rhs(x + dt * k3, params)
+        k4 = lorenz63_rhs(x + dt * k3, params)
         j4 = lorenz63_jacobian(x + dt * k3, params) @ (v + dt * j3)
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         v = v + (dt / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4)

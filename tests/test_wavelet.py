@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attraos import forecaster as fc
 from attraos import wavelet as wv
+from attraos.embedding import EmbeddingParams
 from attraos.errors import ShapeMismatchError
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -164,3 +166,47 @@ class TestPyramid:
         with pytest.raises(ValueError):
             wv.decompose(rng.standard_normal((8, 2)), f, 4)
 
+
+
+class TestFilterBankCache:
+    """``build_filters`` builds each order's bank once and shares it, so the
+    bank must be read-only and one order's bank must not depend on another's."""
+
+    ARRAYS = ("h1", "h2", "g1", "g2")
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_repeat_calls_return_the_same_bank(self, n):
+        f = wv.build_filters(n)
+        assert wv.build_filters(n) is f
+        fresh = wv.build_filters.__wrapped__(n)
+        for name in self.ARRAYS:
+            assert np.array_equal(getattr(f, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_writing_into_the_bank_raises(self, name):
+        arr = getattr(wv.build_filters(4), name)
+        before = arr.copy()
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            arr += 1.0
+        assert np.array_equal(arr, before)
+
+    def test_a_model_built_after_another_order_is_unaffected(self):
+        def operators(order):
+            cfg = fc.ForecasterConfig(window=96, horizon=16, embedding=EmbeddingParams(3, 8),
+                                      poly_order=order)
+            model = fc.FittedForecaster(cfg, channels=[])
+            return model.front, model.back
+
+        wv.build_filters.cache_clear()
+        first = operators(8)
+        operators(3)
+        for got, want in zip(operators(8), first, strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_order_still_raises(self, n):
+        for _ in range(2):  # a raised call is not cached
+            with pytest.raises(ValueError, match="order"):
+                wv.build_filters(n)
