@@ -299,11 +299,14 @@ def _scaled_normalize(windows: np.ndarray):
 
 def _normalize(windows: np.ndarray):
     """The normalized windows of ``_scaled_normalize``, and each window's
-    mean and spread in the windows' own units."""
+    mean and spread in the windows' own units.  A window at the top of the
+    float range can round its mean or spread past it, to inf; a forecast
+    from it is then found non-finite."""
     zn, mu, sd, exp = _scaled_normalize(windows)
     if exp is None:
         return zn, mu, sd
-    return zn, np.ldexp(mu, exp), np.ldexp(sd, exp)
+    with np.errstate(over="ignore"):
+        return zn, np.ldexp(mu, exp), np.ldexp(sd, exp)
 
 
 def _front_operator(disc: DiscretizedSsm, filters: WaveletFilters, sh: ShapeInfo) -> np.ndarray:
@@ -576,13 +579,14 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
     # one contiguous row per channel, laid out like the fit-time windows
     zn, mu, sd = _normalize(np.ascontiguousarray(arr[-w:].T))
     zn = zn[:, None, :]  # (C, 1, window): one window per channel
-    if model.serving is None:
-        normed = np.stack([_features(stack, ch.evolvers, model) @ ch.readout
-                           for stack, ch in zip(_stack(zn, model), model.channels, strict=True)])
-    else:
-        normed = zn @ model.serving
     # an overflowing forecast is found below, not printed
     with np.errstate(over="ignore", invalid="ignore"):
+        if model.serving is None:
+            normed = np.stack([_features(stack, ch.evolvers, model) @ ch.readout
+                               for stack, ch in zip(_stack(zn, model), model.channels,
+                                                    strict=True)])
+        else:
+            normed = zn @ model.serving
         out = (mu[:, None] + sd[:, None] * normed[:, 0]).T
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("the forecast overflows the float range")

@@ -817,6 +817,15 @@ class TestNonFiniteInput:
         model = fc.fit(cfg, x)
         assert np.all(np.isfinite(fc.predict(model, x[-98:-2]).predictions))
 
+    def test_constant_context_at_the_float_maximum_raises_without_a_warning(
+            self, model_and_data):
+        # its mean, scaled back from the window's power-of-two units, rounds
+        # past the float range
+        model, _ = model_and_data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="forecast overflows"):
+                fc.predict(model, np.full(96, np.finfo(float).max))
 
     @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_series_near_the_float_maximum_fits(self, overflowing, strategy):
@@ -1297,6 +1306,19 @@ class TestNonlinearDocument:
         refit = fixture_text(4, strategy)
         assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == refit
         assert fc.model_to_json(fc.model_from_json(refit)) == refit
+
+    def test_overflowing_forecast_raises_without_a_warning(self, lorenz63_x, strategy):
+        # every stored entry is finite, but a readout column near the float
+        # maximum takes the forecast beyond it
+        doc = json.loads(fixture_text(4, strategy))
+        readout = fc.model_from_json(fixture_text(4, strategy)).channels[0].readout.copy()
+        readout[:, 0] = 1e308
+        doc["channels"][0]["readout"] = stored(readout)
+        model = fc.model_from_json(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="forecast overflows"):
+                fc.predict(model, lorenz63_x[: model.config.window])
 
 
 @pytest.mark.parametrize("strategy", fc.STRATEGIES)

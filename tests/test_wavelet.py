@@ -167,7 +167,6 @@ class TestPyramid:
             wv.decompose(rng.standard_normal((8, 2)), f, 4)
 
 
-
 class TestFilterBankCache:
     """``build_filters`` builds each order's bank once and shares it, so the
     bank must be read-only and one order's bank must not depend on another's."""
