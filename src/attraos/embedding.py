@@ -148,17 +148,23 @@ def _embed_forward(series: np.ndarray, m: int, tau: int) -> np.ndarray:
     return view[..., :n, ::tau]
 
 
-def _fnn_fractions(series, tau: int, max_m: int):
-    """False-neighbor fractions for m = 1, 2, ..., max_m in turn; ends
-    early at the first m the series is too short to test."""
+def _fnn_fractions(series, tau: int, max_m: int, dims=None):
+    """Checks the series, then returns an iterator of (m, fraction) pairs,
+    the false-neighbor fraction for each m of ``dims`` (default 1..max_m)
+    in turn; it ends early at the first m the series is too short to test.
+    The length check at max_m leaves only m = max_m that short."""
     series = _check_series(series)
     if tau < 1 or max_m < 1:
         raise ValueError("need tau >= 1 and max_m >= 1")
     if series.size < (max_m - 1) * tau + 2:
         raise TooShortError("series too short to embed at max_m")
     series = _unit_scaled(series)[0]
+    return _fractions(series, tau, range(1, max_m + 1) if dims is None else dims)
+
+
+def _fractions(series: np.ndarray, tau: int, dims):
     sigma = float(series.std())
-    for m in range(1, max_m + 1):
+    for m in dims:
         usable = series.size - m * tau
         if usable < 2:
             return
@@ -172,21 +178,35 @@ def _fnn_fractions(series, tau: int, max_m: int):
             ratio = np.where(d > 0, extra / np.where(d > 0, d, 1.0), np.inf)
         ratio[(d == 0) & (extra == 0)] = 0.0
         lonely = np.sqrt(d**2 + extra**2) / sigma > FNN_SIZE_TOL
-        yield float(np.mean((ratio > FNN_RATIO_TOL) | lonely))
+        yield m, float(np.mean((ratio > FNN_RATIO_TOL) | lonely))
 
 
 def fnn_profile(series, tau: int, max_m: int) -> np.ndarray:
     """False-neighbor fraction for m = 1..max_m (1.0 where too short to test)."""
-    tested = list(_fnn_fractions(series, tau, max_m))
+    tested = [frac for _, frac in _fnn_fractions(series, tau, max_m)]
     return np.concatenate([tested, np.ones(max_m - len(tested))])
 
 
 def false_nearest_neighbors(series, tau: int, max_m: int) -> int:
     """Smallest m <= max_m whose FNN fraction is below FNN_THRESHOLD, else
     max_m; the search stops there and tests no larger dimension."""
-    for m, frac in enumerate(_fnn_fractions(series, tau, max_m), start=1):
+    return _fnn_dimension(series, tau, max_m, floor=0)
+
+
+def _fnn_dimension(series, tau: int, max_m: int, floor: int) -> int:
+    """max(floor, false_nearest_neighbors(series, tau, max_m)) for
+    0 <= floor <= max_m, from fewer searches when floor > 0.
+
+    The answer is ``floor`` as soon as some m <= floor has a fraction below
+    FNN_THRESHOLD, so m = floor is tested first, then 1..floor-1, and only
+    then floor+1 upward; at floor = max_m nothing is tested.  The series is
+    checked all the same."""
+    dims = [floor, *range(1, floor), *range(floor + 1, max_m + 1)] if floor else None
+    if floor == max_m:
+        dims = []
+    for m, frac in _fnn_fractions(series, tau, max_m, dims):
         if frac < FNN_THRESHOLD:
-            return m
+            return max(m, floor)
     return max_m
 
 
@@ -236,21 +256,23 @@ def select_embedding(
     independently; the unified parameters are the maximum m and the median tau
     across the channels that are not constant (a constant channel has no
     dynamics to embed; only an all-constant input raises
-    DegenerateSeriesError).  Each series is checked as the module docstring
-    states, so input of more than two dimensions raises ShapeMismatchError.
+    DegenerateSeriesError).  Channels are taken in order, and a later one
+    runs only the FNN searches that can show it raises the maximum m so
+    far (``_fnn_dimension``).  Each series is checked as the module
+    docstring states, so input of more than two dimensions raises
+    ShapeMismatchError.
     """
     arr = np.asarray(series, dtype=float)
     if arr.ndim == 2:
-        varying = [c for c in range(arr.shape[1])
-                   if arr.shape[0] == 0 or arr[:, c].min() != arr[:, c].max()]
-        if not varying:
+        channels = [arr[:, c] for c in range(arr.shape[1])
+                    if arr.shape[0] == 0 or arr[:, c].min() != arr[:, c].max()]
+        if not channels:
             raise DegenerateSeriesError("every channel is constant")
-        per = [select_embedding(arr[:, c], max_tau, max_m) for c in varying]
-        m = max(p.m for p in per)
-        tau = int(np.median([p.tau for p in per]))
-        return EmbeddingParams(m=m, tau=tau)
-    if max_tau is None:
-        max_tau = default_max_tau(arr.size)
-    tau = mutual_information_delay(arr, max_tau)
-    m = false_nearest_neighbors(arr, tau, max_m)
-    return EmbeddingParams(m=m, tau=tau)
+    else:
+        channels = [arr]
+    m, taus = 0, []
+    for x in channels:
+        tau = mutual_information_delay(x, default_max_tau(x.size) if max_tau is None else max_tau)
+        m = _fnn_dimension(x, tau, max_m, floor=m) if m else false_nearest_neighbors(x, tau, max_m)
+        taus.append(tau)
+    return EmbeddingParams(m=m, tau=int(np.median(taus)))

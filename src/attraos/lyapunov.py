@@ -43,7 +43,8 @@ def estimate_mle(
     whose initial separation is exactly zero carry no direction information
     and are dropped.  A step at which every pair has met (zero separation)
     has no mean log separation: its curve value is ``-inf``, and such a step
-    inside ``fit_range`` raises DegenerateSeriesError.
+    inside ``fit_range`` raises DegenerateSeriesError.  A tracked separation
+    that overflows floats, at any step, raises NonFiniteError.
     A separation sums its squared coordinate differences in lag order, as
     ``np.linalg.norm`` does below 8 terms (above, numpy sums pairwise).
     The series is checked as the ``embedding`` module docstring states.
@@ -88,13 +89,17 @@ def estimate_mle(
     m, tau = params.m, params.tau
     lag_sq = np.empty((m, i_ref.size))
     curve = np.empty(horizon + 1)
-    for r in range(min(tau, horizon + 1)):
-        for p, t in enumerate(range(r, horizon + params.span, tau)):
-            np.square(series[i_ref + t] - series[j_ref + t], out=lag_sq[p % m])
-            if p >= m - 1:
-                d = np.sqrt(sum(lag_sq[(p + 1 + j) % m] for j in range(m)))
-                good = d > 0
-                curve[t - (m - 1) * tau] = np.mean(np.log(d[good])) if np.any(good) else -np.inf
+    # a separation that overflows makes its step's mean log separation +inf
+    with np.errstate(over="ignore"):
+        for r in range(min(tau, horizon + 1)):
+            for p, t in enumerate(range(r, horizon + params.span, tau)):
+                np.square(series[i_ref + t] - series[j_ref + t], out=lag_sq[p % m])
+                if p >= m - 1:
+                    d = np.sqrt(sum(lag_sq[(p + 1 + j) % m] for j in range(m)))
+                    good = d > 0
+                    curve[t - (m - 1) * tau] = np.mean(np.log(d[good])) if np.any(good) else -np.inf
+    if np.any(curve == np.inf):
+        raise NonFiniteError("a tracked neighbour separation overflows the float range")
     if not np.all(np.isfinite(curve[lo:hi])):
         raise DegenerateSeriesError("a step in the fit range has no separated neighbor pair")
     ks = np.arange(lo, hi)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,145 @@ class TestSelectEmbedding:
         single = emb.select_embedding(x, max_tau=40, max_m=6)
         multi = emb.select_embedding(two, max_tau=40, max_m=6)
         assert (multi.m, multi.tau) == (single.m, single.tau)
+
+
+@functools.lru_cache(maxsize=None)
+def lorenz63_states():
+    """A settled Lorenz63 run, dt=0.01, 12000 samples of (x, y, z)."""
+    traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 13000)
+    return traj.states[1001:]
+
+
+def l63(coord, stride, start, n=1000):
+    return lorenz63_states()[start : start + n * stride : stride, coord]
+
+
+def slow_sine(n=1000):
+    # no MI minimum below a quarter period, so the delay is the scan's largest
+    return np.sin(2 * np.pi * np.arange(n) / n)
+
+
+def per_channel_selection(data, max_tau, max_m):
+    """The rule without the running-maximum shortcut: every channel that is
+    not constant selects on its own, tau from MI and m from its whole FNN
+    profile; then the maximum m and the median tau."""
+    per = []
+    for x in data.T:
+        if x.size and x.min() == x.max():
+            continue
+        tau = emb.mutual_information_delay(x, emb.default_max_tau(x.size) if max_tau is None
+                                           else max_tau)
+        below = np.nonzero(emb.fnn_profile(x, tau, max_m) < emb.FNN_THRESHOLD)[0]
+        per.append((below[0] + 1 if below.size else max_m, tau))
+    if not per:
+        raise DegenerateSeriesError("every channel is constant")
+    return emb.EmbeddingParams(max(m for m, _ in per), int(np.median([tau for _, tau in per])))
+
+
+def outcome(select, data, max_tau, max_m):
+    try:
+        return select(data, max_tau=max_tau, max_m=max_m)
+    except (DegenerateSeriesError, TooShortError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def count_trees(monkeypatch):
+    built = []
+
+    def counting_tree(pts):
+        built.append(pts.shape[1])
+        return cKDTree(pts)
+
+    monkeypatch.setattr(emb, "cKDTree", counting_tree)
+    return built
+
+
+CHANNELS = st.one_of(
+    st.builds(l63, st.integers(0, 2), st.sampled_from([1, 2, 3]),
+              st.sampled_from(range(0, 9000, 500))),
+    st.builds(lambda f, a, seed: np.sin(f * np.arange(1000))
+              + a * np.random.default_rng(seed).standard_normal(1000),
+              st.floats(0.02, 0.3), st.sampled_from([0.0, 0.05, 0.3]), st.integers(0, 9)),
+    st.builds(lambda seed: np.random.default_rng(seed).standard_normal(1000), st.integers(0, 9)),
+    st.builds(lambda v: np.full(1000, v), st.sampled_from([0.0, -2.5])),
+    st.just(slow_sine()),
+)
+
+
+class TestRunningMaximumSelection:
+    """A later channel only runs the FNN searches that can raise the maximum
+    m so far; the choice and the errors stay those of per-channel selection."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(CHANNELS, min_size=1, max_size=4), st.sampled_from([None, 40, 250]),
+           st.integers(1, 8))
+    def test_equals_per_channel_selection(self, channels, max_tau, max_m):
+        data = np.stack(channels, axis=1)
+        assert (outcome(emb.select_embedding, data, max_tau, max_m)
+                == outcome(per_channel_selection, data, max_tau, max_m))
+
+    # (channels, max_tau, max_m, what the case pins)
+    CASES = {
+        # the second profile is below the threshold at m = 4, above at 5, so
+        # the probe at the running maximum 5 fails and m = 4 ends the search
+        "not_monotone_below_the_maximum": ([l63(0, 2, 1500), l63(2, 2, 9000)], None, 7),
+        # below at 5, above at 6 = the running maximum
+        "not_monotone_at_the_maximum": ([l63(0, 2, 5000), l63(2, 2, 0)], None, 7),
+        "constant_channels_around": ([np.zeros(1000), l63(0, 1, 0), np.full(1000, 4.0),
+                                      l63(1, 1, 0)], None, 6),
+        # noise saturates at max_m, after which no channel is searched
+        "saturates_at_max_m": ([np.random.default_rng(3).standard_normal(1000), l63(0, 1, 0),
+                                l63(2, 1, 0)], None, 4),
+        # the slow sine's delay 156 cannot embed at m = 8 in 1000 samples
+        "later_channel_too_short": ([l63(0, 1, 0), slow_sine()], 250, 8),
+        "too_short_after_saturating": ([np.random.default_rng(3).standard_normal(1000),
+                                        slow_sine()], 250, 8),
+    }
+
+    @pytest.mark.parametrize("channels,max_tau,max_m", CASES.values(), ids=CASES)
+    def test_edge_cases_equal_per_channel_selection(self, channels, max_tau, max_m):
+        data = np.stack(channels, axis=1)
+        expect = outcome(per_channel_selection, data, max_tau, max_m)
+        assert outcome(emb.select_embedding, data, max_tau, max_m) == expect
+
+    def test_edge_cases_hold_what_they_pin(self):
+        # FNN below the threshold at m = 1..max_m, at the channel's MI delay
+        def below(x, max_m):
+            tau = emb.mutual_information_delay(x, emb.default_max_tau(x.size))
+            return list(emb.fnn_profile(x, tau, max_m) < emb.FNN_THRESHOLD)
+
+        first, later = self.CASES["not_monotone_below_the_maximum"][0]
+        assert below(first, 7).index(True) + 1 == 5
+        assert below(later, 7)[3:5] == [True, False]
+        first, later = self.CASES["not_monotone_at_the_maximum"][0]
+        assert below(first, 7).index(True) + 1 == 6
+        assert below(later, 7)[:6] == [False] * 4 + [True, False]
+        assert not any(below(self.CASES["saturates_at_max_m"][0][0], 4))
+        noise = self.CASES["too_short_after_saturating"][0][0]
+        assert emb.select_embedding(noise, max_tau=250, max_m=8).m == 8
+        for name in ("later_channel_too_short", "too_short_after_saturating"):
+            channels, max_tau, max_m = self.CASES[name]
+            with pytest.raises(TooShortError, match="at max_m"):
+                emb.select_embedding(np.stack(channels, axis=1), max_tau, max_m)
+
+    def test_copies_of_one_channel_cost_one_search_each(self, lorenz63_x, monkeypatch):
+        x = lorenz63_x[:6000]
+        m = emb.select_embedding(x, max_tau=40, max_m=6).m
+        assert m < 6
+        built = count_trees(monkeypatch)
+        assert emb.select_embedding(np.stack([x, x, x], axis=1), max_tau=40, max_m=6).m == m
+        # m searches for the first copy, then one at m for each later copy
+        assert built == [*range(1, m + 1), m, m]
+
+    def test_ascending_dimensions_cost_no_more_than_per_channel_selection(self, monkeypatch):
+        data = lorenz63_states()[:6000]
+        built = count_trees(monkeypatch)
+        alone = [emb.select_embedding(x, max_tau=40, max_m=8).m for x in data.T]
+        per_channel = len(built)
+        assert alone == sorted(alone) and len(set(alone)) > 1
+        built.clear()
+        assert emb.select_embedding(data, max_tau=40, max_m=8).m == max(alone)
+        assert len(built) <= per_channel
 
 
 SERIES_CALLS = {

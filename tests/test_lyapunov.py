@@ -138,6 +138,17 @@ class TestEstimateMle:
         with pytest.raises(NonFiniteError, match="distance overflows"):
             estimate_mle(overflowing, EmbeddingParams(3, 4), horizon=40)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("huge_tail", [5, 40])
+    def test_overflowing_tracked_separation_raises_non_finite(self, huge_tail):
+        # the neighbour base is ordinary; only the tracked samples overflow
+        # when squared, beyond the fit range (5) or inside it (40)
+        t = np.arange(3000)
+        x = np.sin(0.05 * t) + 0.1 * np.sin(0.31 * t)
+        x[-huge_tail:] = 1e160
+        with pytest.raises(NonFiniteError, match="separation overflows"):
+            estimate_mle(x, EmbeddingParams(3, 4), horizon=40)
+
     def test_subsampling_monotonicity(self, lorenz63_x):
         # halving the sampling rate scales the per-step exponent up; assert
         # sign invariance and the monotone relation, not the exact factor
