@@ -149,22 +149,18 @@ def _embed_forward(series: np.ndarray, m: int, tau: int) -> np.ndarray:
 
 
 def _fnn_fractions(series, tau: int, max_m: int, dims=None):
-    """Checks the series, then returns an iterator of (m, fraction) pairs,
-    the false-neighbor fraction for each m of ``dims`` (default 1..max_m)
-    in turn; it ends early at the first m the series is too short to test.
-    The length check at max_m leaves only m = max_m that short."""
+    """(m, false-neighbor fraction) for each m of ``dims`` (default
+    1..max_m) in turn; ends early at the first m the series is too short to
+    test, which the length check at max_m leaves only m = max_m.  The
+    series is checked when iteration starts, even for no dims."""
     series = _check_series(series)
     if tau < 1 or max_m < 1:
         raise ValueError("need tau >= 1 and max_m >= 1")
     if series.size < (max_m - 1) * tau + 2:
         raise TooShortError("series too short to embed at max_m")
     series = _unit_scaled(series)[0]
-    return _fractions(series, tau, range(1, max_m + 1) if dims is None else dims)
-
-
-def _fractions(series: np.ndarray, tau: int, dims):
     sigma = float(series.std())
-    for m in dims:
+    for m in range(1, max_m + 1) if dims is None else dims:
         usable = series.size - m * tau
         if usable < 2:
             return

@@ -8,8 +8,8 @@ from scipy.spatial import cKDTree
 
 from attraos import chaos
 from attraos import embedding as emb
-from attraos.errors import (DegenerateSeriesError, NonFiniteError, ShapeMismatchError,
-                             TooShortError)
+from attraos.errors import (AttraosError, DegenerateSeriesError, NonFiniteError,
+                             ShapeMismatchError, TooShortError)
 
 
 def brute_force_mi(series, max_tau, bins):
@@ -53,6 +53,18 @@ def exhaustive_fnn_fraction(series, tau, m, ratio_tol=10.0, size_tol=2.0):
         if ratio > ratio_tol or np.hypot(dist, extra) / sigma > size_tol:
             false += 1
     return false / usable
+
+
+def count_trees(monkeypatch):
+    """The dimension of each kd-tree the FNN test builds, in order."""
+    built = []
+
+    def counting_tree(pts):
+        built.append(pts.shape[1])
+        return cKDTree(pts)
+
+    monkeypatch.setattr(emb, "cKDTree", counting_tree)
+    return built
 
 
 class TestMutualInformation:
@@ -141,13 +153,7 @@ class TestFalseNearestNeighbors:
 
     def test_search_stops_at_its_answer(self, lorenz63_x, monkeypatch):
         # x settles at m = 3, so the trees for m = 4..6 are never built
-        built = []
-
-        def counting_tree(pts):
-            built.append(pts.shape[1])
-            return cKDTree(pts)
-
-        monkeypatch.setattr(emb, "cKDTree", counting_tree)
+        built = count_trees(monkeypatch)
         assert emb.false_nearest_neighbors(lorenz63_x, 16, 6) == 3
         assert built == [1, 2, 3]
 
@@ -331,19 +337,8 @@ def per_channel_selection(data, max_tau, max_m):
 def outcome(select, data, max_tau, max_m):
     try:
         return select(data, max_tau=max_tau, max_m=max_m)
-    except (DegenerateSeriesError, TooShortError, ValueError) as exc:
+    except AttraosError as exc:
         return type(exc), str(exc)
-
-
-def count_trees(monkeypatch):
-    built = []
-
-    def counting_tree(pts):
-        built.append(pts.shape[1])
-        return cKDTree(pts)
-
-    monkeypatch.setattr(emb, "cKDTree", counting_tree)
-    return built
 
 
 CHANNELS = st.one_of(
@@ -370,7 +365,8 @@ class TestRunningMaximumSelection:
         assert (outcome(emb.select_embedding, data, max_tau, max_m)
                 == outcome(per_channel_selection, data, max_tau, max_m))
 
-    # (channels, max_tau, max_m, what the case pins)
+    # name: (channels, max_tau, max_m); test_edge_cases_hold_what_they_pin
+    # checks that each case still has the shape its name says
     CASES = {
         # the second profile is below the threshold at m = 4, above at 5, so
         # the probe at the running maximum 5 fails and m = 4 ends the search
