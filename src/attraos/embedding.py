@@ -8,7 +8,10 @@ fraction drops below 1%.  The FNN test is the two-part criterion:
 a neighbor is false when the extra coordinate blows up relative to its
 current distance (ratio tolerance 10) or relative to the attractor size
 (loneliness tolerance 2); the second part keeps pure noise from looking
-embeddable at large dimensions.
+embeddable at large dimensions.  Only ``fnn_profile`` searches every point
+of every dimension: a dimension decision stops a search once 1% of its
+points are false, since its fraction can then no longer fall below the
+threshold, and runs no search at max_m, which is the answer either way.
 
 Every function here and in ``lyapunov`` that reads a scalar series raises
 ShapeMismatchError for one that is not 1-D, and NonFiniteError for one with
@@ -31,6 +34,7 @@ from .errors import DegenerateSeriesError, NonFiniteError, ShapeMismatchError, T
 FNN_RATIO_TOL = 10.0
 FNN_SIZE_TOL = 2.0
 FNN_THRESHOLD = 0.01
+_QUERY_BLOCK = 1024  # points per kd-tree query when only the FNN decision is needed
 
 
 @dataclass(frozen=True)
@@ -148,11 +152,19 @@ def _embed_forward(series: np.ndarray, m: int, tau: int) -> np.ndarray:
     return view[..., :n, ::tau]
 
 
-def _fnn_fractions(series, tau: int, max_m: int, dims=None):
+def _fnn_fractions(series, tau: int, max_m: int, dims=None, decide: bool = False):
     """(m, false-neighbor fraction) for each m of ``dims`` (default
     1..max_m) in turn; ends early at the first m the series is too short to
     test, which the length check at max_m leaves only m = max_m.  The
-    series is checked when iteration starts, even for no dims."""
+    series is checked when iteration starts, even for no dims.
+
+    A search queries all its points at once.  With ``decide`` it queries
+    them in blocks of _QUERY_BLOCK and stops once FNN_THRESHOLD of them are
+    false, so a fraction at or above the threshold may count only the points
+    queried so far; one below it is always whole.  A point's neighbor does
+    not depend on which other points are queried, and the false count over
+    ``usable`` is the same float as ``np.mean`` of the flags, so whether a
+    fraction is below the threshold never depends on ``decide``."""
     series = _check_series(series)
     if tau < 1 or max_m < 1:
         raise ValueError("need tau >= 1 and max_m >= 1")
@@ -166,26 +178,35 @@ def _fnn_fractions(series, tau: int, max_m: int, dims=None):
             return
         pts = _embed_forward(series, m, tau)[:usable]
         tree = cKDTree(pts)
-        dist, idx = tree.query(pts, k=2)
-        d = dist[:, 1]
-        j = idx[:, 1]
-        extra = np.abs(series[np.arange(usable) + m * tau] - series[j + m * tau])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d > 0, extra / np.where(d > 0, d, 1.0), np.inf)
-        ratio[(d == 0) & (extra == 0)] = 0.0
-        lonely = np.sqrt(d**2 + extra**2) / sigma > FNN_SIZE_TOL
-        yield m, float(np.mean((ratio > FNN_RATIO_TOL) | lonely))
+        step = _QUERY_BLOCK if decide else usable
+        false = 0
+        for lo in range(0, usable, step):
+            hi = min(lo + step, usable)
+            dist, idx = tree.query(pts[lo:hi], k=2)
+            d = dist[:, 1]
+            extra = np.abs(series[lo + m * tau : hi + m * tau] - series[idx[:, 1] + m * tau])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(d > 0, extra / np.where(d > 0, d, 1.0), np.inf)
+            ratio[(d == 0) & (extra == 0)] = 0.0
+            lonely = np.sqrt(d**2 + extra**2) / sigma > FNN_SIZE_TOL
+            false += int(np.count_nonzero((ratio > FNN_RATIO_TOL) | lonely))
+            if false / usable >= FNN_THRESHOLD:
+                break
+        yield m, false / usable
 
 
 def fnn_profile(series, tau: int, max_m: int) -> np.ndarray:
-    """False-neighbor fraction for m = 1..max_m (1.0 where too short to test)."""
+    """False-neighbor fraction for m = 1..max_m (1.0 where too short to test),
+    each from a search of every point."""
     tested = [frac for _, frac in _fnn_fractions(series, tau, max_m)]
     return np.concatenate([tested, np.ones(max_m - len(tested))])
 
 
 def false_nearest_neighbors(series, tau: int, max_m: int) -> int:
     """Smallest m <= max_m whose FNN fraction is below FNN_THRESHOLD, else
-    max_m; the search stops there and tests no larger dimension."""
+    max_m; the search stops there and tests no larger dimension.  A
+    dimension's search stops once 1% of its points are false, and m = max_m
+    is never searched: it is the answer whether or not it passes."""
     return _fnn_dimension(series, tau, max_m, floor=0)
 
 
@@ -195,12 +216,15 @@ def _fnn_dimension(series, tau: int, max_m: int, floor: int) -> int:
 
     The answer is ``floor`` as soon as some m <= floor has a fraction below
     FNN_THRESHOLD, so m = floor is tested first, then 1..floor-1, and only
-    then floor+1 upward; at floor = max_m nothing is tested.  The series is
-    checked all the same."""
-    dims = [floor, *range(1, floor), *range(floor + 1, max_m + 1)] if floor else None
+    then floor+1 upward; m = max_m, the answer whether or not it passes, is
+    not tested, so at floor = max_m nothing is.  Each search stops once 1%
+    of its points are false (``_fnn_fractions`` with ``decide``).  The series
+    is checked all the same, so one too short at max_m still raises."""
     if floor == max_m:
         dims = []
-    for m, frac in _fnn_fractions(series, tau, max_m, dims):
+    else:
+        dims = [m for m in (floor, *range(1, floor), *range(floor + 1, max_m)) if m]
+    for m, frac in _fnn_fractions(series, tau, max_m, dims, decide=True):
         if frac < FNN_THRESHOLD:
             return max(m, floor)
     return max_m
@@ -254,8 +278,9 @@ def select_embedding(
     dynamics to embed; only an all-constant input raises
     DegenerateSeriesError).  Channels are taken in order, and a later one
     runs only the FNN searches that can show it raises the maximum m so
-    far (``_fnn_dimension``).  Each series is checked as the module
-    docstring states, so input of more than two dimensions raises
+    far (``_fnn_dimension``); a search stops once 1% of its points are
+    false, and none runs at ``max_m``.  Each series is checked as the
+    module docstring states, so input of more than two dimensions raises
     ShapeMismatchError.
     """
     arr = np.asarray(series, dtype=float)
