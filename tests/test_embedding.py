@@ -55,16 +55,45 @@ def exhaustive_fnn_fraction(series, tau, m, ratio_tol=10.0, size_tol=2.0):
     return false / usable
 
 
+def count_queries(monkeypatch):
+    """The dimension of each kd-tree the FNN test builds, in order, and the
+    number of points each one is queried for."""
+    built, queried = [], []
+
+    class CountingTree(cKDTree):
+        def __init__(self, pts):
+            super().__init__(pts)
+            self.index = len(built)
+            built.append(pts.shape[1])
+            queried.append(0)
+
+        def query(self, x, k):
+            queried[self.index] += len(x)
+            return super().query(x, k=k)
+
+    monkeypatch.setattr(emb, "cKDTree", CountingTree)
+    return built, queried
+
+
 def count_trees(monkeypatch):
     """The dimension of each kd-tree the FNN test builds, in order."""
-    built = []
+    return count_queries(monkeypatch)[0]
 
-    def counting_tree(pts):
-        built.append(pts.shape[1])
-        return cKDTree(pts)
 
-    monkeypatch.setattr(emb, "cKDTree", counting_tree)
-    return built
+def whole_search_fraction(series, tau, m):
+    """The FNN fraction at m from one query of every point, as a mean of
+    the false flags."""
+    x = emb._unit_scaled(np.asarray(series, dtype=float))[0]
+    usable = x.size - m * tau
+    pts = np.stack([x[i : i + (m - 1) * tau + 1 : tau] for i in range(usable)])
+    dist, idx = cKDTree(pts).query(pts, k=2)
+    d, j = dist[:, 1], idx[:, 1]
+    extra = np.abs(x[m * tau :] - x[j + m * tau])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(d > 0, extra / d, np.inf)
+    ratio[(d == 0) & (extra == 0)] = 0.0
+    lonely = np.sqrt(d**2 + extra**2) / x.std() > emb.FNN_SIZE_TOL
+    return float(np.mean((ratio > emb.FNN_RATIO_TOL) | lonely))
 
 
 class TestMutualInformation:
@@ -156,6 +185,31 @@ class TestFalseNearestNeighbors:
         built = count_trees(monkeypatch)
         assert emb.false_nearest_neighbors(lorenz63_x, 16, 6) == 3
         assert built == [1, 2, 3]
+
+    def test_decision_stops_a_search_once_one_percent_is_false(self, lorenz63_x, monkeypatch):
+        # 99.7% of x's m = 1 neighbours are false, so the first block settles it
+        assert emb.fnn_profile(lorenz63_x, 16, 1)[0] > 0.99
+        _, queried = count_queries(monkeypatch)
+        assert emb.false_nearest_neighbors(lorenz63_x, 16, 6) == 3
+        assert queried[0] <= emb._QUERY_BLOCK
+        # m = 3 passes, so its search covers every point
+        assert queried[2] == lorenz63_x.size - 3 * 16
+
+    def test_no_search_at_max_m(self, lorenz63_x, monkeypatch):
+        built = count_trees(monkeypatch)
+        assert emb.false_nearest_neighbors(lorenz63_x, 16, 3) == 3
+        assert built == [1, 2]
+        built.clear()
+        noise = np.random.default_rng(7).uniform(size=2000)
+        assert emb.false_nearest_neighbors(noise, 1, 6) == 6
+        assert built == [1, 2, 3, 4, 5]
+
+    def test_profile_searches_every_point(self, lorenz63_x, monkeypatch):
+        x = lorenz63_x[:3000]
+        expect = [whole_search_fraction(x, 16, m) for m in range(1, 5)]
+        built, queried = count_queries(monkeypatch)
+        assert emb.fnn_profile(x, 16, 4).tolist() == expect
+        assert queried == [x.size - m * 16 for m in built]
 
     def test_answer_is_the_first_profile_entry_below_threshold(self, lorenz63_x):
         rng = np.random.default_rng(11)
@@ -428,6 +482,61 @@ class TestRunningMaximumSelection:
         built.clear()
         assert emb.select_embedding(data, max_tau=40, max_m=8).m == max(alone)
         assert len(built) <= per_channel
+
+
+def profile_decision(x, tau, max_m, floor):
+    """The decision read off the whole FNN profile: the first m below the
+    threshold, else max_m, and at least ``floor``."""
+    below = np.nonzero(emb.fnn_profile(x, tau, max_m) < emb.FNN_THRESHOLD)[0]
+    return max(floor, below[0] + 1 if below.size else max_m)
+
+
+def decision_outcome(decide, *args):
+    try:
+        return decide(*args)
+    except AttraosError as exc:
+        return type(exc), str(exc)
+
+
+class TestDimensionDecision:
+    """``_fnn_dimension`` stops each search once 1% of its points are false
+    and runs none at max_m, yet decides as the whole profile does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(CHANNELS, min_size=1, max_size=3), st.integers(1, 40), st.integers(1, 8),
+           st.data())
+    def test_equals_the_profile_rule(self, channels, tau, max_m, data):
+        # joined channels reach 3000 samples, so searches span several blocks
+        x = np.concatenate(channels)
+        floor = data.draw(st.integers(0, max_m))
+        assert (decision_outcome(emb._fnn_dimension, x, tau, max_m, floor)
+                == decision_outcome(profile_decision, x, tau, max_m, floor))
+
+    # name: (series, tau, max_m, the profile's shape); every floor is checked
+    CASES = {
+        # 696 usable points at m = 1, fewer than one block
+        "shorter_than_a_block": (l63(0, 1, 0, n=700), 4, 6, [False, True]),
+        # 1200 usable points at m = 2, a block and a part; 12 of them are
+        # false, exactly 1%, which is not below the threshold
+        "exactly_one_percent": (lorenz63_states()[:1216, 2], 8, 5, [False, False, True]),
+        "saturates_at_max_m": (np.random.default_rng(3).standard_normal(1000), 1, 4,
+                               [False] * 4),
+    }
+
+    @pytest.mark.parametrize("x,tau,max_m,shape", CASES.values(), ids=CASES)
+    def test_edge_cases_equal_the_profile_rule(self, x, tau, max_m, shape):
+        profile = emb.fnn_profile(x, tau, max_m)
+        assert list(profile[: len(shape)] < emb.FNN_THRESHOLD) == shape
+        for floor in range(max_m + 1):
+            assert emb._fnn_dimension(x, tau, max_m, floor) == profile_decision(
+                x, tau, max_m, floor)
+
+    def test_exactly_one_percent_is_not_below(self):
+        x = lorenz63_states()[:1216, 2]
+        usable = x.size - 2 * 8
+        assert usable % emb._QUERY_BLOCK and usable > emb._QUERY_BLOCK
+        assert emb.fnn_profile(x, 8, 5)[1] == 12 / usable == emb.FNN_THRESHOLD
+        assert emb.false_nearest_neighbors(x, 8, 5) == 3
 
 
 SERIES_CALLS = {

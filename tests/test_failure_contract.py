@@ -5,7 +5,9 @@ either a finite result or an ``AttraosError``.
 
 Values are finite floats of any magnitude, with NaN or inf injected at a few
 positions; series are either raw draws or a Lorenz63 segment under a random
-affine map, so that both the error paths and the fitted paths are reached.
+affine map (a signed power of two and an offset, both bounded so that every
+value stays finite), so that both the error paths and the fitted paths are
+reached.
 A model document gets one number of its float lists replaced, or one byte
 of a base64 array.
 """
@@ -52,8 +54,12 @@ def series(draw, max_rows=90, channels=st.integers(1, 3), lorenz=None):
     n_ch = draw(channels)
     shape = draw(st.sampled_from([(rows,)] + [(rows, n_ch)] * 4 + [(rows, n_ch, 2)]))
     if lorenz is not None and len(shape) == 2 and draw(st.booleans()):
+        # |base| < 2^5, so a power of two up to 2^1017 and an offset below
+        # 2^1022 keep every value finite
         base = lorenz[: rows * n_ch].reshape(shape)
-        arr = draw(finite) * base + draw(finite)
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        arr = np.ldexp(sign * base, draw(st.integers(-1074, 1017)))
+        arr += draw(st.floats(-2.0**1022, 2.0**1022))
     else:
         arr = draw(arrays(float, shape, elements=finite))
     flat = arr.reshape(-1)
