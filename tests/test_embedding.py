@@ -531,12 +531,11 @@ class TestDimensionDecision:
             assert emb._fnn_dimension(x, tau, max_m, floor) == profile_decision(
                 x, tau, max_m, floor)
 
-    def test_exactly_one_percent_is_not_below(self):
-        x = lorenz63_states()[:1216, 2]
-        usable = x.size - 2 * 8
+    def test_exactly_one_percent_lands_on_the_threshold(self):
+        x, tau, max_m, _ = self.CASES["exactly_one_percent"]
+        usable = x.size - 2 * tau
         assert usable % emb._QUERY_BLOCK and usable > emb._QUERY_BLOCK
-        assert emb.fnn_profile(x, 8, 5)[1] == 12 / usable == emb.FNN_THRESHOLD
-        assert emb.false_nearest_neighbors(x, 8, 5) == 3
+        assert emb.fnn_profile(x, tau, max_m)[1] == 12 / usable == emb.FNN_THRESHOLD
 
 
 SERIES_CALLS = {
