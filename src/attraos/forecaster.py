@@ -224,9 +224,14 @@ class FittedForecaster:
     def __post_init__(self):
         cfg = self.config
         shapes = pipeline_shapes(cfg)
-        ssm = make_ssm_params(cfg.ssm_variant, cfg.poly_order, 1.0 / cfg.theta)
         filters = build_filters(cfg.poly_order)
-        front = _front_operator(discretize(ssm), filters, shapes)
+        # a theta near the bottom of the float range takes a recurrence step
+        # beyond it; that is found below, not printed
+        with np.errstate(over="ignore", invalid="ignore"):
+            ssm = make_ssm_params(cfg.ssm_variant, cfg.poly_order, 1.0 / cfg.theta)
+            front = _front_operator(discretize(ssm), filters, shapes)
+        if not np.all(np.isfinite(front)):
+            raise NonFiniteError("the recurrence overflows the float range at this theta")
         object.__setattr__(self, "shapes", shapes)
         object.__setattr__(self, "front", front)
         object.__setattr__(self, "back", _back_operator(filters, shapes))
@@ -696,68 +701,49 @@ def _evolver_doc(ev, config: ForecasterConfig) -> dict:
     return {"keys": _encoded(ev.keys, "keys"), "values": _encoded(ev.values, "values")}
 
 
-def _doc_floats(value, what: str, shape: tuple, version: int, dtype=float) -> np.ndarray:
+def _doc_floats(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
     """A document array of ``shape``, whose leading ``None`` stands for the
-    cluster count that the array sets.  From version 4 the array is one
-    base64 string of its little-endian ``dtype`` bytes in C order, before
-    it a nested list of JSON numbers.  Anything else, another shape, or NaN
-    or inf in it (a ``NaN``/``Infinity`` token, a literal beyond the float
-    range, or such bytes) raises ModelFormatError."""
-    if version < 4:
-        # asarray with a float dtype would read "1.5" or true as a number
-        if not set(map(type, np.asarray(value, dtype=object).flat)) <= {int, float}:
-            raise ModelFormatError(f"{what} holds an entry that is not a number")
-        arr = np.asarray(value, dtype=dtype)
-        shape = arr.shape[:1] + shape[1:] if shape[0] is None else shape
-        if arr.shape != shape:
-            raise ModelFormatError(f"{what} has shape {arr.shape}, the model needs {shape}")
-    else:
-        if type(value) is not str:
-            raise ModelFormatError(f"{what} is not a base64 string")
-        try:
-            raw = base64.b64decode(value, validate=True)
-        except ValueError as exc:  # binascii.Error, or a character beyond ASCII
-            raise ModelFormatError(f"{what} is not base64: {exc}") from exc
-        item = np.dtype(dtype).newbyteorder("<")
-        row = item.itemsize * int(np.prod(shape[1:]))
-        # at least one cluster, so that no bytes fail the length check
-        shape = (max(len(raw) // row, 1),) + shape[1:] if shape[0] is None else shape
-        if len(raw) != row * shape[0]:
-            raise ModelFormatError(f"{what} holds {len(raw)} bytes, the model needs "
-                                   f"{shape} {item.name} entries")
-        arr = np.frombuffer(raw, item).reshape(shape)
+    cluster count that the array sets: one base64 string of its
+    little-endian ``dtype`` bytes in C order.  Anything else, another
+    length, or NaN or inf bytes raise ModelFormatError."""
+    if type(value) is not str:
+        raise ModelFormatError(f"{what} is not a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+        raise ModelFormatError(f"{what} is not base64: {exc}") from exc
+    item = np.dtype(dtype).newbyteorder("<")
+    row = item.itemsize * int(np.prod(shape[1:]))
+    # at least one cluster, so that no bytes fail the length check
+    shape = (max(len(raw) // row, 1),) + shape[1:] if shape[0] is None else shape
+    if len(raw) != row * shape[0]:
+        raise ModelFormatError(f"{what} holds {len(raw)} bytes, the model needs "
+                               f"{shape} {item.name} entries")
+    arr = np.frombuffer(raw, item).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"non-finite {what} in model document")
     return arr
 
 
-def _evolver_from_doc(doc: dict, scale: int, config: ForecasterConfig, sh: ShapeInfo,
-                      version: int):
+def _evolver_from_doc(doc: dict, scale: int, config: ForecasterConfig, sh: ShapeInfo):
     """The evolver of scale ``scale``, of the config's strategy: its arrays
     are read in the shapes the config implies, its scalars come from the
     config.  An evolver of another strategy lacks the keys read here."""
     n, width = sh.order, sh.d * sh.order  # width: a position's (D, N) state
     if config.evolution_strategy == "frequency":
-        modes, ops = sh.scale_modes[scale], doc["doc"]["mode_ops"]
-        if version >= 4:
-            ops = _doc_floats(ops, "mode_ops", (modes, n, n), version, complex)
-        else:
-            re_im = _doc_floats(ops, "mode_ops", (modes, 2, n, n), version)
-            # filling both parts keeps every signed zero; re + 1j * im would not
-            ops = np.empty(re_im[:, 0].shape, dtype=complex)
-            ops.real, ops.imag = re_im[:, 0], re_im[:, 1]
+        ops = _doc_floats(doc["doc"]["mode_ops"], "mode_ops", (sh.scale_modes[scale], n, n),
+                          complex)
         return evo.SpectralEvolutionModel(mode_ops=ops, seq_len=sh.scale_lens[scale])
     if config.evolution_strategy == "direct":
-        centroids = _doc_floats(doc["centroids"], "centroids", (None, width), version)
+        centroids = _doc_floats(doc["centroids"], "centroids", (None, width))
         return evo.DirectEvolutionModel(
             centroids=centroids,
-            operators=_doc_floats(doc["operators"], "operators", (len(centroids), n, n),
-                                  version),
+            operators=_doc_floats(doc["operators"], "operators", (len(centroids), n, n)),
         )
-    keys = _doc_floats(doc["keys"], "keys", (None, width), version)
+    keys = _doc_floats(doc["keys"], "keys", (None, width))
     return evo.HopfieldEvolutionModel(
         keys=keys,
-        values=_doc_floats(doc["values"], "values", keys.shape, version),
+        values=_doc_floats(doc["values"], "values", keys.shape),
         beta=config.hopfield_beta,
     )
 
@@ -779,55 +765,39 @@ def model_to_json(model: FittedForecaster) -> str:
 
 
 def model_from_json(text: str) -> FittedForecaster:
-    """Rebuild a model from its JSON document; a document that is not a
-    version-1 to -4 model raises ModelFormatError.
+    """Rebuild a model from its version-4 JSON document, the one
+    ``model_to_json`` writes; any other text raises ModelFormatError.
 
-    A version-4 document stores each fitted array as one base64 string of
-    its little-endian float64 bytes in C order (complex128 for ``frequency``
+    The document stores each fitted array as one base64 string of its
+    little-endian float64 bytes in C order (complex128 for ``frequency``
     mode operators), with the shape that the config implies; the cluster
     count of a ``direct``/``hopfield`` evolver follows from the byte length.
-    Versions 1 to 3 stored nested lists of JSON numbers.  An array that is
-    not of its version's kind, not valid base64, of another length or
-    shape, or that holds NaN or inf (a ``NaN``/``Infinity`` token, a literal
-    beyond the float range, or such bytes), raises ModelFormatError, as do
-    a non-finite config number and finite ``frequency`` arrays whose serving
-    maps overflow the float range.  Two older formats must be refit and
-    raise ModelFormatError: version 1 padded the pyramid to a power of two,
-    so a version-1 ``frequency`` model that now pads to another length had
-    other scales; and versions 1 and 2 built the wavelet detail filters by
-    Gram-Schmidt, whose rows differ from today's above order 8.
-
-    Entries that older documents carry are ignored: the derived ``ssm`` and
-    ``disc``, the config's ``teacher_alpha``, the unused
-    ``train_mean``/``train_std`` of each channel, and each evolver's copies
-    of config values (``kind``, ``m_modes``, ``seq_len``, ``ridge_lambda``,
-    ``beta``)."""
+    An array that is not such a string, of another length, or that holds
+    NaN or inf bytes raises ModelFormatError, as do a missing or unknown
+    entry, a non-finite config number and finite ``frequency`` arrays whose
+    serving maps overflow the float range.  A document of versions 1 to 3,
+    written before the arrays were base64, is no longer read: its
+    ModelFormatError asks for a refit."""
     try:
         doc = json.loads(text)
         # true == 1 and 2.0 == 2, so the type is checked too
-        if not isinstance(doc, dict) or type(doc.get("v")) is not int or not 1 <= doc["v"] <= 4:
-            raise ModelFormatError("not a version-1 to -4 model document")
+        version = doc.get("v") if isinstance(doc, dict) else None
+        if type(version) is int and 1 <= version <= 3:
+            raise ModelFormatError(f"version-{version} model documents are no longer read: "
+                                   "refit the model")
+        if type(version) is not int or version != 4:
+            raise ModelFormatError("not a version-4 model document")
         return _model_from_doc(doc)
-    # JSONDecodeError is a ValueError; an integer beyond the float range in
-    # an array raises OverflowError
+    # JSONDecodeError is a ValueError; a config number written as an integer
+    # beyond the float range raises OverflowError where the model uses it
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
 
 
 def _model_from_doc(doc: dict) -> FittedForecaster:
     embedding = EmbeddingParams(m=doc["embedding"]["m"], tau=doc["embedding"]["tau"])
-    entries = {**doc["config"]}
-    entries.pop("teacher_alpha", None)  # rollout's alpha argument replaced it
-    config = ForecasterConfig(embedding=embedding, **entries)
+    config = ForecasterConfig(embedding=embedding, **doc["config"])
     sh = pipeline_shapes(config)
-    v1_padded = 1 << (sh.n_patches - 1).bit_length()
-    if doc["v"] == 1 and config.evolution_strategy == "frequency" and sh.padded != v1_padded:
-        raise ModelFormatError(f"version-1 frequency model padded to {v1_padded} patches, "
-                               f"now {sh.padded}: refit the model")
-    # up to order 8 the Gram-Schmidt rows match the QR rows to 1e-10
-    if doc["v"] < 3 and config.poly_order > 8:
-        raise ModelFormatError(f"version-{doc['v']} model of order {config.poly_order} used "
-                               f"other wavelet filters: refit the model")
     channels = []
     for ch in doc["channels"]:
         if len(ch["evolvers"]) != len(sh.scale_lens):
@@ -835,10 +805,8 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
                 f"{len(ch['evolvers'])} evolvers for {len(sh.scale_lens)} scales"
             )
         channels.append(ChannelModel(
-            evolvers=[_evolver_from_doc(e, s, config, sh, doc["v"])
-                      for s, e in enumerate(ch["evolvers"])],
-            readout=_doc_floats(ch["readout"], "readout",
-                                (sh.n_patches * sh.d, config.horizon), doc["v"]),
+            evolvers=[_evolver_from_doc(e, s, config, sh) for s, e in enumerate(ch["evolvers"])],
+            readout=_doc_floats(ch["readout"], "readout", (sh.n_patches * sh.d, config.horizon)),
         ))
     try:
         return FittedForecaster(config, channels)

@@ -456,9 +456,17 @@ class TestFitPredictEval:
         assert err.startswith("error:") and "theta" in err
         assert not (tmp_path / "model.json").exists()
 
-    def test_malformed_model_exits_3_without_traceback(self, lorenz_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("document", ["malformed", "version-3"])
+    def test_malformed_model_exits_3_without_traceback(self, lorenz_csv, tmp_path, capsys,
+                                                       document):
         model_path = tmp_path / "model.json"
-        model_path.write_text('{"v": 1}')
+        if document == "malformed":
+            model_path.write_text('{"v": 4}')
+        else:
+            # a model document of a retired version must be refit
+            fixture = Path(__file__).parent / "data" / "v4_frequency_legt_full.json"
+            doc = json.loads(fixture.read_text(encoding="utf-8"))
+            model_path.write_text(json.dumps({**doc, "v": 3}))
         code, _, err = run(
             capsys,
             "predict", "--model", str(model_path), "--input", str(lorenz_csv),
@@ -467,6 +475,9 @@ class TestFitPredictEval:
         assert code == 3
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert not (tmp_path / "pred.csv").exists()
+        if document == "version-3":
+            assert len(err.splitlines()) == 1 and "refit" in err
 
     @pytest.mark.parametrize("bad_side", ["pred", "truth"])
     def test_eval_non_finite_values_exit_3_without_traceback(self, tmp_path, capsys, bad_side):

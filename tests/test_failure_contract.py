@@ -8,8 +8,8 @@ positions; series are either raw draws or a Lorenz63 segment under a random
 affine map (a signed power of two and an offset, both bounded so that every
 value stays finite), so that both the error paths and the fitted paths are
 reached.
-A model document gets one number of its float lists replaced, or one byte
-of a base64 array.
+A model document gets one config float or one float64 entry of a stored
+array replaced, or one byte of a base64 array.
 """
 
 import base64
@@ -27,8 +27,6 @@ from attraos import forecaster as fc
 from attraos.embedding import EmbeddingParams, fnn_profile, mi_profile, select_embedding
 from attraos.errors import AttraosError, ModelFormatError
 from attraos.lyapunov import estimate_mle, mle_table
-
-from test_forecaster import with_lists
 
 SMALL = dict(
     window=24, horizon=3, embedding=EmbeddingParams(2, 3), patch_len=4, poly_order=3,
@@ -219,24 +217,34 @@ def leaf_paths(node, kind, path=()):
             yield from leaf_paths(value, kind, path + (key,))
 
 
+# the config's float scalars; its integers size the derived operators
+CONFIG_FLOATS = ("theta", "ridge_lambda", "hopfield_beta")
+
+
 @SETTINGS
 @given(data=st.data())
 def test_model_from_json(fitted, lorenz, data):
-    # one float of the document in the float lists of versions 1 to 3 (a
-    # stored array entry or a config scalar) is replaced by a finite float
-    # of any magnitude or by a non-finite token; integers are left alone,
-    # since they size the derived operators
-    doc = with_lists(fc.model_to_json(fitted))
-    paths = list(leaf_paths(doc, float))
-    *parents, last = paths[data.draw(st.integers(0, len(paths) - 1))]
-    node = doc
-    for key in parents:
-        node = node[key]
-    marker = "@value@"
-    node[last] = marker
-    token = data.draw(st.one_of(finite.map(repr),
-                                st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])))
-    model = finite_or_typed(fc.model_from_json, json.dumps(doc).replace(f'"{marker}"', token))
+    # one float of the document is replaced: a config scalar by a finite
+    # float of any magnitude or by a non-finite token, or one float64 entry
+    # of a stored array (a real or imaginary part of a complex one) by any
+    # float64 value
+    doc = json.loads(fc.model_to_json(fitted))
+    if data.draw(st.booleans()):
+        marker = "@value@"
+        doc["config"][data.draw(st.sampled_from(CONFIG_FLOATS))] = marker
+        token = data.draw(st.one_of(finite.map(repr),
+                                    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])))
+        text = json.dumps(doc).replace(f'"{marker}"', token)
+    else:
+        *parents, last = data.draw(st.sampled_from(list(leaf_paths(doc["channels"], str))))
+        node = doc["channels"]
+        for key in parents:
+            node = node[key]
+        entries = np.frombuffer(base64.b64decode(node[last]), "<f8").copy()
+        entries[data.draw(st.integers(0, entries.size - 1))] = data.draw(st.floats())
+        node[last] = base64.b64encode(entries.tobytes()).decode("ascii")
+        text = json.dumps(doc)
+    model = finite_or_typed(fc.model_from_json, text)
     assert_finite_forecasts(model, lorenz)
 
 

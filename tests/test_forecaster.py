@@ -882,8 +882,8 @@ class TestModelDocument:
     def test_overflowing_serving_maps_raise_without_a_warning(self):
         # every stored entry is finite, but one readout entry near the float
         # maximum takes the serving map beyond it
-        doc = json.loads(fixture_text(4, "frequency"))
-        readout = fc.model_from_json(fixture_text(4, "frequency")).channels[0].readout.copy()
+        doc = json.loads(fixture_text("frequency"))
+        readout = fc.model_from_json(fixture_text("frequency")).channels[0].readout.copy()
         readout[0, 0] = 1e308
         doc["channels"][0]["readout"] = stored(readout)
         with warnings.catch_warnings():
@@ -894,13 +894,13 @@ class TestModelDocument:
     @pytest.mark.parametrize(
         "text",
         [
-            '{"v": 1}',
+            '{"v": 4}',
             "[1, 2]",
             '{"v": 5}',
             "{not json",
-            '{"v": 1, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
+            '{"v": 4, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
             ' "channels": []}',
-            '{"v": 1, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "channels": []}',
+            '{"v": 4, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "channels": []}',
         ],
         ids=["no-body", "not-object", "version-5", "not-json", "horizon-0", "config-not-object"],
     )
@@ -911,13 +911,15 @@ class TestModelDocument:
     @pytest.mark.parametrize("where", ["evolver-array", "readout", "config"])
     @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_non_finite_number_raises(self, strategy, where):
-        text = fixture_text(4, strategy)
+        text = fixture_text(strategy)
         doc, model = json.loads(text), fc.model_from_json(text)
         if where == "config":
             doc["config"]["theta"] = "@non-finite@"
             text = json.dumps(doc)
             assert fc.model_from_json(text.replace('"@non-finite@"', "0.5")) is not None
-            for token in ("NaN", "Infinity", "-Infinity", "1e999"):
+            # an integer beyond the float range passes the config's checks
+            # and overflows where the model divides by it
+            for token in ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400):
                 with pytest.raises(ModelFormatError):
                     fc.model_from_json(text.replace('"@non-finite@"', token))
             return
@@ -937,32 +939,27 @@ class TestModelDocument:
                 with pytest.raises(ModelFormatError, match="non-finite"):
                     fc.model_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("where", ["evolver-array", "readout"])
-    def test_non_finite_number_in_a_float_list_raises(self, where):
-        doc = json.loads(fixture_text(3, "hopfield"))
-        ch = doc["channels"][0]
-        row = ch["readout"][3] if where == "readout" else ch["evolvers"][0]["keys"][0]
-        row[1] = "@non-finite@"
-        text = json.dumps(doc)
-        assert fc.model_from_json(text.replace('"@non-finite@"', "0.5")) is not None
-        for token in ("NaN", "Infinity", "-Infinity", "1e999"):
-            with pytest.raises(ModelFormatError):
-                fc.model_from_json(text.replace('"@non-finite@"', token))
-
-    @pytest.mark.parametrize("value", ["1.5", True, False, None, [1.5]])
-    @pytest.mark.parametrize("where", ["evolver-array", "readout"])
-    def test_float_list_entry_that_is_no_number_raises(self, where, value):
-        # asarray reads "1.5" and true as numbers, so these once loaded
-        doc = json.loads(fixture_text(3, "hopfield"))
-        ch = doc["channels"][0]
-        (ch["readout"] if where == "readout" else ch["evolvers"][0]["keys"])[0][0] = value
-        with pytest.raises(ModelFormatError):
-            fc.model_from_json(json.dumps(doc))
+    @pytest.mark.parametrize("theta", [5e-324, 1e-310])
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    def test_theta_whose_step_overflows_raises_without_a_warning(self, lorenz63_x, strategy,
+                                                                 theta):
+        # the recurrence step 1 / theta is inf, or so large that the
+        # discretized recurrence is not finite
+        text = fixture_text(strategy)
+        doc = json.loads(text)
+        doc["config"]["theta"] = theta
+        config = replace(fc.model_from_json(text).config, theta=theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFormatError, match="recurrence overflows"):
+                fc.model_from_json(json.dumps(doc))
+            with pytest.raises(NonFiniteError, match="recurrence overflows"):
+                fc.fit(config, lorenz63_x[:2000])
 
     @pytest.mark.parametrize("fault", ["alphabet", "one-float-short", "nan-bytes", "not-a-string"])
     @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_bad_version_4_array_raises(self, strategy, fault):
-        text = fixture_text(4, strategy)
+        text = fixture_text(strategy)
 
         def arrays(doc):
             ch = doc["channels"][0]
@@ -988,14 +985,14 @@ class TestModelDocument:
 
     @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
     def test_version_4_evolver_without_clusters_raises(self, strategy):
-        doc = json.loads(fixture_text(4, strategy))
+        doc = json.loads(fixture_text(strategy))
         doc["channels"][0]["evolvers"][0].update({key: "" for key in EVOLVER_ARRAYS[strategy]})
         with pytest.raises(ModelFormatError, match="bytes"):
             fc.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_single_precision_arrays_are_written_as_double(self, strategy):
-        model = fc.model_from_json(fixture_text(4, strategy))
+        model = fc.model_from_json(fixture_text(strategy))
         single = {np.dtype(float): np.float32, np.dtype(complex): np.complex64}
 
         def narrowed(obj, keys):
@@ -1012,15 +1009,6 @@ class TestModelDocument:
             for ev, ev_back in zip(ch.evolvers, ch_back.evolvers):
                 for key in EVOLVER_ARRAYS[strategy]:
                     assert np.array_equal(getattr(ev, key), getattr(ev_back, key))
-
-    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
-    def test_each_version_reads_its_own_array_encoding(self, strategy):
-        text = fixture_text(4, strategy)
-        base64_as_v3 = json.loads(text)
-        base64_as_v3["v"] = 3
-        for doc in (base64_as_v3, with_lists(text, version=4)):
-            with pytest.raises(ModelFormatError):
-                fc.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("token", ["96.5", "Infinity", "NaN"])
     def test_non_integer_count_raises(self, lorenz63_x, token):
@@ -1047,24 +1035,23 @@ class TestModelDocument:
     @pytest.mark.parametrize("where", ["readout", "evolver-count", "evolver-array", "strategy"])
     @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_document_at_odds_with_its_config_raises(self, strategy, where):
-        for version in (4, 3):  # base64, then float lists
-            text = fixture_text(version, strategy)
-            doc, fitted = json.loads(text), fc.model_from_json(text).channels[0]
-            ch = doc["channels"][0]
-            if where == "strategy":
-                # the evolvers are of the kind the fit made, no longer the config's
-                other = {"frequency": "direct", "direct": "hopfield", "hopfield": "direct"}
-                doc["config"]["evolution_strategy"] = other[strategy]
-            elif where == "readout":
-                ch["readout"] = stored(fitted.readout[:-1], version)  # one feature row short
-            elif where == "evolver-count":
-                ch["evolvers"].pop()  # one scale without an evolver
-            else:
-                key = EVOLVER_ARRAYS[strategy][-1]  # one column short
-                arr = getattr(fitted.evolvers[0], key)[..., :-1]
-                evolver_body(ch["evolvers"][0])[key] = stored(arr, version)
-            with pytest.raises(ModelFormatError):
-                fc.model_from_json(json.dumps(doc))
+        text = fixture_text(strategy)
+        doc, fitted = json.loads(text), fc.model_from_json(text).channels[0]
+        ch = doc["channels"][0]
+        if where == "strategy":
+            # the evolvers are of the kind the fit made, no longer the config's
+            other = {"frequency": "direct", "direct": "hopfield", "hopfield": "direct"}
+            doc["config"]["evolution_strategy"] = other[strategy]
+        elif where == "readout":
+            ch["readout"] = stored(fitted.readout[:-1])  # one feature row short
+        elif where == "evolver-count":
+            ch["evolvers"].pop()  # one scale without an evolver
+        else:
+            key = EVOLVER_ARRAYS[strategy][-1]  # one column short
+            arr = getattr(fitted.evolvers[0], key)[..., :-1]
+            evolver_body(ch["evolvers"][0])[key] = stored(arr)
+        with pytest.raises(ModelFormatError):
+            fc.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_every_entry_outside_the_config_is_read(self, strategy):
@@ -1080,17 +1067,16 @@ class TestModelDocument:
                         yield path + (key,)
                         yield from key_paths(value, path + (key,))
 
-        for version in (4, 3):  # base64, then float lists
-            text = fixture_text(version, strategy)
-            paths = list(key_paths(json.loads(text)))
-            assert ("channels", 0, "evolvers", 0) in [p[:4] for p in paths]
-            for *parents, last in paths:
-                node = broken = json.loads(text)
-                for key in parents:
-                    node = node[key]
-                del node[last]
-                with pytest.raises(ModelFormatError):
-                    fc.model_from_json(json.dumps(broken))
+        text = fixture_text(strategy)
+        paths = list(key_paths(json.loads(text)))
+        assert ("channels", 0, "evolvers", 0) in [p[:4] for p in paths]
+        for *parents, last in paths:
+            node = broken = json.loads(text)
+            for key in parents:
+                node = node[key]
+            del node[last]
+            with pytest.raises(ModelFormatError):
+                fc.model_from_json(json.dumps(broken))
 
     def test_non_finite_model_is_not_written_as_bare_nan(self, strategy_models):
         # a frequency model with a NaN readout has NaN serving maps and is
@@ -1107,16 +1093,28 @@ class TestModelDocument:
 
 
 DATA = Path(__file__).parent / "data"
-LEGACY = DATA / "legacy_v1_frequency_legt_full"
 
 EVOLVER_ARRAYS = {"frequency": ("mode_ops",), "direct": ("centroids", "operators"),
                   "hopfield": ("keys", "values")}
 
 
-def fixture_text(version: int, strategy: str) -> str:
-    """The ``legt_full`` fixture document of ``strategy`` at ``version``
-    (3: float lists, 4: base64); both hold the same model."""
-    return (DATA / f"v{version}_{strategy}_legt_full.json").read_text(encoding="utf-8")
+def fixture_text(strategy: str) -> str:
+    """The ``legt_full`` fixture document of ``strategy``: the refit of its
+    oracle's setup (``TestFrequencyDocument``, ``TestNonlinearDocument``)."""
+    return (DATA / f"v4_{strategy}_legt_full.json").read_text(encoding="utf-8")
+
+
+def oracle_text(strategy: str) -> str:
+    """The oracle document of ``strategy``: a model fit by an earlier version
+    of attraos, re-encoded as version 4.  It holds that fit's arrays, so it
+    is not the ``fixture_text`` refit."""
+    return (DATA / f"oracle_v4_{strategy}_legt_full.json").read_text(encoding="utf-8")
+
+
+def oracle_io(strategy: str) -> dict:
+    """Three contexts and the predictions the oracle of ``strategy`` makes from them."""
+    path = DATA / f"oracle_v4_{strategy}_legt_full_io.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def evolver_body(ev: dict) -> dict:
@@ -1124,194 +1122,73 @@ def evolver_body(ev: dict) -> dict:
     return ev.get("doc", ev)
 
 
-def stored(arr: np.ndarray, version: int = 4):
-    """A fitted array as a document of ``version`` stores it: from version 4
-    base64 of its little-endian bytes in C order, before it nested lists of
-    floats (a complex mode operator as its [real, imag] pair)."""
-    if version >= 4:
-        little = arr.astype("<c16" if np.iscomplexobj(arr) else "<f8")
-        return base64.b64encode(little.tobytes()).decode("ascii")
-    if np.iscomplexobj(arr):
-        return [[op.real.tolist(), op.imag.tolist()] for op in arr]
-    return arr.tolist()
-
-
-def with_lists(text: str, version: int = 3) -> dict:
-    """A version-4 document with its fitted arrays as the float lists of the
-    older versions, stamped ``version``."""
-    doc = json.loads(text)
-    doc["v"] = version
-    for ch, fitted in zip(doc["channels"], fc.model_from_json(text).channels, strict=True):
-        ch["readout"] = stored(fitted.readout, 3)
-        for ev, fitted_ev in zip(ch["evolvers"], fitted.evolvers, strict=True):
-            body = evolver_body(ev)
-            body.update({key: stored(getattr(fitted_ev, key), 3) for key in body})
-    return doc
-
-
-def without_config_copies(doc: dict) -> dict:
-    """A fixture document as this version writes it: at version 4, each float
-    list as base64 of its little-endian float64 bytes, and without the
-    entries the loader ignores and the writer no longer stores (the config's
-    ``teacher_alpha``, each channel's ``train_mean``/``train_std`` and each
-    evolver's copies of config values)."""
-    doc["v"] = 4
-    doc["config"].pop("teacher_alpha", None)
-    for ch in doc["channels"]:
-        for key in ("train_mean", "train_std"):
-            ch.pop(key, None)
-        ch["readout"] = stored(np.array(ch["readout"]))
-        for ev in ch["evolvers"]:
-            for body in (ev, ev.get("doc", {})):
-                for key in ("kind", "m_modes", "seq_len", "ridge_lambda", "beta"):
-                    body.pop(key, None)
-            body = evolver_body(ev)
-            if "mode_ops" in body:
-                # (modes, 2, N, N) [real, imag] pairs: with the pair axis last
-                # their float64 bytes are complex128 bytes
-                body["mode_ops"] = stored(np.moveaxis(np.array(body["mode_ops"]), 1, -1))
-            else:
-                body.update({key: stored(np.array(value)) for key, value in body.items()})
-    return doc
-
-
-class TestLegacyDocument:
-    """A ``frequency`` / ``legt_full`` model document written by attraos at
-    commit 34c421a, which still stored the derived ``ssm`` and ``disc``
-    entries.  Its 11 patches were padded to 16, where this version pads them
-    to 12, so its scales are gone: it must be refit."""
-
-    @pytest.fixture(scope="class")
-    def doc(self):
-        return json.loads(LEGACY.with_suffix(".json").read_text(encoding="utf-8"))
-
-    def test_frequency_document_must_be_refit(self, doc):
-        with pytest.raises(ModelFormatError, match="refit"):
-            fc.model_from_json(json.dumps(doc))
-
-    def test_derived_entries_match_the_staged_primitives(self, doc):
-        entries = {k: v for k, v in doc["config"].items() if k != "teacher_alpha"}
-        config = fc.ForecasterConfig(embedding=EmbeddingParams(**doc["embedding"]), **entries)
-        ssm, disc, _ = staged_primitives(config)
-        assert np.array_equal(ssm.a, doc["ssm"]["a"])
-        assert np.array_equal(disc.a_bar, doc["disc"]["a_bar"])
-        assert np.array_equal(disc.b_bar, doc["disc"]["b_bar"])
-
-    def test_resave_drops_only_ssm_and_disc(self, doc):
-        # and the entries ``without_config_copies`` drops: grafted onto the
-        # current frequency document, they are ignored and not written back
-        grafted = json.loads(TestFrequencyDocument.text())
-        grafted.update(ssm=doc["ssm"], disc=doc["disc"])
-        for ch, old in zip(grafted["channels"], doc["channels"], strict=True):
-            ch.update(train_mean=old["train_mean"], train_std=old["train_std"])
-            for ev, old_ev in zip(ch["evolvers"], old["evolvers"], strict=True):
-                ev["kind"] = old_ev["kind"]
-                ev["doc"].update({k: v for k, v in old_ev["doc"].items() if k != "mode_ops"})
-        assert fc.model_to_json(fc.model_from_json(json.dumps(grafted))) == (
-            TestFrequencyDocument.written())
+def stored(arr: np.ndarray) -> str:
+    """A fitted array as a document stores it: base64 of its little-endian
+    bytes in C order."""
+    little = arr.astype("<c16" if np.iscomplexobj(arr) else "<f8")
+    return base64.b64encode(little.tobytes()).decode("ascii")
 
 
 class TestFrequencyDocument:
-    """The ``frequency`` / ``legt_full`` model of the legacy document's setup
-    (window 48, horizon 4, m=2, tau=4, patch 4, order 3, 32 windows), fit on
-    the first 2000 samples of the Lorenz63 fixture: its 11 patches pad to
-    12.  Its ``_io`` file holds the legacy document's three contexts and the
-    predictions this version makes from it.  They were last regenerated when
-    the stage maps came to evolve each scale through
-    ``apply_spectral_evolution`` in place of a per-scale matrix, which moved
-    them by 1.2e-15 of the largest one; they stay within 1e-14 of the
-    writing version's.  The version-4 document is this setup's refit."""
-
-    PATH = LEGACY.parent / "v2_frequency_legt_full"
-
-    @classmethod
-    def text(cls):
-        return cls.PATH.with_suffix(".json").read_text(encoding="utf-8")
-
-    @classmethod
-    def written(cls):
-        """The fixture as this version writes it."""
-        return json.dumps(without_config_copies(json.loads(cls.text())))
-
-    @classmethod
-    def io(cls):
-        return json.loads(Path(f"{cls.PATH}_io.json").read_text(encoding="utf-8"))
+    """The ``frequency`` / ``legt_full`` oracle (window 48, horizon 4, m=2,
+    tau=4, patch 4, order 3, 32 windows), fit on the first 2000 samples of
+    the Lorenz63 fixture: its 11 patches pad to 12.  Its ``_io`` predictions
+    were last regenerated when the stage maps came to evolve each scale
+    through ``apply_spectral_evolution`` in place of a per-scale matrix,
+    which moved them by 1.2e-15 of the largest one; they stay within 1e-14
+    of the writing version's."""
 
     def test_loads_with_bit_identical_predictions(self):
-        model = fc.model_from_json(self.text())
+        model = fc.model_from_json(oracle_text("frequency"))
         assert (model.shapes.n_patches, model.shapes.padded) == (11, 12)
-        io = self.io()
+        io = oracle_io("frequency")
         for context, expect in zip(io["contexts"], io["predictions"], strict=True):
             got = fc.predict(model, context).predictions
             assert np.array_equal(got[:, 0], expect)
             assert_close(got, staged_reference(model, context), rtol=1e-10)
 
     def test_resave_is_byte_identical(self):
-        assert fc.model_to_json(fc.model_from_json(self.text())) == self.written()
+        text = oracle_text("frequency")
+        assert fc.model_to_json(fc.model_from_json(text)) == text
 
     def test_refit_writes_the_same_document(self, lorenz63_x):
-        config = fc.model_from_json(self.text()).config
-        refit = fixture_text(4, "frequency")
+        config = fc.model_from_json(oracle_text("frequency")).config
+        refit = fixture_text("frequency")
         assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == refit
         assert fc.model_to_json(fc.model_from_json(refit)) == refit
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_teacher_alpha_entry_is_ignored(self, alpha):
-        # written while the config held rollout's default alpha: the entry
-        # loads whatever it says, and is not written back
-        doc = json.loads(self.text())
-        assert doc["config"]["teacher_alpha"] == 0.0
-        doc["config"]["teacher_alpha"] = alpha
-        model = fc.model_from_json(json.dumps(doc))
-        io = self.io()
-        for context, expect in zip(io["contexts"], io["predictions"], strict=True):
-            assert np.array_equal(fc.predict(model, context).predictions[:, 0], expect)
-        resaved = fc.model_to_json(model)
-        assert "teacher_alpha" not in json.loads(resaved)["config"]
-        assert resaved == self.written()
 
 
 @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
 class TestNonlinearDocument:
-    """``direct`` and ``hopfield`` model documents (legt_full, two clusters,
-    otherwise the setup of the legacy ``frequency`` document) fit on the
-    first 2000 samples of the Lorenz63 fixture, with three contexts and the
-    predictions this version makes from them (within 1e-12 relative of the
-    writing version's).  The ``hopfield`` one was written by attraos at
+    """The ``direct`` and ``hopfield`` oracles: the ``frequency`` oracle's
+    setup with two clusters, fit on the same samples, with three contexts
+    and the predictions this version makes from them (within 1e-12 relative
+    of the writing version's).  The ``hopfield`` one was fit by attraos at
     commit b8cb457, the ``direct`` one, with its N x N cluster operators, by
-    the version that introduced them; the version-4 documents are their
-    refits."""
-
-    NAMES = {"direct": "v1_direct_legt_full", "hopfield": "legacy_v1_hopfield_legt_full"}
-
-    @classmethod
-    def text(cls, strategy):
-        return (LEGACY.parent / f"{cls.NAMES[strategy]}.json").read_text(encoding="utf-8")
+    the version that introduced them."""
 
     def test_loads_with_bit_identical_predictions(self, strategy):
-        model = fc.model_from_json(self.text(strategy))
-        io = json.loads((LEGACY.parent / f"{self.NAMES[strategy]}_io.json")
-                        .read_text(encoding="utf-8"))
+        model = fc.model_from_json(oracle_text(strategy))
+        io = oracle_io(strategy)
         for context, expect in zip(io["contexts"], io["predictions"], strict=True):
             assert np.array_equal(fc.predict(model, context).predictions[:, 0], expect)
 
     def test_resave_is_byte_identical(self, strategy):
-        text = self.text(strategy)
-        expect = json.dumps(without_config_copies(json.loads(text)))
-        assert fc.model_to_json(fc.model_from_json(text)) == expect
+        text = oracle_text(strategy)
+        assert fc.model_to_json(fc.model_from_json(text)) == text
 
     def test_refit_writes_the_same_document(self, lorenz63_x, strategy):
         # pins the k-means partition and the per-cluster fits
-        config = fc.model_from_json(self.text(strategy)).config
-        refit = fixture_text(4, strategy)
+        config = fc.model_from_json(oracle_text(strategy)).config
+        refit = fixture_text(strategy)
         assert fc.model_to_json(fc.fit(config, lorenz63_x[:2000])) == refit
         assert fc.model_to_json(fc.model_from_json(refit)) == refit
 
     def test_overflowing_forecast_raises_without_a_warning(self, lorenz63_x, strategy):
         # every stored entry is finite, but a readout column near the float
         # maximum takes the forecast beyond it
-        doc = json.loads(fixture_text(4, strategy))
-        readout = fc.model_from_json(fixture_text(4, strategy)).channels[0].readout.copy()
+        doc = json.loads(fixture_text(strategy))
+        readout = fc.model_from_json(fixture_text(strategy)).channels[0].readout.copy()
         readout[:, 0] = 1e308
         doc["channels"][0]["readout"] = stored(readout)
         model = fc.model_from_json(json.dumps(doc))
@@ -1322,67 +1199,43 @@ class TestNonlinearDocument:
 
 
 @pytest.mark.parametrize("strategy", fc.STRATEGIES)
-def test_version_3_document_loads_and_resaves_as_version_4(lorenz63_x, strategy):
-    # the version-3 fixtures hold the version-4 fixtures' model as float lists
-    old, new = fc.model_from_json(fixture_text(3, strategy)), fc.model_from_json(
-        fixture_text(4, strategy))
-    assert fc.model_to_json(old) == fixture_text(4, strategy)
-    for start in (2000, 2500, 3000):
-        context = lorenz63_x[start : start + 48]
-        assert np.array_equal(fc.predict(old, context).predictions,
-                              fc.predict(new, context).predictions)
+def test_retired_versions_ask_for_a_refit(strategy):
+    # versions 1 to 3 stored the fitted arrays as float lists; no version
+    # but 4 is read, and only those three are named as retired
+    doc = json.loads(fixture_text(strategy))
+    for version in (1, 2, 3):
+        for text in (json.dumps({"v": version}), json.dumps({**doc, "v": version})):
+            with pytest.raises(ModelFormatError, match=f"version-{version} .*refit"):
+                fc.model_from_json(text)
+    for version in (0, 5, True, 2.0):
+        with pytest.raises(ModelFormatError, match="not a version-4") as info:
+            fc.model_from_json(json.dumps({**doc, "v": version}))
+        assert "refit" not in str(info.value)
 
 
 @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
 @pytest.mark.parametrize("order", [8, 9, 16])
-def test_version_2_document_above_order_8_must_be_refit(lorenz63_x, strategy, order):
-    # version 2 built the detail filters by Gram-Schmidt: up to order 8 its
-    # rows match the QR completion to 1e-10, above it they do not
+def test_document_of_order_8_and_above_round_trips(lorenz63_x, strategy, order):
+    # the document stores no wavelet filters: a load rebuilds the ones the
+    # model was fit with, at orders where an earlier construction of them
+    # agreed with today's (8) and where it did not (9, 16)
     cfg = fc.ForecasterConfig(window=48, horizon=4, embedding=EmbeddingParams(2, 4),
                               patch_len=4, poly_order=order, ssm_variant="legt_full",
                               n_clusters=2, evolution_strategy=strategy, max_train_windows=32)
-    text = fc.model_to_json(fc.fit(cfg, lorenz63_x[:2000]))
-    model = fc.model_from_json(text)
-    assert fc.model_to_json(model) == text
-    doc = with_lists(text, version=2)
-    if order > 8:
-        with pytest.raises(ModelFormatError, match="refit"):
-            fc.model_from_json(json.dumps(doc))
-        return
+    model = fc.fit(cfg, lorenz63_x[:2000])
+    text = fc.model_to_json(model)
+    loaded = fc.model_from_json(text)
+    assert fc.model_to_json(loaded) == text
     context = lorenz63_x[2000:2048]
-    assert np.array_equal(fc.predict(fc.model_from_json(json.dumps(doc)), context).predictions,
+    assert np.array_equal(fc.predict(loaded, context).predictions,
                           fc.predict(model, context).predictions)
 
 
-def test_dense_direct_document_raises():
-    # written at b8cb457, when each direct cluster fit one dense (D * N) map;
-    # such a model has to be refit
-    text = (LEGACY.parent / "legacy_v1_direct_legt_full.json").read_text(encoding="utf-8")
-    with pytest.raises(ModelFormatError, match="operators has shape"):
-        fc.model_from_json(text)
-
-
 def test_non_positive_hopfield_beta_in_document_raises():
-    doc = json.loads(TestNonlinearDocument.text("hopfield"))
+    doc = json.loads(fixture_text("hopfield"))
     doc["config"]["hopfield_beta"] = -1
     with pytest.raises(ModelFormatError):
         fc.model_from_json(json.dumps(doc))
-
-
-def test_evolver_beta_copy_is_ignored():
-    # the hopfield fixture copies its config's beta into every evolver; the
-    # model predicts with the config's, whatever the copy says
-    text = TestNonlinearDocument.text("hopfield")
-    doc = json.loads(text)
-    for ev in doc["channels"][0]["evolvers"]:
-        assert ev["beta"] != 50.0
-        ev["beta"] = 50.0
-    edited, model = fc.model_from_json(json.dumps(doc)), fc.model_from_json(text)
-    io = json.loads((LEGACY.parent / "legacy_v1_hopfield_legt_full_io.json")
-                    .read_text(encoding="utf-8"))
-    for context in io["contexts"]:
-        assert np.array_equal(fc.predict(edited, context).predictions,
-                              fc.predict(model, context).predictions)
 
 
 class TestStrategies:

@@ -168,6 +168,23 @@ class TestDiscretize:
         gap2 = abs(lg.discretize(p2).b_bar[0] - lg.discretize(p2, "zoh").b_bar[0])
         assert 3.0 <= gap1 / gap2 <= 5.0
 
+    def test_legt_full_order_3_matches_its_first_stored_values(self):
+        # the continuous matrix and its discretization at theta 4 (delta
+        # 0.25) as a model document of attraos at commit 34c421a stored them
+        p = lg.make_ssm_params("legt_full", 3, 0.25)
+        d = lg.discretize(p)
+        assert np.array_equal(p.a, [
+            [-1.0, 1.7320508075688772, -2.23606797749979],
+            [-1.7320508075688772, -2.9999999999999996, 3.872983346207417],
+            [-2.23606797749979, -3.872983346207417, -5.000000000000001],
+        ])
+        assert np.array_equal(d.a_bar, [
+            [0.7633232082362604, 0.355595377108332, -0.1446825536813124],
+            [-0.35559537710833206, 0.21211795318594984, 0.35950511429565624],
+            [-0.1446825536813124, -0.35950511429565624, 0.16706939210496696],
+        ])
+        assert np.array_equal(d.b_bar, [0.25, 0.4330127018922193, 0.5590169943749475])
+
     def test_stability_of_diagonal_variants(self):
         for variant in ("legs_diag", "diag_neg1"):
             p = lg.make_ssm_params(variant, 6, 0.3)
