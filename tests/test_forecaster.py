@@ -1198,19 +1198,49 @@ class TestNonlinearDocument:
                 fc.predict(model, lorenz63_x[: model.config.window])
 
 
+@pytest.mark.parametrize("version", [1, 2, 3])
 @pytest.mark.parametrize("strategy", fc.STRATEGIES)
-def test_retired_versions_ask_for_a_refit(strategy):
-    # versions 1 to 3 stored the fitted arrays as float lists; no version
-    # but 4 is read, and only those three are named as retired
+def test_retired_versions_ask_for_a_refit(strategy, version):
+    # versions 1 to 3 stored the fitted arrays as float lists; a document
+    # of one of them is refused before any of its entries is read
     doc = json.loads(fixture_text(strategy))
-    for version in (1, 2, 3):
-        for text in (json.dumps({"v": version}), json.dumps({**doc, "v": version})):
-            with pytest.raises(ModelFormatError, match=f"version-{version} .*refit"):
-                fc.model_from_json(text)
-    for version in (0, 5, True, 2.0):
+    for text in (json.dumps({"v": version}), json.dumps({**doc, "v": version})):
+        with pytest.raises(ModelFormatError, match=f"version-{version} .*refit"):
+            fc.model_from_json(text)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "version", [0, 5, -1, True, 2.0, 4.0, "4", None, MISSING],
+    ids=["0", "5", "-1", "true", "2.0", "4.0", "string-4", "null", "missing"],
+)
+def test_other_versions_are_not_read(version):
+    # only the integer 4 is read (true == 1 and 4.0 == 4, so the type is
+    # checked too), and only versions 1 to 3 are named as retired
+    for strategy in fc.STRATEGIES:
+        doc = json.loads(fixture_text(strategy))
+        if version is MISSING:
+            del doc["v"]
+        else:
+            doc["v"] = version
         with pytest.raises(ModelFormatError, match="not a version-4") as info:
-            fc.model_from_json(json.dumps({**doc, "v": version}))
+            fc.model_from_json(json.dumps(doc))
         assert "refit" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("teacher_alpha", 0.0), ("teacher_alpha", 0.5), ("no_such_entry", 1)],
+)
+def test_config_entry_the_config_does_not_hold_raises(key, value):
+    # older documents held rollout's teacher_alpha in their config; it is
+    # refused as any entry that is no config field is
+    for strategy in fc.STRATEGIES:
+        doc = json.loads(fixture_text(strategy))
+        doc["config"][key] = value
+        with pytest.raises(ModelFormatError, match=key):
+            fc.model_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
