@@ -20,6 +20,10 @@ NaN or inf or whose spread (``mi_profile``) or nearest-neighbour distances
 of two first (``_unit_scaled``, which the forecaster's normalization shares),
 so its fractions do not depend on the series' magnitude.  ``_as_2d`` states
 the one (samples, channels) layout of a multichannel series.
+
+Nearest-neighbour searches, here and in ``lyapunov``, run on scipy's kd-tree,
+built by ``_kd_tree``, which imports scipy at the first search; importing
+this module, delay embedding and patching load numpy alone.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateSeriesError, NonFiniteError, ShapeMismatchError, TooShortError
 
@@ -152,6 +155,13 @@ def _embed_forward(series: np.ndarray, m: int, tau: int) -> np.ndarray:
     return view[..., :n, ::tau]
 
 
+def _kd_tree(points):
+    """scipy's kd-tree over the rows of ``points``, imported at first use."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
+
+
 def _fnn_fractions(series, tau: int, max_m: int, dims=None, decide: bool = False):
     """(m, false-neighbor fraction) for each m of ``dims`` (default
     1..max_m) in turn; ends early at the first m the series is too short to
@@ -177,7 +187,7 @@ def _fnn_fractions(series, tau: int, max_m: int, dims=None, decide: bool = False
         if usable < 2:
             return
         pts = _embed_forward(series, m, tau)[:usable]
-        tree = cKDTree(pts)
+        tree = _kd_tree(pts)
         step = _QUERY_BLOCK if decide else usable
         false = 0
         for lo in range(0, usable, step):

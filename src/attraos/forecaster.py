@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 
@@ -117,22 +118,31 @@ class ForecasterConfig:
             # 96.5, Infinity or true (whose type is bool) in a document is no count
             if f.type == "int" and not (type(value) is int or isinstance(value, np.integer)):
                 raise ValueError(f"{f.name} must be an integer")
+            if f.type == "float":
+                # an integer beyond the float range compares as finite but
+                # overflows where the model uses it
+                try:
+                    finite = math.isfinite(value)
+                except (OverflowError, TypeError):
+                    finite = False
+                if not finite:
+                    raise ValueError(f"{f.name} must be a finite float")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if self.patch_len < 1 or self.poly_order < 1 or self.levels < 0:
             raise ValueError("patch_len, poly_order >= 1 and levels >= 0 required")
-        if not 0 < self.theta < np.inf:
-            raise ValueError("theta must be positive and finite")
+        if self.theta <= 0:
+            raise ValueError("theta must be positive")
         if self.evolution_strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.m_modes < 1 or self.n_clusters < 1:
             raise ValueError("m_modes and n_clusters must be >= 1")
-        if not 0 <= self.ridge_lambda < np.inf:
-            raise ValueError("ridge_lambda must be >= 0 and finite")
-        if not 0 < self.hopfield_beta < np.inf:
-            raise ValueError("hopfield_beta must be positive and finite")
+        if self.ridge_lambda < 0:
+            raise ValueError("ridge_lambda must be >= 0")
+        if self.hopfield_beta <= 0:
+            raise ValueError("hopfield_beta must be positive")
         if self.max_train_windows < 2:
             # one window makes no evolution pair
             raise ValueError("max_train_windows must be >= 2")
@@ -788,8 +798,8 @@ def model_from_json(text: str) -> FittedForecaster:
         if type(version) is not int or version != 4:
             raise ModelFormatError("not a version-4 model document")
         return _model_from_doc(doc)
-    # JSONDecodeError is a ValueError; a config number written as an integer
-    # beyond the float range raises OverflowError where the model uses it
+    # JSONDecodeError is a ValueError; OverflowError is kept for an integer
+    # entry that numpy cannot hold where the model uses it
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
 

@@ -5,7 +5,10 @@ window, phi_n(s) = sqrt(2n+1) * P_n(2s - 1) for s in [0, 1], orthonormal under
 the plain Lebesgue measure.  On top of it sit the translated-measure state
 matrices (full sliding-window form and two diagonal approximations) and the
 discretization rules: zero-order hold for the transition, forward Euler (or
-exact hold, for error studies) for the input map.
+exact hold, for error studies) for the input map.  Only the full-matrix
+``legt_full`` transition needs scipy's matrix exponential, imported when it is
+first discretized; the diagonal variants, the default among them, run on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 VARIANTS = ("legt_full", "legs_diag", "diag_neg1")
 
@@ -157,7 +159,12 @@ def discretize(params: SsmParams, b_method: str = "euler") -> DiscretizedSsm:
     if b_method not in ("euler", "zoh"):
         raise ValueError("b_method must be 'euler' or 'zoh'")
     d = params.delta
-    a_bar = np.exp(d * params.a) if params.is_diagonal else expm(d * params.a)
+    if params.is_diagonal:
+        a_bar = np.exp(d * params.a)
+    else:
+        from scipy.linalg import expm
+
+        a_bar = expm(d * params.a)
     if b_method == "euler":
         b_bar = d * params.b
     elif params.is_diagonal:

@@ -4,7 +4,9 @@ Rosenstein-style estimate: embed the series, pair every reference point with
 its nearest neighbor outside a temporal exclusion window, track the mean log
 separation over a horizon, and read the exponent off the least-squares slope
 of the early part of that curve.  No Jacobian needed, which is why it works on
-observed data; reported units are per sample step.
+observed data; reported units are per sample step.  The neighbour search runs
+on ``embedding._kd_tree``, so scipy is imported at the first estimate, not
+with this module.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .embedding import EmbeddingParams, _as_2d, _check_series, delay_embed
+from .embedding import EmbeddingParams, _as_2d, _check_series, _kd_tree, delay_embed
 from .errors import DegenerateSeriesError, NonFiniteError, TooShortError
 
 _QUERY_BLOCK = 2048  # reference points per neighbour query
@@ -70,7 +71,7 @@ def estimate_mle(
     n = pts.shape[0]
     usable = n - horizon  # pairs track the full horizon; >= theiler + 2 by the length check
     base = pts[:usable]
-    tree = cKDTree(base)
+    tree = _kd_tree(base)
     idx = np.arange(usable)
     partner = _nearest_outside_window(tree, base, idx, theiler)
 

@@ -71,7 +71,7 @@ def count_queries(monkeypatch):
             queried[self.index] += len(x)
             return super().query(x, k=k)
 
-    monkeypatch.setattr(emb, "cKDTree", CountingTree)
+    monkeypatch.setattr(emb, "_kd_tree", CountingTree)
     return built, queried
 
 

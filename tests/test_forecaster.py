@@ -117,6 +117,12 @@ class TestFit:
         with pytest.raises(ValueError, match=field):
             fc.ForecasterConfig(window=96, horizon=4, **{field: value})
 
+    @pytest.mark.parametrize("field", ["theta", "ridge_lambda", "hopfield_beta"])
+    def test_integer_beyond_the_float_range_rejected(self, field):
+        # 10**400 compares as finite (0 < value < inf) but converts to no float
+        with pytest.raises(ValueError, match=f"{field} must be a finite float"):
+            fc.ForecasterConfig(window=96, horizon=4, **{field: 10**400})
+
     @pytest.mark.parametrize("value", [96.5, np.inf, np.nan])
     def test_non_integer_count_rejected(self, value):
         with pytest.raises(ValueError, match="window must be an integer"):
@@ -917,8 +923,7 @@ class TestModelDocument:
             doc["config"]["theta"] = "@non-finite@"
             text = json.dumps(doc)
             assert fc.model_from_json(text.replace('"@non-finite@"', "0.5")) is not None
-            # an integer beyond the float range passes the config's checks
-            # and overflows where the model divides by it
+            # an integer beyond the float range is no finite float either
             for token in ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400):
                 with pytest.raises(ModelFormatError):
                     fc.model_from_json(text.replace('"@non-finite@"', token))
