@@ -108,14 +108,17 @@ def fit_spectral_operators(
 
 
 def apply_spectral_evolution(x: np.ndarray, model: SpectralEvolutionModel) -> np.ndarray:
-    """Low modes in, W_i per mode, back to the original scale."""
+    """Low modes in, W_i per mode, back to the original scale: x holds
+    length-L sequences along axis 0 and N-vectors along its last axis.  The
+    (M, ..., N, N) mode operators may carry middle axes that broadcast
+    against x's: a stack of models, each applied to its own sequences."""
     x = np.asarray(x, dtype=float)
     if x.shape[0] != model.seq_len:
         raise ShapeMismatchError(
             f"model was fit for length {model.seq_len}, got {x.shape[0]}"
         )
     spec = fft_modes(x, model.mode_ops.shape[0])
-    out = np.einsum("mij,m...j->m...i", model.mode_ops, spec)
+    out = np.einsum("m...ij,m...j->m...i", model.mode_ops, spec)
     return ifft_modes(out, model.seq_len)
 
 
@@ -170,13 +173,15 @@ def kmeans_partition(points: np.ndarray, k: int, seed: int = 0) -> AttractorPart
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances, filled one centroid at a time so no
+    """(..., n, k) squared distances of (..., n, F) points to (..., k, F)
+    centroids, filled one centroid at a time over the leading axes so no
     (n, k, F) temporary is made; each entry sums its row like the
     broadcast formula does, so the values are the same.  Serving uses it
     because a row's label must not depend on the batch it comes in."""
-    d2 = np.empty((points.shape[0], centroids.shape[0]))
-    for c, centroid in enumerate(centroids):
-        d2[:, c] = ((points - centroid) ** 2).sum(axis=1)
+    d2 = np.empty(np.broadcast_shapes(points.shape[:-2], centroids.shape[:-2])
+                  + (points.shape[-2], centroids.shape[-2]))
+    for c in range(centroids.shape[-2]):
+        d2[..., c] = ((points - centroids[..., c, None, :]) ** 2).sum(axis=-1)
     return d2
 
 
@@ -234,12 +239,17 @@ def fit_direct_operators(
 
 
 def apply_direct_evolution(x: np.ndarray, model: DirectEvolutionModel) -> np.ndarray:
-    """Advance each (D, N) position of a (rows, D, N) array by its
-    nearest-centroid cluster operator; each row is its own product, so a row
-    does not depend on the others."""
+    """Advance each (D, N) position of a (..., rows, D, N) array by its
+    nearest-centroid cluster operator.  The model's arrays may carry leading
+    axes, (..., k, D * N) centroids and (..., k, N, N) operators; x has as
+    many before its rows, and they broadcast: a stack of models, each
+    applied to its own rows.  Each row is its own product, so a row does
+    not depend on the others."""
     x = np.asarray(x, dtype=float)
-    labels = _sq_dists(x.reshape(len(x), -1), model.centroids).argmin(axis=1)
-    return x @ model.operators[labels].swapaxes(1, 2)
+    lead = x.shape[: model.centroids.ndim - 1]  # the model's leading axes and the rows
+    labels = _sq_dists(x.reshape(*lead, -1), model.centroids).argmin(axis=-1)
+    ops = np.take_along_axis(model.operators, labels[..., None, None], axis=-3)
+    return x @ ops.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +325,18 @@ def fit_hopfield_evolution(
 
 
 def apply_hopfield_evolution(x: np.ndarray, model: HopfieldEvolutionModel) -> np.ndarray:
-    """x' = V^T softmax(beta K x) per position of a (rows, D, N) array, on
-    its flattened (D * N) state.  The logits and the retrieval of each row
-    are products of their own (a broadcast matmul over the rows), so a row
-    does not depend on the rows computed with it."""
+    """x' = V^T softmax(beta K x) per position of a (..., rows, D, N) array,
+    on its flattened (D * N) state.  The (..., k, D * N) keys and values may
+    carry leading axes; x has as many before its rows, and they broadcast:
+    a stack of memories, each applied to its own rows.  The logits and the
+    retrieval of each row are products of their own (a broadcast matmul
+    over the rows), so a row does not depend on the rows computed with it."""
     x = np.asarray(x, dtype=float)
-    logits = model.beta * (x.reshape(len(x), 1, -1) @ model.keys.T)[:, 0]
-    logits -= logits.max(axis=1, keepdims=True)
+    lead = x.shape[: model.keys.ndim - 1]  # the model's leading axes and the rows
+    # the flattened rows are a copy of a strided x; it is freed after the product
+    keys = model.keys.swapaxes(-1, -2)[..., None, :, :]
+    logits = model.beta * (x.reshape(*lead, 1, -1) @ keys)[..., 0, :]
+    logits -= logits.max(axis=-1, keepdims=True)
     w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    return (w[:, None] @ model.values).reshape(x.shape)
+    w /= w.sum(axis=-1, keepdims=True)
+    return (w[..., None, :] @ model.values[..., None, :, :]).reshape(x.shape)

@@ -22,7 +22,9 @@ Each window, and under ``direct`` and ``hopfield`` each position, gets its
 own identically shaped matrix product, so a window's features do not depend
 on the batch it is computed in, for every strategy.
 
-Between the two operators a window is one (S, D) array, the stack: the whole
+Delay embedding and patching only pick samples, so a window is embedded
+and patched by one gather of the model's (L, D) sample ``index``.  Between
+the two operators a window is one (S, D) array, the stack: the whole
 pyramid, each scale a fixed block of rows (``ShapeInfo.scale_rows``).
 Evolution writes each scale's next step into the same rows of a new stack;
 it sees the block as a (positions, D, N) view, ``frequency`` evolution
@@ -30,28 +32,32 @@ it sees the block as a (positions, D, N) view, ``frequency`` evolution
 ``direct`` and ``hopfield``, which are nonlinear in a position's (D, N)
 state, as one state per position.
 
-``_features`` runs a channel's stages after the front operator: its
-evolution and the back operator.  With ``frequency`` evolution every stage
-after instance normalization is linear, from the delay embedding to the
-readout, so each channel's pipeline collapses to one (window, horizon)
-serving map.  ``_features`` applied to the front operator itself, its L
-columns taken as coordinates, gives the channel's (L', L) stage map.  That
-map on the embedded and patched identity window (``_stage_map``) takes a
-normalized window to its feature row: a ``frequency`` fit builds its
-readout design from it, and with the readout it is the serving map.
-``predict`` normalizes each channel's window once, takes the
-normalized forecast from the serving maps (``frequency``, all channels in
-one batched product) or from the stack, ``_features`` and readout
-(``direct``/``hopfield``), and denormalizes once; normalization stays
-outside the maps, so a constant channel still forecasts its mean exactly.
+``_features`` runs the stages after the front operator, evolution and the
+back operator, on a (C, B, S, D) stack of C channels' windows at once:
+each channel's evolvers are stacked along a leading channel axis per scale
+(``_stacked``), and the evolution functions broadcast over it.  With
+``frequency`` evolution every stage after instance normalization is linear,
+from the delay embedding to the readout, so each channel's pipeline
+collapses to one (window, horizon) serving map.  ``_features`` applied to
+the front operator itself, its L columns taken as coordinates, gives each
+channel's (L', L) stage map.  That map on the embedded and patched identity
+window (``_stage_map``) takes a normalized window to its feature row: a
+``frequency`` fit builds its readout design from it, and with the readout
+it is the serving map.  ``predict`` normalizes each channel's window once,
+takes all channels' normalized forecasts in one pass, from the serving maps
+(``frequency``) or from the stack, one ``_features`` call and the stacked
+readouts (``direct``/``hopfield``), and denormalizes once; normalization
+stays outside the maps, so a constant channel still forecasts its mean
+exactly.
 
 A fitted model is its config, which holds the embedding it was fit with,
 and its per-channel maps (evolvers and readout).  The shapes, the stage
-operators and the serving maps are closed-form functions of those, so
-``FittedForecaster`` derives them when it is constructed, after a fit and
-after a load alike.  The model document (``model_to_json``) stores the
-config and the embedding as JSON and the fitted arrays as base64 float64
-bytes, each once; this module is the only one that reads or writes it.
+operators, the sample index, the serving maps and the channel stacks are
+closed-form functions of those, so ``FittedForecaster`` derives them when
+it is constructed, after a fit and after a load alike.  The model document
+(``model_to_json``) stores the config and the embedding as JSON and the
+fitted arrays as base64 float64 bytes, each once; this module is the only
+one that reads or writes it.
 
 Every learned map is a closed-form ridge regression (``evolution.ridge_fit``,
 one thin SVD of its design); there is no iterative training.  The training
@@ -215,13 +221,18 @@ class FittedForecaster:
     was fit with, and one ``ChannelModel`` per channel.
 
     The remaining fields are derived at construction and are neither
-    compared nor serialized: the pipeline ``shapes`` and the per-coordinate
+    compared nor serialized: the pipeline ``shapes``, the per-coordinate
     stage operators ``front`` (S, L) and ``back`` (L', S), built from the
-    Euler-discretized recurrence and the wavelet filters, and for
-    ``frequency`` models the ``serving`` maps (C, window, horizon), one per
-    channel, from a normalized window to its normalized forecast (``None``
-    for ``direct`` and ``hopfield``, and for a model without channels).
-    Serving maps beyond the float range raise NonFiniteError.
+    Euler-discretized recurrence and the wavelet filters, and the (L, D)
+    ``index`` of the samples of a window that the embedded and patched
+    window holds.  A model with channels also derives what serves them all
+    at once: for ``frequency`` the ``serving`` maps (C, window, horizon),
+    one per channel, from a normalized window to its normalized forecast;
+    for ``direct`` and ``hopfield`` the channels' ``evolvers`` stacked per
+    scale (``_stacked``) and their (C, L' * D, horizon) ``readouts``.  The
+    fields a strategy does not use are ``None``.  Serving maps beyond the
+    float range raise NonFiniteError, and ``direct`` or ``hopfield``
+    channels whose cluster counts differ at a scale ShapeMismatchError.
     """
 
     config: ForecasterConfig
@@ -229,7 +240,10 @@ class FittedForecaster:
     shapes: ShapeInfo = field(init=False, repr=False, compare=False)
     front: np.ndarray = field(init=False, repr=False, compare=False)
     back: np.ndarray = field(init=False, repr=False, compare=False)
+    index: np.ndarray = field(init=False, repr=False, compare=False)
     serving: np.ndarray | None = field(init=False, repr=False, compare=False)
+    evolvers: list | None = field(init=False, repr=False, compare=False)
+    readouts: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cfg = self.config
@@ -245,17 +259,23 @@ class FittedForecaster:
         object.__setattr__(self, "shapes", shapes)
         object.__setattr__(self, "front", front)
         object.__setattr__(self, "back", _back_operator(filters, shapes))
-        serving = None
+        samples = patch(delay_embed(np.arange(cfg.window), cfg.embedding), cfg.patch_len)
+        object.__setattr__(self, "index", samples.astype(np.intp))
+        serving = evolvers = readouts = None
+        if self.channels:
+            evolvers = _stacked([ch.evolvers for ch in self.channels], cfg)
+            readouts = np.stack([ch.readout for ch in self.channels])
         if cfg.evolution_strategy == "frequency" and self.channels:
-            unit = _unit_window(cfg)
             # finite operators and readouts can still compose to an
             # overflowing map; that is found below, not printed
             with np.errstate(over="ignore", invalid="ignore"):
-                serving = np.stack([_stage_map(ch.evolvers, self, unit) @ ch.readout
-                                    for ch in self.channels])
+                serving = _stage_map(evolvers, self, _unit_window(self)) @ readouts
             if not np.all(np.isfinite(serving)):
                 raise NonFiniteError("the serving maps overflow the float range")
+            evolvers = readouts = None  # the serving maps hold all they serve
         object.__setattr__(self, "serving", serving)
+        object.__setattr__(self, "evolvers", evolvers)
+        object.__setattr__(self, "readouts", readouts)
 
     @property
     def embedding(self) -> EmbeddingParams:
@@ -364,17 +384,38 @@ def _back_operator(filters: WaveletFilters, sh: ShapeInfo) -> np.ndarray:
 
 
 def _positions(rows: np.ndarray, order: int) -> np.ndarray:
-    """One scale's (B, L_s * N, D) stack rows as a (B, L_s, D, N) view: one
-    (D, N) state per window position, as direct and hopfield evolution see it."""
-    b, _, d = rows.shape
-    return np.swapaxes(rows.reshape(b, -1, order, d), 2, 3)
+    """One scale's (..., B, L_s * N, D) stack rows as a (..., B, L_s, D, N)
+    view: one (D, N) state per window position, as direct and hopfield
+    evolution see it."""
+    return np.swapaxes(rows.reshape(*rows.shape[:-2], -1, order, rows.shape[-1]), -2, -1)
+
+
+def _stacked(evolvers: list, config: ForecasterConfig) -> list:
+    """Each scale's evolvers of all channels, ``evolvers[c][s]``, as one
+    evolver of that scale whose arrays carry a channel axis, as
+    ``_features`` applies them: (C, k, D * N) centroids, keys and values,
+    (C, k, N, N) operators, and (M, C, 1, 1, N, N) mode operators, which
+    broadcast against the (M, C, B, D, N) spectra.  Channels whose cluster
+    counts differ at a scale raise ShapeMismatchError."""
+    strategy = config.evolution_strategy
+    names = {"frequency": ("mode_ops",), "direct": ("centroids", "operators"),
+             "hopfield": ("keys", "values")}[strategy]
+    stacked = []
+    for scale, evs in enumerate(zip(*evolvers, strict=True)):
+        if len({getattr(ev, names[0]).shape for ev in evs}) > 1:
+            raise ShapeMismatchError(f"channels differ in the cluster count of scale {scale}")
+        arrays = {n: np.stack([getattr(ev, n) for ev in evs]) for n in names}
+        if strategy == "frequency":
+            arrays["mode_ops"] = np.swapaxes(arrays["mode_ops"], 0, 1)[:, :, None, None]
+        stacked.append(replace(evs[0], **arrays))
+    return stacked
 
 
 def _stack(zn: np.ndarray, model) -> np.ndarray:
-    """Embed, patch, then apply the front operator to a (..., batch, window)
-    array of normalized windows; returns the (..., batch, S, D) stacks."""
-    patches = patch(delay_embed(zn, model.embedding), model.config.patch_len)  # (..., B, L, D)
-    return model.front @ patches
+    """Embed and patch a (..., batch, window) array of normalized windows,
+    one gather of the model's ``index``, then apply the front operator;
+    returns the (..., batch, S, D) stacks."""
+    return model.front @ zn[..., model.index]
 
 
 def _valid_positions(length: int, cell: int, pad: int) -> np.ndarray:
@@ -387,39 +428,45 @@ def _valid_positions(length: int, cell: int, pad: int) -> np.ndarray:
 
 
 def _features(stack: np.ndarray, evolvers, model) -> np.ndarray:
-    """Advance every scale of a (B, S, D) stack by one step, then apply the
-    back operator: one (L' * D) feature row per window."""
+    """Advance every scale of a (C, B, S, D) stack of C channels' windows
+    by one step, each channel with its own evolvers (``_stacked``), then
+    apply the back operator: one (L' * D) feature row per window,
+    (C, B, L' * D).  All channels run in one call per scale."""
     sh = model.shapes
     strategy = model.config.evolution_strategy
     evolved = np.empty_like(stack)
     for rows, ev in zip(sh.scale_rows, evolvers):
-        seqs = _positions(stack[:, rows], sh.order)
+        seqs = _positions(stack[..., rows, :], sh.order)  # (C, B, L_s, D, N)
         if strategy == "frequency":
             # the spectral map runs along each sequence, axis 0
-            nxt = np.swapaxes(evo.apply_spectral_evolution(np.swapaxes(seqs, 0, 1), ev), 0, 1)
+            nxt = np.moveaxis(evo.apply_spectral_evolution(np.moveaxis(seqs, 2, 0), ev), 0, 2)
         else:
             apply = (evo.apply_direct_evolution if strategy == "direct"
                      else evo.apply_hopfield_evolution)
-            nxt = apply(seqs.reshape(-1, sh.d, sh.order), ev).reshape(seqs.shape)
-        _positions(evolved[:, rows], sh.order)[...] = nxt
+            # each channel's positions as its rows
+            nxt = apply(seqs.reshape(len(seqs), -1, sh.d, sh.order), ev).reshape(seqs.shape)
+        _positions(evolved[..., rows, :], sh.order)[...] = nxt
     # the broadcast matmul makes one product per window, so a row does not
     # depend on its batch (a whole-batch tensordot changes the last bits)
-    return (model.back @ evolved).reshape(stack.shape[0], -1)
+    return (model.back @ evolved).reshape(*stack.shape[:2], -1)
 
 
-def _unit_window(config: ForecasterConfig) -> np.ndarray:
+def _unit_window(model) -> np.ndarray:
     """The embedded and patched identity window, (window, L, D)."""
-    return patch(delay_embed(np.eye(config.window), config.embedding), config.patch_len)
+    return np.eye(model.config.window)[:, model.index]
 
 
 def _stage_map(evolvers, model, unit: np.ndarray) -> np.ndarray:
-    """(window, L' * D) map from a normalized window to its feature row
-    under ``frequency`` evolution.  Every stage acts alike on each patch
-    coordinate, so ``_features`` evolves the front operator's L columns as
-    L coordinates into one (L', L) stage map; that map is applied to
-    ``unit``, the ``_unit_window``."""
-    stages = _features(model.front[None], evolvers, model).reshape(-1, model.shapes.n_patches)
-    return (stages @ unit).reshape(len(unit), -1)
+    """(C, window, L' * D) maps from a normalized window to its feature row
+    under the C channels' ``frequency`` evolvers (``_stacked``).  Every
+    stage acts alike on each patch coordinate, so ``_features`` evolves the
+    front operator's L columns as L coordinates into one (L', L) stage map
+    per channel; that map is applied to ``unit``, the ``_unit_window``."""
+    sh = model.shapes
+    channels = evolvers[0].mode_ops.shape[1]
+    fronts = np.broadcast_to(model.front, (channels, 1) + model.front.shape)
+    stages = _features(fronts, evolvers, model).reshape(channels, 1, -1, sh.n_patches)
+    return (stages @ unit).reshape(channels, len(unit), -1)
 
 
 def _windows(z: np.ndarray, config: ForecasterConfig):
@@ -474,11 +521,11 @@ def _fit_frequency(arr: np.ndarray, model: FittedForecaster) -> list:
     w, length = config.window, sh.n_patches
     kernels = [evo.fft_modes(model.front[rows].reshape(n, sh.order, length), modes)
                for n, rows, modes in zip(sh.scale_lens, sh.scale_rows, sh.scale_modes)]
-    unit = _unit_window(config)
+    unit = _unit_window(model)
     channels = []
     for c in range(arr.shape[1]):
         zn, targets = _windows(arr[:, c], config)
-        coords = np.swapaxes(patch(delay_embed(zn, model.embedding), config.patch_len), 1, 2)
+        coords = np.swapaxes(zn[:, model.index], 1, 2)
         pairs = np.concatenate([coords[:-1], coords[1:]], axis=2)  # (B - 1, D, 2L)
         r_e = np.linalg.qr(pairs.reshape(-1, 2 * length), mode="r")
         evolvers = [
@@ -488,7 +535,8 @@ def _fit_frequency(arr: np.ndarray, model: FittedForecaster) -> list:
             for n, k in zip(sh.scale_lens, kernels)
         ]
         r_o = np.linalg.qr(np.concatenate([zn, targets], axis=1), mode="r")
-        readout = _readout(r_o[:, :w] @ _stage_map(evolvers, model, unit), r_o[:, w:], config)
+        stage_map = _stage_map(_stacked([evolvers], config), model, unit)[0]
+        readout = _readout(r_o[:, :w] @ stage_map, r_o[:, w:], config)
         channels.append(ChannelModel(evolvers=evolvers, readout=readout))
     return channels
 
@@ -519,8 +567,8 @@ def _fit_channel(z: np.ndarray, model: FittedForecaster, channel_index: int) -> 
             evolvers.append(
                 evo.fit_hopfield_evolution(src, part, config.hopfield_beta, targets=dst)
             )
-    readout = _readout(_features(stack, evolvers, model), targets, config)
-    return ChannelModel(evolvers=evolvers, readout=readout)
+    design = _features(stack[None], _stacked([evolvers], config), model)[0]
+    return ChannelModel(evolvers=evolvers, readout=_readout(design, targets, config))
 
 
 def fit(config: ForecasterConfig, series) -> FittedForecaster:
@@ -574,10 +622,12 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
     """Deterministic forward pass on the trailing window of the context.
 
     Each channel's window is normalized once and its normalized forecast
-    denormalized once.  A ``frequency`` model takes that forecast from its
-    serving maps, all channels in one batched product; ``direct`` and
-    ``hopfield`` models run the stages (``_stack``, ``_features``, then
-    each channel's readout), as the fit built its design rows.  A
+    denormalized once.  All channels run in one pass, with no loop over
+    them: a ``frequency`` model takes the forecasts from its serving maps in
+    one batched product; ``direct`` and ``hopfield`` models run the stages
+    once for all channels (``_stack``, one ``_features`` call on the
+    channel-stacked evolvers, one product with the stacked readouts), and
+    each channel's row is the one the fit built its design from.  A
     context shorter than the window raises TooShortError, as a short series
     does in ``fit``, and one with another channel count ShapeMismatchError.
     NaN or inf in the context, and a forecast that overflows the float range,
@@ -597,9 +647,7 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
     # an overflowing forecast is found below, not printed
     with np.errstate(over="ignore", invalid="ignore"):
         if model.serving is None:
-            normed = np.stack([_features(stack, ch.evolvers, model) @ ch.readout
-                               for stack, ch in zip(_stack(zn, model), model.channels,
-                                                    strict=True)])
+            normed = _features(_stack(zn, model), model.evolvers, model) @ model.readouts
         else:
             normed = zn @ model.serving
         out = (mu[:, None] + sd[:, None] * normed[:, 0]).T
@@ -784,10 +832,11 @@ def model_from_json(text: str) -> FittedForecaster:
     count of a ``direct``/``hopfield`` evolver follows from the byte length.
     An array that is not such a string, of another length, or that holds
     NaN or inf bytes raises ModelFormatError, as do a missing or unknown
-    entry, a non-finite config number and finite ``frequency`` arrays whose
-    serving maps overflow the float range.  A document of versions 1 to 3,
-    written before the arrays were base64, is no longer read: its
-    ModelFormatError asks for a refit."""
+    entry, a non-finite config number, a config and embedding that leave
+    no full patch in the window, channels whose cluster counts differ at a
+    scale, and finite ``frequency`` arrays whose serving maps overflow the
+    float range.  A document of versions 1 to 3, written before the arrays
+    were base64, is no longer read: its ModelFormatError asks for a refit."""
     try:
         doc = json.loads(text)
         # true == 1 and 2.0 == 2, so the type is checked too
@@ -798,10 +847,12 @@ def model_from_json(text: str) -> FittedForecaster:
         if type(version) is not int or version != 4:
             raise ModelFormatError("not a version-4 model document")
         return _model_from_doc(doc)
-    # JSONDecodeError is a ValueError; OverflowError is kept for an integer
-    # entry that numpy cannot hold where the model uses it
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
+    # well-formed entries that make no model: pipeline_shapes, _stacked and
+    # the serving maps find these
+    except (TooShortError, ShapeMismatchError, NonFiniteError) as exc:
+        raise ModelFormatError(f"model document does not serve: {exc}") from exc
 
 
 def _model_from_doc(doc: dict) -> FittedForecaster:
@@ -818,10 +869,7 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
             evolvers=[_evolver_from_doc(e, s, config, sh) for s, e in enumerate(ch["evolvers"])],
             readout=_doc_floats(ch["readout"], "readout", (sh.n_patches * sh.d, config.horizon)),
         ))
-    try:
-        return FittedForecaster(config, channels)
-    except NonFiniteError as exc:
-        raise ModelFormatError(f"model document does not serve: {exc}") from exc
+    return FittedForecaster(config, channels)
 
 
 def save_model(model: FittedForecaster, path) -> None:

@@ -1,3 +1,4 @@
+import base64
 import importlib
 import json
 import shlex
@@ -456,17 +457,26 @@ class TestFitPredictEval:
         assert err.startswith("error:") and "theta" in err
         assert not (tmp_path / "model.json").exists()
 
-    @pytest.mark.parametrize("document", ["malformed", "version-3"])
+    @pytest.mark.parametrize("document", ["malformed", "version-3", "channels-differ"])
     def test_malformed_model_exits_3_without_traceback(self, lorenz_csv, tmp_path, capsys,
                                                        document):
         model_path = tmp_path / "model.json"
+        data = Path(__file__).parent / "data"
         if document == "malformed":
             model_path.write_text('{"v": 4}')
-        else:
+        elif document == "version-3":
             # a model document of a retired version must be refit
-            fixture = Path(__file__).parent / "data" / "v4_frequency_legt_full.json"
-            doc = json.loads(fixture.read_text(encoding="utf-8"))
+            doc = json.loads((data / "v4_frequency_legt_full.json").read_text(encoding="utf-8"))
             model_path.write_text(json.dumps({**doc, "v": 3}))
+        else:
+            # a second channel whose coarse scale keeps one of two clusters
+            doc = json.loads((data / "v4_hopfield_legt_full.json").read_text(encoding="utf-8"))
+            second = json.loads(json.dumps(doc["channels"][0]))
+            for key in ("keys", "values"):
+                raw = base64.b64decode(second["evolvers"][-1][key])
+                second["evolvers"][-1][key] = base64.b64encode(raw[: len(raw) // 2]).decode()
+            doc["channels"].append(second)
+            model_path.write_text(json.dumps(doc))
         code, _, err = run(
             capsys,
             "predict", "--model", str(model_path), "--input", str(lorenz_csv),
@@ -478,6 +488,8 @@ class TestFitPredictEval:
         assert not (tmp_path / "pred.csv").exists()
         if document == "version-3":
             assert len(err.splitlines()) == 1 and "refit" in err
+        if document == "channels-differ":
+            assert len(err.splitlines()) == 1 and "cluster count" in err
 
     @pytest.mark.parametrize("bad_side", ["pred", "truth"])
     def test_eval_non_finite_values_exit_3_without_traceback(self, tmp_path, capsys, bad_side):

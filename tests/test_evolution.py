@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +302,42 @@ def test_distances_match_broadcast_formula(n, f, k, monkeypatch):
     applied = evo.apply_direct_evolution(positions, model)
     monkeypatch.setattr(evo, "_sq_dists", broadcast_sq_dists)
     assert np.array_equal(applied, evo.apply_direct_evolution(positions, model))
+
+
+@pytest.mark.parametrize("kind", ["spectral", "direct", "hopfield"])
+def test_stacked_models_apply_as_each_model_alone(kind):
+    # models stacked along a leading axis (a middle axis of the spectral
+    # mode operators) apply each model to its own rows, bit for bit as the
+    # model alone does: the forecaster serves all channels this way
+    rng = np.random.default_rng(11)
+    n_models, rows, d, n = 3, 40, 6, 4
+    x = rng.standard_normal((n_models, rows, d, n))
+    models = []
+    for i, xi in enumerate(x):
+        succ = np.roll(xi, -1, axis=0) + 0.1 * rng.standard_normal(xi.shape)
+        if kind == "spectral":
+            # xi as d length-40 sequences of N-vectors, 3 modes
+            a, b = (evo.fft_modes(v, 3).transpose(1, 0, 2) for v in (xi, succ))
+            models.append(evo.fit_spectral_operators(a, b, rows, 1e-3))
+        elif kind == "direct":
+            models.append(evo.fit_direct_operators(xi, flat_partition(xi, 5, seed=i), 1e-3,
+                                                   targets=succ))
+        else:
+            models.append(evo.fit_hopfield_evolution(xi, flat_partition(xi, 5, seed=i), 2.0,
+                                                     targets=succ))
+    if kind == "spectral":
+        apply = evo.apply_spectral_evolution
+        ops = np.stack([m.mode_ops for m in models], axis=1)[:, :, None]  # (M, C, 1, N, N)
+        stacked = replace(models[0], mode_ops=ops)
+        got = np.swapaxes(apply(np.swapaxes(x, 0, 1), stacked), 0, 1)
+    else:
+        apply = evo.apply_direct_evolution if kind == "direct" else evo.apply_hopfield_evolution
+        names = ("centroids", "operators") if kind == "direct" else ("keys", "values")
+        stacked = replace(models[0], **{name: np.stack([getattr(m, name) for m in models])
+                                        for name in names})
+        got = apply(x, stacked)
+    for i, (xi, model) in enumerate(zip(x, models)):
+        assert np.array_equal(got[i], apply(xi, model))
 
 
 def flat_partition(positions, k, seed=0):

@@ -2,7 +2,7 @@ import base64
 import json
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from attraos import forecaster as fc
 from attraos.embedding import EmbeddingParams, delay_embed, patch
 from attraos.errors import (
+    AttraosError,
     DegenerateSeriesError,
     EmptyInputError,
     ModelFormatError,
@@ -39,6 +40,12 @@ def small_config(**kw):
     )
     base.update(kw)
     return fc.ForecasterConfig(**base)
+
+
+def channel_features(stack, evolvers, model):
+    """``_features`` of one channel's (B, S, D) stack under that channel's
+    own evolvers: the call with a channel axis of one."""
+    return fc._features(stack[None], fc._stacked([evolvers], model.config), model)[0]
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +176,7 @@ class TestFrequencyFit:
                 ops = np.stack([fc.evo.ridge_fit(a, b, cfg.ridge_lambda) for a, b in zip(src, dst)])
                 assert_close(ev.mode_ops, ops, rtol=1e-9)
                 evolvers.append(fc.evo.SpectralEvolutionModel(mode_ops=ops, seq_len=length))
-            feats = fc._features(stack, evolvers, model)
+            feats = channel_features(stack, evolvers, model)
             assert_close(ch.readout, fc.evo.ridge_fit(feats, targets, cfg.ridge_lambda).T,
                          rtol=1e-10)
 
@@ -243,7 +250,7 @@ class TestPredict:
         zn, mu, sd = fc._normalize(window[None])
         stack = fc._stack(zn, model)
         ch = model.channels[0]
-        feats = fc._features(stack, ch.evolvers, model)
+        feats = channel_features(stack, ch.evolvers, model)
         manual = mu[0] + sd[0] * (feats[0] @ ch.readout)
         assert np.array_equal(staged_reference(model, window)[:, 0], manual)
 
@@ -279,11 +286,30 @@ class TestPredict:
 
         monkeypatch.setattr(fc, "_features", recording_features)
         starts = np.arange(0, x.shape[0] - 96 - 4 + 1, cfg.patch_len)[-40:]
-        for i in (0, 17, 39):
+        for n_calls, i in enumerate((0, 17, 39), start=1):
             fc.predict(model, x[starts[i] : starts[i] + 96])
-            # one single-window row per channel, in order
+            # one batched call per predict: a single-window row per
+            # channel, in order
+            assert len(rows) == n_calls
             for c in range(2):
-                assert np.array_equal(rows[c - 2][0], designs[c][i])
+                assert np.array_equal(rows[-1][c][0], designs[c][i])
+
+    @pytest.mark.parametrize("embedding", [None, EmbeddingParams(3, 4)], ids=["auto", "m3-tau4"])
+    @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+    def test_channels_serve_as_single_channel_models(self, lorenz96_3d, strategy, embedding):
+        # all channels are served in one stacked pass; each forecast column
+        # is the one the channel's own one-channel model makes.  The scales
+        # hold (4, 2, 2) positions under the auto embedding, (4, 16), and
+        # (6, 3, 3) under (3, 4)
+        cfg = fc.ForecasterConfig(window=96, horizon=16, embedding=embedding,
+                                  evolution_strategy=strategy, max_train_windows=128)
+        model = fc.fit(cfg, lorenz96_3d[:4000])
+        alone = [fc.FittedForecaster(model.config, [ch]) for ch in model.channels]
+        for start in (4000, 4333, 5100):
+            context = lorenz96_3d[start : start + 96]
+            got = fc.predict(model, context).predictions
+            for c, one in enumerate(alone):
+                assert np.array_equal(got[:, c], fc.predict(one, context[:, c]).predictions[:, 0])
 
     def test_predict_runs_on_stage_operators(self, lorenz_model, monkeypatch):
         # the primitives and the stages only build the operators and the
@@ -376,7 +402,8 @@ class TestStageOperators:
         ch = model.channels[0]
         evolved = [np.swapaxes(fc.evo.apply_spectral_evolution(np.swapaxes(seq, 0, 1), ev), 0, 1)
                    for seq, ev in zip(scales(stack), ch.evolvers, strict=True)]
-        assert_close(fc._features(stack, ch.evolvers, model), reference_features(evolved, model))
+        assert_close(channel_features(stack, ch.evolvers, model),
+                     reference_features(evolved, model))
 
         rand = rng.standard_normal(stack.shape)
         assert_close((model.back @ rand).reshape(batch, -1), reference_features(scales(rand), model))
@@ -400,7 +427,7 @@ class TestStageOperators:
 
         def rows(w):
             stack = fc._stack(fc._normalize(w)[0], model)
-            return stack, fc._features(stack, ch.evolvers, model)
+            return stack, channel_features(stack, ch.evolvers, model)
 
         batch_stack, batch_rows = rows(windows)
         alone_stack, alone_rows = rows(windows[i : i + 1])
@@ -432,7 +459,7 @@ def staged_reference(model, context):
     window = fc._as_2d(context)[-model.config.window :]
     zn, mu, sd = fc._normalize(np.ascontiguousarray(window.T))
     stacks = fc._stack(zn[:, None, :], model)
-    normed = np.stack([(fc._features(stack, ch.evolvers, model) @ ch.readout)[0]
+    normed = np.stack([(channel_features(stack, ch.evolvers, model) @ ch.readout)[0]
                        for stack, ch in zip(stacks, model.channels, strict=True)])
     return (mu[:, None] + sd[:, None] * normed).T
 
@@ -740,7 +767,7 @@ class TestSaveLoad:
         starts = np.arange(0, x.size - w - h + 1, cfg.patch_len)[-32:]
         zn, mu, sd = fc._normalize(x[starts[:, None] + np.arange(w)])
         stack = fc._stack(zn, model)
-        feats = fc._features(stack, model.channels[0].evolvers, model)
+        feats = channel_features(stack, model.channels[0].evolvers, model)
         targets = (x[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
         readout = model.channels[0].readout
 
@@ -1057,6 +1084,46 @@ class TestModelDocument:
             evolver_body(ch["evolvers"][0])[key] = stored(arr)
         with pytest.raises(ModelFormatError):
             fc.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+    def test_channels_that_differ_in_a_cluster_count_raise(self, strategy):
+        # a model serves its channels as one stack, so each scale needs one
+        # cluster count across them; a fit always writes that
+        doc = json.loads(fixture_text(strategy))
+        doc["channels"].append(json.loads(json.dumps(doc["channels"][0])))
+        assert fc.model_from_json(json.dumps(doc)).n_channels == 2
+        evolvers = fc.model_from_json(fixture_text(strategy)).channels[0].evolvers
+        body = doc["channels"][1]["evolvers"][-1]
+        for key in EVOLVER_ARRAYS[strategy]:
+            body[key] = stored(getattr(evolvers[-1], key)[:-1])  # the last cluster cut
+        with pytest.raises(ModelFormatError, match=f"cluster count of scale {len(evolvers) - 1}"):
+            fc.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("section,key,value",
+                             [("config", "patch_len", 1000), ("embedding", "m", 40)])
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    def test_config_that_leaves_no_full_patch_raises(self, strategy, section, key, value):
+        doc = json.loads(fixture_text(strategy))
+        doc[section][key] = value
+        with pytest.raises(ModelFormatError, match="no full patch"):
+            fc.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [2**31, 2**63, 2**70, 10**400, -(10**400)])
+    @pytest.mark.parametrize("name", [f"{kind}{s}" for kind in ("oracle_v4_", "v4_")
+                                      for s in fc.STRATEGIES])
+    def test_integer_entry_beyond_any_size_loads_or_raises_typed(self, name, value):
+        # every integer entry the config and the embedding hold, far beyond
+        # what numpy stores in an index, is refused by a typed check before
+        # the model's arrays are built, or is one that no array depends on
+        text = (DATA / f"{name}_legt_full.json").read_text(encoding="utf-8")
+        counts = [("config", f.name) for f in fields(fc.ForecasterConfig) if f.type == "int"]
+        for section, key in counts + [("embedding", "m"), ("embedding", "tau")]:
+            doc = json.loads(text)
+            doc[section][key] = value
+            try:
+                fc.model_from_json(json.dumps(doc))
+            except AttraosError:
+                pass
 
     @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_every_entry_outside_the_config_is_read(self, strategy):
