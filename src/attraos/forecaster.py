@@ -265,14 +265,14 @@ class FittedForecaster:
         if self.channels:
             evolvers = _stacked([ch.evolvers for ch in self.channels], cfg)
             readouts = np.stack([ch.readout for ch in self.channels])
-        if cfg.evolution_strategy == "frequency" and self.channels:
-            # finite operators and readouts can still compose to an
-            # overflowing map; that is found below, not printed
-            with np.errstate(over="ignore", invalid="ignore"):
-                serving = _stage_map(evolvers, self, _unit_window(self)) @ readouts
-            if not np.all(np.isfinite(serving)):
-                raise NonFiniteError("the serving maps overflow the float range")
-            evolvers = readouts = None  # the serving maps hold all they serve
+            if cfg.evolution_strategy == "frequency":
+                # finite operators and readouts can still compose to an
+                # overflowing map; that is found below, not printed
+                with np.errstate(over="ignore", invalid="ignore"):
+                    serving = _stage_map(evolvers, self, _unit_window(self)) @ readouts
+                if not np.all(np.isfinite(serving)):
+                    raise NonFiniteError("the serving maps overflow the float range")
+                evolvers = readouts = None  # the serving maps hold all they serve
         object.__setattr__(self, "serving", serving)
         object.__setattr__(self, "evolvers", evolvers)
         object.__setattr__(self, "readouts", readouts)
