@@ -51,13 +51,14 @@ stays outside the maps, so a constant channel still forecasts its mean
 exactly.
 
 A fitted model is its config, which holds the embedding it was fit with,
-and its per-channel maps (evolvers and readout).  The shapes, the stage
-operators, the sample index, the serving maps and the channel stacks are
+and its maps, each array held once, stacked over the channels: one evolver
+per scale (``_stacked``) and the (C, L' * D, horizon) readouts.  The
+shapes, the stage operators, the sample index and the serving maps are
 closed-form functions of those, so ``FittedForecaster`` derives them when
 it is constructed, after a fit and after a load alike.  The model document
-(``model_to_json``) stores the config and the embedding as JSON and the
-fitted arrays as base64 float64 bytes, each once; this module is the only
-one that reads or writes it.
+(``model_to_json``) stores the config and the embedding as JSON and each
+channel's slice of the fitted arrays as base64 float64 bytes; this module
+is the only one that reads or writes it.
 
 Every learned map is a closed-form ridge regression (``evolution.ridge_fit``,
 one thin SVD of its design); there is no iterative training.  The training
@@ -205,12 +206,6 @@ def pipeline_shapes(config: ForecasterConfig) -> ShapeInfo:
 
 
 @dataclass(frozen=True)
-class ChannelModel:
-    evolvers: list
-    readout: np.ndarray  # (n_patches * d, horizon)
-
-
-@dataclass(frozen=True)
 class ForecastResult:
     predictions: np.ndarray  # (horizon, channels)
 
@@ -218,32 +213,31 @@ class ForecastResult:
 @dataclass(frozen=True)
 class FittedForecaster:
     """A fitted model: its config, whose ``embedding`` is the one the model
-    was fit with, and one ``ChannelModel`` per channel.
+    was fit with, and the fitted maps of its C channels, each array held
+    once: ``evolvers``, one evolver per scale stacked over the channels
+    (``_stacked``), and the (C, L' * D, horizon) ``readouts``.  A model
+    built from the config alone has neither; ``fit`` fits on its stage
+    operators.
 
     The remaining fields are derived at construction and are neither
     compared nor serialized: the pipeline ``shapes``, the per-coordinate
     stage operators ``front`` (S, L) and ``back`` (L', S), built from the
     Euler-discretized recurrence and the wavelet filters, and the (L, D)
     ``index`` of the samples of a window that the embedded and patched
-    window holds.  A model with channels also derives what serves them all
-    at once: for ``frequency`` the ``serving`` maps (C, window, horizon),
-    one per channel, from a normalized window to its normalized forecast;
-    for ``direct`` and ``hopfield`` the channels' ``evolvers`` stacked per
-    scale (``_stacked``) and their (C, L' * D, horizon) ``readouts``.  The
-    fields a strategy does not use are ``None``.  Serving maps beyond the
-    float range raise NonFiniteError, and ``direct`` or ``hopfield``
-    channels whose cluster counts differ at a scale ShapeMismatchError.
+    window holds.  A ``frequency`` model with channels also derives its
+    ``serving`` maps (C, window, horizon), one per channel, from a
+    normalized window to its normalized forecast; other models have none.
+    Serving maps beyond the float range raise NonFiniteError.
     """
 
     config: ForecasterConfig
-    channels: list
+    evolvers: list | None = None
+    readouts: np.ndarray | None = None
     shapes: ShapeInfo = field(init=False, repr=False, compare=False)
     front: np.ndarray = field(init=False, repr=False, compare=False)
     back: np.ndarray = field(init=False, repr=False, compare=False)
     index: np.ndarray = field(init=False, repr=False, compare=False)
     serving: np.ndarray | None = field(init=False, repr=False, compare=False)
-    evolvers: list | None = field(init=False, repr=False, compare=False)
-    readouts: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cfg = self.config
@@ -261,21 +255,15 @@ class FittedForecaster:
         object.__setattr__(self, "back", _back_operator(filters, shapes))
         samples = patch(delay_embed(np.arange(cfg.window), cfg.embedding), cfg.patch_len)
         object.__setattr__(self, "index", samples.astype(np.intp))
-        serving = evolvers = readouts = None
-        if self.channels:
-            evolvers = _stacked([ch.evolvers for ch in self.channels], cfg)
-            readouts = np.stack([ch.readout for ch in self.channels])
-            if cfg.evolution_strategy == "frequency":
-                # finite operators and readouts can still compose to an
-                # overflowing map; that is found below, not printed
-                with np.errstate(over="ignore", invalid="ignore"):
-                    serving = _stage_map(evolvers, self, _unit_window(self)) @ readouts
-                if not np.all(np.isfinite(serving)):
-                    raise NonFiniteError("the serving maps overflow the float range")
-                evolvers = readouts = None  # the serving maps hold all they serve
+        serving = None
+        if self.readouts is not None and cfg.evolution_strategy == "frequency":
+            # finite operators and readouts can still compose to an
+            # overflowing map; that is found below, not printed
+            with np.errstate(over="ignore", invalid="ignore"):
+                serving = _stage_map(self.evolvers, self, _unit_window(self)) @ self.readouts
+            if not np.all(np.isfinite(serving)):
+                raise NonFiniteError("the serving maps overflow the float range")
         object.__setattr__(self, "serving", serving)
-        object.__setattr__(self, "evolvers", evolvers)
-        object.__setattr__(self, "readouts", readouts)
 
     @property
     def embedding(self) -> EmbeddingParams:
@@ -283,7 +271,7 @@ class FittedForecaster:
 
     @property
     def n_channels(self) -> int:
-        return len(self.channels)
+        return len(self.readouts)
 
 
 def _finite_2d(series, what: str) -> np.ndarray:
@@ -504,9 +492,10 @@ def _readout(design: np.ndarray, targets: np.ndarray, config: ForecasterConfig) 
     return readout
 
 
-def _fit_frequency(arr: np.ndarray, model: FittedForecaster) -> list:
-    """Fit each channel's ``frequency`` evolvers and readout from two thin
-    QR factors of its windows; the (B, S, D) stack is never built.
+def _fit_frequency(arr: np.ndarray, model: FittedForecaster):
+    """Fit all channels' ``frequency`` evolvers (``_stacked``) and readouts
+    from two thin QR factors of each channel's windows; the (B, S, D) stack
+    is never built.
 
     Mode m of scale s maps one patch coordinate's L patch values u to the
     N-vector ``K_s[m] @ u``, where K_s is the DFT over positions of the
@@ -516,34 +505,35 @@ def _fit_frequency(arr: np.ndarray, model: FittedForecaster) -> list:
     and the readout fit, whose design is ``Zn @ stage map``, only through
     the Gram matrix of ``[Zn | T]``.  The R factors of both keep those Gram
     matrices, so the ridge fits run on at most 2L and window + horizon rows
-    and have the minimizers of the fits on all rows."""
+    and have the minimizers of the fits on all rows.  One ``_stage_map``
+    call, once every channel's evolvers are fit, serves all readout fits."""
     config, sh = model.config, model.shapes
     w, length = config.window, sh.n_patches
     kernels = [evo.fft_modes(model.front[rows].reshape(n, sh.order, length), modes)
                for n, rows, modes in zip(sh.scale_lens, sh.scale_rows, sh.scale_modes)]
-    unit = _unit_window(model)
-    channels = []
+    evolvers, r_os = [], []
     for c in range(arr.shape[1]):
         zn, targets = _windows(arr[:, c], config)
         coords = np.swapaxes(zn[:, model.index], 1, 2)
         pairs = np.concatenate([coords[:-1], coords[1:]], axis=2)  # (B - 1, D, 2L)
         r_e = np.linalg.qr(pairs.reshape(-1, 2 * length), mode="r")
-        evolvers = [
+        evolvers.append([
             evo.fit_spectral_operators(np.einsum("rj,mnj->rmn", r_e[:, :length], k),
                                        np.einsum("rj,mnj->rmn", r_e[:, length:], k),
                                        n, config.ridge_lambda)
             for n, k in zip(sh.scale_lens, kernels)
-        ]
-        r_o = np.linalg.qr(np.concatenate([zn, targets], axis=1), mode="r")
-        stage_map = _stage_map(_stacked([evolvers], config), model, unit)[0]
-        readout = _readout(r_o[:, :w] @ stage_map, r_o[:, w:], config)
-        channels.append(ChannelModel(evolvers=evolvers, readout=readout))
-    return channels
+        ])
+        r_os.append(np.linalg.qr(np.concatenate([zn, targets], axis=1), mode="r"))
+    evolvers = _stacked(evolvers, config)
+    stage_maps = _stage_map(evolvers, model, _unit_window(model))
+    readouts = np.stack([_readout(r_o[:, :w] @ stage_map, r_o[:, w:], config)
+                         for r_o, stage_map in zip(r_os, stage_maps)])
+    return evolvers, readouts
 
 
-def _fit_channel(z: np.ndarray, model: FittedForecaster, channel_index: int) -> ChannelModel:
-    """Fit one channel's ``direct`` or ``hopfield`` evolvers and readout on
-    its stack: k-means needs every source position."""
+def _fit_channel(z: np.ndarray, model: FittedForecaster, channel_index: int):
+    """Fit one channel's ``direct`` or ``hopfield`` evolvers, one per scale,
+    and readout on its stack: k-means needs every source position."""
     config, sh = model.config, model.shapes
     zn, targets = _windows(z, config)
     stack = _stack(zn, model)
@@ -568,18 +558,20 @@ def _fit_channel(z: np.ndarray, model: FittedForecaster, channel_index: int) -> 
                 evo.fit_hopfield_evolution(src, part, config.hopfield_beta, targets=dst)
             )
     design = _features(stack[None], _stacked([evolvers], config), model)[0]
-    return ChannelModel(evolvers=evolvers, readout=_readout(design, targets, config))
+    return evolvers, _readout(design, targets, config)
 
 
 def fit(config: ForecasterConfig, series) -> FittedForecaster:
-    """Fit per-channel evolution operators and readouts on sliding windows.
+    """Fit per-channel evolution operators and readouts on sliding windows;
+    the model holds them stacked over the channels.
 
     The training windows are the ones ``_windows`` states: every
     ``patch_len`` samples, at most ``max_train_windows`` of the most recent
     ones.  A ``frequency`` fit reduces each channel's windows to two
     thin QR factors and solves each ridge on their rows; ``direct`` and
     ``hopfield`` fits run each channel's windows through the pipeline as
-    one batch.  Every ridge is solved by a thin SVD, and with
+    one batch and stack the channels' maps once all are fit.  Every ridge
+    is solved by a thin SVD, and with
     ``ridge_lambda=0`` a rank-deficient system raises SingularSystemError
     (normalized windows have rank at most window - 1).  With
     ``embedding=None`` the delay/dimension are selected from
@@ -610,12 +602,14 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
         ))
     # the channels are fit on the stage operators of a channel-less model,
     # which builds no serving maps; the returned model is built from them
-    operators = FittedForecaster(config, channels=[])
+    operators = FittedForecaster(config)
     if config.evolution_strategy == "frequency":
-        channels = _fit_frequency(arr, operators)
+        evolvers, readouts = _fit_frequency(arr, operators)
     else:
-        channels = [_fit_channel(arr[:, c], operators, c) for c in range(n_channels)]
-    return FittedForecaster(config, channels)
+        evolvers, readouts = zip(*(_fit_channel(arr[:, c], operators, c)
+                                   for c in range(n_channels)))
+        evolvers, readouts = _stacked(evolvers, config), np.stack(readouts)
+    return FittedForecaster(config, evolvers, readouts)
 
 
 def predict(model: FittedForecaster, context) -> ForecastResult:
@@ -748,15 +742,17 @@ def _encoded(arr: np.ndarray, what: str) -> str:
     return base64.b64encode(little.tobytes()).decode("ascii")
 
 
-def _evolver_doc(ev, config: ForecasterConfig) -> dict:
-    """The fitted arrays of an evolver of the config's strategy; its kind,
-    scalars and shapes are the config's."""
+def _evolver_doc(ev, channel: int, config: ForecasterConfig) -> dict:
+    """Channel ``channel``'s fitted arrays of a channel-stacked evolver of
+    the config's strategy, sliced out of the layout ``_stacked`` builds; its
+    kind, scalars and shapes are the config's."""
     if config.evolution_strategy == "frequency":
-        return {"doc": {"mode_ops": _encoded(ev.mode_ops, "mode_ops")}}
+        return {"doc": {"mode_ops": _encoded(ev.mode_ops[:, channel, 0, 0], "mode_ops")}}
     if config.evolution_strategy == "direct":
-        return {"centroids": _encoded(ev.centroids, "centroids"),
-                "operators": _encoded(ev.operators, "operators")}
-    return {"keys": _encoded(ev.keys, "keys"), "values": _encoded(ev.values, "values")}
+        return {"centroids": _encoded(ev.centroids[channel], "centroids"),
+                "operators": _encoded(ev.operators[channel], "operators")}
+    return {"keys": _encoded(ev.keys[channel], "keys"),
+            "values": _encoded(ev.values[channel], "values")}
 
 
 def _doc_floats(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
@@ -814,9 +810,9 @@ def model_to_json(model: FittedForecaster) -> str:
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "embedding"},
         "embedding": {"m": model.embedding.m, "tau": model.embedding.tau},
         "channels": [
-            {"evolvers": [_evolver_doc(ev, cfg) for ev in ch.evolvers],
-             "readout": _encoded(ch.readout, "readout")}
-            for ch in model.channels
+            {"evolvers": [_evolver_doc(ev, c, cfg) for ev in model.evolvers],
+             "readout": _encoded(readout, "readout")}
+            for c, readout in enumerate(model.readouts)
         ],
     }
     return json.dumps(doc, allow_nan=False)
@@ -833,9 +829,9 @@ def model_from_json(text: str) -> FittedForecaster:
     An array that is not such a string, of another length, or that holds
     NaN or inf bytes raises ModelFormatError, as do a missing or unknown
     entry, a non-finite config number, a config and embedding that leave
-    no full patch in the window, channels whose cluster counts differ at a
-    scale, and finite ``frequency`` arrays whose serving maps overflow the
-    float range.  A document of versions 1 to 3, written before the arrays
+    no full patch in the window, a document with no channels, channels
+    whose cluster counts differ at a scale, and finite ``frequency`` arrays
+    whose serving maps overflow the float range.  A document of versions 1 to 3, written before the arrays
     were base64, is no longer read: its ModelFormatError asks for a refit."""
     try:
         doc = json.loads(text)
@@ -859,17 +855,19 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
     embedding = EmbeddingParams(m=doc["embedding"]["m"], tau=doc["embedding"]["tau"])
     config = ForecasterConfig(embedding=embedding, **doc["config"])
     sh = pipeline_shapes(config)
-    channels = []
+    evolvers, readouts = [], []
     for ch in doc["channels"]:
         if len(ch["evolvers"]) != len(sh.scale_lens):
             raise ModelFormatError(
                 f"{len(ch['evolvers'])} evolvers for {len(sh.scale_lens)} scales"
             )
-        channels.append(ChannelModel(
-            evolvers=[_evolver_from_doc(e, s, config, sh) for s, e in enumerate(ch["evolvers"])],
-            readout=_doc_floats(ch["readout"], "readout", (sh.n_patches * sh.d, config.horizon)),
-        ))
-    return FittedForecaster(config, channels)
+        evolvers.append([_evolver_from_doc(e, s, config, sh)
+                         for s, e in enumerate(ch["evolvers"])])
+        readouts.append(_doc_floats(ch["readout"], "readout",
+                                    (sh.n_patches * sh.d, config.horizon)))
+    if not readouts:
+        raise ModelFormatError("model document has no channels")
+    return FittedForecaster(config, _stacked(evolvers, config), np.stack(readouts))
 
 
 def save_model(model: FittedForecaster, path) -> None:

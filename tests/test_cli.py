@@ -457,7 +457,8 @@ class TestFitPredictEval:
         assert err.startswith("error:") and "theta" in err
         assert not (tmp_path / "model.json").exists()
 
-    @pytest.mark.parametrize("document", ["malformed", "version-3", "channels-differ"])
+    @pytest.mark.parametrize("document",
+                             ["malformed", "version-3", "channels-differ", "no-channels"])
     def test_malformed_model_exits_3_without_traceback(self, lorenz_csv, tmp_path, capsys,
                                                        document):
         model_path = tmp_path / "model.json"
@@ -468,6 +469,11 @@ class TestFitPredictEval:
             # a model document of a retired version must be refit
             doc = json.loads((data / "v4_frequency_legt_full.json").read_text(encoding="utf-8"))
             model_path.write_text(json.dumps({**doc, "v": 3}))
+        elif document == "no-channels":
+            # a model that serves nothing is refused when it loads, before
+            # any context is read
+            doc = json.loads((data / "v4_hopfield_legt_full.json").read_text(encoding="utf-8"))
+            model_path.write_text(json.dumps({**doc, "channels": []}))
         else:
             # a second channel whose coarse scale keeps one of two clusters
             doc = json.loads((data / "v4_hopfield_legt_full.json").read_text(encoding="utf-8"))
@@ -490,6 +496,8 @@ class TestFitPredictEval:
             assert len(err.splitlines()) == 1 and "refit" in err
         if document == "channels-differ":
             assert len(err.splitlines()) == 1 and "cluster count" in err
+        if document == "no-channels":
+            assert len(err.splitlines()) == 1 and "no channels" in err and "context" not in err
 
     @pytest.mark.parametrize("bad_side", ["pred", "truth"])
     def test_eval_non_finite_values_exit_3_without_traceback(self, tmp_path, capsys, bad_side):

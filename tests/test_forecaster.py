@@ -48,6 +48,15 @@ def channel_features(stack, evolvers, model):
     return fc._features(stack[None], fc._stacked([evolvers], model.config), model)[0]
 
 
+def channel_evolvers(model, c):
+    """Channel c's evolvers, one per scale, sliced out of the model's
+    channel-stacked ``evolvers``: the inverse of ``_stacked``'s layout."""
+    if model.config.evolution_strategy == "frequency":
+        return [replace(ev, mode_ops=ev.mode_ops[:, c, 0, 0]) for ev in model.evolvers]
+    keys = EVOLVER_ARRAYS[model.config.evolution_strategy]
+    return [replace(ev, **{k: getattr(ev, k)[c] for k in keys}) for ev in model.evolvers]
+
+
 @pytest.fixture(scope="module")
 def lorenz_model(lorenz63_x):
     split = int(lorenz63_x.size * 0.7)
@@ -160,13 +169,13 @@ class TestFrequencyFit:
         model = fc.fit(cfg, x)
         sh, w, h = model.shapes, cfg.window, cfg.horizon
         starts = np.arange(0, x.shape[0] - w - h + 1, cfg.patch_len)[-12:]
-        for c, ch in enumerate(model.channels):
+        for c in range(model.n_channels):
             zn, mu, sd = fc._normalize(x[starts[:, None] + np.arange(w), c])
             targets = (x[starts[:, None] + w + np.arange(h), c] - mu[:, None]) / sd[:, None]
             stack = fc._stack(zn, model)
             evolvers = []
             for length, rows, modes, ev in zip(sh.scale_lens, sh.scale_rows, sh.scale_modes,
-                                               ch.evolvers, strict=True):
+                                               channel_evolvers(model, c), strict=True):
                 # one (M, B, D, N) spectrum per window and state row;
                 # consecutive windows form the pairs
                 seqs = np.swapaxes(fc._positions(stack[:, rows], sh.order), 0, 1)
@@ -177,8 +186,8 @@ class TestFrequencyFit:
                 assert_close(ev.mode_ops, ops, rtol=1e-9)
                 evolvers.append(fc.evo.SpectralEvolutionModel(mode_ops=ops, seq_len=length))
             feats = channel_features(stack, evolvers, model)
-            assert_close(ch.readout, fc.evo.ridge_fit(feats, targets, cfg.ridge_lambda).T,
-                         rtol=1e-10)
+            assert_close(model.readouts[c],
+                         fc.evo.ridge_fit(feats, targets, cfg.ridge_lambda).T, rtol=1e-10)
 
     def test_long_window_fit_builds_in_little_memory(self, lorenz63_x):
         # a (1024, S, D) stack of this fit takes 94 MB, its evolved copy as
@@ -249,9 +258,8 @@ class TestPredict:
         window = train[s : s + cfg.window]
         zn, mu, sd = fc._normalize(window[None])
         stack = fc._stack(zn, model)
-        ch = model.channels[0]
-        feats = channel_features(stack, ch.evolvers, model)
-        manual = mu[0] + sd[0] * (feats[0] @ ch.readout)
+        feats = channel_features(stack, channel_evolvers(model, 0), model)
+        manual = mu[0] + sd[0] * (feats[0] @ model.readouts[0])
         assert np.array_equal(staged_reference(model, window)[:, 0], manual)
 
     @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
@@ -295,16 +303,19 @@ class TestPredict:
                 assert np.array_equal(rows[-1][c][0], designs[c][i])
 
     @pytest.mark.parametrize("embedding", [None, EmbeddingParams(3, 4)], ids=["auto", "m3-tau4"])
-    @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_channels_serve_as_single_channel_models(self, lorenz96_3d, strategy, embedding):
         # all channels are served in one stacked pass; each forecast column
-        # is the one the channel's own one-channel model makes.  The scales
-        # hold (4, 2, 2) positions under the auto embedding, (4, 16), and
-        # (6, 3, 3) under (3, 4)
+        # is the one the channel's own one-channel model, loaded from its
+        # slice of the document, makes.  The scales hold (4, 2, 2)
+        # positions under the auto embedding, (4, 16), and (6, 3, 3) under
+        # (3, 4)
         cfg = fc.ForecasterConfig(window=96, horizon=16, embedding=embedding,
                                   evolution_strategy=strategy, max_train_windows=128)
         model = fc.fit(cfg, lorenz96_3d[:4000])
-        alone = [fc.FittedForecaster(model.config, [ch]) for ch in model.channels]
+        doc = json.loads(fc.model_to_json(model))
+        alone = [fc.model_from_json(json.dumps({**doc, "channels": [ch]}))
+                 for ch in doc["channels"]]
         for start in (4000, 4333, 5100):
             context = lorenz96_3d[start : start + 96]
             got = fc.predict(model, context).predictions
@@ -399,10 +410,10 @@ class TestStageOperators:
             assert_close(got, want)
 
         # frequency evolution: the spectral path on each scale's sequences
-        ch = model.channels[0]
+        evolvers = channel_evolvers(model, 0)
         evolved = [np.swapaxes(fc.evo.apply_spectral_evolution(np.swapaxes(seq, 0, 1), ev), 0, 1)
-                   for seq, ev in zip(scales(stack), ch.evolvers, strict=True)]
-        assert_close(channel_features(stack, ch.evolvers, model),
+                   for seq, ev in zip(scales(stack), evolvers, strict=True)]
+        assert_close(channel_features(stack, evolvers, model),
                      reference_features(evolved, model))
 
         rand = rng.standard_normal(stack.shape)
@@ -423,11 +434,11 @@ class TestStageOperators:
         starts = rng.integers(0, val.size - 96, batch)
         windows = val[starts[:, None] + np.arange(96)]
         i = pick % batch
-        ch = model.channels[0]
+        evolvers = channel_evolvers(model, 0)
 
         def rows(w):
             stack = fc._stack(fc._normalize(w)[0], model)
-            return stack, channel_features(stack, ch.evolvers, model)
+            return stack, channel_features(stack, evolvers, model)
 
         batch_stack, batch_rows = rows(windows)
         alone_stack, alone_rows = rows(windows[i : i + 1])
@@ -441,7 +452,7 @@ class TestStageOperators:
         # that holds only if the filter bank is orthogonal
         cfg = fc.ForecasterConfig(window=48, horizon=2, embedding=EmbeddingParams(2, 4),
                                   patch_len=4, poly_order=order, levels=3)
-        model = fc.FittedForecaster(cfg, [])
+        model = fc.FittedForecaster(cfg)
         sh = model.shapes
         assert (sh.n_patches, sh.pad, sh.eff_levels) == (11, 5, 3)
         _, disc, _ = staged_primitives(cfg)
@@ -459,8 +470,8 @@ def staged_reference(model, context):
     window = fc._as_2d(context)[-model.config.window :]
     zn, mu, sd = fc._normalize(np.ascontiguousarray(window.T))
     stacks = fc._stack(zn[:, None, :], model)
-    normed = np.stack([(channel_features(stack, ch.evolvers, model) @ ch.readout)[0]
-                       for stack, ch in zip(stacks, model.channels, strict=True)])
+    normed = np.stack([(channel_features(stack, channel_evolvers(model, c), model)
+                        @ model.readouts[c])[0] for c, stack in enumerate(stacks)])
     return (mu[:, None] + sd[:, None] * normed).T
 
 
@@ -506,7 +517,7 @@ class TestServingMaps:
 
     def test_a_model_without_channels_builds_no_maps(self, lorenz_model):
         # fit fits its channels on such a model's stage operators
-        model = fc.FittedForecaster(lorenz_model[0].config, channels=[])
+        model = fc.FittedForecaster(lorenz_model[0].config)
         assert model.serving is None and model.front.shape[0] == model.back.shape[1]
 
     def test_long_window_maps_build_in_little_memory(self):
@@ -523,11 +534,11 @@ class TestServingMaps:
             )
             for length, modes in zip(sh.scale_lens, sh.scale_modes)
         ]
-        channel = fc.ChannelModel(evolvers=evolvers,
-                                  readout=rng.normal(size=(sh.n_patches * sh.d, cfg.horizon)))
+        evolvers = fc._stacked([evolvers], cfg)
+        readouts = rng.normal(size=(1, sh.n_patches * sh.d, cfg.horizon))
         tracemalloc.start()
         try:
-            model = fc.FittedForecaster(cfg, [channel])
+            model = fc.FittedForecaster(cfg, evolvers, readouts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -552,8 +563,8 @@ class TestChannelIndependence:
         multi = fc.fit(cfg, np.stack([x, y], axis=1))
         solo_x = fc.fit(cfg, x)
         solo_y = fc.fit(cfg, y)
-        assert np.array_equal(multi.channels[0].readout, solo_x.channels[0].readout)
-        assert np.array_equal(multi.channels[1].readout, solo_y.channels[0].readout)
+        assert np.array_equal(multi.readouts[0], solo_x.readouts[0])
+        assert np.array_equal(multi.readouts[1], solo_y.readouts[0])
         ctx = np.stack([x[:96], y[:96]], axis=1)
         pred_multi = fc.predict(multi, ctx).predictions
         assert np.array_equal(pred_multi[:, 0], fc.predict(solo_x, x[:96]).predictions[:, 0])
@@ -767,9 +778,9 @@ class TestSaveLoad:
         starts = np.arange(0, x.size - w - h + 1, cfg.patch_len)[-32:]
         zn, mu, sd = fc._normalize(x[starts[:, None] + np.arange(w)])
         stack = fc._stack(zn, model)
-        feats = channel_features(stack, model.channels[0].evolvers, model)
+        feats = channel_features(stack, channel_evolvers(model, 0), model)
         targets = (x[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
-        readout = model.channels[0].readout
+        readout = model.readouts[0]
 
         def objective(r):
             return np.sum((feats @ r - targets) ** 2) + cfg.ridge_lambda * np.sum(r**2)
@@ -787,8 +798,8 @@ def test_refits_are_bit_identical(lorenz63_x, strategy):
     cfg = small_config(window=96, max_train_windows=24, evolution_strategy=strategy)
     first = fc.fit(cfg, data)
     second = fc.fit(cfg, data)
-    for a, b in zip(first.channels, second.channels):
-        assert np.array_equal(a.readout, b.readout)
+    for a, b in zip(first.readouts, second.readouts, strict=True):
+        assert np.array_equal(a, b)
     assert np.array_equal(
         fc.predict(first, data[-96:]).predictions, fc.predict(second, data[-96:]).predictions
     )
@@ -916,7 +927,7 @@ class TestModelDocument:
         # every stored entry is finite, but one readout entry near the float
         # maximum takes the serving map beyond it
         doc = json.loads(fixture_text("frequency"))
-        readout = fc.model_from_json(fixture_text("frequency")).channels[0].readout.copy()
+        readout = fc.model_from_json(fixture_text("frequency")).readouts[0].copy()
         readout[0, 0] = 1e308
         doc["channels"][0]["readout"] = stored(readout)
         with warnings.catch_warnings():
@@ -934,8 +945,12 @@ class TestModelDocument:
             '{"v": 4, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
             ' "channels": []}',
             '{"v": 4, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "channels": []}',
+            # a well-formed model that serves nothing
+            '{"v": 4, "config": {"window": 96, "horizon": 4}, "embedding": {"m": 3, "tau": 4},'
+            ' "channels": []}',
         ],
-        ids=["no-body", "not-object", "version-5", "not-json", "horizon-0", "config-not-object"],
+        ids=["no-body", "not-object", "version-5", "not-json", "horizon-0", "config-not-object",
+             "no-channels"],
     )
     def test_malformed_document_raises_typed_error(self, text):
         with pytest.raises(ModelFormatError):
@@ -955,13 +970,13 @@ class TestModelDocument:
                 with pytest.raises(ModelFormatError):
                     fc.model_from_json(text.replace('"@non-finite@"', token))
             return
-        ch, fitted = doc["channels"][0], model.channels[0]
+        ch = doc["channels"][0]
         if where == "readout":
-            body, key, arr = ch, "readout", fitted.readout.copy()
+            body, key, arr = ch, "readout", model.readouts[0].copy()
         else:
             body = evolver_body(ch["evolvers"][0])
             key = EVOLVER_ARRAYS[strategy][-1]
-            arr = getattr(fitted.evolvers[0], key).copy()
+            arr = getattr(channel_evolvers(model, 0)[0], key).copy()
         for value, loads in ((0.5, True), (np.nan, False), (np.inf, False), (-np.inf, False)):
             arr.flat[0] = value
             body[key] = stored(arr)
@@ -1031,16 +1046,14 @@ class TestModelDocument:
             return replace(obj, **{k: getattr(obj, k).astype(single[getattr(obj, k).dtype])
                                    for k in keys})
 
-        narrow = replace(model, channels=[
-            replace(narrowed(ch, ["readout"]),
-                    evolvers=[narrowed(ev, EVOLVER_ARRAYS[strategy]) for ev in ch.evolvers])
-            for ch in model.channels])
+        narrow = replace(narrowed(model, ["readouts"]),
+                         evolvers=[narrowed(ev, EVOLVER_ARRAYS[strategy])
+                                   for ev in model.evolvers])
         back = fc.model_from_json(fc.model_to_json(narrow))
-        for ch, ch_back in zip(narrow.channels, back.channels):
-            assert np.array_equal(ch.readout, ch_back.readout)
-            for ev, ev_back in zip(ch.evolvers, ch_back.evolvers):
-                for key in EVOLVER_ARRAYS[strategy]:
-                    assert np.array_equal(getattr(ev, key), getattr(ev_back, key))
+        assert np.array_equal(narrow.readouts, back.readouts)
+        for ev, ev_back in zip(narrow.evolvers, back.evolvers, strict=True):
+            for key in EVOLVER_ARRAYS[strategy]:
+                assert np.array_equal(getattr(ev, key), getattr(ev_back, key))
 
     @pytest.mark.parametrize("token", ["96.5", "Infinity", "NaN"])
     def test_non_integer_count_raises(self, lorenz63_x, token):
@@ -1068,19 +1081,19 @@ class TestModelDocument:
     @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_document_at_odds_with_its_config_raises(self, strategy, where):
         text = fixture_text(strategy)
-        doc, fitted = json.loads(text), fc.model_from_json(text).channels[0]
+        doc, fitted = json.loads(text), fc.model_from_json(text)
         ch = doc["channels"][0]
         if where == "strategy":
             # the evolvers are of the kind the fit made, no longer the config's
             other = {"frequency": "direct", "direct": "hopfield", "hopfield": "direct"}
             doc["config"]["evolution_strategy"] = other[strategy]
         elif where == "readout":
-            ch["readout"] = stored(fitted.readout[:-1])  # one feature row short
+            ch["readout"] = stored(fitted.readouts[0][:-1])  # one feature row short
         elif where == "evolver-count":
             ch["evolvers"].pop()  # one scale without an evolver
         else:
             key = EVOLVER_ARRAYS[strategy][-1]  # one column short
-            arr = getattr(fitted.evolvers[0], key)[..., :-1]
+            arr = getattr(channel_evolvers(fitted, 0)[0], key)[..., :-1]
             evolver_body(ch["evolvers"][0])[key] = stored(arr)
         with pytest.raises(ModelFormatError):
             fc.model_from_json(json.dumps(doc))
@@ -1092,12 +1105,35 @@ class TestModelDocument:
         doc = json.loads(fixture_text(strategy))
         doc["channels"].append(json.loads(json.dumps(doc["channels"][0])))
         assert fc.model_from_json(json.dumps(doc)).n_channels == 2
-        evolvers = fc.model_from_json(fixture_text(strategy)).channels[0].evolvers
+        evolvers = channel_evolvers(fc.model_from_json(fixture_text(strategy)), 0)
         body = doc["channels"][1]["evolvers"][-1]
         for key in EVOLVER_ARRAYS[strategy]:
             body[key] = stored(getattr(evolvers[-1], key)[:-1])  # the last cluster cut
         with pytest.raises(ModelFormatError, match=f"cluster count of scale {len(evolvers) - 1}"):
             fc.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+    def test_a_loaded_model_holds_each_array_once(self, lorenz96_3d, strategy):
+        # the document's arrays live on only in the model's channel stacks
+        # (these models have no serving maps); a second copy of them would
+        # take the memory still held to about twice the arrays
+        cfg = fc.ForecasterConfig(window=96, horizon=16, embedding=EmbeddingParams(5, 16),
+                                  evolution_strategy=strategy, max_train_windows=128)
+        text = fc.model_to_json(fc.fit(cfg, lorenz96_3d[:4000]))
+        channels = json.loads(text)["channels"]
+        assert len(channels) == 3
+        arrays = sum(len(base64.b64decode(ch["readout"]))
+                     + sum(len(base64.b64decode(evolver_body(ev)[key]))
+                           for ev in ch["evolvers"] for key in EVOLVER_ARRAYS[strategy])
+                     for ch in channels)
+        fc.model_from_json(text)  # the filter bank is cached once per process
+        tracemalloc.start()
+        try:
+            model = fc.model_from_json(text)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert model.n_channels == 3 and held < 1.1 * arrays
 
     @pytest.mark.parametrize("section,key,value",
                              [("config", "patch_len", 1000), ("embedding", "m", 40)])
@@ -1154,12 +1190,10 @@ class TestModelDocument:
         # a frequency model with a NaN readout has NaN serving maps and is
         # not built at all; a direct model has no serving maps and is built
         model = strategy_models["frequency"]
-        ch = model.channels[0]
         with pytest.raises(NonFiniteError, match="serving maps"):
-            replace(model, channels=[replace(ch, readout=ch.readout * np.nan)])
+            replace(model, readouts=model.readouts * np.nan)
         model = strategy_models["direct"]
-        ch = model.channels[0]
-        broken = replace(model, channels=[replace(ch, readout=ch.readout * np.nan)])
+        broken = replace(model, readouts=model.readouts * np.nan)
         with pytest.raises(ValueError):
             fc.model_to_json(broken)
 
@@ -1260,7 +1294,7 @@ class TestNonlinearDocument:
         # every stored entry is finite, but a readout column near the float
         # maximum takes the forecast beyond it
         doc = json.loads(fixture_text(strategy))
-        readout = fc.model_from_json(fixture_text(strategy)).channels[0].readout.copy()
+        readout = fc.model_from_json(fixture_text(strategy)).readouts[0].copy()
         readout[:, 0] = 1e308
         doc["channels"][0]["readout"] = stored(readout)
         model = fc.model_from_json(json.dumps(doc))

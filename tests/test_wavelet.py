@@ -195,7 +195,7 @@ class TestFilterBankCache:
         def operators(order):
             cfg = fc.ForecasterConfig(window=96, horizon=16, embedding=EmbeddingParams(3, 8),
                                       poly_order=order)
-            model = fc.FittedForecaster(cfg, channels=[])
+            model = fc.FittedForecaster(cfg)
             return model.front, model.back
 
         wv.build_filters.cache_clear()
