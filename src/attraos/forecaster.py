@@ -271,7 +271,7 @@ class FittedForecaster:
 
     @property
     def n_channels(self) -> int:
-        return len(self.readouts)
+        return 0 if self.readouts is None else len(self.readouts)
 
 
 def _finite_2d(series, what: str) -> np.ndarray:

@@ -516,9 +516,13 @@ class TestServingMaps:
                          staged_reference(model, context), rtol=1e-10)
 
     def test_a_model_without_channels_builds_no_maps(self, lorenz_model):
-        # fit fits its channels on such a model's stage operators
+        # fit fits its channels on such a model's stage operators; it serves
+        # no context
         model = fc.FittedForecaster(lorenz_model[0].config)
         assert model.serving is None and model.front.shape[0] == model.back.shape[1]
+        assert model.n_channels == 0
+        with pytest.raises(ShapeMismatchError, match="model has 0 channels"):
+            fc.predict(model, lorenz_model[2][:96])
 
     def test_long_window_maps_build_in_little_memory(self):
         # the maps come from each channel's (L', L) stage map: a (window, S, D)
