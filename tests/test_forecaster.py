@@ -470,8 +470,9 @@ def staged_reference(model, context):
     window = fc._as_2d(context)[-model.config.window :]
     zn, mu, sd = fc._normalize(np.ascontiguousarray(window.T))
     stacks = fc._stack(zn[:, None, :], model)
-    normed = np.stack([(channel_features(stack, channel_evolvers(model, c), model)
-                        @ model.readouts[c])[0] for c, stack in enumerate(stacks)])
+    pairs = enumerate(zip(stacks, model.readouts, strict=True))
+    normed = np.stack([(channel_features(stack, channel_evolvers(model, c), model) @ readout)[0]
+                       for c, (stack, readout) in pairs])
     return (mu[:, None] + sd[:, None] * normed).T
 
 
