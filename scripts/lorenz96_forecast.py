@@ -52,10 +52,10 @@ def main():
 
     t0 = time.time()
     params = chaos.Lorenz96Params(forcing_f=8.0, dim=args.dim)
-    traj = chaos.simulate_lorenz96(params, chaos.default_lorenz96_x0(params), 0.01, args.steps + 1000)
-    traj = chaos.drop_transient(traj, 1000)
+    states = chaos.simulate_lorenz96(params, chaos.default_lorenz96_x0(params), 0.01, args.steps + 1000)
+    states = chaos.drop_transient(states, 1000)
     omap = chaos.ObservationMap.random(args.obs_dim, args.dim, derive_seed(args.seed, 1))
-    data = chaos.observe(traj, omap)
+    data = chaos.observe(states, omap)
     print(f"simulated {data.shape[0]} x {data.shape[1]} in {time.time() - t0:.1f}s")
 
     split = int(data.shape[0] * 0.7)

@@ -41,13 +41,13 @@ def main():
     ap.add_argument("--steps", type=int, default=30000)
     args = ap.parse_args()
 
-    traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, args.steps + 1000)
-    report("lorenz63_x", chaos.drop_transient(traj, 1000).states[:, 0], dt=0.01)
+    states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, args.steps + 1000)
+    report("lorenz63_x", chaos.drop_transient(states, 1000)[:, 0], dt=0.01)
 
     p96 = chaos.Lorenz96Params(forcing_f=8.0, dim=40)
-    traj = chaos.simulate_lorenz96(p96, chaos.default_lorenz96_x0(p96), 0.01, args.steps + 1000)
+    states = chaos.simulate_lorenz96(p96, chaos.default_lorenz96_x0(p96), 0.01, args.steps + 1000)
     omap = chaos.ObservationMap.random(3, 40, derive_seed(42, 1))
-    report("lorenz96_3d", chaos.observe(chaos.drop_transient(traj, 1000), omap), dt=0.01)
+    report("lorenz96_3d", chaos.observe(chaos.drop_transient(states, 1000), omap), dt=0.01)
 
     for path in args.csvs:
         report(path, read_csv(path))

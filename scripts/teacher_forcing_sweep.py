@@ -24,8 +24,8 @@ def main():
     ap.add_argument("--rollout-starts", type=int, default=8)
     args = ap.parse_args()
 
-    traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 31000)
-    x = traj.states[1001:, 0]
+    states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 31000)
+    x = states[1001:, 0]
     split = int(x.size * 0.7)
     train, val = x[:split], x[split:]
     w, h = 96, args.horizon

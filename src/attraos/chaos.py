@@ -5,10 +5,12 @@ trajectories fully deterministic and preserves equilibria exactly (a zero
 vector field adds exactly 0.0 per step).  Lorenz63 steps on Python floats,
 Lorenz96 on numpy vectors whose neighbours are slices of one padded buffer;
 both keep the operation order of the textbook vector form, and a state that
-leaves the float range raises NonFiniteError naming the step.  A seeded
-random linear map turns a high-dimensional trajectory into a
-lower-dimensional observed series.  An initial state or observation map of
-the wrong shape raises ShapeMismatchError.
+leaves the float range raises NonFiniteError naming the step.  The simulate
+functions return the (steps + 1, dim) state array, row k holding step k at
+the caller's uniform step dt.  A seeded random linear map turns a
+high-dimensional trajectory into a lower-dimensional observed series.  An
+initial state or observation map of the wrong shape raises
+ShapeMismatchError.
 """
 
 from __future__ import annotations
@@ -31,17 +33,6 @@ class Lorenz63Params:
 class Lorenz96Params:
     forcing_f: float = 8.0
     dim: int = 40
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Integrated states, shape (steps+1, state_dim), at the caller's uniform step dt."""
-
-    states: np.ndarray
-
-    @property
-    def state_dim(self) -> int:
-        return self.states.shape[1]
 
 
 @dataclass(frozen=True)
@@ -137,17 +128,17 @@ def _lorenz96_rk4(forcing_f: float, x0: np.ndarray, dt: float, steps: int) -> np
 
 def simulate_lorenz63(
     params: Lorenz63Params, x0, dt: float, steps: int
-) -> Trajectory:
+) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3,):
         raise ShapeMismatchError("Lorenz63 needs a 3-vector initial state")
     _check_step(dt, steps)
-    return Trajectory(states=_finite_states(_lorenz63_rk4(params, x0, dt, steps)))
+    return _finite_states(_lorenz63_rk4(params, x0, dt, steps))
 
 
 def simulate_lorenz96(
     params: Lorenz96Params, x0, dt: float, steps: int
-) -> Trajectory:
+) -> np.ndarray:
     if params.dim < 4:
         raise ValueError("Lorenz96 needs dim >= 4 (coupling reaches i-2..i+1)")
     x0 = np.asarray(x0, dtype=float)
@@ -156,23 +147,23 @@ def simulate_lorenz96(
             f"initial state has shape {x0.shape}, expected ({params.dim},)"
         )
     _check_step(dt, steps)
-    return Trajectory(states=_finite_states(_lorenz96_rk4(params.forcing_f, x0, dt, steps)))
+    return _finite_states(_lorenz96_rk4(params.forcing_f, x0, dt, steps))
 
 
-def observe(traj: Trajectory, omap: ObservationMap) -> np.ndarray:
+def observe(states: np.ndarray, omap: ObservationMap) -> np.ndarray:
     """Observed series (steps+1, obs_dim): each row is weights @ state."""
-    if omap.weights.shape[1] != traj.state_dim:
+    if omap.weights.shape[1] != states.shape[1]:
         raise ShapeMismatchError(
-            f"map expects state_dim {omap.weights.shape[1]}, got {traj.state_dim}"
+            f"map expects state_dim {omap.weights.shape[1]}, got {states.shape[1]}"
         )
-    return traj.states @ omap.weights.T
+    return states @ omap.weights.T
 
 
-def drop_transient(traj: Trajectory, n: int) -> Trajectory:
+def drop_transient(states: np.ndarray, n: int) -> np.ndarray:
     """Discard the first n states (transient toward the attractor)."""
-    if n < 0 or n >= traj.states.shape[0]:
+    if n < 0 or n >= states.shape[0]:
         raise ValueError("transient length out of range")
-    return Trajectory(states=traj.states[n:])
+    return states[n:]
 
 
 def default_lorenz96_x0(params: Lorenz96Params) -> np.ndarray:

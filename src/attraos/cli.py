@@ -79,23 +79,30 @@ def cmd_simulate(args) -> int:
         raise UsageError("--dt must be positive and finite")
     if args.transient < 0:
         raise UsageError("--transient must be >= 0")
-    x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else None
     if args.system == "lorenz63":
         params = chaos.Lorenz63Params(sigma=args.sigma, rho=args.rho, beta=args.beta)
-        x0 = np.ones(3) if x0 is None else x0
-        traj = chaos.simulate_lorenz63(params, x0, args.dt, args.steps + args.transient)
+        simulate, x0 = chaos.simulate_lorenz63, np.ones(3)
     else:
         if args.dim < 4:
             raise UsageError("lorenz96 needs --dim >= 4")
         params = chaos.Lorenz96Params(forcing_f=args.f, dim=args.dim)
-        x0 = chaos.default_lorenz96_x0(params) if x0 is None else x0
-        traj = chaos.simulate_lorenz96(params, x0, args.dt, args.steps + args.transient)
+        simulate, x0 = chaos.simulate_lorenz96, chaos.default_lorenz96_x0(params)
+    if args.x0:
+        try:
+            given = [float(v) for v in args.x0.split(",")]
+        except ValueError:
+            given = []
+        if len(given) != x0.size or not np.isfinite(given).all():
+            raise UsageError(f"--x0 must be {x0.size} finite numbers separated by commas")
+        x0 = np.array(given)
+    if args.obs_dim is not None and args.obs_dim > x0.size:
+        raise UsageError(f"--obs-dim must be at most the state dimension {x0.size}")
+    data = simulate(params, x0, args.dt, args.steps + args.transient)
     if args.transient:
-        traj = chaos.drop_transient(traj, args.transient)
-    data = traj.states
+        data = chaos.drop_transient(data, args.transient)
     if args.obs_dim is not None:
         omap = chaos.ObservationMap.random(args.obs_dim, data.shape[1], derive_seed(args.seed, 1))
-        data = chaos.observe(traj, omap)
+        data = chaos.observe(data, omap)
     times = args.dt * np.arange(data.shape[0])
     header = ["t"] + [f"v{i}" for i in range(data.shape[1])]
     write_csv(args.out, data, header, times=times)

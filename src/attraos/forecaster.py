@@ -260,7 +260,7 @@ class FittedForecaster:
             # finite operators and readouts can still compose to an
             # overflowing map; that is found below, not printed
             with np.errstate(over="ignore", invalid="ignore"):
-                serving = _stage_map(self.evolvers, self, _unit_window(self)) @ self.readouts
+                serving = _stage_map(self.evolvers, self) @ self.readouts
             if not np.all(np.isfinite(serving)):
                 raise NonFiniteError("the serving maps overflow the float range")
         object.__setattr__(self, "serving", serving)
@@ -439,22 +439,18 @@ def _features(stack: np.ndarray, evolvers, model) -> np.ndarray:
     return (model.back @ evolved).reshape(*stack.shape[:2], -1)
 
 
-def _unit_window(model) -> np.ndarray:
-    """The embedded and patched identity window, (window, L, D)."""
-    return np.eye(model.config.window)[:, model.index]
-
-
-def _stage_map(evolvers, model, unit: np.ndarray) -> np.ndarray:
+def _stage_map(evolvers, model) -> np.ndarray:
     """(C, window, L' * D) maps from a normalized window to its feature row
     under the C channels' ``frequency`` evolvers (``_stacked``).  Every
     stage acts alike on each patch coordinate, so ``_features`` evolves the
     front operator's L columns as L coordinates into one (L', L) stage map
-    per channel; that map is applied to ``unit``, the ``_unit_window``."""
-    sh = model.shapes
+    per channel; that map is applied to the embedded and patched identity
+    window, (window, L, D)."""
+    sh, window = model.shapes, model.config.window
     channels = evolvers[0].mode_ops.shape[1]
     fronts = np.broadcast_to(model.front, (channels, 1) + model.front.shape)
     stages = _features(fronts, evolvers, model).reshape(channels, 1, -1, sh.n_patches)
-    return (stages @ unit).reshape(channels, len(unit), -1)
+    return (stages @ np.eye(window)[:, model.index]).reshape(channels, window, -1)
 
 
 def _windows(z: np.ndarray, config: ForecasterConfig):
@@ -525,7 +521,7 @@ def _fit_frequency(arr: np.ndarray, model: FittedForecaster):
         ])
         r_os.append(np.linalg.qr(np.concatenate([zn, targets], axis=1), mode="r"))
     evolvers = _stacked(evolvers, config)
-    stage_maps = _stage_map(evolvers, model, _unit_window(model))
+    stage_maps = _stage_map(evolvers, model)
     readouts = np.stack([_readout(r_o[:, :w] @ stage_map, r_o[:, w:], config)
                          for r_o, stage_map in zip(r_os, stage_maps)])
     return evolvers, readouts

@@ -8,18 +8,18 @@ from attraos.seeding import derive_seed
 @pytest.fixture(scope="session")
 def lorenz63_x():
     """x-coordinate of a settled Lorenz63 run, dt=0.01, 30000 samples."""
-    traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 31000)
-    return traj.states[1001:, 0]
+    states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 31000)
+    return states[1001:, 0]
 
 
 @pytest.fixture(scope="session")
 def lorenz96_3d():
     """Observed 3-channel series from a 40-dimensional Lorenz96 run."""
     p = chaos.Lorenz96Params(forcing_f=8.0, dim=40)
-    traj = chaos.simulate_lorenz96(p, chaos.default_lorenz96_x0(p), 0.01, 31000)
-    traj = chaos.drop_transient(traj, 1000)
+    states = chaos.simulate_lorenz96(p, chaos.default_lorenz96_x0(p), 0.01, 31000)
+    states = chaos.drop_transient(states, 1000)
     omap = chaos.ObservationMap.random(3, 40, derive_seed(42, 1))
-    return chaos.observe(traj, omap)
+    return chaos.observe(states, omap)
 
 
 @pytest.fixture()

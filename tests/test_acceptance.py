@@ -281,7 +281,7 @@ def test_criterion_08_equilibrium_exactness():
     t63 = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [0.0, 0.0, 0.0], 0.01, 10000)
     p96 = chaos.Lorenz96Params(forcing_f=8.0, dim=16)
     t96 = chaos.simulate_lorenz96(p96, np.full(16, 8.0), 0.01, 10000)
-    ok = bool(np.all(t63.states == 0.0) and np.all(t96.states == 8.0))
+    ok = bool(np.all(t63 == 0.0) and np.all(t96 == 8.0))
     report(8, ok, "origin and constant-F states preserved bit-exactly over 1e4 steps")
 
 

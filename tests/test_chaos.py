@@ -51,7 +51,7 @@ def assert_integrates_as_reference(simulate, rhs, x0, dt, steps):
         ref = rk4_reference(rhs, x0, dt, steps)
     finite = np.isfinite(ref).all(axis=1)
     if finite.all():
-        assert np.array_equal(simulate().states, ref)
+        assert np.array_equal(simulate(), ref)
     else:
         step = np.argmin(finite)
         with pytest.raises(NonFiniteError, match=f"^integration blew up at step {step}$"):
@@ -60,20 +60,20 @@ def assert_integrates_as_reference(simulate, rhs, x0, dt, steps):
 
 class TestLorenz63:
     def test_origin_is_fixed_point(self):
-        traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [0, 0, 0], 0.013, 500)
-        assert np.all(traj.states == 0.0)
+        states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [0, 0, 0], 0.013, 500)
+        assert np.all(states == 0.0)
 
     def test_attractor_bounds(self):
-        traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 10000)
-        assert np.all(np.isfinite(traj.states))
-        assert np.all(np.abs(traj.states[:, 2]) < 60)
+        states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 10000)
+        assert np.all(np.isfinite(states))
+        assert np.all(np.abs(states[:, 2]) < 60)
 
     def test_one_step_matches_fine_oracle(self):
         # frozen oracle: 1000 steps of dt=1e-5 RK4 compose one dt=0.01 step
         p = chaos.Lorenz63Params()
         fine = rk4_reference(lambda s: lorenz63_rhs(s, p), [1.0, 1.0, 1.0], 1e-5, 1000)
         coarse = chaos.simulate_lorenz63(p, [1.0, 1.0, 1.0], 0.01, 1)
-        assert np.allclose(coarse.states[1], fine[-1], atol=1e-6)
+        assert np.allclose(coarse[1], fine[-1], atol=1e-6)
 
     def test_rk4_fourth_order_convergence(self):
         p = chaos.Lorenz63Params()
@@ -81,14 +81,14 @@ class TestLorenz63:
         # 1 time unit at dt and dt/2 (5e-5 reference step keeps runtime sane)
         e = []
         for dt in (0.02, 0.01):
-            traj = chaos.simulate_lorenz63(p, [1.0, 1.0, 1.0], dt, int(round(1.0 / dt)))
-            e.append(np.linalg.norm(traj.states[-1] - ref))
+            states = chaos.simulate_lorenz63(p, [1.0, 1.0, 1.0], dt, int(round(1.0 / dt)))
+            e.append(np.linalg.norm(states[-1] - ref))
         assert e[0] / e[1] >= 8.0
 
     def test_determinism(self):
         a = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 200)
         b = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 200)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
     def test_blowup_raises(self):
         with pytest.raises(NonFiniteError):
@@ -123,18 +123,18 @@ class TestLorenz63:
 class TestLorenz96:
     def test_zero_forcing_zero_state(self):
         p = chaos.Lorenz96Params(forcing_f=0.0, dim=8)
-        traj = chaos.simulate_lorenz96(p, np.zeros(8), 0.05, 100)
-        assert np.all(traj.states == 0.0)
+        states = chaos.simulate_lorenz96(p, np.zeros(8), 0.05, 100)
+        assert np.all(states == 0.0)
 
     def test_constant_state_is_equilibrium(self):
         p = chaos.Lorenz96Params(forcing_f=8.0, dim=12)
-        traj = chaos.simulate_lorenz96(p, np.full(12, 8.0), 0.01, 1000)
-        assert np.all(traj.states == 8.0)
+        states = chaos.simulate_lorenz96(p, np.full(12, 8.0), 0.01, 1000)
+        assert np.all(states == 8.0)
 
     def test_perturbed_f8_bounded_nonperiodic(self):
         p = chaos.Lorenz96Params(forcing_f=8.0, dim=40)
-        traj = chaos.simulate_lorenz96(p, chaos.default_lorenz96_x0(p), 0.01, 30000)
-        settled = traj.states[1000:]
+        states = chaos.simulate_lorenz96(p, chaos.default_lorenz96_x0(p), 0.01, 30000)
+        settled = states[1000:]
         assert np.all(np.isfinite(settled))
         assert settled.min() >= -15 and settled.max() <= 20
         # trajectory never revisits its start exactly (non-periodic)
@@ -172,32 +172,32 @@ class TestLorenz96:
 
         p = chaos.Lorenz96Params(forcing_f=8.0, dim=40)
         x0 = chaos.default_lorenz96_x0(p)
-        traj = chaos.simulate_lorenz96(p, x0, 0.01, 2000)
-        assert np.array_equal(traj.states, rk4_reference(roll_rhs, x0, 0.01, 2000))
+        states = chaos.simulate_lorenz96(p, x0, 0.01, 2000)
+        assert np.array_equal(states, rk4_reference(roll_rhs, x0, 0.01, 2000))
 
 
 class TestObserve:
     def test_identity_map(self):
-        traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 50)
-        out = chaos.observe(traj, chaos.ObservationMap(weights=np.eye(3)))
-        assert np.array_equal(out, traj.states)
+        states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 50)
+        out = chaos.observe(states, chaos.ObservationMap(weights=np.eye(3)))
+        assert np.array_equal(out, states)
 
     def test_zero_weights(self):
-        traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 50)
-        out = chaos.observe(traj, chaos.ObservationMap(weights=np.zeros((2, 3))))
+        states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 50)
+        out = chaos.observe(states, chaos.ObservationMap(weights=np.zeros((2, 3))))
         assert np.all(out == 0.0)
 
     def test_seeded_map_is_reproducible(self):
         p = chaos.Lorenz96Params(dim=40)
-        traj = chaos.simulate_lorenz96(p, chaos.default_lorenz96_x0(p), 0.01, 100)
-        a = chaos.observe(traj, chaos.ObservationMap.random(3, 40, seed=99))
-        b = chaos.observe(traj, chaos.ObservationMap.random(3, 40, seed=99))
+        states = chaos.simulate_lorenz96(p, chaos.default_lorenz96_x0(p), 0.01, 100)
+        a = chaos.observe(states, chaos.ObservationMap.random(3, 40, seed=99))
+        b = chaos.observe(states, chaos.ObservationMap.random(3, 40, seed=99))
         assert np.array_equal(a, b)
 
     def test_dimension_checks(self):
-        traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 10)
+        states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 10)
         with pytest.raises(ShapeMismatchError):
-            chaos.observe(traj, chaos.ObservationMap(weights=np.zeros((2, 5))))
+            chaos.observe(states, chaos.ObservationMap(weights=np.zeros((2, 5))))
         with pytest.raises(ShapeMismatchError):
             chaos.ObservationMap.random(5, 3, seed=0)
 
@@ -216,12 +216,12 @@ class TestObserve:
 def test_equilibria_preserved_for_any_params(sigma, rho, beta):
     # zero vector field => bitwise-constant trajectory
     p = chaos.Lorenz63Params(sigma=sigma, rho=rho, beta=beta)
-    traj = chaos.simulate_lorenz63(p, [0.0, 0.0, 0.0], 0.02, 64)
-    assert np.all(traj.states == 0.0)
+    states = chaos.simulate_lorenz63(p, [0.0, 0.0, 0.0], 0.02, 64)
+    assert np.all(states == 0.0)
 
 
 def test_drop_transient():
-    traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 100)
-    cut = chaos.drop_transient(traj, 40)
-    assert cut.states.shape[0] == 61
-    assert np.array_equal(cut.states[0], traj.states[40])
+    states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1, 1, 1], 0.01, 100)
+    cut = chaos.drop_transient(states, 40)
+    assert cut.shape[0] == 61
+    assert np.array_equal(cut[0], states[40])

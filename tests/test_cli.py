@@ -98,6 +98,24 @@ class TestSimulate:
         assert err.startswith("error:") and flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--x0", ["--system", "lorenz63", "--x0", "abc"]),
+        ("--x0", ["--system", "lorenz63", "--x0", "1,2"]),
+        ("--x0", ["--system", "lorenz96", "--dim", "8", "--x0", "1,2,3"]),
+        ("--x0", ["--system", "lorenz63", "--x0", "nan,1,1"]),
+        ("--x0", ["--system", "lorenz63", "--x0", "1,inf,1"]),
+        ("--obs-dim", ["--system", "lorenz96", "--dim", "8", "--obs-dim", "9"]),
+        ("--obs-dim", ["--system", "lorenz63", "--obs-dim", "4"]),
+    ], ids=["x0-text", "x0-short", "x0-l96-short", "x0-nan", "x0-inf", "obs-dim-l96",
+            "obs-dim-l63"])
+    def test_bad_state_flag_is_usage_error(self, tmp_path, capsys, flag, argv):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "simulate", "--steps", "10", *argv, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_seed_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

@@ -120,7 +120,7 @@ class TestMutualInformation:
     @pytest.fixture(scope="class")
     def mi_series(self):
         states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01,
-                                         21000).states[1001:]
+                                         21000)[1001:]
         steps = np.r_[35, 36, 37, 38, 39, 40, 39, 38, 37, 36][np.arange(300) % 10]
         return {
             **dict(zip("xyz", states.T)),
@@ -358,8 +358,8 @@ class TestSelectEmbedding:
 @functools.lru_cache(maxsize=None)
 def lorenz63_states():
     """A settled Lorenz63 run, dt=0.01, 12000 samples of (x, y, z)."""
-    traj = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 13000)
-    return traj.states[1001:]
+    states = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 13000)
+    return states[1001:]
 
 
 def l63(coord, stride, start, n=1000):

@@ -28,7 +28,7 @@ from attraos import chaos, cli
 from attraos import forecaster as fc
 from attraos.embedding import EmbeddingParams
 
-series = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 2000).states
+series = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 2000)
 model = fc.fit(fc.ForecasterConfig(window=96, horizon=16, embedding=EmbeddingParams(3, 4)),
                series)
 fc.save_model(model, "api_model.json")
@@ -49,7 +49,7 @@ assert cli.main(["eval", "--pred", "pred.csv", "--truth", "truth.csv"]) == 0
 
 # the calls that load scipy at first use; ``results`` is compared by repr
 FIRST_USE = """
-x = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 4000).states[1000:, 0]
+x = chaos.simulate_lorenz63(chaos.Lorenz63Params(), [1.0, 1.0, 1.0], 0.01, 4000)[1000:, 0]
 est = lyapunov.estimate_mle(x, emb.EmbeddingParams(3, 8), horizon=40)
 disc = legendre.discretize(legendre.make_ssm_params("legt_full", 6, 0.25))
 results = [emb.fnn_profile(x, 8, 5), emb.select_embedding(x), est.mle, est.divergence_curve,
