@@ -2,7 +2,7 @@
 bench-scan.
 
 Exit codes: 0 success, 2 usage error (bad flag values), 3 data error (missing
-or unusable input).  All numeric output is written at full double precision
+or unusable input, or arrays too large to allocate).  All numeric output is written at full double precision
 (%.17g for CSV cells, round-trip exact floats in strict JSON: no NaN or
 infinities).
 """
@@ -44,6 +44,20 @@ def write_csv(path, data: np.ndarray, header: list, times=None) -> None:
         # temporary list
         for start in range(0, data.shape[0], 1024):
             fh.writelines(line % tuple(row) for row in data[start : start + 1024].tolist())
+
+
+def _write_embedding_csv(path, data: np.ndarray, params: EmbeddingParams, header: list) -> None:
+    """``write_csv`` of every channel's delay embedding, laid out
+    channel-major per row, with each sample formatted once: each of the m
+    columns of a channel takes its text through the delay index, the
+    ``delay_embed`` of the sample numbers."""
+    index = delay_embed(np.arange(data.shape[0]), params).astype(np.intp)
+    texts = [np.array(["%.17g" % v for v in col], dtype=object) for col in data.T.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(index), 1024):
+            cells = np.concatenate([t[index[start : start + 1024]] for t in texts], axis=1)
+            fh.writelines(",".join(row) + "\n" for row in cells.tolist())
 
 
 def read_csv(path) -> np.ndarray:
@@ -123,10 +137,8 @@ def cmd_embed(args) -> int:
     params = _embedding_flags(args)
     if params is None:
         params = select_embedding(data, max_tau=args.max_tau, max_m=args.max_m)
-    # (channels, count, m) points, laid out channel-major per row
-    points = np.concatenate(delay_embed(data.T, params), axis=1)
     header = [f"c{c}_d{d}" for c in range(data.shape[1]) for d in range(params.m)]
-    write_csv(args.out_traj, points, header)
+    _write_embedding_csv(args.out_traj, data, params, header)
     # the first channel that is not constant; if none is, column 0 raises
     channel = next((c for c, col in enumerate(data.T) if col.min() != col.max()), 0)
     ref = data[:, channel]
@@ -339,6 +351,10 @@ def main(argv=None) -> int:
         code = 2
     except (AttraosError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 3
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         code = 3
     if argv is None:
         sys.exit(code)

@@ -67,9 +67,13 @@ Evolution operators are fit on consecutive-window pairs (windows shifted by
 one patch), so "evolve" means "advance the window by one patch".  A
 ``frequency`` fit sees the training windows only through two Gram matrices,
 so it fits on the R factors of two thin QR decompositions and builds no
-stack (``_fit_frequency``); ``direct`` and ``hopfield`` fits run all
-windows' stacks through the stages (``_fit_channel``), since k-means needs
-every source position.
+stack (``_fit_frequency``).  ``direct`` and ``hopfield`` fits run every
+window through the stages, since k-means needs every source position, but
+never hold a channel's whole (B, S, D) stack (``_fit_channel``): they build
+the stacks ``FIT_BLOCK`` windows at a time, keep one scale's source
+positions at a time, and build the readout design block by block.  A
+window's rows do not depend on its block, so the model is the one the
+whole batch gives.
 """
 
 from __future__ import annotations
@@ -99,6 +103,9 @@ from .wavelet import Pyramid, WaveletFilters, build_filters, decompose, reconstr
 STRATEGIES = ("frequency", "direct", "hopfield")
 
 AUTO_MAX_M = 6
+
+# training windows whose stacks a direct/hopfield fit builds at once
+FIT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -529,18 +536,25 @@ def _fit_frequency(arr: np.ndarray, model: FittedForecaster):
 
 def _fit_channel(z: np.ndarray, model: FittedForecaster, channel_index: int):
     """Fit one channel's ``direct`` or ``hopfield`` evolvers, one per scale,
-    and readout on its stack: k-means needs every source position."""
+    and readout without ever holding its whole (B, S, D) stack.
+
+    k-means needs every source position of a scale, so each scale's valid
+    positions of all windows are gathered from stacks built ``FIT_BLOCK``
+    windows at a time, and freed before the next scale.  The readout design
+    is built block by block too.  A window's stack and feature row are
+    products of their own (``_stack``, ``_features``), so the blocks give
+    the whole batch's rows bit for bit."""
     config, sh = model.config, model.shapes
     zn, targets = _windows(z, config)
-    stack = _stack(zn, model)
-    del zn  # the fit reads only the stack and the targets
+    blocks = [slice(i, i + FIT_BLOCK) for i in range(0, len(zn), FIT_BLOCK)]
 
     evolvers = []
     for si, (length, rows) in enumerate(zip(sh.scale_lens, sh.scale_rows)):
-        seqs = _positions(stack[:, rows], sh.order)
-        valid = seqs[:, _valid_positions(length, sh.padded // length, sh.pad)]
-        # (B, V, D, N); a position pairs with its place in the next window,
-        # window-major
+        keep = _valid_positions(length, sh.padded // length, sh.pad)
+        valid = np.empty((len(zn), len(keep), sh.d, sh.order))  # (B, V, D, N)
+        for block in blocks:
+            valid[block] = _positions(_stack(zn[block], model)[:, rows], sh.order)[:, keep]
+        # a position pairs with its place in the next window, window-major
         src, dst = (v.reshape(-1, sh.d, sh.order) for v in (valid[:-1], valid[1:]))
         seed = derive_seed(config.seed, 16 * channel_index + si + 2)
         part = evo.kmeans_partition(src.reshape(len(src), -1),
@@ -553,7 +567,10 @@ def _fit_channel(z: np.ndarray, model: FittedForecaster, channel_index: int):
             evolvers.append(
                 evo.fit_hopfield_evolution(src, part, config.hopfield_beta, targets=dst)
             )
-    design = _features(stack[None], _stacked([evolvers], config), model)[0]
+        del valid, src, dst  # one scale's positions at a time
+    stacked = _stacked([evolvers], config)
+    design = np.concatenate([_features(_stack(zn[block], model)[None], stacked, model)[0]
+                             for block in blocks])
     return evolvers, _readout(design, targets, config)
 
 
@@ -565,8 +582,9 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     ``patch_len`` samples, at most ``max_train_windows`` of the most recent
     ones.  A ``frequency`` fit reduces each channel's windows to two
     thin QR factors and solves each ridge on their rows; ``direct`` and
-    ``hopfield`` fits run each channel's windows through the pipeline as
-    one batch and stack the channels' maps once all are fit.  Every ridge
+    ``hopfield`` fits run each channel's windows through the pipeline in
+    blocks of ``FIT_BLOCK`` windows, never holding its whole stack, and
+    stack the channels' maps once all are fit.  Every ridge
     is solved by a thin SVD, and with
     ``ridge_lambda=0`` a rank-deficient system raises SingularSystemError
     (normalized windows have rank at most window - 1).  With

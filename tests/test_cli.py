@@ -11,7 +11,9 @@ import pytest
 
 from attraos import forecaster as fc
 from attraos.cli import build_parser, main, read_csv, write_csv
-from attraos.embedding import EmbeddingParams, fnn_profile, mi_profile, select_embedding
+from attraos import cli
+from attraos.embedding import (EmbeddingParams, delay_embed, fnn_profile, mi_profile,
+                              select_embedding)
 
 
 def strict_json(text):
@@ -284,6 +286,28 @@ class TestEmbed:
         )
         assert code == 2
         assert "together" in err
+
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("m,tau", [(1, 1), (1, 5), (3, 4), (6, 16)])
+    def test_trajectory_bytes_are_write_csv_of_the_points(self, lorenz_csv, tmp_path, capsys,
+                                                           channels, m, tau):
+        # each sample is formatted once and placed by the delay index; the
+        # file must be what write_csv writes for the embedded points
+        data = read_csv(lorenz_csv)[:1500, :channels].copy()
+        data[[3, 40, 700], 0] = [-0.0, 5e-324, 1.7e308]
+        data[[4, 900], -1] = [-1e-310, 2.2250738585072014e-308]
+        path = tmp_path / "series.csv"
+        write_csv(path, data, [f"v{c}" for c in range(channels)])
+        traj = tmp_path / "traj.csv"
+        code, _, err = run(capsys, "embed", "--input", str(path), "--m", str(m),
+                           "--tau", str(tau), "--out-traj", str(traj))
+        assert code == 0, err
+        params = EmbeddingParams(m, tau)
+        expect = tmp_path / "expect.csv"
+        write_csv(expect, np.concatenate(delay_embed(data.T, params), axis=1),
+                  [f"c{c}_d{d}" for c in range(channels) for d in range(m)])
+        assert traj.read_bytes() == expect.read_bytes()
 
 
 class TestLyapunov:
@@ -576,6 +600,28 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--system", "nonsense", "--steps", "1", "--out", "x.csv"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "lorenz63", "--steps", "300000000", "--out", "big.csv"],
+    ["embed", "--input", "x.csv", "--out-traj", "traj.csv"],
+    ["lyapunov", "--input", "x.csv", "--m", "3", "--tau", "4"],
+    ["fit", "--input", "x.csv", "--window", "96", "--horizon", "16", "--out", "model.json"],
+    ["predict", "--model", "model.json", "--input", "x.csv", "--out", "pred.csv"],
+    ["eval", "--pred", "pred.csv", "--truth", "truth.csv"],
+    ["bench-scan"],
+], ids=lambda argv: argv[0])
+def test_allocation_failure_exits_3_with_one_error_line(monkeypatch, capsys, argv):
+    # the command raises numpy's refusal itself, so nothing is allocated
+    def refuse(args):
+        raise MemoryError("Unable to allocate 6.71 GiB for an array with shape "
+                          "(300000001, 3) and data type float64")
+
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == ("error: out of memory: Unable to allocate 6.71 GiB for an array with shape "
+                   "(300000001, 3) and data type float64\n")
 
 
 def test_console_script_is_the_cli_main():

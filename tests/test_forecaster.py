@@ -445,6 +445,31 @@ class TestStageOperators:
         assert np.array_equal(batch_stack[i], alone_stack[0])
         assert np.array_equal(batch_rows[i], alone_rows[0])
 
+    @settings(max_examples=30, deadline=None)
+    @given(strategy=st.sampled_from(fc.STRATEGIES), batch=st.integers(1, 60),
+           cuts=st.lists(st.integers(1, 59), max_size=6), seed=st.integers(0, 2**31))
+    @example(strategy="direct", batch=60, cuts=[1, 7, 8, 30], seed=0)
+    @example(strategy="hopfield", batch=60, cuts=[1, 7, 8, 30], seed=0)
+    def test_blocks_of_a_batch_give_the_batch_rows(self, strategy_models, lorenz_model, strategy,
+                                                   batch, cuts, seed):
+        # a direct/hopfield fit builds its stacks and design rows one block
+        # of windows at a time; any split of a batch gives the whole batch's
+        # stacks and feature rows bit for bit
+        model, val = strategy_models[strategy], lorenz_model[2]
+        rng = np.random.default_rng(seed)
+        starts = rng.integers(0, val.size - 96, batch)
+        zn = fc._normalize(val[starts[:, None] + np.arange(96)])[0]
+        edges = [0, *sorted({c for c in cuts if c < batch}), batch]
+        blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+        def rows(stack):
+            return fc._features(stack[None], model.evolvers, model)[0]
+
+        whole = fc._stack(zn, model)
+        stacks = [fc._stack(zn[block], model) for block in blocks]
+        assert np.array_equal(np.concatenate(stacks), whole)
+        assert np.array_equal(np.concatenate([rows(s) for s in stacks]), rows(whole))
+
     @pytest.mark.parametrize("order", [3, 8, 12, 16, 24, 32])
     def test_unchanged_scales_give_the_recurrence_endpoints(self, order):
         # with every scale left as it is, back @ front must evaluate the
@@ -808,6 +833,38 @@ def test_refits_are_bit_identical(lorenz63_x, strategy):
     assert np.array_equal(
         fc.predict(first, data[-96:]).predictions, fc.predict(second, data[-96:]).predictions
     )
+
+
+@pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+def test_a_nonlinear_fit_holds_no_whole_stack(lorenz63_x, strategy):
+    # the stacks are built one block of windows at a time and one scale's
+    # source positions are held at a time: the fit on the whole stack
+    # peaked at 3.6 times its bytes here, the blockwise fit below once
+    cfg = fc.ForecasterConfig(window=96, horizon=16, embedding=EmbeddingParams(3, 4),
+                              evolution_strategy=strategy)
+    tracemalloc.start()
+    try:
+        model = fc.fit(cfg, lorenz63_x[:9000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sh = model.shapes
+    assert cfg.max_train_windows > 3 * fc.FIT_BLOCK  # at least four blocks
+    stack_bytes = 8 * cfg.max_train_windows * sh.scale_rows[-1].stop * sh.d
+    assert peak < 2.5 * stack_bytes
+
+
+@pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+def test_the_fit_block_leaves_the_document_unchanged(lorenz63_x, monkeypatch, strategy):
+    # 40 windows: one block at the default, then one window, blocks of 7 with
+    # a short last one, and exactly the batch
+    x = np.stack([lorenz63_x[:3000], np.cos(0.03 * np.arange(3000))], axis=1)
+    cfg = small_config(window=96, max_train_windows=40, evolution_strategy=strategy)
+    assert fc.FIT_BLOCK >= 40
+    expect = fc.model_to_json(fc.fit(cfg, x))
+    for block in (1, 7, 40):
+        monkeypatch.setattr(fc, "FIT_BLOCK", block)
+        assert fc.model_to_json(fc.fit(cfg, x)) == expect
 
 
 class TestNonFiniteInput:
