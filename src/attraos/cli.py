@@ -2,9 +2,9 @@
 bench-scan.
 
 Exit codes: 0 success, 2 usage error (bad flag values), 3 data error (missing
-or unusable input, or arrays too large to allocate).  All numeric output is written at full double precision
-(%.17g for CSV cells, round-trip exact floats in strict JSON: no NaN or
-infinities).
+or unusable input, or arrays too large to allocate).  All numeric output is
+written at full double precision (%.17g for CSV cells, round-trip exact
+floats in strict JSON: no NaN or infinities).
 """
 
 from __future__ import annotations

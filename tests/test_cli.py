@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attraos import cli
 from attraos import forecaster as fc
 from attraos.cli import build_parser, main, read_csv, write_csv
-from attraos import cli
 from attraos.embedding import (EmbeddingParams, delay_embed, fnn_profile, mi_profile,
                               select_embedding)
 
@@ -286,7 +286,6 @@ class TestEmbed:
         )
         assert code == 2
         assert "together" in err
-
 
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("m,tau", [(1, 1), (1, 5), (3, 4), (6, 16)])
