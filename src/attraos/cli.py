@@ -137,12 +137,11 @@ def cmd_embed(args) -> int:
     params = _embedding_flags(args)
     if params is None:
         params = select_embedding(data, max_tau=args.max_tau, max_m=args.max_m)
-    header = [f"c{c}_d{d}" for c in range(data.shape[1]) for d in range(params.m)]
-    _write_embedding_csv(args.out_traj, data, params, header)
     # the first channel that is not constant; if none is, column 0 raises
     channel = next((c for c, col in enumerate(data.T) if col.min() != col.max()), 0)
     ref = data[:, channel]
     max_tau = args.max_tau or default_max_tau(ref.size)
+    # the curves come first, so a series whose curves fail leaves no file
     meta = {
         "m": params.m,
         "tau": params.tau,
@@ -150,6 +149,8 @@ def cmd_embed(args) -> int:
         "mi_curve": mi_profile(ref, max_tau).tolist(),
         "fnn_fraction_curve": fnn_profile(ref, params.tau, args.max_m).tolist(),
     }
+    header = [f"c{c}_d{d}" for c in range(data.shape[1]) for d in range(params.m)]
+    _write_embedding_csv(args.out_traj, data, params, header)
     if args.out_meta:
         with open(args.out_meta, "w", encoding="utf-8") as fh:
             json.dump(meta, fh)

@@ -42,9 +42,10 @@ collapses to one (window, horizon) serving map.  ``_features`` applied to
 the front operator itself, its L columns taken as coordinates, gives each
 channel's (L', L) stage map.  That map on the embedded and patched identity
 window (``_stage_map``) takes a normalized window to its feature row: a
-``frequency`` fit builds its readout design from it, and with the readout
-it is the serving map.  ``predict`` normalizes each channel's window once,
-takes all channels' normalized forecasts in one pass, from the serving maps
+``frequency`` fit builds its readout design from it and keeps, as the
+channel's readout, the stage map times the ridge solution on the features:
+the serving map.  ``predict`` normalizes each channel's window once, takes
+all channels' normalized forecasts in one pass, from the serving maps
 (``frequency``) or from the stack, one ``_features`` call and the stacked
 readouts (``direct``/``hopfield``), and denormalizes once; normalization
 stays outside the maps, so a constant channel still forecasts its mean
@@ -52,13 +53,17 @@ exactly.
 
 A fitted model is its config, which holds the embedding it was fit with,
 and its maps, each array held once, stacked over the channels: one evolver
-per scale (``_stacked``) and the (C, L' * D, horizon) readouts.  The
-shapes, the stage operators, the sample index and the serving maps are
-closed-form functions of those, so ``FittedForecaster`` derives them when
-it is constructed, after a fit and after a load alike.  The model document
-(``model_to_json``) stores the config and the embedding as JSON and each
-channel's slice of the fitted arrays as base64 float64 bytes; this module
-is the only one that reads or writes it.
+per scale (``_stacked``) and the readouts, (C, window, horizon) serving
+maps for ``frequency`` and (C, L' * D, horizon) feature readouts for
+``direct`` and ``hopfield``.  The shapes, the stage operators and the
+sample index are closed-form functions of the config, so
+``FittedForecaster`` derives them when it is constructed, after a fit and
+after a load alike.  The model document (``model_to_json``, version 5)
+stores the config and the embedding as JSON and each channel's slice of
+the fitted arrays as base64 float64 bytes; this module is the only one that
+reads or writes it.  A ``frequency`` document keeps its mode operators,
+though the serving maps alone forecast, so that the fitted spectra can be
+inspected.
 
 Every learned map is a closed-form ridge regression (``evolution.ridge_fit``,
 one thin SVD of its design); there is no iterative training.  The training
@@ -222,19 +227,19 @@ class FittedForecaster:
     """A fitted model: its config, whose ``embedding`` is the one the model
     was fit with, and the fitted maps of its C channels, each array held
     once: ``evolvers``, one evolver per scale stacked over the channels
-    (``_stacked``), and the (C, L' * D, horizon) ``readouts``.  A model
-    built from the config alone has neither; ``fit`` fits on its stage
-    operators.
+    (``_stacked``), and the ``readouts``.  A ``frequency`` model's readouts
+    are its (C, window, horizon) serving maps, one per channel, from a
+    normalized window to its normalized forecast; a ``direct`` or
+    ``hopfield`` model's are (C, L' * D, horizon) maps from a window's
+    feature row.  A model built from the config alone has neither; ``fit``
+    fits on its stage operators.
 
-    The remaining fields are derived at construction and are neither
-    compared nor serialized: the pipeline ``shapes``, the per-coordinate
-    stage operators ``front`` (S, L) and ``back`` (L', S), built from the
-    Euler-discretized recurrence and the wavelet filters, and the (L, D)
-    ``index`` of the samples of a window that the embedded and patched
-    window holds.  A ``frequency`` model with channels also derives its
-    ``serving`` maps (C, window, horizon), one per channel, from a
-    normalized window to its normalized forecast; other models have none.
-    Serving maps beyond the float range raise NonFiniteError.
+    The remaining fields are derived from the config at construction and
+    are neither compared nor serialized: the pipeline ``shapes``, the
+    per-coordinate stage operators ``front`` (S, L) and ``back`` (L', S),
+    built from the Euler-discretized recurrence and the wavelet filters,
+    and the (L, D) ``index`` of the samples of a window that the embedded
+    and patched window holds.
     """
 
     config: ForecasterConfig
@@ -244,7 +249,6 @@ class FittedForecaster:
     front: np.ndarray = field(init=False, repr=False, compare=False)
     back: np.ndarray = field(init=False, repr=False, compare=False)
     index: np.ndarray = field(init=False, repr=False, compare=False)
-    serving: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cfg = self.config
@@ -262,15 +266,6 @@ class FittedForecaster:
         object.__setattr__(self, "back", _back_operator(filters, shapes))
         samples = patch(delay_embed(np.arange(cfg.window), cfg.embedding), cfg.patch_len)
         object.__setattr__(self, "index", samples.astype(np.intp))
-        serving = None
-        if self.readouts is not None and cfg.evolution_strategy == "frequency":
-            # finite operators and readouts can still compose to an
-            # overflowing map; that is found below, not printed
-            with np.errstate(over="ignore", invalid="ignore"):
-                serving = _stage_map(self.evolvers, self) @ self.readouts
-            if not np.all(np.isfinite(serving)):
-                raise NonFiniteError("the serving maps overflow the float range")
-        object.__setattr__(self, "serving", serving)
 
     @property
     def embedding(self) -> EmbeddingParams:
@@ -452,7 +447,8 @@ def _stage_map(evolvers, model) -> np.ndarray:
     stage acts alike on each patch coordinate, so ``_features`` evolves the
     front operator's L columns as L coordinates into one (L', L) stage map
     per channel; that map is applied to the embedded and patched identity
-    window, (window, L, D)."""
+    window, (window, L, D).  A ``frequency`` fit builds each channel's
+    readout design and serving map from it."""
     sh, window = model.shapes, model.config.window
     channels = evolvers[0].mode_ops.shape[1]
     fronts = np.broadcast_to(model.front, (channels, 1) + model.front.shape)
@@ -496,9 +492,9 @@ def _readout(design: np.ndarray, targets: np.ndarray, config: ForecasterConfig) 
 
 
 def _fit_frequency(arr: np.ndarray, model: FittedForecaster):
-    """Fit all channels' ``frequency`` evolvers (``_stacked``) and readouts
-    from two thin QR factors of each channel's windows; the (B, S, D) stack
-    is never built.
+    """Fit all channels' ``frequency`` evolvers (``_stacked``) and serving
+    maps from two thin QR factors of each channel's windows; the (B, S, D)
+    stack is never built.
 
     Mode m of scale s maps one patch coordinate's L patch values u to the
     N-vector ``K_s[m] @ u``, where K_s is the DFT over positions of the
@@ -509,7 +505,10 @@ def _fit_frequency(arr: np.ndarray, model: FittedForecaster):
     the Gram matrix of ``[Zn | T]``.  The R factors of both keep those Gram
     matrices, so the ridge fits run on at most 2L and window + horizon rows
     and have the minimizers of the fits on all rows.  One ``_stage_map``
-    call, once every channel's evolvers are fit, serves all readout fits."""
+    call, once every channel's evolvers are fit, serves all readout fits,
+    and each channel's (window, horizon) serving map, the readout the
+    model keeps, is its stage map times its fitted (L' * D, horizon)
+    readout.  Serving maps beyond the float range raise NonFiniteError."""
     config, sh = model.config, model.shapes
     w, length = config.window, sh.n_patches
     kernels = [evo.fft_modes(model.front[rows].reshape(n, sh.order, length), modes)
@@ -531,7 +530,13 @@ def _fit_frequency(arr: np.ndarray, model: FittedForecaster):
     stage_maps = _stage_map(evolvers, model)
     readouts = np.stack([_readout(r_o[:, :w] @ stage_map, r_o[:, w:], config)
                          for r_o, stage_map in zip(r_os, stage_maps)])
-    return evolvers, readouts
+    # finite stage maps and readouts can still compose to an overflowing
+    # map; that is found below, not printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        serving = stage_maps @ readouts
+    if not np.all(np.isfinite(serving)):
+        raise NonFiniteError("the serving maps overflow the float range")
+    return evolvers, serving
 
 
 def _fit_channel(z: np.ndarray, model: FittedForecaster, channel_index: int):
@@ -581,7 +586,8 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
     The training windows are the ones ``_windows`` states: every
     ``patch_len`` samples, at most ``max_train_windows`` of the most recent
     ones.  A ``frequency`` fit reduces each channel's windows to two
-    thin QR factors and solves each ridge on their rows; ``direct`` and
+    thin QR factors, solves each ridge on their rows and keeps each
+    channel's serving map as its readout; ``direct`` and
     ``hopfield`` fits run each channel's windows through the pipeline in
     blocks of ``FIT_BLOCK`` windows, never holding its whole stack, and
     stack the channels' maps once all are fit.  Every ridge
@@ -614,8 +620,8 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
             max_tau=max(1, min(cap_tau, n // 4 - 1)),
             max_m=AUTO_MAX_M,
         ))
-    # the channels are fit on the stage operators of a channel-less model,
-    # which builds no serving maps; the returned model is built from them
+    # the channels are fit on the stage operators of a channel-less model;
+    # the returned model is built from them
     operators = FittedForecaster(config)
     if config.evolution_strategy == "frequency":
         evolvers, readouts = _fit_frequency(arr, operators)
@@ -631,11 +637,12 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
 
     Each channel's window is normalized once and its normalized forecast
     denormalized once.  All channels run in one pass, with no loop over
-    them: a ``frequency`` model takes the forecasts from its serving maps in
-    one batched product; ``direct`` and ``hopfield`` models run the stages
-    once for all channels (``_stack``, one ``_features`` call on the
-    channel-stacked evolvers, one product with the stacked readouts), and
-    each channel's row is the one the fit built its design from.  A
+    them: a ``frequency`` model takes the forecasts from its readouts, the
+    serving maps, in one batched product; ``direct`` and ``hopfield`` models
+    run the stages once for all channels (``_stack``, one ``_features``
+    call on the channel-stacked evolvers, one product with the stacked
+    readouts), and each channel's row is the one the fit built its design
+    from.  A
     context shorter than the window raises TooShortError, as a short series
     does in ``fit``, and one with another channel count ShapeMismatchError.
     NaN or inf in the context, and a forecast that overflows the float range,
@@ -654,10 +661,10 @@ def predict(model: FittedForecaster, context) -> ForecastResult:
     zn = zn[:, None, :]  # (C, 1, window): one window per channel
     # an overflowing forecast is found below, not printed
     with np.errstate(over="ignore", invalid="ignore"):
-        if model.serving is None:
-            normed = _features(_stack(zn, model), model.evolvers, model) @ model.readouts
+        if model.config.evolution_strategy == "frequency":
+            normed = zn @ model.readouts
         else:
-            normed = zn @ model.serving
+            normed = _features(_stack(zn, model), model.evolvers, model) @ model.readouts
         out = (mu[:, None] + sd[:, None] * normed[:, 0]).T
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("the forecast overflows the float range")
@@ -747,7 +754,7 @@ def global_mean_forecast(train_series, horizon: int) -> np.ndarray:
 
 
 def _encoded(arr: np.ndarray, what: str) -> str:
-    """A fitted array as a version-4 document entry: base64 of its
+    """A fitted array as a version-5 document entry: base64 of its
     little-endian float64 (complex128 if complex) bytes in C order.  A
     non-finite entry raises ValueError, as ``json.dumps`` does for NaN."""
     if not np.all(np.isfinite(arr)):
@@ -819,7 +826,7 @@ def _evolver_from_doc(doc: dict, scale: int, config: ForecasterConfig, sh: Shape
 def model_to_json(model: FittedForecaster) -> str:
     cfg = model.config
     doc = {
-        "v": 4,
+        "v": 5,
         # the embedding the model was fit with is stored on its own below
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "embedding"},
         "embedding": {"m": model.embedding.m, "tau": model.embedding.tau},
@@ -833,34 +840,38 @@ def model_to_json(model: FittedForecaster) -> str:
 
 
 def model_from_json(text: str) -> FittedForecaster:
-    """Rebuild a model from its version-4 JSON document, the one
+    """Rebuild a model from its version-5 JSON document, the one
     ``model_to_json`` writes; any other text raises ModelFormatError.
 
     The document stores each fitted array as one base64 string of its
     little-endian float64 bytes in C order (complex128 for ``frequency``
-    mode operators), with the shape that the config implies; the cluster
-    count of a ``direct``/``hopfield`` evolver follows from the byte length.
-    An array that is not such a string, of another length, or that holds
-    NaN or inf bytes raises ModelFormatError, as do a missing or unknown
-    entry, a non-finite config number, a config and embedding that leave
-    no full patch in the window, a document with no channels, channels
-    whose cluster counts differ at a scale, and finite ``frequency`` arrays
-    whose serving maps overflow the float range.  A document of versions 1 to 3, written before the arrays
-    were base64, is no longer read: its ModelFormatError asks for a refit."""
+    mode operators), with the shape that the config implies: a readout is
+    (window, horizon) under ``frequency``, the serving map, and
+    (L' * D, horizon) otherwise; the cluster count of a ``direct``/
+    ``hopfield`` evolver follows from the byte length.  An array that is
+    not such a string, of another length, or that holds NaN or inf bytes
+    raises ModelFormatError, as do a missing or unknown entry, a non-finite
+    config number, a config and embedding that leave no full patch in the
+    window, a document with no channels, and channels whose cluster counts
+    differ at a scale.  Finite maps whose forecast overflows load, and
+    ``predict`` raises NonFiniteError on that forecast.  Only version 5 is
+    read: a document of versions 1 to 3, written before the arrays were
+    base64, or of version 4, whose ``frequency`` readouts the load composed
+    into serving maps, raises a ModelFormatError that asks for a refit."""
     try:
         doc = json.loads(text)
         # true == 1 and 2.0 == 2, so the type is checked too
         version = doc.get("v") if isinstance(doc, dict) else None
-        if type(version) is int and 1 <= version <= 3:
+        if type(version) is int and 1 <= version <= 4:
             raise ModelFormatError(f"version-{version} model documents are no longer read: "
                                    "refit the model")
-        if type(version) is not int or version != 4:
-            raise ModelFormatError("not a version-4 model document")
+        if type(version) is not int or version != 5:
+            raise ModelFormatError("not a version-5 model document")
         return _model_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
     # well-formed entries that make no model: pipeline_shapes, _stacked and
-    # the serving maps find these
+    # the front operator find these
     except (TooShortError, ShapeMismatchError, NonFiniteError) as exc:
         raise ModelFormatError(f"model document does not serve: {exc}") from exc
 
@@ -869,6 +880,8 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
     embedding = EmbeddingParams(m=doc["embedding"]["m"], tau=doc["embedding"]["tau"])
     config = ForecasterConfig(embedding=embedding, **doc["config"])
     sh = pipeline_shapes(config)
+    # a frequency readout is the serving map, from the window's samples
+    rows = config.window if config.evolution_strategy == "frequency" else sh.n_patches * sh.d
     evolvers, readouts = [], []
     for ch in doc["channels"]:
         if len(ch["evolvers"]) != len(sh.scale_lens):
@@ -877,8 +890,7 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
             )
         evolvers.append([_evolver_from_doc(e, s, config, sh)
                          for s, e in enumerate(ch["evolvers"])])
-        readouts.append(_doc_floats(ch["readout"], "readout",
-                                    (sh.n_patches * sh.d, config.horizon)))
+        readouts.append(_doc_floats(ch["readout"], "readout", (rows, config.horizon)))
     if not readouts:
         raise ModelFormatError("model document has no channels")
     return FittedForecaster(config, _stacked(evolvers, config), np.stack(readouts))

@@ -19,7 +19,7 @@ from .embedding import EmbeddingParams, _as_2d, _check_series, _kd_tree, delay_e
 from .errors import DegenerateSeriesError, NonFiniteError, TooShortError
 
 _QUERY_BLOCK = 2048  # reference points per neighbour query
-_FIRST_K = 8  # neighbours every point is queried for first
+_FIRST_K = (2, 8)  # neighbour counts queried, in turn, before the full count
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,9 @@ def _nearest_outside_window(tree, base, idx, theiler):
     The window |i - j| <= theiler holds at most 2 * theiler + 1 points, so
     the 2 * theiler + 4 nearest neighbours always include a partner unless
     that count is capped at the number of points.  Most points find one
-    among their ``_FIRST_K`` nearest, so only the rest get the full query
+    as their nearest other point, so the points still without a partner
+    are queried for each count of ``_FIRST_K`` in turn, first 2 (a point
+    and its nearest other point), and only the rest for the full count
     (the same partner unless two neighbours tie exactly in distance).  The
     points are queried in blocks so the (points, k) arrays stay bounded.
     """
@@ -122,7 +124,7 @@ def _nearest_outside_window(tree, base, idx, theiler):
     k = min(n, 2 * theiler + 4)
     partner = np.full(n, -1, dtype=int)
     todo = idx
-    for k_query in (min(k, _FIRST_K), k):
+    for k_query in sorted({min(k, first) for first in _FIRST_K} | {k}):
         for lo in range(0, todo.size, _QUERY_BLOCK):
             block = todo[lo : lo + _QUERY_BLOCK]
             dist, nbrs = tree.query(base[block], k=k_query)

@@ -230,6 +230,20 @@ class TestEmbed:
         pts = read_csv(traj)
         assert pts.shape[1] == 3 * doc["m"]
 
+    def test_failing_curves_leave_no_trajectory_file(self, tmp_path, capsys):
+        # the series' spread overflows, so the MI curve fails after the
+        # manual embedding has been read; nothing is written
+        x = np.sin(0.05 * np.arange(1500))
+        x[100], x[900] = 1.7e308, -1.7e308
+        series = tmp_path / "x.csv"
+        write_csv(series, x[:, None], ["x"])
+        traj, meta = tmp_path / "traj.csv", tmp_path / "meta.json"
+        code, out, err = run(capsys, "embed", "--input", str(series), "--m", "2", "--tau", "1",
+                             "--out-traj", str(traj), "--out-meta", str(meta))
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not traj.exists() and not meta.exists()
+
     def test_one_column_selects_as_the_library_does(self, lorenz_csv, tmp_path, capsys):
         x = read_csv(lorenz_csv)[:, 0]
         one = tmp_path / "x.csv"
@@ -498,26 +512,26 @@ class TestFitPredictEval:
         assert err.startswith("error:") and "theta" in err
         assert not (tmp_path / "model.json").exists()
 
-    @pytest.mark.parametrize("document",
-                             ["malformed", "version-3", "channels-differ", "no-channels"])
+    @pytest.mark.parametrize("document", ["malformed", "version-3", "version-4",
+                                          "channels-differ", "no-channels"])
     def test_malformed_model_exits_3_without_traceback(self, lorenz_csv, tmp_path, capsys,
                                                        document):
         model_path = tmp_path / "model.json"
         data = Path(__file__).parent / "data"
         if document == "malformed":
-            model_path.write_text('{"v": 4}')
-        elif document == "version-3":
+            model_path.write_text('{"v": 5}')
+        elif document in ("version-3", "version-4"):
             # a model document of a retired version must be refit
-            doc = json.loads((data / "v4_frequency_legt_full.json").read_text(encoding="utf-8"))
-            model_path.write_text(json.dumps({**doc, "v": 3}))
+            doc = json.loads((data / "v5_frequency_legt_full.json").read_text(encoding="utf-8"))
+            model_path.write_text(json.dumps({**doc, "v": int(document[-1])}))
         elif document == "no-channels":
             # a model that serves nothing is refused when it loads, before
             # any context is read
-            doc = json.loads((data / "v4_hopfield_legt_full.json").read_text(encoding="utf-8"))
+            doc = json.loads((data / "v5_hopfield_legt_full.json").read_text(encoding="utf-8"))
             model_path.write_text(json.dumps({**doc, "channels": []}))
         else:
             # a second channel whose coarse scale keeps one of two clusters
-            doc = json.loads((data / "v4_hopfield_legt_full.json").read_text(encoding="utf-8"))
+            doc = json.loads((data / "v5_hopfield_legt_full.json").read_text(encoding="utf-8"))
             second = json.loads(json.dumps(doc["channels"][0]))
             for key in ("keys", "values"):
                 raw = base64.b64decode(second["evolvers"][-1][key])
@@ -533,7 +547,7 @@ class TestFitPredictEval:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not (tmp_path / "pred.csv").exists()
-        if document == "version-3":
+        if document in ("version-3", "version-4"):
             assert len(err.splitlines()) == 1 and "refit" in err
         if document == "channels-differ":
             assert len(err.splitlines()) == 1 and "cluster count" in err

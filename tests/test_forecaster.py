@@ -57,6 +57,27 @@ def channel_evolvers(model, c):
     return [replace(ev, **{k: getattr(ev, k)[c] for k in keys}) for ev in model.evolvers]
 
 
+def fit_with_feature_readouts(config, series):
+    """``fit`` and the (C, L' * D, horizon) readouts it solved on the
+    channels' feature rows.  A ``direct``/``hopfield`` model keeps those
+    readouts; a ``frequency`` model keeps each one composed with its
+    channel's stage map, the serving map, and the ones solved are seen only
+    here."""
+    solved = []
+    readout = fc._readout
+
+    def recording(design, targets, cfg):
+        solved.append(readout(design, targets, cfg))
+        return solved[-1]
+
+    fc._readout = recording
+    try:
+        model = fc.fit(config, series)
+    finally:
+        fc._readout = readout
+    return model, np.stack(solved)
+
+
 @pytest.fixture(scope="module")
 def lorenz_model(lorenz63_x):
     split = int(lorenz63_x.size * 0.7)
@@ -157,16 +178,19 @@ class TestFit:
 
 class TestFrequencyFit:
     """A ``frequency`` fit runs on two thin QR factors of each channel's
-    windows, never on the stack.  Its mode operators and readouts must match
-    the staged fit on the stack (``_stack``, ``fft_modes`` of each scale,
-    one ``ridge_fit`` per mode, ``_features``, the readout ``ridge_fit``)
-    to 1e-9 of the largest operator entry and 1e-10 of the largest readout
-    entry (measured: 1.9e-11 and 1.3e-12)."""
+    windows, never on the stack.  Its mode operators and the readouts it
+    solves on the features must match the staged fit on the stack
+    (``_stack``, ``fft_modes`` of each scale, one ``ridge_fit`` per mode,
+    ``_features``, the readout ``ridge_fit``) to 1e-9 of the largest
+    operator entry and 1e-10 of the largest readout entry (measured: 1.9e-11
+    and 1.3e-12).  The serving map it keeps must match the staged
+    composition, the staged features of the identity windows times the
+    staged readout, to 1e-10 of its largest entry (measured: 1.1e-12)."""
 
     def test_qr_fit_matches_the_staged_fit_on_the_stack(self, lorenz63_x):
         x = np.stack([lorenz63_x[:3000], np.cos(0.03 * np.arange(3000))], axis=1)
         cfg = small_config(window=96, max_train_windows=12, ridge_lambda=1e-3)
-        model = fc.fit(cfg, x)
+        model, solved = fit_with_feature_readouts(cfg, x)
         sh, w, h = model.shapes, cfg.window, cfg.horizon
         starts = np.arange(0, x.shape[0] - w - h + 1, cfg.patch_len)[-12:]
         for c in range(model.n_channels):
@@ -186,8 +210,13 @@ class TestFrequencyFit:
                 assert_close(ev.mode_ops, ops, rtol=1e-9)
                 evolvers.append(fc.evo.SpectralEvolutionModel(mode_ops=ops, seq_len=length))
             feats = channel_features(stack, evolvers, model)
-            assert_close(model.readouts[c],
-                         fc.evo.ridge_fit(feats, targets, cfg.ridge_lambda).T, rtol=1e-10)
+            readout = fc.evo.ridge_fit(feats, targets, cfg.ridge_lambda).T
+            assert_close(solved[c], readout, rtol=1e-10)
+            # every stage is linear, so the identity windows' features are
+            # the (window, L' * D) stage map
+            stage_map = channel_features(fc._stack(np.eye(w), model), evolvers, model)
+            assert model.readouts[c].shape == (w, h)
+            assert_close(model.readouts[c], stage_map @ readout, rtol=1e-10)
 
     def test_long_window_fit_builds_in_little_memory(self, lorenz63_x):
         # a (1024, S, D) stack of this fit takes 94 MB, its evolved copy as
@@ -200,7 +229,7 @@ class TestFrequencyFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert model.serving.shape == (1, 336, 96)
+        assert model.readouts.shape == (1, 336, 96)
         assert peak < 100e6
 
 
@@ -250,9 +279,12 @@ class TestPredict:
         b = fc.predict(model, val[50 : 96 + 50]).predictions
         assert np.array_equal(a, b)
 
-    def test_training_window_reproduces_fit_time_path_bitwise(self, lorenz_model):
-        # the staged reference re-runs exactly the code path used while fitting
-        model, train, _ = lorenz_model
+    @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+    def test_training_window_reproduces_fit_time_path_bitwise(self, strategy_models,
+                                                              lorenz_model, strategy):
+        # the staged reference re-runs exactly the code path that built the
+        # fit's design rows; a frequency fit builds none (see TestFrequencyFit)
+        model, train = strategy_models[strategy], lorenz_model[1]
         cfg = model.config
         s = train.size - cfg.window - cfg.horizon  # a training window start
         window = train[s : s + cfg.window]
@@ -323,7 +355,7 @@ class TestPredict:
                 assert np.array_equal(got[:, c], fc.predict(one, context[:, c]).predictions[:, 0])
 
     def test_predict_runs_on_stage_operators(self, lorenz_model, monkeypatch):
-        # the primitives and the stages only build the operators and the
+        # the primitives and the stages only build the operators and fit the
         # serving maps; a frequency model never calls them while serving
         model, _, val = lorenz_model
         expect = fc.predict(model, val[:96]).predictions
@@ -488,14 +520,18 @@ class TestStageOperators:
         assert_close(model.back @ model.front, endpoints, rtol=1e-11)
 
 
-def staged_reference(model, context):
+def staged_reference(model, context, readouts=None):
     """The staged (horizon, channels) forecast of a context's trailing
     window: normalize each channel's window, take its stack, run
-    ``_features`` and the channel's readout, and denormalize."""
+    ``_features`` and the channel's readout on the features, and
+    denormalize.  Those readouts are the model's own for ``direct`` and
+    ``hopfield``; a ``frequency`` model's are passed as ``readouts``
+    (``fit_with_feature_readouts``)."""
     window = fc._as_2d(context)[-model.config.window :]
     zn, mu, sd = fc._normalize(np.ascontiguousarray(window.T))
     stacks = fc._stack(zn[:, None, :], model)
-    pairs = enumerate(zip(stacks, model.readouts, strict=True))
+    readouts = model.readouts if readouts is None else readouts
+    pairs = enumerate(zip(stacks, readouts, strict=True))
     normed = np.stack([(channel_features(stack, channel_evolvers(model, c), model) @ readout)[0]
                        for c, (stack, readout) in pairs])
     return (mu[:, None] + sd[:, None] * normed).T
@@ -503,8 +539,9 @@ def staged_reference(model, context):
 
 class TestServingMaps:
     """A ``frequency`` model serves through one (window, horizon) map per
-    channel; it must agree with the staged reference to 1e-10 of the largest
-    forecast value (the maps sum in another order)."""
+    channel, its readout; it must agree with the staged reference, the
+    stages and the feature readouts the fit composed the maps from, to
+    1e-10 of the largest forecast value (the maps sum in another order)."""
 
     @pytest.mark.parametrize(
         "overrides,n_channels",
@@ -527,33 +564,35 @@ class TestServingMaps:
             [lorenz63_x[:3000], np.cos(0.03 * t), lorenz63_x[5000:8000]], axis=1
         )[:, :n_channels]
         cfg = small_config(window=96, max_train_windows=32, ridge_lambda=1e-3)
-        model = fc.fit(replace(cfg, **overrides), data[:2500])
-        assert model.serving.shape == (n_channels, model.config.window, model.config.horizon)
+        model, solved = fit_with_feature_readouts(replace(cfg, **overrides), data[:2500])
+        assert model.readouts.shape == (n_channels, model.config.window, model.config.horizon)
         for s in range(2500, 2900, 37):
             context = data[s : s + model.config.window]
             assert_close(fc.predict(model, context).predictions,
-                         staged_reference(model, context), rtol=1e-10)
+                         staged_reference(model, context, solved), rtol=1e-10)
 
     def test_lorenz_model_matches_staged_reference(self, lorenz_model):
-        model, _, val = lorenz_model
+        model, train, val = lorenz_model
+        refit, solved = fit_with_feature_readouts(model.config, train)
+        assert np.array_equal(refit.readouts, model.readouts)
         for s in range(0, val.size - 96, 97):
             context = val[s : s + 96]
             assert_close(fc.predict(model, context).predictions,
-                         staged_reference(model, context), rtol=1e-10)
+                         staged_reference(model, context, solved), rtol=1e-10)
 
     def test_a_model_without_channels_builds_no_maps(self, lorenz_model):
         # fit fits its channels on such a model's stage operators; it serves
         # no context
         model = fc.FittedForecaster(lorenz_model[0].config)
-        assert model.serving is None and model.front.shape[0] == model.back.shape[1]
+        assert model.readouts is None and model.front.shape[0] == model.back.shape[1]
         assert model.n_channels == 0
         with pytest.raises(ShapeMismatchError, match="model has 0 channels"):
             fc.predict(model, lorenz_model[2][:96])
 
-    def test_long_window_maps_build_in_little_memory(self):
-        # the maps come from each channel's (L', L) stage map: a (window, S, D)
-        # identity stack of this model would take 31 MB, and its evolved copy
-        # as much again
+    def test_long_window_stage_maps_build_in_little_memory(self):
+        # the fit's stage maps come from each channel's (L', L) stage map: a
+        # (window, S, D) identity stack of this model would take 31 MB, and
+        # its evolved copy as much again
         cfg = fc.ForecasterConfig(window=336, horizon=96, embedding=EmbeddingParams(5, 16))
         sh = fc.pipeline_shapes(cfg)
         rng = np.random.default_rng(0)
@@ -565,24 +604,57 @@ class TestServingMaps:
             for length, modes in zip(sh.scale_lens, sh.scale_modes)
         ]
         evolvers = fc._stacked([evolvers], cfg)
-        readouts = rng.normal(size=(1, sh.n_patches * sh.d, cfg.horizon))
+        operators = fc.FittedForecaster(cfg)
         tracemalloc.start()
         try:
-            model = fc.FittedForecaster(cfg, evolvers, readouts)
+            stage_maps = fc._stage_map(evolvers, operators)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert model.serving.shape == (1, 336, 96)
+        assert stage_maps.shape == (1, 336, sh.n_patches * sh.d)
         assert peak < 20e6
 
     @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
     def test_nonlinear_strategies_serve_through_the_stages(self, lorenz63_x, strategy):
         cfg = small_config(window=96, max_train_windows=16, evolution_strategy=strategy)
         model = fc.fit(cfg, lorenz63_x[:2000])
-        assert model.serving is None
+        sh = model.shapes
+        assert model.readouts.shape == (1, sh.n_patches * sh.d, cfg.horizon)
         context = lorenz63_x[2000:2096]
         assert np.array_equal(fc.predict(model, context).predictions,
                               staged_reference(model, context))
+
+
+LAW_CASES = [(s, c, e, 96) for s in fc.STRATEGIES for c in (1, 3) for e in ("auto", "m3-tau4")]
+LAW_CASES += [("frequency", c, e, 336) for c in (1, 3) for e in ("auto", "m3-tau4")]
+
+
+@pytest.mark.parametrize("strategy,n_channels,embedding,window", LAW_CASES,
+                         ids=["-".join(map(str, case)) for case in LAW_CASES])
+def test_forecast_is_each_channel_row_times_its_readout(lorenz96_3d, strategy, n_channels,
+                                                        embedding, window):
+    # channel c forecasts mu + sd * (row @ readouts[c]) bit for bit: the row
+    # is the normalized window under frequency, whose readout is the
+    # (window, horizon) serving map, and the window's feature row otherwise
+    cfg = fc.ForecasterConfig(window=window, horizon=16, evolution_strategy=strategy,
+                              embedding=None if embedding == "auto" else EmbeddingParams(3, 4),
+                              max_train_windows=64)
+    data = lorenz96_3d[:, :n_channels]
+    model = fc.fit(cfg, data[:4000])
+    sh = model.shapes
+    rows = window if strategy == "frequency" else sh.n_patches * sh.d
+    assert model.readouts.shape == (n_channels, rows, cfg.horizon)
+    doc = json.loads(fc.model_to_json(model))
+    stored_floats = sum(len(base64.b64decode(ch["readout"])) // 8 for ch in doc["channels"])
+    assert stored_floats == n_channels * rows * cfg.horizon
+    for start in (4000, 4777):
+        context = data[start : start + window]
+        zn, mu, sd = fc._normalize(np.ascontiguousarray(context.T))
+        if strategy != "frequency":
+            zn = fc._features(fc._stack(zn[:, None, :], model), model.evolvers, model)[:, 0]
+        expect = np.stack([mu[c] + sd[c] * (zn[c] @ model.readouts[c])
+                           for c in range(n_channels)], axis=1)
+        assert np.array_equal(fc.predict(model, context).predictions, expect)
 
 
 class TestChannelIndependence:
@@ -803,14 +875,14 @@ class TestSaveLoad:
         # ridge optimality probe on the assembled design matrix
         x = lorenz63_x[:5000]
         cfg = small_config(window=96, max_train_windows=32, ridge_lambda=1e-3)
-        model = fc.fit(cfg, x)
+        model, solved = fit_with_feature_readouts(cfg, x)
         w, h = cfg.window, cfg.horizon
         starts = np.arange(0, x.size - w - h + 1, cfg.patch_len)[-32:]
         zn, mu, sd = fc._normalize(x[starts[:, None] + np.arange(w)])
         stack = fc._stack(zn, model)
         feats = channel_features(stack, channel_evolvers(model, 0), model)
         targets = (x[starts[:, None] + w + np.arange(h)] - mu[:, None]) / sd[:, None]
-        readout = model.readouts[0]
+        readout = solved[0]
 
         def objective(r):
             return np.sum((feats @ r - targets) ** 2) + cfg.ridge_lambda * np.sum(r**2)
@@ -985,33 +1057,39 @@ class TestPowerOfTwoScale:
 
 
 class TestModelDocument:
-    def test_overflowing_serving_maps_raise_without_a_warning(self):
-        # every stored entry is finite, but one readout entry near the float
-        # maximum takes the serving map beyond it
+    def test_overflowing_serving_map_loads_and_its_forecast_raises_without_a_warning(
+            self, lorenz63_x):
+        # every stored entry is finite, but a serving map column near the
+        # float maximum, signed as the normalized window, takes the forecast
+        # beyond it; the map serves only the forecast, so the document loads,
+        # as a direct/hopfield one does (TestNonlinearDocument)
         doc = json.loads(fixture_text("frequency"))
-        readout = fc.model_from_json(fixture_text("frequency")).readouts[0].copy()
-        readout[0, 0] = 1e308
+        model = fc.model_from_json(fixture_text("frequency"))
+        context = lorenz63_x[: model.config.window]
+        readout = model.readouts[0].copy()
+        readout[:, 0] = 1e308 * np.sign(fc._normalize(context[None])[0][0])
         doc["channels"][0]["readout"] = stored(readout)
+        model = fc.model_from_json(json.dumps(doc))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ModelFormatError, match="serving maps overflow"):
-                fc.model_from_json(json.dumps(doc))
+            with pytest.raises(NonFiniteError, match="forecast overflows"):
+                fc.predict(model, context)
 
     @pytest.mark.parametrize(
         "text",
         [
-            '{"v": 4}',
-            "[1, 2]",
             '{"v": 5}',
+            "[1, 2]",
+            '{"v": 6}',
             "{not json",
-            '{"v": 4, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
+            '{"v": 5, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
             ' "channels": []}',
-            '{"v": 4, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "channels": []}',
+            '{"v": 5, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "channels": []}',
             # a well-formed model that serves nothing
-            '{"v": 4, "config": {"window": 96, "horizon": 4}, "embedding": {"m": 3, "tau": 4},'
+            '{"v": 5, "config": {"window": 96, "horizon": 4}, "embedding": {"m": 3, "tau": 4},'
             ' "channels": []}',
         ],
-        ids=["no-body", "not-object", "version-5", "not-json", "horizon-0", "config-not-object",
+        ids=["no-body", "not-object", "version-6", "not-json", "horizon-0", "config-not-object",
              "no-channels"],
     )
     def test_malformed_document_raises_typed_error(self, text):
@@ -1067,7 +1145,7 @@ class TestModelDocument:
 
     @pytest.mark.parametrize("fault", ["alphabet", "one-float-short", "nan-bytes", "not-a-string"])
     @pytest.mark.parametrize("strategy", fc.STRATEGIES)
-    def test_bad_version_4_array_raises(self, strategy, fault):
+    def test_bad_document_array_raises(self, strategy, fault):
         text = fixture_text(strategy)
 
         def arrays(doc):
@@ -1093,7 +1171,7 @@ class TestModelDocument:
                 fc.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
-    def test_version_4_evolver_without_clusters_raises(self, strategy):
+    def test_evolver_without_clusters_raises(self, strategy):
         doc = json.loads(fixture_text(strategy))
         doc["channels"][0]["evolvers"][0].update({key: "" for key in EVOLVER_ARRAYS[strategy]})
         with pytest.raises(ModelFormatError, match="bytes"):
@@ -1174,11 +1252,29 @@ class TestModelDocument:
         with pytest.raises(ModelFormatError, match=f"cluster count of scale {len(evolvers) - 1}"):
             fc.model_from_json(json.dumps(doc))
 
+    def test_a_frequency_load_composes_no_maps(self, lorenz96_3d, monkeypatch):
+        # the document's readouts are the serving maps, so a load runs no
+        # stage and serves the fitted model's bits
+        cfg = fc.ForecasterConfig(window=96, horizon=16, max_train_windows=128)
+        model = fc.fit(cfg, lorenz96_3d[:4000])
+        text = fc.model_to_json(model)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stage run while loading")
+
+        for name in ("_stage_map", "_features", "_stack"):
+            monkeypatch.setattr(fc, name, forbidden)
+        loaded = fc.model_from_json(text)
+        assert np.array_equal(loaded.readouts, model.readouts)
+        context = lorenz96_3d[4000:4096]
+        assert np.array_equal(fc.predict(loaded, context).predictions,
+                              fc.predict(model, context).predictions)
+
     @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
     def test_a_loaded_model_holds_each_array_once(self, lorenz96_3d, strategy):
-        # the document's arrays live on only in the model's channel stacks
-        # (these models have no serving maps); a second copy of them would
-        # take the memory still held to about twice the arrays
+        # the document's arrays live on only in the model's channel stacks;
+        # a second copy of them would take the memory still held to about
+        # twice the arrays
         cfg = fc.ForecasterConfig(window=96, horizon=16, embedding=EmbeddingParams(5, 16),
                                   evolution_strategy=strategy, max_train_windows=128)
         text = fc.model_to_json(fc.fit(cfg, lorenz96_3d[:4000]))
@@ -1207,7 +1303,7 @@ class TestModelDocument:
             fc.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("value", [2**31, 2**63, 2**70, 10**400, -(10**400)])
-    @pytest.mark.parametrize("name", [f"{kind}{s}" for kind in ("oracle_v4_", "v4_")
+    @pytest.mark.parametrize("name", [f"{kind}{s}" for kind in ("oracle_v5_", "v5_")
                                       for s in fc.STRATEGIES])
     def test_integer_entry_beyond_any_size_loads_or_raises_typed(self, name, value):
         # every integer entry the config and the embedding hold, far beyond
@@ -1248,15 +1344,12 @@ class TestModelDocument:
             with pytest.raises(ModelFormatError):
                 fc.model_from_json(json.dumps(broken))
 
-    def test_non_finite_model_is_not_written_as_bare_nan(self, strategy_models):
-        # a frequency model with a NaN readout has NaN serving maps and is
-        # not built at all; a direct model has no serving maps and is built
-        model = strategy_models["frequency"]
-        with pytest.raises(NonFiniteError, match="serving maps"):
-            replace(model, readouts=model.readouts * np.nan)
-        model = strategy_models["direct"]
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
+    def test_non_finite_model_is_not_written_as_bare_nan(self, strategy_models, strategy):
+        # a model is built from any readouts; writing refuses NaN ones
+        model = strategy_models[strategy]
         broken = replace(model, readouts=model.readouts * np.nan)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite readout"):
             fc.model_to_json(broken)
 
 
@@ -1269,19 +1362,20 @@ EVOLVER_ARRAYS = {"frequency": ("mode_ops",), "direct": ("centroids", "operators
 def fixture_text(strategy: str) -> str:
     """The ``legt_full`` fixture document of ``strategy``: the refit of its
     oracle's setup (``TestFrequencyDocument``, ``TestNonlinearDocument``)."""
-    return (DATA / f"v4_{strategy}_legt_full.json").read_text(encoding="utf-8")
+    return (DATA / f"v5_{strategy}_legt_full.json").read_text(encoding="utf-8")
 
 
 def oracle_text(strategy: str) -> str:
     """The oracle document of ``strategy``: a model fit by an earlier version
-    of attraos, re-encoded as version 4.  It holds that fit's arrays, so it
-    is not the ``fixture_text`` refit."""
-    return (DATA / f"oracle_v4_{strategy}_legt_full.json").read_text(encoding="utf-8")
+    of attraos, re-encoded as version 5.  It holds that fit's arrays, so it
+    is not the ``fixture_text`` refit; the ``frequency`` one holds, as its
+    readout, the serving map that its version-4 document loaded to."""
+    return (DATA / f"oracle_v5_{strategy}_legt_full.json").read_text(encoding="utf-8")
 
 
 def oracle_io(strategy: str) -> dict:
     """Three contexts and the predictions the oracle of ``strategy`` makes from them."""
-    path = DATA / f"oracle_v4_{strategy}_legt_full_io.json"
+    path = DATA / f"oracle_v5_{strategy}_legt_full_io.json"
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -1304,16 +1398,19 @@ class TestFrequencyDocument:
     were last regenerated when the stage maps came to evolve each scale
     through ``apply_spectral_evolution`` in place of a per-scale matrix,
     which moved them by 1.2e-15 of the largest one; they stay within 1e-14
-    of the writing version's."""
+    of the writing version's.  Since version 5 the document holds, in place
+    of the feature readout, the (48, 4) serving map that the version-4
+    document composed at load, so it forecasts the same bits; with the
+    feature readout gone, these predictions are no longer compared with
+    the staged reference (``TestServingMaps`` does that for fits)."""
 
     def test_loads_with_bit_identical_predictions(self):
         model = fc.model_from_json(oracle_text("frequency"))
         assert (model.shapes.n_patches, model.shapes.padded) == (11, 12)
+        assert model.readouts.shape == (1, 48, 4)
         io = oracle_io("frequency")
         for context, expect in zip(io["contexts"], io["predictions"], strict=True):
-            got = fc.predict(model, context).predictions
-            assert np.array_equal(got[:, 0], expect)
-            assert_close(got, staged_reference(model, context), rtol=1e-10)
+            assert np.array_equal(fc.predict(model, context).predictions[:, 0], expect)
 
     def test_resave_is_byte_identical(self):
         text = oracle_text("frequency")
@@ -1366,11 +1463,12 @@ class TestNonlinearDocument:
                 fc.predict(model, lorenz63_x[: model.config.window])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 @pytest.mark.parametrize("strategy", fc.STRATEGIES)
 def test_retired_versions_ask_for_a_refit(strategy, version):
-    # versions 1 to 3 stored the fitted arrays as float lists; a document
-    # of one of them is refused before any of its entries is read
+    # versions 1 to 3 stored the fitted arrays as float lists, version 4 a
+    # frequency model's feature readouts; a document of one of them is
+    # refused before any of its entries is read
     doc = json.loads(fixture_text(strategy))
     for text in (json.dumps({"v": version}), json.dumps({**doc, "v": version})):
         with pytest.raises(ModelFormatError, match=f"version-{version} .*refit"):
@@ -1381,19 +1479,19 @@ MISSING = object()
 
 
 @pytest.mark.parametrize(
-    "version", [0, 5, -1, True, 2.0, 4.0, "4", None, MISSING],
-    ids=["0", "5", "-1", "true", "2.0", "4.0", "string-4", "null", "missing"],
+    "version", [0, 6, -1, True, 2.0, 5.0, "5", None, MISSING],
+    ids=["0", "6", "-1", "true", "2.0", "5.0", "string-5", "null", "missing"],
 )
 def test_other_versions_are_not_read(version):
-    # only the integer 4 is read (true == 1 and 4.0 == 4, so the type is
-    # checked too), and only versions 1 to 3 are named as retired
+    # only the integer 5 is read (true == 1 and 5.0 == 5, so the type is
+    # checked too), and only versions 1 to 4 are named as retired
     for strategy in fc.STRATEGIES:
         doc = json.loads(fixture_text(strategy))
         if version is MISSING:
             del doc["v"]
         else:
             doc["v"] = version
-        with pytest.raises(ModelFormatError, match="not a version-4") as info:
+        with pytest.raises(ModelFormatError, match="not a version-5") as info:
             fc.model_from_json(json.dumps(doc))
         assert "refit" not in str(info.value)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from attraos import chaos
 from attraos.embedding import EmbeddingParams, delay_embed
@@ -237,6 +238,24 @@ def test_blocked_partners_match_one_shot_query(lorenz63_x, source, n, theiler):
     if source == "sine":
         _, first8 = tree.query(base, k=8)
         assert np.mean(np.all(np.abs(first8 - idx[:, None]) <= theiler, axis=1)) > 0.9
+
+
+@pytest.mark.parametrize("n,theiler", [(1500, 0), (1500, 5), (1500, 60), (300, 160)],
+                         ids=["no-window", "narrow", "wide", "k-capped-at-n"])
+def test_partners_match_brute_force_search(n, theiler):
+    # random points have no two equal distances, so the nearest point
+    # outside the window is one point, whichever query rounds find it
+    rng = np.random.default_rng(n + theiler)
+    base = rng.standard_normal((n, 3))
+    idx = np.arange(n)
+    dist = cdist(base, base)
+    dist[np.abs(idx[:, None] - idx[None]) <= theiler] = np.inf
+    has = np.isfinite(dist).any(axis=1)
+    expect = np.where(has, dist.argmin(axis=1), -1)
+    got = _nearest_outside_window(cKDTree(base), base, idx, theiler)
+    assert np.array_equal(got, expect)
+    # the window covers every other point for the points nearest the middle
+    assert has.all() == (theiler < n // 2)
 
 
 def norm_loop_curve(series, params, horizon):
