@@ -42,41 +42,48 @@ def ifft_modes(spectrum: np.ndarray, seq_len: int) -> np.ndarray:
 
 
 def ridge_fit(a: np.ndarray, b: np.ndarray, ridge_lambda: float) -> np.ndarray:
-    """W minimizing sum ||W a_s - b_s||^2 + lambda ||W||^2 over rows of a, b.
+    """W minimizing sum ||W a_s - b_s||^2 + lambda ||W||^2 over rows of a, b,
+    for each design of a stack: a is (..., rows, features), b (..., rows,
+    outputs) with the same leading axes, and W (..., outputs, features).
 
-    One thin SVD of the design, a = U diag(s) V^H, gives
+    One batched thin SVD of the designs, a = U diag(s) V^H, gives
     W = (V diag(s / (s^2 + lambda)) U^H b)^T for real and complex input and
-    for any shape, designs with more features than rows too.  The Gram
-    matrix a^H a, whose condition number is the square of a's, is never
-    formed.  With lambda = 0 a design whose rank (its singular values
-    above ``matrix_rank``'s default tolerance) is below its feature count
-    raises SingularSystemError; NaN or inf in a or b raises NonFiniteError
-    before anything is factored.
+    for any shape, designs with more features than rows too.  Each design
+    of a stack is factored and solved as it would be alone, so a stack
+    gives the fits of separate calls bit for bit.  The Gram matrix a^H a,
+    whose condition number is the square of a's, is never formed.  With
+    lambda = 0, any design whose rank (its singular values above
+    ``matrix_rank``'s default tolerance) is below its feature count raises
+    SingularSystemError; NaN or inf in a or b raises NonFiniteError before
+    anything is factored.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeMismatchError("need matching (samples, features) arrays")
+    if a.ndim < 2 or a.shape[:-1] != b.shape[:-1]:
+        raise ShapeMismatchError("need matching (..., samples, features) and "
+                                 "(..., samples, outputs) arrays")
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be >= 0")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NonFiniteError("ridge design or targets contain NaN or inf")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if ridge_lambda == 0.0:
-        tol = s.max(initial=0.0) * max(a.shape) * np.finfo(s.dtype).eps
-        if np.count_nonzero(s > tol) < a.shape[1]:
+        tol = s.max(axis=-1, initial=0.0, keepdims=True) * max(a.shape[-2:])
+        tol *= np.finfo(s.dtype).eps
+        if np.any(np.count_nonzero(s > tol, axis=-1) < a.shape[-1]):
             raise SingularSystemError("rank-deficient design with lambda = 0")
     # s / (s^2 + lambda), written so that s^2 cannot overflow; a zero
     # singular value (lambda > 0 here) gets gain 0
     with np.errstate(divide="ignore", over="ignore"):
         gain = 1.0 / (s + ridge_lambda / s)
-    return (vh.conj().T @ (gain[:, None] * (u.conj().T @ b))).T
+    w_t = vh.conj().swapaxes(-1, -2) @ (gain[..., None] * (u.conj().swapaxes(-1, -2) @ b))
+    return w_t.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class SpectralEvolutionModel:
-    """Per-mode complex operators W_i (M, N, N) over length-L sequences, for
-    the M lowest DFT modes."""
+    """Per-mode complex operators W_i (..., M, N, N) over length-L
+    sequences, for the M lowest DFT modes; leading axes stack models."""
 
     mode_ops: np.ndarray
     seq_len: int
@@ -88,37 +95,41 @@ def fit_spectral_operators(
     seq_len: int,
     ridge_lambda: float,
 ) -> SpectralEvolutionModel:
-    """Per-mode ridge fit from spectra (S, M, N) to next-step spectra.
+    """Per-mode ridge fits from spectra (..., S, M, N) to next-step spectra,
+    one ``ridge_fit`` call for every mode of every model of the leading
+    axes; the operators are (..., M, N, N).
 
     Mode i's fit sees its rows only through the Gram and cross products of
-    ``a_spec[:, i]`` and ``b_spec[:, i]``, so any rows with the same
-    products give the same operators: a fit can pass the spectra of a few
-    factor rows in place of one row per training sequence."""
+    ``a_spec[..., i, :]`` and ``b_spec[..., i, :]``, so any rows with the
+    same products give the same operators: a fit can pass the spectra of a
+    few factor rows in place of one row per training sequence."""
     a_spec = np.asarray(a_spec, dtype=complex)
     b_spec = np.asarray(b_spec, dtype=complex)
-    if a_spec.shape != b_spec.shape or a_spec.ndim != 3:
-        raise ShapeMismatchError("spectra must share a (samples, modes, N) shape")
-    if a_spec.shape[0] < 1:
+    if a_spec.shape != b_spec.shape or a_spec.ndim < 3:
+        raise ShapeMismatchError("spectra must share a (..., samples, modes, N) shape")
+    if a_spec.shape[-3] < 1:
         raise EmptyInputError("need at least one training pair")
-    m_modes, n = a_spec.shape[1], a_spec.shape[2]
-    ops = np.empty((m_modes, n, n), dtype=complex)
-    for i in range(m_modes):
-        ops[i] = ridge_fit(a_spec[:, i, :], b_spec[:, i, :], ridge_lambda)
+    # each mode's (S, N) rows as one design of the stack
+    ops = ridge_fit(np.moveaxis(a_spec, -2, -3), np.moveaxis(b_spec, -2, -3), ridge_lambda)
     return SpectralEvolutionModel(mode_ops=ops, seq_len=seq_len)
 
 
 def apply_spectral_evolution(x: np.ndarray, model: SpectralEvolutionModel) -> np.ndarray:
     """Low modes in, W_i per mode, back to the original scale: x holds
     length-L sequences along axis 0 and N-vectors along its last axis.  The
-    (M, ..., N, N) mode operators may carry middle axes that broadcast
-    against x's: a stack of models, each applied to its own sequences."""
+    (..., M, N, N) mode operators may carry leading axes; x has as many
+    right after its sequence axis, and they broadcast: a stack of models,
+    each applied to its own sequences."""
     x = np.asarray(x, dtype=float)
     if x.shape[0] != model.seq_len:
         raise ShapeMismatchError(
             f"model was fit for length {model.seq_len}, got {x.shape[0]}"
         )
-    spec = fft_modes(x, model.mode_ops.shape[0])
-    out = np.einsum("m...ij,m...j->m...i", model.mode_ops, spec)
+    lead = model.mode_ops.ndim - 3
+    spec = fft_modes(x, model.mode_ops.shape[-3])  # (M, *lead, ..., N)
+    # (M, *lead, 1, ..., 1, N, N), lined up with the spectrum's axes
+    ops = np.expand_dims(np.moveaxis(model.mode_ops, -3, 0), tuple(range(lead + 1, x.ndim - 1)))
+    out = np.einsum("m...ij,m...j->m...i", ops, spec)
     return ifft_modes(out, model.seq_len)
 
 

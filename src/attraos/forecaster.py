@@ -3,12 +3,11 @@
 Per channel, for a batch of context windows at once, the pipeline is:
 instance-normalize (exactly at any magnitude, ``_normalize``), delay-embed,
 patch, run the discretized polynomial-projection recurrence over the patch
-sequence, split the state
-sequence into a multi-scale pyramid, advance every scale one step with the
-configured evolution strategy, reconstruct the finest scale from the evolved
-pyramid, collapse the polynomial axis by evaluating each window expansion at
-its right endpoint, and map the flattened features to the next ``horizon``
-samples with a ridge-fit readout.
+sequence, split the state sequence into a multi-scale pyramid, advance every
+scale one step with the configured evolution strategy, reconstruct the
+finest scale from the evolved pyramid, collapse the polynomial axis by
+evaluating each window expansion at its right endpoint, and map the
+flattened features to the next ``horizon`` samples with a ridge-fit readout.
 
 Every stage after patching up to the evolution, and from reconstruction to
 the endpoint, acts identically and linearly on each of the D = m * p patch
@@ -16,69 +15,58 @@ coordinates, as do ``frequency`` evolution and the N x N operator of each
 ``direct`` cluster.  The linear stages therefore run as small per-coordinate
 matrices applied to each window's (steps, D) array: a front operator
 (recurrence, left padding, decompose) and a back operator (reconstruct, drop
-padding, endpoint).  They are derived by pushing identity inputs through the
-reference primitives (``sequential_scan``, ``decompose``, ``reconstruct``).
-Each window, and under ``direct`` and ``hopfield`` each position, gets its
-own identically shaped matrix product, so a window's features do not depend
-on the batch it is computed in, for every strategy.
+padding, endpoint), derived by pushing identity inputs through the reference
+primitives (``sequential_scan``, ``decompose``, ``reconstruct``).  Each
+window, and under ``direct`` and ``hopfield`` each position, gets its own
+identically shaped matrix product, so a window's features do not depend on
+the batch it is computed in, for every strategy.
 
-Delay embedding and patching only pick samples, so a window is embedded
-and patched by one gather of the model's (L, D) sample ``index``.  Between
-the two operators a window is one (S, D) array, the stack: the whole
-pyramid, each scale a fixed block of rows (``ShapeInfo.scale_rows``).
-Evolution writes each scale's next step into the same rows of a new stack;
-it sees the block as a (positions, D, N) view, ``frequency`` evolution
-(``apply_spectral_evolution``) as D * N sequences along the positions,
-``direct`` and ``hopfield``, which are nonlinear in a position's (D, N)
-state, as one state per position.
+Delay embedding and patching only pick samples, so a window is embedded and
+patched by one gather of the model's (L, D) sample ``index``.  Between the
+two operators a window is one (S, D) array, the stack: the whole pyramid,
+each scale a fixed block of rows (``ShapeInfo.scale_rows``).  Evolution
+writes each scale's next step into the same rows of a new stack; it sees the
+block as a (positions, D, N) view, ``frequency`` evolution as D * N
+sequences along the positions, ``direct`` and ``hopfield``, which are
+nonlinear in a position's (D, N) state, as one state per position.
 
-``_features`` runs the stages after the front operator, evolution and the
-back operator, on a (C, B, S, D) stack of C channels' windows at once:
-each channel's evolvers are stacked along a leading channel axis per scale
-(``_stacked``), and the evolution functions broadcast over it.  With
-``frequency`` evolution every stage after instance normalization is linear,
-from the delay embedding to the readout, so each channel's pipeline
-collapses to one (window, horizon) serving map.  ``_features`` applied to
-the front operator itself, its L columns taken as coordinates, gives each
-channel's (L', L) stage map.  That map on the embedded and patched identity
-window (``_stage_map``) takes a normalized window to its feature row: a
-``frequency`` fit builds its readout design from it and keeps, as the
-channel's readout, the stage map times the ridge solution on the features:
-the serving map.  ``predict`` normalizes each channel's window once, takes
-all channels' normalized forecasts in one pass, from the serving maps
-(``frequency``) or from the stack, one ``_features`` call and the stacked
-readouts (``direct``/``hopfield``), and denormalizes once; normalization
-stays outside the maps, so a constant channel still forecasts its mean
-exactly.
-
-A fitted model is its config, which holds the embedding it was fit with,
-and its maps, each array held once, stacked over the channels: one evolver
-per scale (``_stacked``) and the readouts, (C, window, horizon) serving
-maps for ``frequency`` and (C, L' * D, horizon) feature readouts for
-``direct`` and ``hopfield``.  The shapes, the stage operators and the
-sample index are closed-form functions of the config, so
-``FittedForecaster`` derives them when it is constructed, after a fit and
-after a load alike.  The model document (``model_to_json``, version 5)
-stores the config and the embedding as JSON and each channel's slice of
-the fitted arrays as base64 float64 bytes; this module is the only one that
-reads or writes it.  A ``frequency`` document keeps its mode operators,
-though the serving maps alone forecast, so that the fitted spectra can be
-inspected.
+A fitted model is its config, which holds the embedding it was fit with, and
+its maps, each array held once with the C channels along its first axis: one
+evolver per scale, whose (C, M, N, N) mode operators or (C, k, ...) cluster
+arrays the evolution functions broadcast over, and the readouts, (C, window,
+horizon) serving maps for ``frequency`` and (C, L' * D, horizon) feature
+readouts for ``direct`` and ``hopfield``.  ``_features`` runs evolution and
+the back operator on a (C, B, S, D) stack of all channels' windows at once.
+With ``frequency`` evolution every stage after instance normalization is
+linear, so each channel's pipeline collapses to its (window, horizon)
+serving map: the (window, L' * D) stage map (``_stage_map``) times the
+readout solved on the features.  ``predict`` normalizes each channel's
+window once, takes all channels' normalized forecasts in one pass, from the
+serving maps or from the stack, one ``_features`` call and the readouts,
+and denormalizes once; a constant channel still forecasts its mean exactly.
+The shapes, the stage operators and the sample index are closed-form
+functions of the config, so ``FittedForecaster`` derives them when it is
+constructed, after a fit and after a load alike.  The model document
+(``model_to_json``, version 5) stores the config and the embedding as JSON
+and each channel's slice of the fitted arrays as base64 float64 bytes; this
+module is the only one that reads or writes it.  A ``frequency`` document
+keeps its mode operators so that the fitted spectra can be inspected.
 
 Every learned map is a closed-form ridge regression (``evolution.ridge_fit``,
-one thin SVD of its design); there is no iterative training.  The training
-windows and their normalized targets come from one function (``_windows``).
-Evolution operators are fit on consecutive-window pairs (windows shifted by
-one patch), so "evolve" means "advance the window by one patch".  A
-``frequency`` fit sees the training windows only through two Gram matrices,
-so it fits on the R factors of two thin QR decompositions and builds no
-stack (``_fit_frequency``).  ``direct`` and ``hopfield`` fits run every
-window through the stages, since k-means needs every source position, but
-never hold a channel's whole (B, S, D) stack (``_fit_channel``): they build
-the stacks ``FIT_BLOCK`` windows at a time, keep one scale's source
-positions at a time, and build the readout design block by block.  A
-window's rows do not depend on its block, so the model is the one the
-whole batch gives.
+one batched thin SVD of a stack of designs); there is no iterative training.
+The training windows and their normalized targets come from one function
+(``_windows``).  Evolution operators are fit on consecutive-window pairs
+(windows shifted by one patch), so "evolve" means "advance the window by one
+patch".  A ``frequency`` fit sees the training windows only through two Gram
+matrices, so it fits on the R factors of two thin QR decompositions and
+builds no stack; one ridge call per scale fits every channel's modes and one
+every channel's readout (``_fit_frequency``).  ``direct`` and ``hopfield``
+fits run every window through the stages, since k-means needs every source
+position, but never hold a channel's whole (B, S, D) stack
+(``_fit_channel``): they build the stacks ``FIT_BLOCK`` windows at a time,
+keep one scale's source positions at a time, and build the readout design
+block by block.  A window's rows do not depend on its block, so the model
+is the one the whole batch gives.
 """
 
 from __future__ import annotations
@@ -111,6 +99,10 @@ AUTO_MAX_M = 6
 
 # training windows whose stacks a direct/hopfield fit builds at once
 FIT_BLOCK = 256
+
+# the fitted arrays of each strategy's evolver, in document order
+_EVOLVER_ARRAYS = {"frequency": ("mode_ops",), "direct": ("centroids", "operators"),
+                   "hopfield": ("keys", "values")}
 
 
 @dataclass(frozen=True)
@@ -226,8 +218,8 @@ class ForecastResult:
 class FittedForecaster:
     """A fitted model: its config, whose ``embedding`` is the one the model
     was fit with, and the fitted maps of its C channels, each array held
-    once: ``evolvers``, one evolver per scale stacked over the channels
-    (``_stacked``), and the ``readouts``.  A ``frequency`` model's readouts
+    once with the channels along its first axis: ``evolvers``, one evolver
+    per scale, and the ``readouts``.  A ``frequency`` model's readouts
     are its (C, window, horizon) serving maps, one per channel, from a
     normalized window to its normalized forecast; a ``direct`` or
     ``hopfield`` model's are (C, L' * D, horizon) maps from a window's
@@ -382,22 +374,18 @@ def _positions(rows: np.ndarray, order: int) -> np.ndarray:
 
 def _stacked(evolvers: list, config: ForecasterConfig) -> list:
     """Each scale's evolvers of all channels, ``evolvers[c][s]``, as one
-    evolver of that scale whose arrays carry a channel axis, as
-    ``_features`` applies them: (C, k, D * N) centroids, keys and values,
-    (C, k, N, N) operators, and (M, C, 1, 1, N, N) mode operators, which
-    broadcast against the (M, C, B, D, N) spectra.  Channels whose cluster
-    counts differ at a scale raise ShapeMismatchError."""
-    strategy = config.evolution_strategy
-    names = {"frequency": ("mode_ops",), "direct": ("centroids", "operators"),
-             "hopfield": ("keys", "values")}[strategy]
+    evolver of that scale whose arrays carry a leading channel axis, as the
+    evolution functions broadcast it: (C, M, N, N) mode operators,
+    (C, k, D * N) centroids, keys and values, and (C, k, N, N) operators.
+    Channels whose cluster counts differ at a scale raise
+    ShapeMismatchError."""
+    names = _EVOLVER_ARRAYS[config.evolution_strategy]
     stacked = []
     for scale, evs in enumerate(zip(*evolvers, strict=True)):
         if len({getattr(ev, names[0]).shape for ev in evs}) > 1:
             raise ShapeMismatchError(f"channels differ in the cluster count of scale {scale}")
-        arrays = {n: np.stack([getattr(ev, n) for ev in evs]) for n in names}
-        if strategy == "frequency":
-            arrays["mode_ops"] = np.swapaxes(arrays["mode_ops"], 0, 1)[:, :, None, None]
-        stacked.append(replace(evs[0], **arrays))
+        stacked.append(replace(evs[0], **{n: np.stack([getattr(ev, n) for ev in evs])
+                                          for n in names}))
     return stacked
 
 
@@ -419,7 +407,7 @@ def _valid_positions(length: int, cell: int, pad: int) -> np.ndarray:
 
 def _features(stack: np.ndarray, evolvers, model) -> np.ndarray:
     """Advance every scale of a (C, B, S, D) stack of C channels' windows
-    by one step, each channel with its own evolvers (``_stacked``), then
+    by one step, each channel with its own evolvers (channel-first), then
     apply the back operator: one (L' * D) feature row per window,
     (C, B, L' * D).  All channels run in one call per scale."""
     sh = model.shapes
@@ -443,14 +431,14 @@ def _features(stack: np.ndarray, evolvers, model) -> np.ndarray:
 
 def _stage_map(evolvers, model) -> np.ndarray:
     """(C, window, L' * D) maps from a normalized window to its feature row
-    under the C channels' ``frequency`` evolvers (``_stacked``).  Every
+    under the C channels' ``frequency`` evolvers (channel-first).  Every
     stage acts alike on each patch coordinate, so ``_features`` evolves the
     front operator's L columns as L coordinates into one (L', L) stage map
     per channel; that map is applied to the embedded and patched identity
     window, (window, L, D).  A ``frequency`` fit builds each channel's
     readout design and serving map from it."""
     sh, window = model.shapes, model.config.window
-    channels = evolvers[0].mode_ops.shape[1]
+    channels = len(evolvers[0].mode_ops)
     fronts = np.broadcast_to(model.front, (channels, 1) + model.front.shape)
     stages = _features(fronts, evolvers, model).reshape(channels, 1, -1, sh.n_patches)
     return (stages @ np.eye(window)[:, model.index]).reshape(channels, window, -1)
@@ -482,8 +470,9 @@ def _windows(z: np.ndarray, config: ForecasterConfig):
 
 
 def _readout(design: np.ndarray, targets: np.ndarray, config: ForecasterConfig) -> np.ndarray:
-    """The (features, horizon) ridge readout from design rows to targets."""
-    readout = evo.ridge_fit(design, targets, config.ridge_lambda).T
+    """The (..., features, horizon) ridge readouts from design rows to
+    targets, one for each design of a (..., rows, features) stack."""
+    readout = evo.ridge_fit(design, targets, config.ridge_lambda).swapaxes(-1, -2)
     # horizon values far beyond their window's spread leave finite inputs
     # with a non-finite fit
     if not np.all(np.isfinite(readout)):
@@ -492,9 +481,9 @@ def _readout(design: np.ndarray, targets: np.ndarray, config: ForecasterConfig) 
 
 
 def _fit_frequency(arr: np.ndarray, model: FittedForecaster):
-    """Fit all channels' ``frequency`` evolvers (``_stacked``) and serving
-    maps from two thin QR factors of each channel's windows; the (B, S, D)
-    stack is never built.
+    """Fit all channels' ``frequency`` evolvers, (C, M, N, N) mode operators
+    per scale, and serving maps from two thin QR factors of each channel's
+    windows; the (B, S, D) stack is never built.
 
     Mode m of scale s maps one patch coordinate's L patch values u to the
     N-vector ``K_s[m] @ u``, where K_s is the DFT over positions of the
@@ -504,32 +493,31 @@ def _fit_frequency(arr: np.ndarray, model: FittedForecaster):
     and the readout fit, whose design is ``Zn @ stage map``, only through
     the Gram matrix of ``[Zn | T]``.  The R factors of both keep those Gram
     matrices, so the ridge fits run on at most 2L and window + horizon rows
-    and have the minimizers of the fits on all rows.  One ``_stage_map``
-    call, once every channel's evolvers are fit, serves all readout fits,
-    and each channel's (window, horizon) serving map, the readout the
-    model keeps, is its stage map times its fitted (L' * D, horizon)
-    readout.  Serving maps beyond the float range raise NonFiniteError."""
+    and have the minimizers of the fits on all rows.  The factors are taken
+    one channel at a time, so only one channel's pairs are held; then one
+    ``fit_spectral_operators`` call per scale fits every channel's modes,
+    one ``_stage_map`` call and one ``_readout`` call fit every channel's
+    (L' * D, horizon) readout, and each channel's (window, horizon) serving
+    map, the readout the model keeps, is its stage map times that readout.
+    Serving maps beyond the float range raise NonFiniteError."""
     config, sh = model.config, model.shapes
     w, length = config.window, sh.n_patches
-    kernels = [evo.fft_modes(model.front[rows].reshape(n, sh.order, length), modes)
-               for n, rows, modes in zip(sh.scale_lens, sh.scale_rows, sh.scale_modes)]
-    evolvers, r_os = [], []
+    r_es, r_os = [], []
     for c in range(arr.shape[1]):
         zn, targets = _windows(arr[:, c], config)
         coords = np.swapaxes(zn[:, model.index], 1, 2)
         pairs = np.concatenate([coords[:-1], coords[1:]], axis=2)  # (B - 1, D, 2L)
-        r_e = np.linalg.qr(pairs.reshape(-1, 2 * length), mode="r")
-        evolvers.append([
-            evo.fit_spectral_operators(np.einsum("rj,mnj->rmn", r_e[:, :length], k),
-                                       np.einsum("rj,mnj->rmn", r_e[:, length:], k),
-                                       n, config.ridge_lambda)
-            for n, k in zip(sh.scale_lens, kernels)
-        ])
+        r_es.append(np.linalg.qr(pairs.reshape(-1, 2 * length), mode="r"))
         r_os.append(np.linalg.qr(np.concatenate([zn, targets], axis=1), mode="r"))
-    evolvers = _stacked(evolvers, config)
+    r_e, r_o = np.stack(r_es), np.stack(r_os)  # (C, rows, 2L), (C, rows, window + horizon)
+    evolvers = []
+    for n, rows, modes in zip(sh.scale_lens, sh.scale_rows, sh.scale_modes):
+        k = evo.fft_modes(model.front[rows].reshape(n, sh.order, length), modes)
+        a_spec, b_spec = (np.einsum("...rj,mnj->...rmn", half, k)
+                          for half in (r_e[..., :length], r_e[..., length:]))
+        evolvers.append(evo.fit_spectral_operators(a_spec, b_spec, n, config.ridge_lambda))
     stage_maps = _stage_map(evolvers, model)
-    readouts = np.stack([_readout(r_o[:, :w] @ stage_map, r_o[:, w:], config)
-                         for r_o, stage_map in zip(r_os, stage_maps)])
+    readouts = _readout(r_o[..., :w] @ stage_maps, r_o[..., w:], config)
     # finite stage maps and readouts can still compose to an overflowing
     # map; that is found below, not printed
     with np.errstate(over="ignore", invalid="ignore"):
@@ -585,17 +573,16 @@ def fit(config: ForecasterConfig, series) -> FittedForecaster:
 
     The training windows are the ones ``_windows`` states: every
     ``patch_len`` samples, at most ``max_train_windows`` of the most recent
-    ones.  A ``frequency`` fit reduces each channel's windows to two
-    thin QR factors, solves each ridge on their rows and keeps each
-    channel's serving map as its readout; ``direct`` and
-    ``hopfield`` fits run each channel's windows through the pipeline in
-    blocks of ``FIT_BLOCK`` windows, never holding its whole stack, and
-    stack the channels' maps once all are fit.  Every ridge
-    is solved by a thin SVD, and with
-    ``ridge_lambda=0`` a rank-deficient system raises SingularSystemError
-    (normalized windows have rank at most window - 1).  With
-    ``embedding=None`` the delay/dimension are selected from
-    the data, capped so one context window always holds at least two
+    ones.  A ``frequency`` fit reduces each channel's windows to two thin
+    QR factors, solves the ridges of all channels on their rows in one call
+    per stage and keeps each channel's serving map as its readout;
+    ``direct`` and ``hopfield`` fits run each channel's windows through the
+    pipeline in blocks of ``FIT_BLOCK`` windows, never holding its whole
+    stack, and stack the channels' maps once all are fit.  Every ridge is
+    solved by a thin SVD, and with ``ridge_lambda=0`` a rank-deficient
+    system raises SingularSystemError (normalized windows have rank at most
+    window - 1).  With ``embedding=None`` the delay/dimension are selected
+    from the data, capped so one context window always holds at least two
     patches; a constant series then raises DegenerateSeriesError, while a
     manually supplied embedding turns a constant series into an exact
     constant forecast (zero features, the window mean is returned).  The
@@ -765,15 +752,11 @@ def _encoded(arr: np.ndarray, what: str) -> str:
 
 def _evolver_doc(ev, channel: int, config: ForecasterConfig) -> dict:
     """Channel ``channel``'s fitted arrays of a channel-stacked evolver of
-    the config's strategy, sliced out of the layout ``_stacked`` builds; its
-    kind, scalars and shapes are the config's."""
-    if config.evolution_strategy == "frequency":
-        return {"doc": {"mode_ops": _encoded(ev.mode_ops[:, channel, 0, 0], "mode_ops")}}
-    if config.evolution_strategy == "direct":
-        return {"centroids": _encoded(ev.centroids[channel], "centroids"),
-                "operators": _encoded(ev.operators[channel], "operators")}
-    return {"keys": _encoded(ev.keys[channel], "keys"),
-            "values": _encoded(ev.values[channel], "values")}
+    the config's strategy, a ``frequency`` evolver's nested under "doc";
+    its kind, scalars and shapes are the config's."""
+    arrays = {name: _encoded(getattr(ev, name)[channel], name)
+              for name in _EVOLVER_ARRAYS[config.evolution_strategy]}
+    return {"doc": arrays} if config.evolution_strategy == "frequency" else arrays
 
 
 def _doc_floats(value, what: str, shape: tuple, dtype=float) -> np.ndarray:

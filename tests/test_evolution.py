@@ -9,6 +9,7 @@ from attraos import evolution as evo
 from attraos.errors import (
     EmptyInputError,
     NonFiniteError,
+    ShapeMismatchError,
     SingularSystemError,
     TooManyModesError,
 )
@@ -20,6 +21,11 @@ def direct_dft(x):
     k = np.arange(length)
     w = np.exp(-2j * np.pi * np.outer(k, k) / length)
     return np.tensordot(w, x, axes=(1, 0))
+
+
+def draw(rng, shape, dtype):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if dtype is complex else x
 
 
 class TestFftModes:
@@ -148,11 +154,7 @@ class TestRidgeFit:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_wide_design_matches_the_dual_form(self, rng, dtype):
-        def draw(shape):
-            x = rng.standard_normal(shape)
-            return x + 1j * rng.standard_normal(shape) if dtype is complex else x
-
-        a, b, lam = draw((6, 15)), draw((6, 2)), 0.05
+        a, b, lam = draw(rng, (6, 15), dtype), draw(rng, (6, 2), dtype), 0.05
         dual = a.conj().T @ np.linalg.solve(a @ a.conj().T + lam * np.eye(6), b)
         assert np.abs(evo.ridge_fit(a, b, lam) - dual.T).max() <= 1e-12 * np.abs(dual).max()
 
@@ -170,6 +172,54 @@ class TestRidgeFit:
         a[:, 4] = a[:, 0] - 2.0 * a[:, 1]  # an exact dependency, or too few rows
         with pytest.raises(SingularSystemError):
             evo.ridge_fit(a, rng.standard_normal((shape[0], 2)), 0.0)
+
+
+class TestStackedRidgeFit:
+    """A (..., rows, features) stack of designs is solved in one call; each
+    design's fit is the one a call on that design alone gives."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape,lam", [((20, 7), 0.0), ((20, 7), 1e-3), ((3, 5), 1e-3)],
+                             ids=["tall-unregularized", "tall", "wide"])
+    def test_stack_equals_separate_calls_bit_for_bit(self, rng, dtype, shape, lam):
+        a, b = draw(rng, (4, *shape), dtype), draw(rng, (4, shape[0], 2), dtype)
+        got = evo.ridge_fit(a, b, lam)
+        assert got.shape == (4, 2, shape[1])
+        for k in range(4):
+            assert np.array_equal(got[k], evo.ridge_fit(a[k], b[k], lam))
+
+    def test_two_leading_axes(self, rng):
+        a, b = draw(rng, (2, 3, 9, 4), complex), draw(rng, (2, 3, 9, 4), complex)
+        got = evo.ridge_fit(a, b, 1e-2)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(got[i, j], evo.ridge_fit(a[i, j], b[i, j], 1e-2))
+
+    @pytest.mark.parametrize("which", [0, 2])
+    def test_one_rank_deficient_design_raises_unregularized(self, rng, which):
+        a = rng.standard_normal((3, 25, 5))
+        a[which, :, 4] = a[which, :, 0] - 2.0 * a[which, :, 1]
+        b = rng.standard_normal((3, 25, 2))
+        with pytest.raises(SingularSystemError):
+            evo.ridge_fit(a, b, 0.0)
+        assert np.all(np.isfinite(evo.ridge_fit(a, b, 1e-3)))
+
+    @pytest.mark.parametrize("where", ["design", "targets"])
+    @pytest.mark.parametrize("index", [(0, 0, 0), (2, 7, 1)])
+    def test_nan_anywhere_in_the_stack_raises(self, rng, where, index):
+        a, b = rng.standard_normal((3, 12, 3)), rng.standard_normal((3, 12, 2))
+        (a if where == "design" else b)[index] = np.nan
+        with pytest.raises(NonFiniteError):
+            evo.ridge_fit(a, b, 1e-3)
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((3, 12, 4), (2, 12, 2)),  # leading axes differ
+        ((3, 12, 4), (12, 2)),  # targets without the leading axis
+        ((3, 12, 4), (3, 11, 2)),  # rows differ
+        ((12,), (12,)),  # no feature axis
+    ])
+    def test_mismatched_shapes_raise(self, rng, a_shape, b_shape):
+        with pytest.raises(ShapeMismatchError):
+            evo.ridge_fit(rng.standard_normal(a_shape), rng.standard_normal(b_shape), 1e-3)
 
 
 class TestSpectralEvolution:
@@ -211,6 +261,18 @@ class TestSpectralEvolution:
         pred = evo.apply_spectral_evolution(test_win, model)
         truth = base[n_pairs + 1 : n_pairs + 1 + l]
         assert np.abs(pred - truth).max() <= 1e-3
+
+    def test_leading_axis_fit_equals_the_fits_alone(self, rng):
+        # (C, S, M, N) spectra: every mode of every model in one fit
+        a, b = draw(rng, (3, 10, 4, 2), complex), draw(rng, (3, 10, 4, 2), complex)
+        model = evo.fit_spectral_operators(a, b, 7, 1e-3)
+        assert model.mode_ops.shape == (3, 4, 2, 2)
+        for c in range(3):
+            alone = evo.fit_spectral_operators(a[c], b[c], 7, 1e-3)
+            assert np.array_equal(model.mode_ops[c], alone.mode_ops)
+            for i in range(4):
+                single = evo.ridge_fit(a[c, :, i], b[c, :, i], 1e-3)
+                assert np.array_equal(alone.mode_ops[i], single)
 
 
 class TestKmeans:
@@ -306,9 +368,10 @@ def test_distances_match_broadcast_formula(n, f, k, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["spectral", "direct", "hopfield"])
 def test_stacked_models_apply_as_each_model_alone(kind):
-    # models stacked along a leading axis (a middle axis of the spectral
-    # mode operators) apply each model to its own rows, bit for bit as the
-    # model alone does: the forecaster serves all channels this way
+    # models stacked along a leading axis apply each model to its own rows
+    # (the spectral ones to their own sequences, the axis after x's
+    # sequence axis), bit for bit as the model alone does: the forecaster
+    # serves all channels this way
     rng = np.random.default_rng(11)
     n_models, rows, d, n = 3, 40, 6, 4
     x = rng.standard_normal((n_models, rows, d, n))
@@ -327,8 +390,7 @@ def test_stacked_models_apply_as_each_model_alone(kind):
                                                      targets=succ))
     if kind == "spectral":
         apply = evo.apply_spectral_evolution
-        ops = np.stack([m.mode_ops for m in models], axis=1)[:, :, None]  # (M, C, 1, N, N)
-        stacked = replace(models[0], mode_ops=ops)
+        stacked = replace(models[0], mode_ops=np.stack([m.mode_ops for m in models]))
         got = np.swapaxes(apply(np.swapaxes(x, 0, 1), stacked), 0, 1)
     else:
         apply = evo.apply_direct_evolution if kind == "direct" else evo.apply_hopfield_evolution

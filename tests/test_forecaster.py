@@ -50,19 +50,16 @@ def channel_features(stack, evolvers, model):
 
 def channel_evolvers(model, c):
     """Channel c's evolvers, one per scale, sliced out of the model's
-    channel-stacked ``evolvers``: the inverse of ``_stacked``'s layout."""
-    if model.config.evolution_strategy == "frequency":
-        return [replace(ev, mode_ops=ev.mode_ops[:, c, 0, 0]) for ev in model.evolvers]
+    ``evolvers``, whose arrays hold the channels along their first axis."""
     keys = EVOLVER_ARRAYS[model.config.evolution_strategy]
     return [replace(ev, **{k: getattr(ev, k)[c] for k in keys}) for ev in model.evolvers]
 
 
 def fit_with_feature_readouts(config, series):
-    """``fit`` and the (C, L' * D, horizon) readouts it solved on the
-    channels' feature rows.  A ``direct``/``hopfield`` model keeps those
-    readouts; a ``frequency`` model keeps each one composed with its
-    channel's stage map, the serving map, and the ones solved are seen only
-    here."""
+    """A ``frequency`` ``fit`` and the (C, L' * D, horizon) readouts it
+    solved on the channels' feature rows, in its one ``_readout`` call for
+    all channels.  The model keeps each one composed with its channel's
+    stage map, the serving map, so the ones solved are seen only here."""
     solved = []
     readout = fc._readout
 
@@ -75,7 +72,9 @@ def fit_with_feature_readouts(config, series):
         model = fc.fit(config, series)
     finally:
         fc._readout = readout
-    return model, np.stack(solved)
+    (readouts,) = solved
+    assert readouts.shape[0] == model.n_channels
+    return model, readouts
 
 
 @pytest.fixture(scope="module")
@@ -1525,6 +1524,46 @@ def test_document_of_order_8_and_above_round_trips(lorenz63_x, strategy, order):
     context = lorenz63_x[2000:2048]
     assert np.array_equal(fc.predict(loaded, context).predictions,
                           fc.predict(model, context).predictions)
+
+
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("strategy", fc.STRATEGIES)
+def test_every_evolver_array_leads_with_the_channel_axis(lorenz96_3d, strategy, n_channels):
+    # one stacking convention for every strategy, fitted and loaded alike:
+    # channel c's arrays of scale s are model.evolvers[s].<name>[c]
+    cfg = small_config(window=96, evolution_strategy=strategy, max_train_windows=24)
+    model = fc.fit(cfg, lorenz96_3d[:3000, :n_channels])
+    sh = model.shapes
+    for fitted in (model, fc.model_from_json(fc.model_to_json(model))):
+        assert len(fitted.evolvers) == len(sh.scale_lens)
+        for ev, modes in zip(fitted.evolvers, sh.scale_modes, strict=True):
+            for name in EVOLVER_ARRAYS[strategy]:
+                assert getattr(ev, name).shape[0] == n_channels
+            if strategy == "frequency":
+                assert ev.mode_ops.shape == (n_channels, modes, sh.order, sh.order)
+        assert fitted.readouts.shape[0] == n_channels
+
+
+@settings(max_examples=25, deadline=None)
+@given(strategy=st.sampled_from(fc.STRATEGIES), n_channels=st.integers(1, 3),
+       embedding=st.one_of(st.none(), st.builds(EmbeddingParams, m=st.integers(1, 3),
+                                                tau=st.integers(1, 4))),
+       levels=st.integers(0, 3), patch_len=st.integers(1, 6), poly_order=st.integers(1, 6))
+def test_reloaded_document_resaves_and_forecasts_bit_for_bit(lorenz96_3d, strategy, n_channels,
+                                                             embedding, levels, patch_len,
+                                                             poly_order):
+    cfg = fc.ForecasterConfig(window=32, horizon=4, embedding=embedding, patch_len=patch_len,
+                              poly_order=poly_order, levels=levels, m_modes=4,
+                              evolution_strategy=strategy, max_train_windows=24)
+    data = lorenz96_3d[:1200, :n_channels]
+    model = fc.fit(cfg, data)
+    doc = fc.model_to_json(model)
+    loaded = fc.model_from_json(doc)
+    assert fc.model_to_json(loaded) == doc
+    for start in (1200, 1555):
+        context = lorenz96_3d[start : start + 32, :n_channels]
+        assert np.array_equal(fc.predict(loaded, context).predictions,
+                              fc.predict(model, context).predictions)
 
 
 def test_non_positive_hopfield_beta_in_document_raises():
