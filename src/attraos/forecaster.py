@@ -47,10 +47,11 @@ and denormalizes once; a constant channel still forecasts its mean exactly.
 The shapes, the stage operators and the sample index are closed-form
 functions of the config, so ``FittedForecaster`` derives them when it is
 constructed, after a fit and after a load alike.  The model document
-(``model_to_json``, version 5) stores the config and the embedding as JSON
-and each channel's slice of the fitted arrays as base64 float64 bytes; this
-module is the only one that reads or writes it.  A ``frequency`` document
-keeps its mode operators so that the fitted spectra can be inspected.
+(``model_to_json``, version 6) stores the config and the embedding as JSON
+and each fitted array once, as the model holds it, as base64 float64 bytes;
+this module is the only one that reads or writes it.  A ``frequency``
+document keeps its mode operators so that the fitted spectra can be
+inspected.
 
 Every learned map is a closed-form ridge regression (``evolution.ridge_fit``,
 one batched thin SVD of a stack of designs); there is no iterative training.
@@ -100,6 +101,9 @@ AUTO_MAX_M = 6
 # training windows whose stacks a direct/hopfield fit builds at once
 FIT_BLOCK = 256
 
+# the inverse temperature of every hopfield retrieval
+HOPFIELD_BETA = 4.0
+
 # the fitted arrays of each strategy's evolver, in document order
 _EVOLVER_ARRAYS = {"frequency": ("mode_ops",), "direct": ("centroids", "operators"),
                    "hopfield": ("keys", "values")}
@@ -119,7 +123,6 @@ class ForecasterConfig:
     ridge_lambda: float = 1e-3
     evolution_strategy: str = "frequency"
     n_clusters: int = 8
-    hopfield_beta: float = 4.0
     max_train_windows: int = 1024
     seed: int = 0
 
@@ -152,8 +155,6 @@ class ForecasterConfig:
             raise ValueError("m_modes and n_clusters must be >= 1")
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be >= 0")
-        if self.hopfield_beta <= 0:
-            raise ValueError("hopfield_beta must be positive")
         if self.max_train_windows < 2:
             # one window makes no evolution pair
             raise ValueError("max_train_windows must be >= 2")
@@ -377,16 +378,10 @@ def _stacked(evolvers: list, config: ForecasterConfig) -> list:
     evolver of that scale whose arrays carry a leading channel axis, as the
     evolution functions broadcast it: (C, M, N, N) mode operators,
     (C, k, D * N) centroids, keys and values, and (C, k, N, N) operators.
-    Channels whose cluster counts differ at a scale raise
-    ShapeMismatchError."""
+    Channels fit on one series share each scale's cluster count."""
     names = _EVOLVER_ARRAYS[config.evolution_strategy]
-    stacked = []
-    for scale, evs in enumerate(zip(*evolvers, strict=True)):
-        if len({getattr(ev, names[0]).shape for ev in evs}) > 1:
-            raise ShapeMismatchError(f"channels differ in the cluster count of scale {scale}")
-        stacked.append(replace(evs[0], **{n: np.stack([getattr(ev, n) for ev in evs])
-                                          for n in names}))
-    return stacked
+    return [replace(evs[0], **{n: np.stack([getattr(ev, n) for ev in evs]) for n in names})
+            for evs in zip(*evolvers, strict=True)]
 
 
 def _stack(zn: np.ndarray, model) -> np.ndarray:
@@ -558,7 +553,7 @@ def _fit_channel(z: np.ndarray, model: FittedForecaster, channel_index: int):
             )
         else:
             evolvers.append(
-                evo.fit_hopfield_evolution(src, part, config.hopfield_beta, targets=dst)
+                evo.fit_hopfield_evolution(src, part, HOPFIELD_BETA, targets=dst)
             )
         del valid, src, dst  # one scale's positions at a time
     stacked = _stacked([evolvers], config)
@@ -741,7 +736,7 @@ def global_mean_forecast(train_series, horizon: int) -> np.ndarray:
 
 
 def _encoded(arr: np.ndarray, what: str) -> str:
-    """A fitted array as a version-5 document entry: base64 of its
+    """A fitted array as a version-6 document entry: base64 of its
     little-endian float64 (complex128 if complex) bytes in C order.  A
     non-finite entry raises ValueError, as ``json.dumps`` does for NaN."""
     if not np.all(np.isfinite(arr)):
@@ -750,20 +745,12 @@ def _encoded(arr: np.ndarray, what: str) -> str:
     return base64.b64encode(little.tobytes()).decode("ascii")
 
 
-def _evolver_doc(ev, channel: int, config: ForecasterConfig) -> dict:
-    """Channel ``channel``'s fitted arrays of a channel-stacked evolver of
-    the config's strategy, a ``frequency`` evolver's nested under "doc";
-    its kind, scalars and shapes are the config's."""
-    arrays = {name: _encoded(getattr(ev, name)[channel], name)
-              for name in _EVOLVER_ARRAYS[config.evolution_strategy]}
-    return {"doc": arrays} if config.evolution_strategy == "frequency" else arrays
-
-
 def _doc_floats(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
-    """A document array of ``shape``, whose leading ``None`` stands for the
-    cluster count that the array sets: one base64 string of its
-    little-endian ``dtype`` bytes in C order.  Anything else, another
-    length, or NaN or inf bytes raise ModelFormatError."""
+    """A document array of ``shape``, whose one ``None`` entry stands for
+    the count that the array's length sets (the channels of the readouts,
+    the clusters of an evolver): one base64 string of its little-endian
+    ``dtype`` bytes in C order.  Anything else, another length, or NaN or
+    inf bytes raise ModelFormatError."""
     if type(value) is not str:
         raise ModelFormatError(f"{what} is not a base64 string")
     try:
@@ -771,10 +758,10 @@ def _doc_floats(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
     except ValueError as exc:  # binascii.Error, or a character beyond ASCII
         raise ModelFormatError(f"{what} is not base64: {exc}") from exc
     item = np.dtype(dtype).newbyteorder("<")
-    row = item.itemsize * int(np.prod(shape[1:]))
-    # at least one cluster, so that no bytes fail the length check
-    shape = (max(len(raw) // row, 1),) + shape[1:] if shape[0] is None else shape
-    if len(raw) != row * shape[0]:
+    unit = item.itemsize * math.prod(n for n in shape if n is not None)
+    # a count of at least one, so that no bytes fail the length check
+    shape = tuple(max(len(raw) // unit, 1) if n is None else n for n in shape)
+    if len(raw) != item.itemsize * math.prod(shape):
         raise ModelFormatError(f"{what} holds {len(raw)} bytes, the model needs "
                                f"{shape} {item.name} entries")
     arr = np.frombuffer(raw, item).reshape(shape)
@@ -783,79 +770,83 @@ def _doc_floats(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
     return arr
 
 
-def _evolver_from_doc(doc: dict, scale: int, config: ForecasterConfig, sh: ShapeInfo):
-    """The evolver of scale ``scale``, of the config's strategy: its arrays
-    are read in the shapes the config implies, its scalars come from the
-    config.  An evolver of another strategy lacks the keys read here."""
+def _evolver_from_doc(doc: dict, scale: int, channels: int, config: ForecasterConfig,
+                      sh: ShapeInfo):
+    """The evolver of scale ``scale``, of the config's strategy, for all
+    ``channels`` channels: its arrays are read in the (channels, ...) shapes
+    that the config implies, with the cluster count that the byte length
+    sets; its sequence length is the config's and its beta
+    ``HOPFIELD_BETA``.  An evolver of another strategy lacks the keys read
+    here."""
     n, width = sh.order, sh.d * sh.order  # width: a position's (D, N) state
     if config.evolution_strategy == "frequency":
-        ops = _doc_floats(doc["doc"]["mode_ops"], "mode_ops", (sh.scale_modes[scale], n, n),
-                          complex)
+        ops = _doc_floats(doc["mode_ops"], "mode_ops",
+                          (channels, sh.scale_modes[scale], n, n), complex)
         return evo.SpectralEvolutionModel(mode_ops=ops, seq_len=sh.scale_lens[scale])
     if config.evolution_strategy == "direct":
-        centroids = _doc_floats(doc["centroids"], "centroids", (None, width))
+        centroids = _doc_floats(doc["centroids"], "centroids", (channels, None, width))
         return evo.DirectEvolutionModel(
             centroids=centroids,
-            operators=_doc_floats(doc["operators"], "operators", (len(centroids), n, n)),
+            operators=_doc_floats(doc["operators"], "operators", centroids.shape[:2] + (n, n)),
         )
-    keys = _doc_floats(doc["keys"], "keys", (None, width))
+    keys = _doc_floats(doc["keys"], "keys", (channels, None, width))
     return evo.HopfieldEvolutionModel(
-        keys=keys,
-        values=_doc_floats(doc["values"], "values", keys.shape),
-        beta=config.hopfield_beta,
+        keys=keys, values=_doc_floats(doc["values"], "values", keys.shape), beta=HOPFIELD_BETA
     )
 
 
 def model_to_json(model: FittedForecaster) -> str:
     cfg = model.config
+    names = _EVOLVER_ARRAYS[cfg.evolution_strategy]
     doc = {
-        "v": 5,
+        "v": 6,
         # the embedding the model was fit with is stored on its own below
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "embedding"},
         "embedding": {"m": model.embedding.m, "tau": model.embedding.tau},
-        "channels": [
-            {"evolvers": [_evolver_doc(ev, c, cfg) for ev in model.evolvers],
-             "readout": _encoded(readout, "readout")}
-            for c, readout in enumerate(model.readouts)
-        ],
+        "evolvers": [{name: _encoded(getattr(ev, name), name) for name in names}
+                     for ev in model.evolvers],
+        "readouts": _encoded(model.readouts, "readouts"),
     }
     return json.dumps(doc, allow_nan=False)
 
 
 def model_from_json(text: str) -> FittedForecaster:
-    """Rebuild a model from its version-5 JSON document, the one
+    """Rebuild a model from its version-6 JSON document, the one
     ``model_to_json`` writes; any other text raises ModelFormatError.
 
-    The document stores each fitted array as one base64 string of its
-    little-endian float64 bytes in C order (complex128 for ``frequency``
-    mode operators), with the shape that the config implies: a readout is
-    (window, horizon) under ``frequency``, the serving map, and
-    (L' * D, horizon) otherwise; the cluster count of a ``direct``/
-    ``hopfield`` evolver follows from the byte length.  An array that is
-    not such a string, of another length, or that holds NaN or inf bytes
-    raises ModelFormatError, as do a missing or unknown entry, a non-finite
-    config number, a config and embedding that leave no full patch in the
-    window, a document with no channels, and channels whose cluster counts
-    differ at a scale.  Finite maps whose forecast overflows load, and
-    ``predict`` raises NonFiniteError on that forecast.  Only version 5 is
-    read: a document of versions 1 to 3, written before the arrays were
-    base64, or of version 4, whose ``frequency`` readouts the load composed
-    into serving maps, raises a ModelFormatError that asks for a refit."""
+    The document holds the model's arrays as it holds them, the C channels
+    along their first axis: one object per scale with its evolver's arrays,
+    and the readouts.  Each is one base64 string of its little-endian
+    float64 bytes in C order (complex128 for ``frequency`` mode operators),
+    with the shape that the config implies: the readouts are (C, window,
+    horizon) under ``frequency``, the serving maps, and (C, L' * D,
+    horizon) otherwise.  C follows from the readouts' byte length and the
+    cluster count of a ``direct``/``hopfield`` evolver from its centroids'
+    or keys'.  An array that is not such a string, of another length, or
+    that holds NaN or inf bytes raises ModelFormatError, as do a missing or
+    unknown entry, a non-finite config number, a config and embedding that
+    leave no full patch in the window, and empty readouts.  Finite maps
+    whose forecast overflows load, and ``predict`` raises NonFiniteError on
+    that forecast.  Only version 6 is read: a document of versions 1 to 3,
+    written before the arrays were base64, of version 4, whose
+    ``frequency`` readouts the load composed into serving maps, or of
+    version 5, which stored each channel's arrays apart, raises a
+    ModelFormatError that asks for a refit."""
     try:
         doc = json.loads(text)
         # true == 1 and 2.0 == 2, so the type is checked too
         version = doc.get("v") if isinstance(doc, dict) else None
-        if type(version) is int and 1 <= version <= 4:
+        if type(version) is int and 1 <= version <= 5:
             raise ModelFormatError(f"version-{version} model documents are no longer read: "
                                    "refit the model")
-        if type(version) is not int or version != 5:
-            raise ModelFormatError("not a version-5 model document")
+        if type(version) is not int or version != 6:
+            raise ModelFormatError("not a version-6 model document")
         return _model_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
-    # well-formed entries that make no model: pipeline_shapes, _stacked and
-    # the front operator find these
-    except (TooShortError, ShapeMismatchError, NonFiniteError) as exc:
+    # well-formed entries that make no model: pipeline_shapes and the front
+    # operator find these
+    except (TooShortError, NonFiniteError) as exc:
         raise ModelFormatError(f"model document does not serve: {exc}") from exc
 
 
@@ -863,20 +854,16 @@ def _model_from_doc(doc: dict) -> FittedForecaster:
     embedding = EmbeddingParams(m=doc["embedding"]["m"], tau=doc["embedding"]["tau"])
     config = ForecasterConfig(embedding=embedding, **doc["config"])
     sh = pipeline_shapes(config)
+    if doc["readouts"] == "":
+        raise ModelFormatError("model document has no channels")
     # a frequency readout is the serving map, from the window's samples
     rows = config.window if config.evolution_strategy == "frequency" else sh.n_patches * sh.d
-    evolvers, readouts = [], []
-    for ch in doc["channels"]:
-        if len(ch["evolvers"]) != len(sh.scale_lens):
-            raise ModelFormatError(
-                f"{len(ch['evolvers'])} evolvers for {len(sh.scale_lens)} scales"
-            )
-        evolvers.append([_evolver_from_doc(e, s, config, sh)
-                         for s, e in enumerate(ch["evolvers"])])
-        readouts.append(_doc_floats(ch["readout"], "readout", (rows, config.horizon)))
-    if not readouts:
-        raise ModelFormatError("model document has no channels")
-    return FittedForecaster(config, _stacked(evolvers, config), np.stack(readouts))
+    readouts = _doc_floats(doc["readouts"], "readouts", (None, rows, config.horizon))
+    if len(doc["evolvers"]) != len(sh.scale_lens):
+        raise ModelFormatError(f"{len(doc['evolvers'])} evolvers for {len(sh.scale_lens)} scales")
+    evolvers = [_evolver_from_doc(ev, s, len(readouts), config, sh)
+                for s, ev in enumerate(doc["evolvers"])]
+    return FittedForecaster(config, evolvers, readouts)
 
 
 def save_model(model: FittedForecaster, path) -> None:

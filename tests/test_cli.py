@@ -1,4 +1,3 @@
-import base64
 import importlib
 import json
 import shlex
@@ -512,32 +511,23 @@ class TestFitPredictEval:
         assert err.startswith("error:") and "theta" in err
         assert not (tmp_path / "model.json").exists()
 
-    @pytest.mark.parametrize("document", ["malformed", "version-3", "version-4",
-                                          "channels-differ", "no-channels"])
+    @pytest.mark.parametrize("document", ["malformed", "version-3", "version-4", "version-5",
+                                          "no-channels"])
     def test_malformed_model_exits_3_without_traceback(self, lorenz_csv, tmp_path, capsys,
                                                        document):
         model_path = tmp_path / "model.json"
         data = Path(__file__).parent / "data"
         if document == "malformed":
-            model_path.write_text('{"v": 5}')
-        elif document in ("version-3", "version-4"):
+            model_path.write_text('{"v": 6}')
+        elif document.startswith("version-"):
             # a model document of a retired version must be refit
-            doc = json.loads((data / "v5_frequency_legt_full.json").read_text(encoding="utf-8"))
+            doc = json.loads((data / "v6_frequency_legt_full.json").read_text(encoding="utf-8"))
             model_path.write_text(json.dumps({**doc, "v": int(document[-1])}))
-        elif document == "no-channels":
+        else:
             # a model that serves nothing is refused when it loads, before
             # any context is read
-            doc = json.loads((data / "v5_hopfield_legt_full.json").read_text(encoding="utf-8"))
-            model_path.write_text(json.dumps({**doc, "channels": []}))
-        else:
-            # a second channel whose coarse scale keeps one of two clusters
-            doc = json.loads((data / "v5_hopfield_legt_full.json").read_text(encoding="utf-8"))
-            second = json.loads(json.dumps(doc["channels"][0]))
-            for key in ("keys", "values"):
-                raw = base64.b64decode(second["evolvers"][-1][key])
-                second["evolvers"][-1][key] = base64.b64encode(raw[: len(raw) // 2]).decode()
-            doc["channels"].append(second)
-            model_path.write_text(json.dumps(doc))
+            doc = json.loads((data / "v6_hopfield_legt_full.json").read_text(encoding="utf-8"))
+            model_path.write_text(json.dumps({**doc, "readouts": ""}))
         code, _, err = run(
             capsys,
             "predict", "--model", str(model_path), "--input", str(lorenz_csv),
@@ -547,10 +537,8 @@ class TestFitPredictEval:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not (tmp_path / "pred.csv").exists()
-        if document in ("version-3", "version-4"):
+        if document.startswith("version-"):
             assert len(err.splitlines()) == 1 and "refit" in err
-        if document == "channels-differ":
-            assert len(err.splitlines()) == 1 and "cluster count" in err
         if document == "no-channels":
             assert len(err.splitlines()) == 1 and "no channels" in err and "context" not in err
 

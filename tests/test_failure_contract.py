@@ -205,6 +205,12 @@ def test_evaluate(data):
         assert all(np.all(np.isfinite(v)) for v in metrics.values())
 
 
+def array_paths(doc):
+    """Paths to every stored array of a parsed model document: each
+    evolver array of each scale, and the readouts."""
+    return [p for p in leaf_paths(doc, str) if p[0] in ("evolvers", "readouts")]
+
+
 def leaf_paths(node, kind, path=()):
     """Paths to every ``kind`` value (float, str) in a parsed JSON document."""
     if isinstance(node, kind):
@@ -216,7 +222,7 @@ def leaf_paths(node, kind, path=()):
 
 
 # the config's float scalars; its integers size the derived operators
-CONFIG_FLOATS = ("theta", "ridge_lambda", "hopfield_beta")
+CONFIG_FLOATS = ("theta", "ridge_lambda")
 
 
 @SETTINGS
@@ -234,8 +240,8 @@ def test_model_from_json(fitted, lorenz, data):
                                     st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])))
         text = json.dumps(doc).replace(f'"{marker}"', token)
     else:
-        *parents, last = data.draw(st.sampled_from(list(leaf_paths(doc["channels"], str))))
-        node = doc["channels"]
+        *parents, last = data.draw(st.sampled_from(array_paths(doc)))
+        node = doc
         for key in parents:
             node = node[key]
         entries = np.frombuffer(base64.b64decode(node[last]), "<f8").copy()
@@ -256,9 +262,9 @@ def test_model_from_json_with_a_corrupted_array(fitted, lorenz, data):
     # any character (mostly another base64 digit), or a byte of the decoded
     # float64 data by any value, which reaches NaN, inf and huge exponents
     doc = json.loads(fc.model_to_json(fitted))
-    paths = list(leaf_paths(doc["channels"], str))
+    paths = array_paths(doc)
     *parents, last = paths[data.draw(st.integers(0, len(paths) - 1))]
-    node = doc["channels"]
+    node = doc
     for key in parents:
         node = node[key]
     text = node[last]

@@ -55,6 +55,13 @@ def channel_evolvers(model, c):
     return [replace(ev, **{k: getattr(ev, k)[c] for k in keys}) for ev in model.evolvers]
 
 
+def channel_model(model, c):
+    """The one-channel model of channel c: its evolvers and readout, each
+    with a channel axis of one."""
+    return replace(model, evolvers=fc._stacked([channel_evolvers(model, c)], model.config),
+                   readouts=model.readouts[c : c + 1])
+
+
 def fit_with_feature_readouts(config, series):
     """A ``frequency`` ``fit`` and the (C, L' * D, horizon) readouts it
     solved on the channels' feature rows, in its one ``_readout`` call for
@@ -141,19 +148,18 @@ class TestFit:
         with pytest.raises(ValueError, match="max_train_windows"):
             small_config(max_train_windows=max_train_windows)
 
-    @pytest.mark.parametrize("field,value", [("ridge_lambda", -1.0), ("hopfield_beta", -1.0),
-                                             ("hopfield_beta", 0.0)])
+    @pytest.mark.parametrize("field,value", [("ridge_lambda", -1.0)])
     def test_out_of_range_solver_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             fc.ForecasterConfig(window=96, horizon=4, **{field: value})
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
-    @pytest.mark.parametrize("field", ["theta", "ridge_lambda", "hopfield_beta"])
+    @pytest.mark.parametrize("field", ["theta", "ridge_lambda"])
     def test_non_finite_solver_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             fc.ForecasterConfig(window=96, horizon=4, **{field: value})
 
-    @pytest.mark.parametrize("field", ["theta", "ridge_lambda", "hopfield_beta"])
+    @pytest.mark.parametrize("field", ["theta", "ridge_lambda"])
     def test_integer_beyond_the_float_range_rejected(self, field):
         # 10**400 compares as finite (0 < value < inf) but converts to no float
         with pytest.raises(ValueError, match=f"{field} must be a finite float"):
@@ -337,16 +343,15 @@ class TestPredict:
     @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_channels_serve_as_single_channel_models(self, lorenz96_3d, strategy, embedding):
         # all channels are served in one stacked pass; each forecast column
-        # is the one the channel's own one-channel model, loaded from its
-        # slice of the document, makes.  The scales hold (4, 2, 2)
-        # positions under the auto embedding, (4, 16), and (6, 3, 3) under
-        # (3, 4)
+        # is the one the channel's own one-channel model, saved from its
+        # slice of the model's arrays and loaded, makes.  The scales hold
+        # (4, 2, 2) positions under the auto embedding, (4, 16), and
+        # (6, 3, 3) under (3, 4)
         cfg = fc.ForecasterConfig(window=96, horizon=16, embedding=embedding,
                                   evolution_strategy=strategy, max_train_windows=128)
         model = fc.fit(cfg, lorenz96_3d[:4000])
-        doc = json.loads(fc.model_to_json(model))
-        alone = [fc.model_from_json(json.dumps({**doc, "channels": [ch]}))
-                 for ch in doc["channels"]]
+        alone = [fc.model_from_json(fc.model_to_json(channel_model(model, c)))
+                 for c in range(model.n_channels)]
         for start in (4000, 4333, 5100):
             context = lorenz96_3d[start : start + 96]
             got = fc.predict(model, context).predictions
@@ -644,7 +649,7 @@ def test_forecast_is_each_channel_row_times_its_readout(lorenz96_3d, strategy, n
     rows = window if strategy == "frequency" else sh.n_patches * sh.d
     assert model.readouts.shape == (n_channels, rows, cfg.horizon)
     doc = json.loads(fc.model_to_json(model))
-    stored_floats = sum(len(base64.b64decode(ch["readout"])) // 8 for ch in doc["channels"])
+    stored_floats = len(base64.b64decode(doc["readouts"])) // 8
     assert stored_floats == n_channels * rows * cfg.horizon
     for start in (4000, 4777):
         context = data[start : start + window]
@@ -860,7 +865,7 @@ class TestSaveLoad:
         assert fc.model_from_json(fc.model_to_json(model)).config == model.config
 
     @pytest.mark.parametrize("strategy", ["frequency", "direct", "hopfield"])
-    @pytest.mark.parametrize("scalars", [{}, {"ridge_lambda": 1, "hopfield_beta": 4}],
+    @pytest.mark.parametrize("scalars", [{}, {"ridge_lambda": 1, "theta": 4}],
                              ids=["float", "int-scalars"])
     def test_resave_is_byte_identical(self, lorenz63_x, strategy, scalars):
         # the frequency operators hold signed zeros that the load must keep,
@@ -1065,9 +1070,9 @@ class TestModelDocument:
         doc = json.loads(fixture_text("frequency"))
         model = fc.model_from_json(fixture_text("frequency"))
         context = lorenz63_x[: model.config.window]
-        readout = model.readouts[0].copy()
-        readout[:, 0] = 1e308 * np.sign(fc._normalize(context[None])[0][0])
-        doc["channels"][0]["readout"] = stored(readout)
+        readouts = model.readouts.copy()
+        readouts[0, :, 0] = 1e308 * np.sign(fc._normalize(context[None])[0][0])
+        doc["readouts"] = stored(readouts)
         model = fc.model_from_json(json.dumps(doc))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1077,18 +1082,19 @@ class TestModelDocument:
     @pytest.mark.parametrize(
         "text",
         [
-            '{"v": 5}',
-            "[1, 2]",
             '{"v": 6}',
+            "[1, 2]",
+            '{"v": 7}',
             "{not json",
-            '{"v": 5, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
-            ' "channels": []}',
-            '{"v": 5, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "channels": []}',
+            '{"v": 6, "config": {"window": 96, "horizon": 0}, "embedding": {"m": 3, "tau": 4},'
+            ' "evolvers": [], "readouts": ""}',
+            '{"v": 6, "config": [96, 4], "embedding": {"m": 3, "tau": 4}, "evolvers": [],'
+            ' "readouts": ""}',
             # a well-formed model that serves nothing
-            '{"v": 5, "config": {"window": 96, "horizon": 4}, "embedding": {"m": 3, "tau": 4},'
-            ' "channels": []}',
+            '{"v": 6, "config": {"window": 96, "horizon": 4}, "embedding": {"m": 3, "tau": 4},'
+            ' "evolvers": [], "readouts": ""}',
         ],
-        ids=["no-body", "not-object", "version-6", "not-json", "horizon-0", "config-not-object",
+        ids=["no-body", "not-object", "version-7", "not-json", "horizon-0", "config-not-object",
              "no-channels"],
     )
     def test_malformed_document_raises_typed_error(self, text):
@@ -1109,13 +1115,12 @@ class TestModelDocument:
                 with pytest.raises(ModelFormatError):
                     fc.model_from_json(text.replace('"@non-finite@"', token))
             return
-        ch = doc["channels"][0]
         if where == "readout":
-            body, key, arr = ch, "readout", model.readouts[0].copy()
+            body, key, arr = doc, "readouts", model.readouts.copy()
         else:
-            body = evolver_body(ch["evolvers"][0])
+            body = doc["evolvers"][0]
             key = EVOLVER_ARRAYS[strategy][-1]
-            arr = getattr(channel_evolvers(model, 0)[0], key).copy()
+            arr = getattr(model.evolvers[0], key).copy()
         for value, loads in ((0.5, True), (np.nan, False), (np.inf, False), (-np.inf, False)):
             arr.flat[0] = value
             body[key] = stored(arr)
@@ -1148,9 +1153,8 @@ class TestModelDocument:
         text = fixture_text(strategy)
 
         def arrays(doc):
-            ch = doc["channels"][0]
-            body = evolver_body(ch["evolvers"][0])
-            return [(ch, "readout")] + [(body, key) for key in EVOLVER_ARRAYS[strategy]]
+            body = doc["evolvers"][0]
+            return [(doc, "readouts")] + [(body, key) for key in EVOLVER_ARRAYS[strategy]]
 
         for i in range(1 + len(EVOLVER_ARRAYS[strategy])):
             doc = json.loads(text)
@@ -1172,7 +1176,7 @@ class TestModelDocument:
     @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
     def test_evolver_without_clusters_raises(self, strategy):
         doc = json.loads(fixture_text(strategy))
-        doc["channels"][0]["evolvers"][0].update({key: "" for key in EVOLVER_ARRAYS[strategy]})
+        doc["evolvers"][0].update({key: "" for key in EVOLVER_ARRAYS[strategy]})
         with pytest.raises(ModelFormatError, match="bytes"):
             fc.model_from_json(json.dumps(doc))
 
@@ -1221,34 +1225,18 @@ class TestModelDocument:
     def test_document_at_odds_with_its_config_raises(self, strategy, where):
         text = fixture_text(strategy)
         doc, fitted = json.loads(text), fc.model_from_json(text)
-        ch = doc["channels"][0]
         if where == "strategy":
             # the evolvers are of the kind the fit made, no longer the config's
             other = {"frequency": "direct", "direct": "hopfield", "hopfield": "direct"}
             doc["config"]["evolution_strategy"] = other[strategy]
         elif where == "readout":
-            ch["readout"] = stored(fitted.readouts[0][:-1])  # one feature row short
+            doc["readouts"] = stored(fitted.readouts[:, :-1])  # one feature row short
         elif where == "evolver-count":
-            ch["evolvers"].pop()  # one scale without an evolver
+            doc["evolvers"].pop()  # one scale without an evolver
         else:
             key = EVOLVER_ARRAYS[strategy][-1]  # one column short
-            arr = getattr(channel_evolvers(fitted, 0)[0], key)[..., :-1]
-            evolver_body(ch["evolvers"][0])[key] = stored(arr)
+            doc["evolvers"][0][key] = stored(getattr(fitted.evolvers[0], key)[..., :-1])
         with pytest.raises(ModelFormatError):
-            fc.model_from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
-    def test_channels_that_differ_in_a_cluster_count_raise(self, strategy):
-        # a model serves its channels as one stack, so each scale needs one
-        # cluster count across them; a fit always writes that
-        doc = json.loads(fixture_text(strategy))
-        doc["channels"].append(json.loads(json.dumps(doc["channels"][0])))
-        assert fc.model_from_json(json.dumps(doc)).n_channels == 2
-        evolvers = channel_evolvers(fc.model_from_json(fixture_text(strategy)), 0)
-        body = doc["channels"][1]["evolvers"][-1]
-        for key in EVOLVER_ARRAYS[strategy]:
-            body[key] = stored(getattr(evolvers[-1], key)[:-1])  # the last cluster cut
-        with pytest.raises(ModelFormatError, match=f"cluster count of scale {len(evolvers) - 1}"):
             fc.model_from_json(json.dumps(doc))
 
     def test_a_frequency_load_composes_no_maps(self, lorenz96_3d, monkeypatch):
@@ -1269,20 +1257,20 @@ class TestModelDocument:
         assert np.array_equal(fc.predict(loaded, context).predictions,
                               fc.predict(model, context).predictions)
 
-    @pytest.mark.parametrize("strategy", ["direct", "hopfield"])
+    @pytest.mark.parametrize("strategy", fc.STRATEGIES)
     def test_a_loaded_model_holds_each_array_once(self, lorenz96_3d, strategy):
         # the document's arrays live on only in the model's channel stacks;
         # a second copy of them would take the memory still held to about
-        # twice the arrays
-        cfg = fc.ForecasterConfig(window=96, horizon=16, embedding=EmbeddingParams(5, 16),
-                                  evolution_strategy=strategy, max_train_windows=128)
+        # twice the arrays.  At horizon 16 and order 8 a frequency model's
+        # arrays are small beside its fixed objects, so it is made larger
+        shape = {"horizon": 96, "poly_order": 16} if strategy == "frequency" else {"horizon": 16}
+        cfg = fc.ForecasterConfig(window=96, embedding=EmbeddingParams(5, 16),
+                                  evolution_strategy=strategy, max_train_windows=128, **shape)
         text = fc.model_to_json(fc.fit(cfg, lorenz96_3d[:4000]))
-        channels = json.loads(text)["channels"]
-        assert len(channels) == 3
-        arrays = sum(len(base64.b64decode(ch["readout"]))
-                     + sum(len(base64.b64decode(evolver_body(ev)[key]))
-                           for ev in ch["evolvers"] for key in EVOLVER_ARRAYS[strategy])
-                     for ch in channels)
+        doc = json.loads(text)
+        arrays = len(base64.b64decode(doc["readouts"])) + sum(
+            len(base64.b64decode(ev[key])) for ev in doc["evolvers"]
+            for key in EVOLVER_ARRAYS[strategy])
         fc.model_from_json(text)  # the filter bank is cached once per process
         tracemalloc.start()
         try:
@@ -1302,7 +1290,7 @@ class TestModelDocument:
             fc.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("value", [2**31, 2**63, 2**70, 10**400, -(10**400)])
-    @pytest.mark.parametrize("name", [f"{kind}{s}" for kind in ("oracle_v5_", "v5_")
+    @pytest.mark.parametrize("name", [f"{kind}{s}" for kind in ("oracle_v6_", "v6_")
                                       for s in fc.STRATEGIES])
     def test_integer_entry_beyond_any_size_loads_or_raises_typed(self, name, value):
         # every integer entry the config and the embedding hold, far beyond
@@ -1334,7 +1322,7 @@ class TestModelDocument:
 
         text = fixture_text(strategy)
         paths = list(key_paths(json.loads(text)))
-        assert ("channels", 0, "evolvers", 0) in [p[:4] for p in paths]
+        assert ("evolvers", 0) in [p[:2] for p in paths] and ("readouts",) in paths
         for *parents, last in paths:
             node = broken = json.loads(text)
             for key in parents:
@@ -1361,26 +1349,21 @@ EVOLVER_ARRAYS = {"frequency": ("mode_ops",), "direct": ("centroids", "operators
 def fixture_text(strategy: str) -> str:
     """The ``legt_full`` fixture document of ``strategy``: the refit of its
     oracle's setup (``TestFrequencyDocument``, ``TestNonlinearDocument``)."""
-    return (DATA / f"v5_{strategy}_legt_full.json").read_text(encoding="utf-8")
+    return (DATA / f"v6_{strategy}_legt_full.json").read_text(encoding="utf-8")
 
 
 def oracle_text(strategy: str) -> str:
     """The oracle document of ``strategy``: a model fit by an earlier version
-    of attraos, re-encoded as version 5.  It holds that fit's arrays, so it
+    of attraos, re-encoded as version 6.  It holds that fit's arrays, so it
     is not the ``fixture_text`` refit; the ``frequency`` one holds, as its
     readout, the serving map that its version-4 document loaded to."""
-    return (DATA / f"oracle_v5_{strategy}_legt_full.json").read_text(encoding="utf-8")
+    return (DATA / f"oracle_v6_{strategy}_legt_full.json").read_text(encoding="utf-8")
 
 
 def oracle_io(strategy: str) -> dict:
     """Three contexts and the predictions the oracle of ``strategy`` makes from them."""
-    path = DATA / f"oracle_v5_{strategy}_legt_full_io.json"
+    path = DATA / f"oracle_v6_{strategy}_legt_full_io.json"
     return json.loads(path.read_text(encoding="utf-8"))
-
-
-def evolver_body(ev: dict) -> dict:
-    """The object that holds an evolver's arrays in a document."""
-    return ev.get("doc", ev)
 
 
 def stored(arr: np.ndarray) -> str:
@@ -1452,9 +1435,9 @@ class TestNonlinearDocument:
         # every stored entry is finite, but a readout column near the float
         # maximum takes the forecast beyond it
         doc = json.loads(fixture_text(strategy))
-        readout = fc.model_from_json(fixture_text(strategy)).readouts[0].copy()
-        readout[:, 0] = 1e308
-        doc["channels"][0]["readout"] = stored(readout)
+        readouts = fc.model_from_json(fixture_text(strategy)).readouts.copy()
+        readouts[0, :, 0] = 1e308
+        doc["readouts"] = stored(readouts)
         model = fc.model_from_json(json.dumps(doc))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1462,12 +1445,13 @@ class TestNonlinearDocument:
                 fc.predict(model, lorenz63_x[: model.config.window])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("strategy", fc.STRATEGIES)
 def test_retired_versions_ask_for_a_refit(strategy, version):
     # versions 1 to 3 stored the fitted arrays as float lists, version 4 a
-    # frequency model's feature readouts; a document of one of them is
-    # refused before any of its entries is read
+    # frequency model's feature readouts, version 5 each channel's arrays
+    # apart; a document of one of them is refused before any of its
+    # entries is read
     doc = json.loads(fixture_text(strategy))
     for text in (json.dumps({"v": version}), json.dumps({**doc, "v": version})):
         with pytest.raises(ModelFormatError, match=f"version-{version} .*refit"):
@@ -1478,29 +1462,31 @@ MISSING = object()
 
 
 @pytest.mark.parametrize(
-    "version", [0, 6, -1, True, 2.0, 5.0, "5", None, MISSING],
-    ids=["0", "6", "-1", "true", "2.0", "5.0", "string-5", "null", "missing"],
+    "version", [0, 7, -1, True, 2.0, 6.0, "6", None, MISSING],
+    ids=["0", "7", "-1", "true", "2.0", "6.0", "string-6", "null", "missing"],
 )
 def test_other_versions_are_not_read(version):
-    # only the integer 5 is read (true == 1 and 5.0 == 5, so the type is
-    # checked too), and only versions 1 to 4 are named as retired
+    # only the integer 6 is read (true == 1 and 6.0 == 6, so the type is
+    # checked too), and only versions 1 to 5 are named as retired
     for strategy in fc.STRATEGIES:
         doc = json.loads(fixture_text(strategy))
         if version is MISSING:
             del doc["v"]
         else:
             doc["v"] = version
-        with pytest.raises(ModelFormatError, match="not a version-5") as info:
+        with pytest.raises(ModelFormatError, match="not a version-6") as info:
             fc.model_from_json(json.dumps(doc))
         assert "refit" not in str(info.value)
 
 
 @pytest.mark.parametrize(
-    "key, value", [("teacher_alpha", 0.0), ("teacher_alpha", 0.5), ("no_such_entry", 1)],
+    "key, value", [("teacher_alpha", 0.0), ("teacher_alpha", 0.5), ("hopfield_beta", 4.0),
+                   ("no_such_entry", 1)],
 )
 def test_config_entry_the_config_does_not_hold_raises(key, value):
-    # older documents held rollout's teacher_alpha in their config; it is
-    # refused as any entry that is no config field is
+    # older documents held rollout's teacher_alpha and hopfield retrieval's
+    # beta in their config; each is refused as any entry that is no config
+    # field is
     for strategy in fc.STRATEGIES:
         doc = json.loads(fixture_text(strategy))
         doc["config"][key] = value
@@ -1544,6 +1530,23 @@ def test_every_evolver_array_leads_with_the_channel_axis(lorenz96_3d, strategy, 
         assert fitted.readouts.shape[0] == n_channels
 
 
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("strategy", fc.STRATEGIES)
+def test_document_arrays_are_the_models_arrays(lorenz96_3d, strategy, n_channels):
+    # the document holds each array once, as the model holds it, channels
+    # first: scale s's <name> entry is base64 of the bytes of
+    # model.evolvers[s].<name> in C order, and "readouts" of model.readouts
+    cfg = small_config(window=96, evolution_strategy=strategy, max_train_windows=24)
+    model = fc.fit(cfg, lorenz96_3d[:3000, :n_channels])
+    doc = json.loads(fc.model_to_json(model))
+    assert model.readouts.shape[0] == n_channels
+    assert doc["readouts"] == stored(model.readouts)
+    for body, ev in zip(doc["evolvers"], model.evolvers, strict=True):
+        assert list(body) == list(EVOLVER_ARRAYS[strategy])
+        for name in EVOLVER_ARRAYS[strategy]:
+            assert body[name] == stored(getattr(ev, name))
+
+
 @settings(max_examples=25, deadline=None)
 @given(strategy=st.sampled_from(fc.STRATEGIES), n_channels=st.integers(1, 3),
        embedding=st.one_of(st.none(), st.builds(EmbeddingParams, m=st.integers(1, 3),
@@ -1564,13 +1567,6 @@ def test_reloaded_document_resaves_and_forecasts_bit_for_bit(lorenz96_3d, strate
         context = lorenz96_3d[start : start + 32, :n_channels]
         assert np.array_equal(fc.predict(loaded, context).predictions,
                               fc.predict(model, context).predictions)
-
-
-def test_non_positive_hopfield_beta_in_document_raises():
-    doc = json.loads(fixture_text("hopfield"))
-    doc["config"]["hopfield_beta"] = -1
-    with pytest.raises(ModelFormatError):
-        fc.model_from_json(json.dumps(doc))
 
 
 class TestStrategies:
